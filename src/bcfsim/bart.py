@@ -18,7 +18,6 @@ which makes priors anchored to "the sd of y" exact.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +28,7 @@ from .trees import (
     DecisionTree,
     MoveKind,
     Node,
+    cutpoint_bins,
     depth_split_prob,
     make_cutpoint_grids,
     propose_move,
@@ -239,6 +239,8 @@ class ForestSampler:
         self.X = np.ascontiguousarray(np.asarray(X, dtype=float))
         if self.X.ndim != 2 or self.X.shape[0] < 1:
             raise ValueError("X must be a nonempty 2-D array")
+        if not np.isfinite(self.X).all():
+            raise ValueError("X must be finite (no NaN or inf)")
         self.config = config
         self.weights = None
         if weights is not None:
@@ -247,6 +249,7 @@ class ForestSampler:
                 raise ValueError("weights must be one value per row")
             self.weights = w.astype(bool)
         self.grids = make_cutpoint_grids(self.X, config.cutpoints_per_feature)
+        self.bins = cutpoint_bins(self.X, self.grids)
         n = self.X.shape[0]
         all_rows = np.arange(n)
         self.trees = []
@@ -283,7 +286,7 @@ class ForestSampler:
             for leaf in leaves:
                 if leaf.value != 0.0:
                     resid[leaf.wrows] += leaf.value
-            prop = propose_move(tree, self.X, self.grids, rng,
+            prop = propose_move(tree, self.bins, self.grids, rng,
                                 cfg.move_probabilities, cfg.base, cfg.power,
                                 leaves=leaves, singly=singly)
             self.proposals += 1
@@ -402,6 +405,8 @@ def fit_continuous(X, y, config: BartConfig = BartConfig(), seed=0) -> BartPoste
     n = y.shape[0]
     if n < 2:
         raise ValueError("need at least 2 observations")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite (no NaN or inf)")
     config.validate()
     rng = np.random.default_rng(seed)
 

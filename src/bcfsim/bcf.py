@@ -142,6 +142,8 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     n = X.shape[0]
     if z.shape != (n,) or y.shape != (n,):
         raise ValueError("X, z, y must have matching lengths")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite (no NaN or inf)")
     if not np.all((z == 0) | (z == 1)):
         raise ValueError("z must be binary")
     if z.min() == z.max():

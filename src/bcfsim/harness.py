@@ -295,6 +295,20 @@ def _records_csv_text(records, fields) -> str:
     return buf.getvalue()
 
 
+def _parse_record_row(row: dict) -> dict:
+    """Typed record fields (all but ``fit_seconds``) of one CSV row."""
+    fields = {}
+    for name in _CSV_FIELDS:
+        raw = row[name]
+        if name in _STR_FIELDS:
+            fields[name] = raw
+        elif name in _INT_FIELDS:
+            fields[name] = int(raw)
+        else:
+            fields[name] = float(raw)
+    return fields
+
+
 def read_replicates_csv(path) -> list[ReplicateRecord]:
     """Load harness records back from ``replicates.csv``.
 
@@ -307,16 +321,8 @@ def read_replicates_csv(path) -> list[ReplicateRecord]:
         if tuple(reader.fieldnames or ()) != _CSV_FIELDS:
             raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
         for row in reader:
-            kwargs = {}
-            for name in _CSV_FIELDS:
-                raw = row[name]
-                if name in _STR_FIELDS:
-                    kwargs[name] = raw
-                elif name in _INT_FIELDS:
-                    kwargs[name] = int(raw)
-                else:
-                    kwargs[name] = float(raw)
-            records.append(ReplicateRecord(fit_seconds=0.0, **kwargs))
+            records.append(
+                ReplicateRecord(fit_seconds=0.0, **_parse_record_row(row)))
     return records
 
 
@@ -372,15 +378,7 @@ def _read_cell(cell_csv: Path, cell_timing: Path):
     with open(cell_csv, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            kwargs = {}
-            for name in _CSV_FIELDS:
-                raw = row[name]
-                if name in _STR_FIELDS:
-                    kwargs[name] = raw
-                elif name in _INT_FIELDS:
-                    kwargs[name] = int(raw)
-                else:
-                    kwargs[name] = float(raw)
+            kwargs = _parse_record_row(row)
             key = f"{kwargs['replicate_index']}:{kwargs['model']}"
             rec = ReplicateRecord(fit_seconds=float(timing[key]), **kwargs)
             rows.append((rec, row["dataset_digest"]))
@@ -394,7 +392,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
     Completed cells are checkpointed under ``cells/``; ``resume=True`` loads
     them instead of refitting, while a fresh run into a directory holding
     cell artifacts is refused so two configurations cannot get mixed
-    together silently. Returns the full record list.
+    together silently. For the same reason a resume is refused when the
+    directory's ``run_config.json`` differs from ``config`` in any key but
+    ``output_dir``. Returns the full record list.
     """
     config.validate()
     target = out_dir if out_dir is not None else config.output_dir
@@ -411,8 +411,19 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
             f"{cells_dir} already holds cell artifacts ({leftovers[0]}, ...); "
             "pass resume=True to reuse them or choose a fresh directory")
 
-    _write_text(out / "run_config.json",
-                json.dumps(config.to_json_dict(), sort_keys=True, indent=2))
+    config_path = out / "run_config.json"
+    wanted = config.to_json_dict()
+    if leftovers and config_path.exists():
+        found = json.loads(config_path.read_text(encoding="utf-8"))
+        differ = sorted(k for k in found.keys() | wanted.keys()
+                        if k != "output_dir" and found.get(k) != wanted.get(k))
+        if differ:
+            detail = "; ".join(f"{k}: found {found.get(k)!r}, expected "
+                               f"{wanted.get(k)!r}" for k in differ)
+            raise RuntimeError(
+                f"{config_path} records a different configuration ({detail}); "
+                "resume with that configuration or choose a fresh directory")
+    _write_text(config_path, json.dumps(wanted, sort_keys=True, indent=2))
 
     all_rows = []
     for selection in config.selections:

@@ -18,6 +18,18 @@ uniformly over features with at least one valid cutpoint, then uniformly
 over that feature's valid cutpoints. Grids are fixed per feature at fit
 start: equally spaced points strictly inside the observed min/max, so a
 constant column has an empty grid and can never be split on.
+
+Proposals never compare floats against the grids. ``cutpoint_bins`` maps
+each (row, feature) once per fit to its bin index ``i``, the number of grid
+points strictly below the value (``searchsorted(grid, x, side="left")``),
+stored in the smallest unsigned dtype that holds the grid length (uint8 at
+100 cutpoints). Routing is exact in bin space: grids are sorted, so the grid
+points below ``x`` are the first ``i`` of them, and ``x <= grid[k]`` holds
+exactly when ``i <= k``. A node's valid cutpoints on a feature are the grid
+indices ``k`` with ``min(i) <= k < max(i)`` over its rows (some row goes
+left and some goes right), so the per-feature counts and offsets are an
+integer min and max over the node's bin rows. The float cutpoint
+``grids[f][k]`` is kept only on the split rule.
 """
 
 from __future__ import annotations
@@ -154,6 +166,21 @@ def make_cutpoint_grids(X: np.ndarray, count: int) -> list[np.ndarray]:
     return grids
 
 
+def cutpoint_bins(X: np.ndarray, grids) -> np.ndarray:
+    """Bin index of every (row, feature): the count of grid points below it.
+
+    Column ``j`` is ``searchsorted(grids[j], X[:, j], side="left")`` in the
+    smallest unsigned dtype holding the longest grid's length, so
+    ``bins[:, j] <= k`` equals ``X[:, j] <= grids[j][k]`` for every grid
+    index ``k``. ``X`` must be finite: a NaN sorts past every grid point.
+    """
+    width = max((len(grid) for grid in grids), default=0)
+    bins = np.empty(X.shape, dtype=np.min_scalar_type(width))
+    for j, grid in enumerate(grids):
+        bins[:, j] = np.searchsorted(grid, X[:, j], side="left")
+    return bins
+
+
 def valid_cutpoints(column, membership, grid) -> np.ndarray:
     """Grid values splitting the member rows into two nonempty children.
 
@@ -197,45 +224,33 @@ class MoveProposal:
     log_tree_prior_ratio: float
 
 
-def _node_cutinfo(node, X, grids):
-    """Per-feature count of valid cutpoints at a node, plus grid offsets.
+def _cut_ranges(bins, rows):
+    """Valid-cutpoint counts and grid offsets per feature for a row set.
 
-    Depends only on the node's fixed row set and the fit-wide grids, so the
-    result is cached on the node; ``apply_move`` clears the cache of any
-    node whose rows it replaces.
+    Returns ``(counts, starts, splittable)``: feature ``j`` admits the grid
+    indices ``starts[j] .. starts[j] + counts[j] - 1``, and ``splittable``
+    says whether any feature admits one.
+    """
+    sub = bins[rows]
+    starts = sub.min(axis=0)
+    counts = sub.max(axis=0) - starts
+    return counts, starts, bool(counts.any())
+
+
+def _node_cutinfo(node, bins):
+    """``_cut_ranges`` of a node's rows, cached on the node.
+
+    Depends only on the node's fixed row set and the fit-wide bins;
+    ``apply_move`` clears the cache of any node whose rows it replaces.
     """
     info = node.cutinfo
     if info is None:
-        sub = X[node.rows]
-        mins = sub.min(axis=0)
-        maxs = sub.max(axis=0)
-        counts = np.empty(len(grids), dtype=np.int64)
-        starts = np.empty(len(grids), dtype=np.int64)
-        for j, grid in enumerate(grids):
-            lo = int(np.searchsorted(grid, mins[j], side="left"))
-            hi = int(np.searchsorted(grid, maxs[j], side="left"))
-            starts[j] = lo
-            counts[j] = hi - lo
-        info = (counts, starts)
-        node.cutinfo = info
+        info = node.cutinfo = _cut_ranges(bins, node.rows)
     return info
 
 
 def _log1m(p: float) -> float:
     return math.log1p(-p) if p < 1.0 else -math.inf
-
-
-def _rows_have_cutpoint(rows, X, grids) -> bool:
-    """Whether any feature has a valid cutpoint for this row set."""
-    sub = X[rows]
-    mins = sub.min(axis=0)
-    maxs = sub.max(axis=0)
-    for j, grid in enumerate(grids):
-        lo = np.searchsorted(grid, mins[j], side="left")
-        hi = np.searchsorted(grid, maxs[j], side="left")
-        if lo < hi:
-            return True
-    return False
 
 
 def _kind_mass(move_probs, grow_ok: bool, prunable: bool) -> float:
@@ -254,7 +269,7 @@ def _kind_mass(move_probs, grow_ok: bool, prunable: bool) -> float:
     return mass
 
 
-def propose_move(tree: DecisionTree, X: np.ndarray, grids, rng,
+def propose_move(tree: DecisionTree, bins: np.ndarray, grids, rng,
                  move_probs=(0.4, 0.4, 0.2), base: float = 0.95,
                  power: float = 2.0, leaves=None, singly=None) -> MoveProposal | None:
     """Draw one Grow/Prune/Change proposal for a tree with cached row sets.
@@ -267,6 +282,7 @@ def propose_move(tree: DecisionTree, X: np.ndarray, grids, rng,
     the Grow leaf draw lands on a leaf none of whose features admit a valid
     cutpoint; the sampler treats either as a rejected step.
 
+    ``bins`` is ``cutpoint_bins(X, grids)`` for the training covariates.
     ``leaves``/``singly`` let a caller that already walked the tree pass the
     leaf and singly-internal node lists in; both are recomputed when absent.
     """
@@ -274,7 +290,7 @@ def propose_move(tree: DecisionTree, X: np.ndarray, grids, rng,
         leaves = tree.leaves()
     if singly is None:
         singly = tree.singly_internal()
-    flags = [bool(_node_cutinfo(leaf, X, grids)[0].any()) for leaf in leaves]
+    flags = [_node_cutinfo(leaf, bins)[2] for leaf in leaves]
     grow_ok = any(flags)
     prunable = bool(singly)
     mass = _kind_mass(move_probs, grow_ok, prunable)
@@ -293,15 +309,15 @@ def propose_move(tree: DecisionTree, X: np.ndarray, grids, rng,
     else:
         kind = MoveKind.CHANGE
     if kind is MoveKind.GROW:
-        return _propose_grow(X, grids, rng, move_probs, base, power,
+        return _propose_grow(bins, grids, rng, move_probs, base, power,
                              leaves, singly, flags, mass)
     if kind is MoveKind.PRUNE:
-        return _propose_prune(X, grids, rng, move_probs, base, power,
+        return _propose_prune(bins, rng, move_probs, base, power,
                               leaves, singly, mass)
-    return _propose_change(X, grids, rng, singly)
+    return _propose_change(bins, grids, rng, singly)
 
 
-def _propose_grow(X, grids, rng, move_probs, base, power, leaves, singly,
+def _propose_grow(bins, grids, rng, move_probs, base, power, leaves, singly,
                   flags, mass):
     idx = int(rng.integers(len(leaves)))
     leaf = leaves[idx]
@@ -309,12 +325,12 @@ def _propose_grow(X, grids, rng, move_probs, base, power, leaves, singly,
         # the drawn leaf has no valid cutpoint on any feature: automatic
         # rejection (some other leaf is splittable, or Grow was never drawn)
         return None
-    counts, starts = _node_cutinfo(leaf, X, grids)
+    counts, starts, _ = _node_cutinfo(leaf, bins)
     splittable = np.flatnonzero(counts)
     feature = int(splittable[int(rng.integers(splittable.size))])
     n_cut = int(counts[feature])
-    cut = float(grids[feature][int(starts[feature]) + int(rng.integers(n_cut))])
-    mask = X[leaf.rows, feature] <= cut
+    k = int(starts[feature]) + int(rng.integers(n_cut))
+    mask = bins[leaf.rows, feature] <= k
     rows_left = leaf.rows[mask]
     rows_right = leaf.rows[~mask]
 
@@ -338,8 +354,8 @@ def _propose_grow(X, grids, rng, move_probs, base, power, leaves, singly,
     # Kind mass of the grown tree: it can always prune, and can grow again
     # if an untouched leaf is splittable or either new child is.
     grow_ok_after = (any(flags[:idx]) or any(flags[idx + 1:])
-                     or _rows_have_cutpoint(rows_left, X, grids)
-                     or _rows_have_cutpoint(rows_right, X, grids))
+                     or _cut_ranges(bins, rows_left)[2]
+                     or _cut_ranges(bins, rows_right)[2])
     mass_after = _kind_mass(move_probs, grow_ok_after, True)
     p_grow, p_prune, _ = move_probs
     log_forward = (math.log(p_grow) - math.log(mass) - math.log(len(leaves))
@@ -350,7 +366,7 @@ def _propose_grow(X, grids, rng, move_probs, base, power, leaves, singly,
     return MoveProposal(
         kind=MoveKind.GROW,
         node=leaf,
-        rule=SplitRule(feature, cut),
+        rule=SplitRule(feature, float(grids[feature][k])),
         rows_left=rows_left,
         rows_right=rows_right,
         log_transition_ratio=log_reverse - log_forward,
@@ -358,10 +374,10 @@ def _propose_grow(X, grids, rng, move_probs, base, power, leaves, singly,
     )
 
 
-def _propose_prune(X, grids, rng, move_probs, base, power, leaves, singly,
+def _propose_prune(bins, rng, move_probs, base, power, leaves, singly,
                    mass):
     node = singly[int(rng.integers(len(singly)))]
-    counts, _ = _node_cutinfo(node, X, grids)
+    counts, _, _ = _node_cutinfo(node, bins)
     n_splittable = int(np.count_nonzero(counts))
     n_cut = int(counts[node.feature])
 
@@ -395,14 +411,14 @@ def _propose_prune(X, grids, rng, move_probs, base, power, leaves, singly,
     )
 
 
-def _propose_change(X, grids, rng, singly):
+def _propose_change(bins, grids, rng, singly):
     node = singly[int(rng.integers(len(singly)))]
-    counts, starts = _node_cutinfo(node, X, grids)
+    counts, starts, _ = _node_cutinfo(node, bins)
     splittable = np.flatnonzero(counts)
     feature = int(splittable[int(rng.integers(splittable.size))])
     n_cut = int(counts[feature])
-    cut = float(grids[feature][int(starts[feature]) + int(rng.integers(n_cut))])
-    mask = X[node.rows, feature] <= cut
+    k = int(starts[feature]) + int(rng.integers(n_cut))
+    mask = bins[node.rows, feature] <= k
     rows_left = node.rows[mask]
     rows_right = node.rows[~mask]
 
@@ -421,7 +437,7 @@ def _propose_change(X, grids, rng, singly):
     return MoveProposal(
         kind=MoveKind.CHANGE,
         node=node,
-        rule=SplitRule(feature, cut),
+        rule=SplitRule(feature, float(grids[feature][k])),
         rows_left=rows_left,
         rows_right=rows_right,
         log_transition_ratio=log_transition,

@@ -140,6 +140,17 @@ def test_sampler_input_validation():
         ForestSampler(X, BartConfig(), weights=np.ones(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sampler_rejects_non_finite_covariates(bad):
+    # a NaN column would get an all-NaN grid and route arbitrarily
+    X = np.random.default_rng(1).random((6, 2))
+    X[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ForestSampler(X, BartConfig())
+    with pytest.raises(ValueError, match="finite"):
+        fit_binary_probit(X, np.array([0, 1, 0, 1, 0, 1]))
+
+
 # ------------------------------------------------------------ slice sampler
 
 def test_slice_sampler_standard_normal():
@@ -268,6 +279,21 @@ def test_fit_continuous_input_validation():
         fit_continuous(np.zeros(10), np.zeros(10))
     with pytest.raises(ValueError):
         fit_continuous(np.zeros((1, 1)), np.zeros(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_continuous_rejects_non_finite_inputs(bad):
+    rng = np.random.default_rng(11)
+    X, y = rng.random((10, 2)), rng.random(10)
+    cfg = BartConfig(num_trees=2, iterations=2, burn_in=1)
+    y_bad = y.copy()
+    y_bad[4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fit_continuous(X, y_bad, cfg)
+    X_bad = X.copy()
+    X_bad[4, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fit_continuous(X_bad, y, cfg)
 
 
 def test_fit_continuous_recovers_step_function():

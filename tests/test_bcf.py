@@ -139,6 +139,21 @@ def test_input_validation():
         fit_bcf(X, z, y, "some_other_mode", config=cfg)
 
 
+@pytest.mark.parametrize("mode", ["no_propensity", "estimated_propensity"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_rejected(mode, bad):
+    X, z, y = _toy_data()
+    cfg = _small_config(iterations=10, burn_in=5)
+    y_bad = y.copy()
+    y_bad[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fit_bcf(X, z, y_bad, mode, config=cfg)
+    X_bad = X.copy()
+    X_bad[7, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fit_bcf(X_bad, z, y, mode, config=cfg)
+
+
 # -------------------------------------------------------------- determinism
 
 def test_fit_is_deterministic_given_seed():

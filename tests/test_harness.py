@@ -545,6 +545,26 @@ def test_resume_rejects_mismatched_configuration(mini_run):
         run_experiment(grown, out_dir=out, resume=True)
 
 
+def test_resume_refuses_cells_of_another_configuration(tmp_path):
+    # cells fit under one seed and chain length must not be reused under
+    # another, and the refused resume must leave run_config.json alone
+    small = dict(selections=("slight",), alphas=(1.0,),
+                 models=("no_propensity",), n=20, replicates=1, burn_in=3)
+    first = ExperimentConfig(**small, master_seed=1729, iterations=6)
+    run_experiment(first, out_dir=tmp_path)
+    before = (tmp_path / "run_config.json").read_bytes()
+    other = ExperimentConfig(**small, master_seed=7, iterations=40)
+    with pytest.raises(RuntimeError,
+                       match=r"iterations: found 6, expected 40; "
+                             r"master_seed: found 1729, expected 7"):
+        run_experiment(other, out_dir=tmp_path, resume=True)
+    assert (tmp_path / "run_config.json").read_bytes() == before
+    # output_dir is only a default destination, so it may differ
+    moved = ExperimentConfig(**small, master_seed=1729, iterations=6,
+                             output_dir="elsewhere")
+    run_experiment(moved, out_dir=tmp_path, resume=True)
+
+
 def test_run_experiment_requires_output_dir():
     with pytest.raises(ValueError, match="output directory"):
         run_experiment(ExperimentConfig(**MINI_CONFIG))

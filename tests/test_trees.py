@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bcfsim.bart import BartConfig, ForestSampler
 from bcfsim.trees import (
-    DecisionTree, Forest, MoveKind, Node, SplitRule, apply_move,
-    depth_split_prob, evaluate_forest, evaluate_tree, make_cutpoint_grids,
-    propose_move, structural_equal, valid_cutpoints,
+    DecisionTree, Forest, MoveKind, Node, SplitRule, _node_cutinfo,
+    apply_move, cutpoint_bins, depth_split_prob, evaluate_forest,
+    evaluate_tree, make_cutpoint_grids, propose_move, structural_equal,
+    valid_cutpoints,
 )
 
 
@@ -16,10 +18,10 @@ def _root_tree(n_rows: int) -> DecisionTree:
     return DecisionTree(Node(rows=np.arange(n_rows)))
 
 
-def _propose_kind(tree, X, grids, rng, kind, **kw):
+def _propose_kind(tree, bins, grids, rng, kind, **kw):
     # public-path proposal of a specific kind, retrying the rng draw
     for _ in range(500):
-        prop = propose_move(tree, X, grids, rng, **kw)
+        prop = propose_move(tree, bins, grids, rng, **kw)
         if prop is not None and prop.kind is kind:
             return prop
     raise AssertionError(f"no {kind} proposal in 500 attempts")
@@ -101,6 +103,92 @@ def test_valid_cutpoints_matches_brute_force(vals, grid):
     assert_array_equal(got, want)
 
 
+# --------------------------------------------------------------- bin index
+
+def _tied_design(seed, n=40, count=12):
+    # column 0: continuous; column 1: integers 0..count+1, so its grid is
+    # exactly 1..count and most rows sit on a cutpoint; column 2: spans
+    # [0, 1] with its interior rows moved onto grid points; column 3:
+    # constant, so its grid is empty; the last five rows repeat the first
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.normal(size=n),
+        rng.integers(0, count + 2, size=n).astype(float),
+        np.empty(n),
+        np.full(n, 0.7),
+    ])
+    X[:2, 1] = (0.0, count + 1.0)
+    X[:2, 2] = (0.0, 1.0)
+    X[2:, 2] = rng.choice(np.linspace(0.0, 1.0, count + 2)[1:-1], size=n - 2)
+    X[-5:] = X[:5]
+    grids = make_cutpoint_grids(X, count)
+    assert np.isin(X[2:-5, 2], grids[2]).all()
+    assert grids[3].size == 0
+    return X, grids
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bins_route_like_the_float_grid(seed):
+    X, grids = _tied_design(seed)
+    bins = cutpoint_bins(X, grids)
+    assert bins.dtype == np.uint8
+    assert bins.shape == X.shape
+    assert not bins[:, 3].any()
+    for j, grid in enumerate(grids):
+        for k, cut in enumerate(grid):
+            assert_array_equal(bins[:, j] <= k, X[:, j] <= cut)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_node_cutinfo_matches_valid_cutpoints(seed):
+    X, grids = _tied_design(seed)
+    bins = cutpoint_bins(X, grids)
+    rng = np.random.default_rng(seed)
+    for size in (1, 2, 5, 17, len(X)):
+        rows = np.sort(rng.choice(len(X), size=size, replace=False))
+        counts, starts, splittable = _node_cutinfo(Node(rows=rows), bins)
+        for j, grid in enumerate(grids):
+            want = valid_cutpoints(X[:, j], rows, grid)
+            assert counts[j] == want.size
+            assert_array_equal(grid[starts[j]:starts[j] + counts[j]], want)
+        assert splittable == bool(counts.any())
+
+
+def test_wide_grid_bins_do_not_overflow():
+    # 300 cutpoints put bin indices past 255, so the bins widen to uint16;
+    # a short fit must then route every node as its float cutpoint does,
+    # including splits whose grid index does not fit in a uint8
+    rng = np.random.default_rng(23)
+    n = 300
+    X = rng.random((n, 2))
+    y = 3.0 * (X[:, 0] > 0.93) + rng.normal(0.0, 0.1, size=n)
+    sampler = ForestSampler(X, BartConfig(num_trees=10,
+                                          cutpoints_per_feature=300))
+    bins = sampler.bins
+    assert bins.dtype == np.uint16
+    assert bins.max() > 255
+    for j, grid in enumerate(sampler.grids):
+        for k, cut in enumerate(grid):
+            assert_array_equal(bins[:, j] <= k, X[:, j] <= cut)
+    resid = y - y.mean()
+    chain = np.random.default_rng(24)
+    for _ in range(30):
+        sampler.sweep(resid, 0.3, chain)
+    high = 0
+    for tree in sampler.trees:
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                continue
+            goes_left = X[node.rows, node.feature] <= node.cutpoint
+            assert_array_equal(node.left.rows, node.rows[goes_left])
+            assert_array_equal(node.right.rows, node.rows[~goes_left])
+            high += node.cutpoint > sampler.grids[node.feature][255]
+            stack.extend([node.left, node.right])
+    assert high > 0
+
+
 # ----------------------------------------------------------------- routing
 
 def _two_leaf_tree(feature=0, cutpoint=0.5, left=1.0, right=2.0):
@@ -144,10 +232,11 @@ def test_splittable_stump_always_proposes_grow():
     # the kind draw must land on it every time, not just 40% of the time
     X = np.random.default_rng(1).random((20, 2))
     grids = make_cutpoint_grids(X, 10)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(20)
     rng = np.random.default_rng(2)
     for _ in range(200):
-        prop = propose_move(tree, X, grids, rng)
+        prop = propose_move(tree, bins, grids, rng)
         assert prop is not None
         assert prop.kind is MoveKind.GROW
 
@@ -155,10 +244,11 @@ def test_splittable_stump_always_proposes_grow():
 def test_stump_on_constant_features_has_no_legal_move():
     X = np.ones((10, 3))
     grids = make_cutpoint_grids(X, 10)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(10)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        assert propose_move(tree, X, grids, rng) is None
+        assert propose_move(tree, bins, grids, rng) is None
 
 
 def test_kind_renormalizes_when_grow_is_unavailable():
@@ -166,13 +256,14 @@ def test_kind_renormalizes_when_grow_is_unavailable():
     # Grow drops out and Prune/Change split the mass 2:1
     X = np.array([[0.0], [1.0]])
     grids = make_cutpoint_grids(X, 3)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(2)
     rng = np.random.default_rng(2)
-    apply_move(tree, propose_move(tree, X, grids, rng))
+    apply_move(tree, propose_move(tree, bins, grids, rng))
     counts = {k: 0 for k in MoveKind}
     n = 3000
     for _ in range(n):
-        prop = propose_move(tree, X, grids, rng)
+        prop = propose_move(tree, bins, grids, rng)
         assert prop is not None
         counts[prop.kind] += 1
     assert counts[MoveKind.GROW] == 0
@@ -184,8 +275,9 @@ def test_grow_rows_match_rule():
     rng = np.random.default_rng(4)
     X = rng.random((60, 3))
     grids = make_cutpoint_grids(X, 25)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(60)
-    prop = _propose_kind(tree, X, grids, rng, MoveKind.GROW)
+    prop = _propose_kind(tree, bins, grids, rng, MoveKind.GROW)
     f, c = prop.rule.feature, prop.rule.cutpoint
     assert_array_equal(prop.rows_left, np.flatnonzero(X[:, f] <= c))
     assert_array_equal(prop.rows_right, np.flatnonzero(X[:, f] > c))
@@ -196,11 +288,12 @@ def test_grow_then_prune_restores_structure():
     rng = np.random.default_rng(5)
     X = rng.random((30, 2))
     grids = make_cutpoint_grids(X, 15)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(30)
-    grow = _propose_kind(tree, X, grids, rng, MoveKind.GROW)
+    grow = _propose_kind(tree, bins, grids, rng, MoveKind.GROW)
     apply_move(tree, grow)
     assert not tree.root.is_leaf
-    prune = _propose_kind(tree, X, grids, rng, MoveKind.PRUNE)
+    prune = _propose_kind(tree, bins, grids, rng, MoveKind.PRUNE)
     assert prune.node is tree.root
     apply_move(tree, prune)
     assert tree.root.is_leaf
@@ -213,18 +306,19 @@ def test_grow_prune_ratios_are_antisymmetric():
     rng = np.random.default_rng(6)
     X = rng.random((50, 3))
     grids = make_cutpoint_grids(X, 20)
+    bins = cutpoint_bins(X, grids)
     for _ in range(10):
         tree = _root_tree(50)
         # random starting shape: a few accepted grows
         for _ in range(int(rng.integers(0, 3))):
-            prop = propose_move(tree, X, grids, rng)
+            prop = propose_move(tree, bins, grids, rng)
             if prop is not None and prop.kind is MoveKind.GROW:
                 apply_move(tree, prop)
-        grow = _propose_kind(tree, X, grids, rng, MoveKind.GROW)
+        grow = _propose_kind(tree, bins, grids, rng, MoveKind.GROW)
         grown = grow.node
         apply_move(tree, grow)
         for _ in range(500):
-            prune = propose_move(tree, X, grids, rng)
+            prune = propose_move(tree, bins, grids, rng)
             if (prune is not None and prune.kind is MoveKind.PRUNE
                     and prune.node is grown):
                 break
@@ -241,8 +335,9 @@ def test_stump_grow_ratio_uses_renormalized_kind_mass():
     # mass and the reverse Prune carries probability 0.4 / (0.4 + 0.2).
     X = np.array([[0.0], [1.0]])
     grids = make_cutpoint_grids(X, 3)
+    bins = cutpoint_bins(X, grids)
     assert_allclose(grids[0], [0.25, 0.5, 0.75])
-    prop = propose_move(_root_tree(2), X, grids, np.random.default_rng(0))
+    prop = propose_move(_root_tree(2), bins, grids, np.random.default_rng(0))
     assert prop.kind is MoveKind.GROW
     want = math.log(0.4) - math.log(0.4 + 0.2) + math.log(3.0)
     assert prop.log_transition_ratio == pytest.approx(want, rel=1e-12)
@@ -257,12 +352,13 @@ def test_grow_prune_antisymmetry_with_degenerate_children():
     # mass; the reverse Prune must reproduce both masses bit-for-bit
     X = np.array([[0.0], [1.0]])
     grids = make_cutpoint_grids(X, 3)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(2)
     rng = np.random.default_rng(1)
-    grow = propose_move(tree, X, grids, rng)
+    grow = propose_move(tree, bins, grids, rng)
     assert grow.kind is MoveKind.GROW
     apply_move(tree, grow)
-    prune = _propose_kind(tree, X, grids, rng, MoveKind.PRUNE)
+    prune = _propose_kind(tree, bins, grids, rng, MoveKind.PRUNE)
     assert prune.node is tree.root
     assert prune.log_transition_ratio == -grow.log_transition_ratio
     assert prune.log_tree_prior_ratio == -grow.log_tree_prior_ratio
@@ -272,10 +368,11 @@ def test_change_prior_cancels_transition():
     rng = np.random.default_rng(7)
     X = rng.random((40, 2))
     grids = make_cutpoint_grids(X, 12)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(40)
-    apply_move(tree, _propose_kind(tree, X, grids, rng, MoveKind.GROW))
+    apply_move(tree, _propose_kind(tree, bins, grids, rng, MoveKind.GROW))
     for _ in range(20):
-        prop = _propose_kind(tree, X, grids, rng, MoveKind.CHANGE)
+        prop = _propose_kind(tree, bins, grids, rng, MoveKind.CHANGE)
         assert prop.log_tree_prior_ratio == -prop.log_transition_ratio
         assert math.isfinite(prop.log_transition_ratio)
 
@@ -284,12 +381,13 @@ def test_change_clears_child_cutpoint_cache():
     rng = np.random.default_rng(8)
     X = rng.random((40, 2))
     grids = make_cutpoint_grids(X, 12)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(40)
-    apply_move(tree, _propose_kind(tree, X, grids, rng, MoveKind.GROW))
-    change = _propose_kind(tree, X, grids, rng, MoveKind.CHANGE)
+    apply_move(tree, _propose_kind(tree, bins, grids, rng, MoveKind.GROW))
+    change = _propose_kind(tree, bins, grids, rng, MoveKind.CHANGE)
     node = change.node
     # warm the caches, then apply the change
-    _ = propose_move(tree, X, grids, rng)
+    _ = propose_move(tree, bins, grids, rng)
     apply_move(tree, change)
     assert node.left.cutinfo is None
     assert node.right.cutinfo is None
@@ -303,12 +401,13 @@ def test_move_kind_frequencies():
     rng = np.random.default_rng(9)
     X = rng.random((80, 3))
     grids = make_cutpoint_grids(X, 20)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(80)
-    apply_move(tree, _propose_kind(tree, X, grids, rng, MoveKind.GROW))
+    apply_move(tree, _propose_kind(tree, bins, grids, rng, MoveKind.GROW))
     counts = {k: 0 for k in MoveKind}
     n = 10_000
     for _ in range(n):
-        prop = propose_move(tree, X, grids, rng)
+        prop = propose_move(tree, bins, grids, rng)
         assert prop is not None
         counts[prop.kind] += 1
     for kind, p in zip(MoveKind, (0.4, 0.4, 0.2)):
@@ -320,9 +419,10 @@ def test_custom_move_probabilities_respected():
     rng = np.random.default_rng(10)
     X = rng.random((50, 2))
     grids = make_cutpoint_grids(X, 10)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(50)
-    apply_move(tree, _propose_kind(tree, X, grids, rng, MoveKind.GROW))
-    kinds = [propose_move(tree, X, grids, rng,
+    apply_move(tree, _propose_kind(tree, bins, grids, rng, MoveKind.GROW))
+    kinds = [propose_move(tree, bins, grids, rng,
                           move_probs=(0.05, 0.05, 0.9)).kind
              for _ in range(300)]
     frac_change = sum(k is MoveKind.CHANGE for k in kinds) / len(kinds)
@@ -334,10 +434,11 @@ def test_leaves_partition_rows_under_random_walk():
     n = 80
     X = rng.random((n, 3))
     grids = make_cutpoint_grids(X, 20)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(n)
     applied = 0
     for _ in range(300):
-        prop = propose_move(tree, X, grids, rng)
+        prop = propose_move(tree, bins, grids, rng)
         if prop is None:
             continue
         apply_move(tree, prop)
@@ -382,9 +483,10 @@ def test_routing_is_a_partition_of_feature_space():
     rng = np.random.default_rng(20)
     X = rng.random((60, 3))
     grids = make_cutpoint_grids(X, 15)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(60)
     for _ in range(200):
-        prop = propose_move(tree, X, grids, rng)
+        prop = propose_move(tree, bins, grids, rng)
         if prop is not None and prop.kind is not MoveKind.PRUNE:
             apply_move(tree, prop)
     leaves = tree.leaves()
@@ -407,10 +509,11 @@ def test_constant_feature_never_selected():
     n = 70
     X = np.column_stack([rng.random(n), np.full(n, 0.3), rng.random(n)])
     grids = make_cutpoint_grids(X, 12)
+    bins = cutpoint_bins(X, grids)
     tree = _root_tree(n)
     checked = 0
     for _ in range(10_000):
-        prop = propose_move(tree, X, grids, rng)
+        prop = propose_move(tree, bins, grids, rng)
         if prop is None:
             continue
         if prop.rule is not None:
@@ -427,11 +530,12 @@ def test_evaluate_forest_is_order_invariant():
     rng = np.random.default_rng(21)
     X = rng.random((40, 2))
     grids = make_cutpoint_grids(X, 10)
+    bins = cutpoint_bins(X, grids)
     trees = []
     for _ in range(6):
         t = _root_tree(40)
         for _ in range(30):
-            prop = propose_move(t, X, grids, rng)
+            prop = propose_move(t, bins, grids, rng)
             if prop is not None:
                 apply_move(t, prop)
         for leaf in t.leaves():
