@@ -33,6 +33,7 @@ from .trees import (
     make_cutpoint_grids,
     propose_move,
     apply_move,
+    row_signatures,
 )
 
 __all__ = [
@@ -192,11 +193,29 @@ def _llm(n, s, sig2, ls2):
     )
 
 
+# Shrink steps before the slice sampler gives up. The bracket always holds
+# x0 and shrinks toward it, so when the threshold lies below the density at
+# x0 a draw lands at the latest once the bracket has shrunk to float
+# resolution around x0, some 60 halvings; scale updates take a handful of
+# steps. The cap is met only when no point of the bracket, x0 included,
+# clears the threshold.
+_SLICE_SHRINK_CAP = 10_000
+
+
 def _slice_sample(log_density, x0: float, rng, width: float = 1.0,
                   max_steps: int = 50) -> float:
-    """One stepping-out / shrinkage slice-sampling update (Neal 2003)."""
+    """One stepping-out / shrinkage slice-sampling update (Neal 2003).
+
+    Raises FloatingPointError when the log density at ``x0`` is not finite
+    or when shrinkage does not land inside the slice within
+    ``_SLICE_SHRINK_CAP`` steps, instead of spinning forever.
+    """
     u = rng.random()
-    threshold = log_density(x0) + (math.log(u) if u > 0 else -math.inf)
+    start = log_density(x0)
+    if not math.isfinite(start):
+        raise FloatingPointError(
+            f"slice sampler: log density at the start point is {start}")
+    threshold = start + (math.log(u) if u > 0 else -math.inf)
     lo = x0 - width * rng.random()
     hi = lo + width
     for _ in range(max_steps):
@@ -207,7 +226,7 @@ def _slice_sample(log_density, x0: float, rng, width: float = 1.0,
         if log_density(hi) <= threshold:
             break
         hi += width
-    while True:
+    for _ in range(_SLICE_SHRINK_CAP):
         x1 = lo + (hi - lo) * rng.random()
         if log_density(x1) > threshold:
             return x1
@@ -215,16 +234,29 @@ def _slice_sample(log_density, x0: float, rng, width: float = 1.0,
             lo = x1
         else:
             hi = x1
+    raise FloatingPointError(
+        f"slice sampler: no point above the slice threshold {threshold} "
+        f"after {_SLICE_SHRINK_CAP} shrink steps")
 
 
 class ForestSampler:
     """Backfitting state for one forest: trees, row caches, and scale.
 
     The caller owns the global residual vector, defined as the working
-    outcome minus every model component. ``sweep`` temporarily adds its own
-    forest's contribution back leaf by leaf, so each tree sees the partial
-    residual it needs, and subtracts the freshly drawn leaf values on the
-    way out.
+    outcome minus every model component. Each tree keeps a dense fit vector
+    (its leaf values at the weighted rows, 0 elsewhere): ``sweep`` adds it
+    back to the residual on entering the tree, so the tree sees the partial
+    residual it needs, rewrites it with the redrawn leaf values and
+    subtracts it on the way out. Every weighted row thus gets ``r + v_old``
+    and then ``- v_new``, the same float operations as adding and
+    subtracting leaf values row set by row set, and each leaf sum gathers
+    its rows from the residual in row order before summing, so no draw
+    depends on this bookkeeping.
+
+    The rest of the per-tree state is kept incrementally too (see the
+    ``trees`` module docstring): ``keys`` holds one bin signature per row,
+    from which leaf split flags are computed once per leaf, and each
+    tree's ``leaf_list`` is edited by ``apply_move`` instead of rewalked.
 
     ``weights`` (0/1 per unit, optional) multiply the forest inside the
     likelihood: rows with weight zero still route through the trees and
@@ -250,13 +282,16 @@ class ForestSampler:
             self.weights = w.astype(bool)
         self.grids = make_cutpoint_grids(self.X, config.cutpoints_per_feature)
         self.bins = cutpoint_bins(self.X, self.grids)
+        self.keys = row_signatures(self.bins)
         n = self.X.shape[0]
         all_rows = np.arange(n)
-        self.trees = []
-        for _ in range(config.num_trees):
-            root = Node(rows=all_rows)
-            root.wrows = self._wfilter(all_rows)
-            self.trees.append(DecisionTree(root, n_features=self.X.shape[1]))
+        all_wrows = self._wfilter(all_rows)
+        self.trees = [
+            DecisionTree(Node(rows=all_rows, wrows=all_wrows),
+                         n_features=self.X.shape[1])
+            for _ in range(config.num_trees)
+        ]
+        self.fits = np.zeros((config.num_trees, n))
         self.forest_scale = float(config.leaf_scale_prior.initial())
         self._scale_root = math.sqrt(config.num_trees)
         self.proposals = 0
@@ -278,17 +313,11 @@ class ForestSampler:
         leaf_sd = self.leaf_sd
         sig2 = sigma * sigma
         ls2 = leaf_sd * leaf_sd
-        for tree in self.trees:
-            leaves = tree.leaves()
-            singly = [lf.parent for lf in leaves
-                      if lf.parent is not None and lf.parent.left is lf
-                      and lf.parent.right.is_leaf]
-            for leaf in leaves:
-                if leaf.value != 0.0:
-                    resid[leaf.wrows] += leaf.value
+        for tree, fit in zip(self.trees, self.fits):
+            resid += fit
             prop = propose_move(tree, self.bins, self.grids, rng,
                                 cfg.move_probabilities, cfg.base, cfg.power,
-                                leaves=leaves, singly=singly)
+                                keys=self.keys)
             self.proposals += 1
             if prop is not None:
                 if prior_only:
@@ -299,30 +328,37 @@ class ForestSampler:
                              + prop.log_transition_ratio)
                 u = rng.random()
                 if log_alpha >= 0.0 or (u > 0.0 and math.log(u) < log_alpha):
-                    for node in apply_move(tree, prop):
-                        node.wrows = self._wfilter(node.rows)
+                    if prop.rows_left is not None:
+                        # computed here only when prior_only skipped the
+                        # likelihood ratio
+                        self._child_wrows(prop)
+                    apply_move(tree, prop)
                     self.accepts += 1
-                    leaves = tree.leaves()
+            leaves = tree.leaf_list
             noise = rng.standard_normal(len(leaves))
             for leaf, eps in zip(leaves, noise):
                 wrows = leaf.wrows
                 if prior_only:
                     value = leaf_sd * float(eps)
-                    leaf.value = value
-                    resid[wrows] -= value
                 else:
-                    part = resid[wrows]
                     var = 1.0 / (1.0 / ls2 + len(wrows) / sig2)
-                    mean = var * float(part.sum()) / sig2
+                    mean = var * float(resid[wrows].sum()) / sig2
                     value = mean + math.sqrt(var) * float(eps)
-                    leaf.value = value
-                    resid[wrows] = part - value
+                leaf.value = value
+                fit[wrows] = value
+            resid -= fit
         self._update_scale(rng, sig2)
+
+    def _child_wrows(self, prop):
+        """Weighted rows of a Grow/Change proposal's children, kept on it."""
+        if prop.wrows_left is None:
+            prop.wrows_left = self._wfilter(prop.rows_left)
+            prop.wrows_right = self._wfilter(prop.rows_right)
+        return prop.wrows_left, prop.wrows_right
 
     def _log_like_ratio(self, prop, resid, sig2, ls2) -> float:
         if prop.kind is MoveKind.GROW:
-            wl = self._wfilter(prop.rows_left)
-            wr = self._wfilter(prop.rows_right)
+            wl, wr = self._child_wrows(prop)
             nl, sl = len(wl), float(resid[wl].sum())
             nr, sr = len(wr), float(resid[wr].sum())
             return (_llm(nl, sl, sig2, ls2) + _llm(nr, sr, sig2, ls2)
@@ -335,8 +371,7 @@ class ForestSampler:
             return (_llm(nl + nr, sl + sr, sig2, ls2)
                     - _llm(nl, sl, sig2, ls2) - _llm(nr, sr, sig2, ls2))
         # Change: same rows redistributed between the two leaf children
-        wl = self._wfilter(prop.rows_left)
-        wr = self._wfilter(prop.rows_right)
+        wl, wr = self._child_wrows(prop)
         ol = prop.node.left.wrows
         orr = prop.node.right.wrows
         return (
@@ -351,7 +386,7 @@ class ForestSampler:
         if isinstance(prior, FixedScale):
             return
         values = np.array([leaf.value for tree in self.trees
-                           for leaf in tree.leaves()])
+                           for leaf in tree.leaf_list])
         n_leaves = len(values)
         ssq = float(values @ values)
         root_m = self._scale_root
@@ -373,7 +408,7 @@ class ForestSampler:
         """Forest prediction at every training row, recomputed from leaves."""
         out = np.zeros(self.X.shape[0])
         for tree in self.trees:
-            for leaf in tree.leaves():
+            for leaf in tree.leaf_list:
                 out[leaf.rows] += leaf.value
         return out
 

@@ -119,6 +119,8 @@ def build_design(X: np.ndarray, pi_values: np.ndarray) -> np.ndarray:
         raise ValueError("X must be 2-D")
     if pi_values.shape != (X.shape[0],):
         raise ValueError("pi_values must have one entry per row of X")
+    if not np.isfinite(pi_values).all():
+        raise ValueError("pi_values must be finite (no NaN or inf)")
     if pi_values.min() < 0.0 or pi_values.max() > 1.0:
         raise ValueError("pi_values must lie in [0, 1]")
     return np.column_stack([X, pi_values])
@@ -165,6 +167,8 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
         pi_used = np.asarray(pi_true, dtype=float).copy()
         if pi_used.shape != (n,):
             raise ValueError("pi_true must have one entry per unit")
+        if not np.isfinite(pi_used).all():
+            raise ValueError("pi_true must be finite (no NaN or inf)")
         if pi_used.min() < 0.0 or pi_used.max() > 1.0:
             raise ValueError("pi_true must lie in [0, 1]")
     else:

@@ -495,16 +495,12 @@ def _write_run_outputs(config, out: Path, records, digests=None,
          "replicate_index": r.replicate_index, "seconds": r.fit_seconds}
         for r in records
     ]}
-    means = {}
-    for model in config.models:
-        times = [r.fit_seconds for r in records if r.model == model]
-        if times:
-            means[model] = float(np.mean(times))
-    timing["mean_seconds_by_model"] = means
-    both = (PropensityMode.NO_PROPENSITY.value in means
-            and PropensityMode.ESTIMATED_PROPENSITY.value in means)
-    if both:
+    models = {r.model for r in records}
+    if (PropensityMode.NO_PROPENSITY.value in models
+            and PropensityMode.ESTIMATED_PROPENSITY.value in models):
         timing.update(timing_report(records))
+    else:
+        timing["mean_seconds_by_model"] = _mean_fit_seconds(records)
     _write_text(out / "timing.json", json.dumps(timing, sort_keys=True, indent=1))
 
 
@@ -672,6 +668,14 @@ def _pvalues_csv_text(table: PValueTable) -> str:
     return buf.getvalue()
 
 
+def _mean_fit_seconds(records) -> dict:
+    """Mean fit seconds per model, in order of first appearance."""
+    by_model = {}
+    for rec in records:
+        by_model.setdefault(rec.model, []).append(rec.fit_seconds)
+    return {m: float(np.mean(v)) for m, v in by_model.items()}
+
+
 def timing_report(records) -> dict:
     """Mean fit seconds per model and the propensity-estimation overhead.
 
@@ -680,16 +684,14 @@ def timing_report(records) -> dict:
     """
     no = PropensityMode.NO_PROPENSITY.value
     est = PropensityMode.ESTIMATED_PROPENSITY.value
-    by_model = {}
-    by_cell = {}
-    for rec in records:
-        by_model.setdefault(rec.model, []).append(rec.fit_seconds)
-        by_cell.setdefault((rec.dgp_id, rec.alpha), {}).setdefault(
-            rec.model, []).append(rec.fit_seconds)
-    if no not in by_model or est not in by_model:
+    means = _mean_fit_seconds(records)
+    if no not in means or est not in means:
         raise ValueError(
             f"timing overhead needs both {no!r} and {est!r} records")
-    means = {m: float(np.mean(v)) for m, v in by_model.items()}
+    by_cell = {}
+    for rec in records:
+        by_cell.setdefault((rec.dgp_id, rec.alpha), {}).setdefault(
+            rec.model, []).append(rec.fit_seconds)
     cell_overhead = {}
     for (dgp_id, alpha), times in sorted(by_cell.items()):
         if no in times and est in times:

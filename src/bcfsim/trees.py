@@ -30,12 +30,33 @@ indices ``k`` with ``min(i) <= k < max(i)`` over its rows (some row goes
 left and some goes right), so the per-feature counts and offsets are an
 integer min and max over the node's bin rows. The float cutpoint
 ``grids[f][k]`` is kept only on the split rule.
+
+Sampler state is kept incrementally rather than rescanned per proposal:
+
+- ``row_signatures`` gives each row one integer key, equal for two rows
+  exactly when their bin rows are equal. A node has a valid cutpoint
+  exactly when its rows do not all share one key, so a leaf's split flag is
+  a 1-D gather and min/max. The per-feature ranges are built only for a
+  node drawn for Grow, Prune or Change, and cached there.
+- A Grow proposal carries the child flags (and the sampler's weighted
+  child rows) it computed, so an accepted Grow recomputes neither.
+- ``DecisionTree.leaf_list`` holds the leaves in ``leaves()`` order;
+  ``apply_move`` edits it in place (Grow puts the two children in the
+  leaf's slot, Prune puts the parent in its children's two slots).
+- The depth part of the tree-prior ratio is cached per (depth, base,
+  power) and evaluated in the original left-to-right order.
+
+None of this changes a draw: the flags are the same booleans, the leaf list
+is the same sequence of nodes the rng indexes into, and every float is
+computed by the same operations in the same order.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,24 +84,39 @@ class Node:
 
     ``rows`` caches the training-row indices reaching the node and ``wrows``
     the subset with nonzero design weight (identical to ``rows`` for an
-    unweighted forest); both are sampler bookkeeping, not part of the tree
-    function itself.
+    unweighted forest). ``splittable`` caches whether the rows admit any
+    valid cutpoint and ``cutinfo`` their per-feature cutpoint ranges (None
+    until first needed). All four are sampler bookkeeping, not part of the
+    tree function itself.
+
+    The parent is held through a weak reference, so a tree has no reference
+    cycle and is freed as soon as it is dropped instead of waiting, rows
+    and all, for a full garbage collection.
     """
 
-    __slots__ = ("depth", "parent", "feature", "cutpoint", "value",
-                 "left", "right", "rows", "wrows", "cutinfo")
+    __slots__ = ("depth", "_parent", "feature", "cutpoint", "value",
+                 "left", "right", "rows", "wrows", "splittable", "cutinfo",
+                 "__weakref__")
 
-    def __init__(self, depth=0, parent=None, value=0.0, rows=None):
+    def __init__(self, depth=0, parent=None, value=0.0, rows=None,
+                 wrows=None, splittable=None):
         self.depth = depth
-        self.parent = parent
+        self._parent = None if parent is None else weakref.ref(parent)
         self.feature = None
         self.cutpoint = 0.0
         self.value = value
         self.left = None
         self.right = None
         self.rows = rows
-        self.wrows = rows
+        self.wrows = rows if wrows is None else wrows
+        self.splittable = splittable
         self.cutinfo = None
+
+    @property
+    def parent(self):
+        """The parent node; None at the root."""
+        ref = self._parent
+        return None if ref is None else ref()
 
     @property
     def is_leaf(self) -> bool:
@@ -88,9 +124,12 @@ class Node:
 
 
 class DecisionTree:
+    """A binary tree; ``leaf_list`` is ``leaves()``, kept by ``apply_move``."""
+
     def __init__(self, root: Node | None = None, n_features: int | None = None):
         self.root = root if root is not None else Node()
         self.n_features = n_features
+        self.leaf_list = self.leaves()
 
     def leaves(self) -> list[Node]:
         out, stack = [], [self.root]
@@ -99,18 +138,6 @@ class DecisionTree:
             if node.is_leaf:
                 out.append(node)
             else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
-
-    def singly_internal(self) -> list[Node]:
-        """Internal nodes whose children are both leaves (Prune/Change targets)."""
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                if node.left.is_leaf and node.right.is_leaf:
-                    out.append(node)
                 stack.append(node.right)
                 stack.append(node.left)
         return out
@@ -181,6 +208,11 @@ def cutpoint_bins(X: np.ndarray, grids) -> np.ndarray:
     return bins
 
 
+def row_signatures(bins: np.ndarray) -> np.ndarray:
+    """One integer key per row, equal exactly for rows with equal bin rows."""
+    return np.unique(bins, axis=0, return_inverse=True)[1].reshape(-1)
+
+
 def valid_cutpoints(column, membership, grid) -> np.ndarray:
     """Grid values splitting the member rows into two nonempty children.
 
@@ -212,7 +244,10 @@ class MoveProposal:
     ``log_tree_prior_ratio`` is log p(T')/p(T) including the rule prior;
     adding the marginal-likelihood log ratio gives the full acceptance
     exponent. ``rows_left``/``rows_right`` carry the child memberships the
-    move would create (Grow and Change only).
+    move would create (Grow and Change only). ``split_left``/``split_right``
+    are the children's split flags when a Grow proposal computed them, and
+    ``wrows_left``/``wrows_right`` the weighted child rows once the sampler
+    computed them; ``apply_move`` hands any that are set to the children.
     """
 
     kind: MoveKind
@@ -222,6 +257,10 @@ class MoveProposal:
     rows_right: np.ndarray | None
     log_transition_ratio: float
     log_tree_prior_ratio: float
+    split_left: bool | None = None
+    split_right: bool | None = None
+    wrows_left: np.ndarray | None = None
+    wrows_right: np.ndarray | None = None
 
 
 def _cut_ranges(bins, rows):
@@ -238,19 +277,45 @@ def _cut_ranges(bins, rows):
 
 
 def _node_cutinfo(node, bins):
-    """``_cut_ranges`` of a node's rows, cached on the node.
+    """``(counts, starts, features)`` of a node's rows, cached on the node.
 
-    Depends only on the node's fixed row set and the fit-wide bins;
-    ``apply_move`` clears the cache of any node whose rows it replaces.
+    ``counts`` and ``starts`` are ``_cut_ranges`` of the rows and
+    ``features`` the indices with a nonzero count. Depends only on the
+    node's fixed row set and the fit-wide bins; ``apply_move`` clears the
+    cache of any node whose rows it replaces.
     """
     info = node.cutinfo
     if info is None:
-        info = node.cutinfo = _cut_ranges(bins, node.rows)
+        counts, starts, _ = _cut_ranges(bins, node.rows)
+        info = node.cutinfo = (counts, starts, np.flatnonzero(counts))
     return info
+
+
+def _rows_splittable(keys, rows) -> bool:
+    """Whether a row set admits a valid cutpoint: not all one signature."""
+    sig = keys[rows]
+    return bool(sig.min() != sig.max())
+
+
+def _node_splittable(node, keys) -> bool:
+    """``_rows_splittable`` of a node's rows, cached like ``cutinfo``."""
+    flag = node.splittable
+    if flag is None:
+        flag = node.splittable = _rows_splittable(keys, node.rows)
+    return flag
 
 
 def _log1m(p: float) -> float:
     return math.log1p(-p) if p < 1.0 else -math.inf
+
+
+@functools.lru_cache(maxsize=1024)
+def _depth_log_prior(depth: int, base: float, power: float) -> float:
+    """Depth part of the log prior ratio of splitting a node at ``depth``:
+    log p_d + 2 log(1 - p_{d+1}) - log(1 - p_d)."""
+    p_d = depth_split_prob(depth, base, power)
+    p_d1 = depth_split_prob(depth + 1, base, power)
+    return math.log(p_d) + 2.0 * _log1m(p_d1) - _log1m(p_d)
 
 
 def _kind_mass(move_probs, grow_ok: bool, prunable: bool) -> float:
@@ -271,7 +336,8 @@ def _kind_mass(move_probs, grow_ok: bool, prunable: bool) -> float:
 
 def propose_move(tree: DecisionTree, bins: np.ndarray, grids, rng,
                  move_probs=(0.4, 0.4, 0.2), base: float = 0.95,
-                 power: float = 2.0, leaves=None, singly=None) -> MoveProposal | None:
+                 power: float = 2.0, *,
+                 keys: np.ndarray) -> MoveProposal | None:
     """Draw one Grow/Prune/Change proposal for a tree with cached row sets.
 
     The kind is drawn from ``move_probs`` restricted to the kinds the
@@ -282,25 +348,24 @@ def propose_move(tree: DecisionTree, bins: np.ndarray, grids, rng,
     the Grow leaf draw lands on a leaf none of whose features admit a valid
     cutpoint; the sampler treats either as a rejected step.
 
-    ``bins`` is ``cutpoint_bins(X, grids)`` for the training covariates.
-    ``leaves``/``singly`` let a caller that already walked the tree pass the
-    leaf and singly-internal node lists in; both are recomputed when absent.
+    ``bins`` is ``cutpoint_bins(X, grids)`` for the training covariates and
+    ``keys`` is ``row_signatures(bins)``.
     """
-    if leaves is None:
-        leaves = tree.leaves()
-    if singly is None:
-        singly = tree.singly_internal()
-    flags = [_node_cutinfo(leaf, bins)[2] for leaf in leaves]
-    grow_ok = any(flags)
+    leaves = tree.leaf_list
+    singly = [p for lf in leaves
+              if (p := lf.parent) is not None and p.left is lf
+              and p.right.is_leaf]
+    flags = [_node_splittable(leaf, keys) for leaf in leaves]
+    n_split = flags.count(True)
     prunable = bool(singly)
-    mass = _kind_mass(move_probs, grow_ok, prunable)
+    mass = _kind_mass(move_probs, n_split > 0, prunable)
     if mass == 0.0:
         return None
     p_grow, p_prune, _ = move_probs
     u = rng.random() * mass
     if not prunable:
         kind = MoveKind.GROW
-    elif not grow_ok:
+    elif not n_split:
         kind = MoveKind.PRUNE if u < p_prune else MoveKind.CHANGE
     elif u < p_grow:
         kind = MoveKind.GROW
@@ -309,53 +374,54 @@ def propose_move(tree: DecisionTree, bins: np.ndarray, grids, rng,
     else:
         kind = MoveKind.CHANGE
     if kind is MoveKind.GROW:
-        return _propose_grow(bins, grids, rng, move_probs, base, power,
-                             leaves, singly, flags, mass)
+        return _propose_grow(bins, keys, grids, rng, move_probs, base, power,
+                             leaves, singly, flags, n_split, mass)
     if kind is MoveKind.PRUNE:
         return _propose_prune(bins, rng, move_probs, base, power,
                               leaves, singly, mass)
     return _propose_change(bins, grids, rng, singly)
 
 
-def _propose_grow(bins, grids, rng, move_probs, base, power, leaves, singly,
-                  flags, mass):
+def _draw_rule(node, bins, rng):
+    """Draw a split rule at ``node`` from the rule prior: returns the
+    feature, grid index, valid-cutpoint count and the two child row sets."""
+    counts, starts, features = _node_cutinfo(node, bins)
+    feature = int(features[int(rng.integers(features.size))])
+    n_cut = int(counts[feature])
+    k = int(starts[feature]) + int(rng.integers(n_cut))
+    mask = bins[node.rows, feature] <= k
+    return feature, k, n_cut, node.rows[mask], node.rows[~mask]
+
+
+def _propose_grow(bins, keys, grids, rng, move_probs, base, power, leaves,
+                  singly, flags, n_split, mass):
     idx = int(rng.integers(len(leaves)))
     leaf = leaves[idx]
     if not flags[idx]:
         # the drawn leaf has no valid cutpoint on any feature: automatic
         # rejection (some other leaf is splittable, or Grow was never drawn)
         return None
-    counts, starts, _ = _node_cutinfo(leaf, bins)
-    splittable = np.flatnonzero(counts)
-    feature = int(splittable[int(rng.integers(splittable.size))])
-    n_cut = int(counts[feature])
-    k = int(starts[feature]) + int(rng.integers(n_cut))
-    mask = bins[leaf.rows, feature] <= k
-    rows_left = leaf.rows[mask]
-    rows_right = leaf.rows[~mask]
-
-    d = leaf.depth
-    p_d = depth_split_prob(d, base, power)
-    p_d1 = depth_split_prob(d + 1, base, power)
-    n_splittable = int(splittable.size)
-    log_prior = (
-        math.log(p_d) + 2.0 * _log1m(p_d1) - _log1m(p_d)
-        - math.log(n_splittable) - math.log(n_cut)
-    )
+    feature, k, n_cut, rows_left, rows_right = _draw_rule(leaf, bins, rng)
+    n_splittable = int(_node_cutinfo(leaf, bins)[2].size)
+    log_prior = (_depth_log_prior(leaf.depth, base, power)
+                 - math.log(n_splittable) - math.log(n_cut))
 
     # Singly-internal count of the tree the grow would create: the leaf
     # becomes one, and its parent stops being one if the sibling is a leaf.
     si_after = len(singly) + 1
-    if leaf.parent is not None:
-        sibling = (leaf.parent.right if leaf.parent.left is leaf
-                   else leaf.parent.left)
+    parent = leaf.parent
+    if parent is not None:
+        sibling = parent.right if parent.left is leaf else parent.left
         if sibling.is_leaf:
             si_after -= 1
     # Kind mass of the grown tree: it can always prune, and can grow again
-    # if an untouched leaf is splittable or either new child is.
-    grow_ok_after = (any(flags[:idx]) or any(flags[idx + 1:])
-                     or _cut_ranges(bins, rows_left)[2]
-                     or _cut_ranges(bins, rows_right)[2])
+    # if an untouched leaf is splittable or either new child is. The child
+    # flags are computed only when the untouched leaves do not settle it.
+    others = n_split > 1
+    split_left = None if others else _rows_splittable(keys, rows_left)
+    split_right = (None if others or split_left
+                   else _rows_splittable(keys, rows_right))
+    grow_ok_after = others or split_left or split_right
     mass_after = _kind_mass(move_probs, grow_ok_after, True)
     p_grow, p_prune, _ = move_probs
     log_forward = (math.log(p_grow) - math.log(mass) - math.log(len(leaves))
@@ -371,23 +437,19 @@ def _propose_grow(bins, grids, rng, move_probs, base, power, leaves, singly,
         rows_right=rows_right,
         log_transition_ratio=log_reverse - log_forward,
         log_tree_prior_ratio=log_prior,
+        split_left=split_left,
+        split_right=split_right,
     )
 
 
 def _propose_prune(bins, rng, move_probs, base, power, leaves, singly,
                    mass):
     node = singly[int(rng.integers(len(singly)))]
-    counts, _, _ = _node_cutinfo(node, bins)
-    n_splittable = int(np.count_nonzero(counts))
+    counts, _, features = _node_cutinfo(node, bins)
+    n_splittable = int(features.size)
     n_cut = int(counts[node.feature])
-
-    d = node.depth
-    p_d = depth_split_prob(d, base, power)
-    p_d1 = depth_split_prob(d + 1, base, power)
-    log_prior = -(
-        math.log(p_d) + 2.0 * _log1m(p_d1) - _log1m(p_d)
-        - math.log(n_splittable) - math.log(n_cut)
-    )
+    log_prior = -(_depth_log_prior(node.depth, base, power)
+                  - math.log(n_splittable) - math.log(n_cut))
 
     n_leaves_after = len(leaves) - 1
     # Kind mass of the pruned tree: the merged leaf straddles the removed
@@ -413,14 +475,7 @@ def _propose_prune(bins, rng, move_probs, base, power, leaves, singly,
 
 def _propose_change(bins, grids, rng, singly):
     node = singly[int(rng.integers(len(singly)))]
-    counts, starts, _ = _node_cutinfo(node, bins)
-    splittable = np.flatnonzero(counts)
-    feature = int(splittable[int(rng.integers(splittable.size))])
-    n_cut = int(counts[feature])
-    k = int(starts[feature]) + int(rng.integers(n_cut))
-    mask = bins[node.rows, feature] <= k
-    rows_left = node.rows[mask]
-    rows_right = node.rows[~mask]
+    feature, k, n_cut, rows_left, rows_right = _draw_rule(node, bins, rng)
 
     # Rule proposal matches the rule prior, so the two ratios are equal and
     # opposite: only the cutpoint-count asymmetry between old and new feature
@@ -431,7 +486,7 @@ def _propose_change(bins, grids, rng, singly):
     # node reproduces the same partition; and when a new rule does move rows,
     # the child receiving rows from both sides of the old cutpoint is
     # splittable at that old cutpoint.
-    n_cut_old = int(counts[node.feature])
+    n_cut_old = int(_node_cutinfo(node, bins)[0][node.feature])
     log_transition = math.log(n_cut) - math.log(n_cut_old)
 
     return MoveProposal(
@@ -445,28 +500,45 @@ def _propose_change(bins, grids, rng, singly):
     )
 
 
-def apply_move(tree: DecisionTree, proposal: MoveProposal) -> tuple:
-    """Mutate the tree per an accepted proposal; returns nodes needing new
-    leaf values (their ``wrows`` caches are the caller's responsibility)."""
+def apply_move(tree: DecisionTree, proposal: MoveProposal) -> None:
+    """Mutate the tree and its ``leaf_list`` per an accepted proposal.
+
+    New or re-partitioned children take the proposal's row sets and any
+    split flags and weighted rows it carries; the rest stay None (``wrows``
+    defaults to ``rows``) and are filled on demand.
+    """
     node = proposal.node
+    leaves = tree.leaf_list
     if proposal.kind is MoveKind.GROW:
         node.feature = proposal.rule.feature
         node.cutpoint = proposal.rule.cutpoint
-        node.left = Node(node.depth + 1, parent=node, rows=proposal.rows_left)
-        node.right = Node(node.depth + 1, parent=node, rows=proposal.rows_right)
-        return (node.left, node.right)
-    if proposal.kind is MoveKind.PRUNE:
+        node.left = Node(node.depth + 1, parent=node,
+                         rows=proposal.rows_left,
+                         wrows=proposal.wrows_left,
+                         splittable=proposal.split_left)
+        node.right = Node(node.depth + 1, parent=node,
+                          rows=proposal.rows_right,
+                          wrows=proposal.wrows_right,
+                          splittable=proposal.split_right)
+        i = leaves.index(node)
+        leaves[i:i + 1] = (node.left, node.right)
+    elif proposal.kind is MoveKind.PRUNE:
+        # both children are leaves, adjacent in depth-first order
+        i = leaves.index(node.left)
+        leaves[i:i + 2] = (node,)
         node.feature = None
         node.left = None
         node.right = None
-        return (node,)
-    node.feature = proposal.rule.feature
-    node.cutpoint = proposal.rule.cutpoint
-    node.left.rows = proposal.rows_left
-    node.right.rows = proposal.rows_right
-    node.left.cutinfo = None
-    node.right.cutinfo = None
-    return (node.left, node.right)
+    else:
+        node.feature = proposal.rule.feature
+        node.cutpoint = proposal.rule.cutpoint
+        for child, rows, wrows in (
+                (node.left, proposal.rows_left, proposal.wrows_left),
+                (node.right, proposal.rows_right, proposal.wrows_right)):
+            child.rows = rows
+            child.wrows = rows if wrows is None else wrows
+            child.splittable = None
+            child.cutinfo = None
 
 
 def structural_equal(a: DecisionTree, b: DecisionTree) -> bool:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats as spstats
 
@@ -10,6 +11,7 @@ from bcfsim.bart import (
     HalfNormal, SigmaPrior, _slice_sample, fit_binary_probit, fit_continuous,
     leaf_log_marginal,
 )
+from bcfsim.trees import _cut_ranges
 
 
 def _stump_config(**kw):
@@ -165,6 +167,34 @@ def test_slice_sampler_standard_normal():
     assert abs(samples.std() - 1.0) < 0.1
 
 
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+def test_slice_sampler_rejects_non_finite_start(start):
+    # a NaN start density used to make the shrink loop spin forever
+    calls = []
+
+    def log_density(v):
+        calls.append(v)
+        return start
+
+    with pytest.raises(FloatingPointError, match="start point"):
+        _slice_sample(log_density, 0.0, np.random.default_rng(0))
+    assert len(calls) == 1
+
+
+def test_slice_sampler_shrink_loop_is_bounded():
+    # the start density is finite, but so large that adding log(u) leaves
+    # the threshold equal to it, so no point of the bracket clears it
+    calls = []
+
+    def log_density(v):
+        calls.append(v)
+        return 1e300 if v == 0.0 else math.nan
+
+    with pytest.raises(FloatingPointError, match="shrink steps"):
+        _slice_sample(log_density, 0.0, np.random.default_rng(1))
+    assert len(calls) < 20_000
+
+
 # ------------------------------------------------- conjugate stump behavior
 
 def test_stump_matches_normal_mean_posterior():
@@ -239,6 +269,54 @@ def test_residual_bookkeeping_weighted():
     assert_allclose(resid, y - z * fit, atol=1e-10)
     # untreated rows keep their original residuals forever
     assert_array_equal(resid[z == 0], y[z == 0])
+
+
+def _check_incremental_state(sampler):
+    # the kept per-tree state equals what a full rescan computes
+    n = sampler.X.shape[0]
+    weights = (np.ones(n, dtype=bool) if sampler.weights is None
+               else sampler.weights)
+    for tree, fit in zip(sampler.trees, sampler.fits):
+        walked = tree.leaves()
+        assert len(tree.leaf_list) == len(walked)
+        assert all(a is b for a, b in zip(tree.leaf_list, walked))
+        dense = np.zeros(n)
+        for leaf in walked:
+            assert_array_equal(leaf.wrows, leaf.rows[weights[leaf.rows]])
+            if leaf.splittable is not None:
+                assert leaf.splittable == _cut_ranges(sampler.bins,
+                                                      leaf.rows)[2]
+            dense[leaf.wrows] = leaf.value
+        assert_array_equal(fit, dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans(),
+       prior_only=st.booleans())
+def test_incremental_state_matches_rescan(seed, weighted, prior_only):
+    # a 4-level column, a mostly-zero 0/1 column and a constant one give at
+    # most 8 distinct rows, so a flat depth prior soon grows trees with
+    # unsplittable multi-row leaves, often next to a splittable sibling
+    rng = np.random.default_rng(seed)
+    n = 40
+    X = np.column_stack([
+        rng.integers(0, 4, size=n).astype(float),
+        (rng.random(n) < 0.1).astype(float),
+        np.full(n, 2.0),
+    ])
+    weights = (rng.random(n) < 0.6).astype(int) if weighted else None
+    config = BartConfig(num_trees=3, base=0.95, power=0.5,
+                        cutpoints_per_feature=6,
+                        leaf_scale_prior=HalfNormal(1.0),
+                        prior_only=prior_only)
+    sampler = ForestSampler(X, config, weights=weights)
+    y = rng.normal(size=n)
+    resid = y.copy()
+    for _ in range(12):
+        sampler.sweep(resid, 0.7, rng)
+        _check_incremental_state(sampler)
+        assert_allclose(resid, y - sampler.fits.sum(axis=0), atol=1e-10)
+    assert sampler.accepts > 0
 
 
 # -------------------------------------------------------- continuous fitting

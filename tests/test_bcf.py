@@ -154,6 +154,18 @@ def test_non_finite_inputs_rejected(mode, bad):
         fit_bcf(X_bad, z, y, mode, config=cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_propensities_rejected(bad):
+    X, z, y = _toy_data()
+    cfg = _small_config(iterations=10, burn_in=5)
+    pi = np.full(len(y), 0.4)
+    pi[3] = bad
+    with pytest.raises(ValueError, match="pi_values must be finite"):
+        build_design(X, pi)
+    with pytest.raises(ValueError, match="pi_true must be finite"):
+        fit_bcf(X, z, y, "true_propensity", pi_true=pi, config=cfg, seed=0)
+
+
 # -------------------------------------------------------------- determinism
 
 def test_fit_is_deterministic_given_seed():

@@ -7,10 +7,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from bcfsim.bart import BartConfig, ForestSampler
 from bcfsim.trees import (
-    DecisionTree, Forest, MoveKind, Node, SplitRule, _node_cutinfo,
+    DecisionTree, Forest, MoveKind, Node, SplitRule, _cut_ranges,
+    _node_cutinfo, _node_splittable,
     apply_move, cutpoint_bins, depth_split_prob, evaluate_forest,
-    evaluate_tree, make_cutpoint_grids, propose_move, structural_equal,
-    valid_cutpoints,
+    evaluate_tree, make_cutpoint_grids, propose_move, row_signatures,
+    structural_equal, valid_cutpoints,
 )
 
 
@@ -20,8 +21,9 @@ def _root_tree(n_rows: int) -> DecisionTree:
 
 def _propose_kind(tree, bins, grids, rng, kind, **kw):
     # public-path proposal of a specific kind, retrying the rng draw
+    keys = row_signatures(bins)
     for _ in range(500):
-        prop = propose_move(tree, bins, grids, rng, **kw)
+        prop = propose_move(tree, bins, grids, rng, keys=keys, **kw)
         if prop is not None and prop.kind is kind:
             return prop
     raise AssertionError(f"no {kind} proposal in 500 attempts")
@@ -146,12 +148,45 @@ def test_node_cutinfo_matches_valid_cutpoints(seed):
     rng = np.random.default_rng(seed)
     for size in (1, 2, 5, 17, len(X)):
         rows = np.sort(rng.choice(len(X), size=size, replace=False))
-        counts, starts, splittable = _node_cutinfo(Node(rows=rows), bins)
+        counts, starts, features = _node_cutinfo(Node(rows=rows), bins)
         for j, grid in enumerate(grids):
             want = valid_cutpoints(X[:, j], rows, grid)
             assert counts[j] == want.size
             assert_array_equal(grid[starts[j]:starts[j] + counts[j]], want)
-        assert splittable == bool(counts.any())
+        assert_array_equal(features, np.flatnonzero(counts))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_signature_splittability_matches_cut_ranges(seed):
+    # few distinct rows: two 3-level columns, a two-level column that the
+    # grid splits, a constant column, and exact duplicate rows throughout
+    rng = np.random.default_rng(seed)
+    n = 30
+    X = np.column_stack([
+        rng.integers(0, 3, size=n).astype(float),
+        rng.integers(0, 3, size=n).astype(float),
+        rng.choice([-1.5, 2.5], size=n),
+        np.full(n, 4.0),
+    ])
+    grids = make_cutpoint_grids(X, 7)
+    bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
+    same_bins = (bins[:, None, :] == bins[None, :, :]).all(axis=2)
+    assert_array_equal(keys[:, None] == keys[None, :], same_bins)
+    subsets = [np.arange(n)]
+    for size in (1, 2, 3, 8):
+        subsets.append(np.sort(rng.choice(n, size=size, replace=False)))
+    for key in np.unique(keys):
+        # all copies of one bin row, plus that set with one other row
+        members = np.flatnonzero(keys == key)
+        subsets.append(members)
+        other = np.flatnonzero(keys != key)
+        if other.size:
+            subsets.append(np.sort(np.append(members, other[0])))
+    for rows in subsets:
+        want = _cut_ranges(bins, rows)[2]
+        assert _node_splittable(Node(rows=rows), keys) == want
+        assert want == (len(np.unique(bins[rows], axis=0)) > 1)
 
 
 def test_wide_grid_bins_do_not_overflow():
@@ -233,10 +268,11 @@ def test_splittable_stump_always_proposes_grow():
     X = np.random.default_rng(1).random((20, 2))
     grids = make_cutpoint_grids(X, 10)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     tree = _root_tree(20)
     rng = np.random.default_rng(2)
     for _ in range(200):
-        prop = propose_move(tree, bins, grids, rng)
+        prop = propose_move(tree, bins, grids, rng, keys=keys)
         assert prop is not None
         assert prop.kind is MoveKind.GROW
 
@@ -245,10 +281,11 @@ def test_stump_on_constant_features_has_no_legal_move():
     X = np.ones((10, 3))
     grids = make_cutpoint_grids(X, 10)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     tree = _root_tree(10)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        assert propose_move(tree, bins, grids, rng) is None
+        assert propose_move(tree, bins, grids, rng, keys=keys) is None
 
 
 def test_kind_renormalizes_when_grow_is_unavailable():
@@ -257,13 +294,14 @@ def test_kind_renormalizes_when_grow_is_unavailable():
     X = np.array([[0.0], [1.0]])
     grids = make_cutpoint_grids(X, 3)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     tree = _root_tree(2)
     rng = np.random.default_rng(2)
-    apply_move(tree, propose_move(tree, bins, grids, rng))
+    apply_move(tree, propose_move(tree, bins, grids, rng, keys=keys))
     counts = {k: 0 for k in MoveKind}
     n = 3000
     for _ in range(n):
-        prop = propose_move(tree, bins, grids, rng)
+        prop = propose_move(tree, bins, grids, rng, keys=keys)
         assert prop is not None
         counts[prop.kind] += 1
     assert counts[MoveKind.GROW] == 0
@@ -307,18 +345,19 @@ def test_grow_prune_ratios_are_antisymmetric():
     X = rng.random((50, 3))
     grids = make_cutpoint_grids(X, 20)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     for _ in range(10):
         tree = _root_tree(50)
         # random starting shape: a few accepted grows
         for _ in range(int(rng.integers(0, 3))):
-            prop = propose_move(tree, bins, grids, rng)
+            prop = propose_move(tree, bins, grids, rng, keys=keys)
             if prop is not None and prop.kind is MoveKind.GROW:
                 apply_move(tree, prop)
         grow = _propose_kind(tree, bins, grids, rng, MoveKind.GROW)
         grown = grow.node
         apply_move(tree, grow)
         for _ in range(500):
-            prune = propose_move(tree, bins, grids, rng)
+            prune = propose_move(tree, bins, grids, rng, keys=keys)
             if (prune is not None and prune.kind is MoveKind.PRUNE
                     and prune.node is grown):
                 break
@@ -336,8 +375,10 @@ def test_stump_grow_ratio_uses_renormalized_kind_mass():
     X = np.array([[0.0], [1.0]])
     grids = make_cutpoint_grids(X, 3)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     assert_allclose(grids[0], [0.25, 0.5, 0.75])
-    prop = propose_move(_root_tree(2), bins, grids, np.random.default_rng(0))
+    prop = propose_move(_root_tree(2), bins, grids, np.random.default_rng(0),
+                        keys=keys)
     assert prop.kind is MoveKind.GROW
     want = math.log(0.4) - math.log(0.4 + 0.2) + math.log(3.0)
     assert prop.log_transition_ratio == pytest.approx(want, rel=1e-12)
@@ -353,9 +394,10 @@ def test_grow_prune_antisymmetry_with_degenerate_children():
     X = np.array([[0.0], [1.0]])
     grids = make_cutpoint_grids(X, 3)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     tree = _root_tree(2)
     rng = np.random.default_rng(1)
-    grow = propose_move(tree, bins, grids, rng)
+    grow = propose_move(tree, bins, grids, rng, keys=keys)
     assert grow.kind is MoveKind.GROW
     apply_move(tree, grow)
     prune = _propose_kind(tree, bins, grids, rng, MoveKind.PRUNE)
@@ -382,15 +424,24 @@ def test_change_clears_child_cutpoint_cache():
     X = rng.random((40, 2))
     grids = make_cutpoint_grids(X, 12)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     tree = _root_tree(40)
     apply_move(tree, _propose_kind(tree, bins, grids, rng, MoveKind.GROW))
     change = _propose_kind(tree, bins, grids, rng, MoveKind.CHANGE)
     node = change.node
     # warm the caches, then apply the change
-    _ = propose_move(tree, bins, grids, rng)
+    _ = propose_move(tree, bins, grids, rng, keys=keys)
+    assert node.left.splittable is not None
+    assert node.right.splittable is not None
     apply_move(tree, change)
     assert node.left.cutinfo is None
     assert node.right.cutinfo is None
+    assert node.left.splittable is None
+    assert node.right.splittable is None
+    # the next proposal recomputes both flags from the new row sets
+    _ = propose_move(tree, bins, grids, rng, keys=keys)
+    for child in (node.left, node.right):
+        assert child.splittable == _cut_ranges(bins, child.rows)[2]
     assert node.feature == change.rule.feature
     assert node.cutpoint == change.rule.cutpoint
 
@@ -402,12 +453,13 @@ def test_move_kind_frequencies():
     X = rng.random((80, 3))
     grids = make_cutpoint_grids(X, 20)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     tree = _root_tree(80)
     apply_move(tree, _propose_kind(tree, bins, grids, rng, MoveKind.GROW))
     counts = {k: 0 for k in MoveKind}
     n = 10_000
     for _ in range(n):
-        prop = propose_move(tree, bins, grids, rng)
+        prop = propose_move(tree, bins, grids, rng, keys=keys)
         assert prop is not None
         counts[prop.kind] += 1
     for kind, p in zip(MoveKind, (0.4, 0.4, 0.2)):
@@ -420,9 +472,10 @@ def test_custom_move_probabilities_respected():
     X = rng.random((50, 2))
     grids = make_cutpoint_grids(X, 10)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     tree = _root_tree(50)
     apply_move(tree, _propose_kind(tree, bins, grids, rng, MoveKind.GROW))
-    kinds = [propose_move(tree, bins, grids, rng,
+    kinds = [propose_move(tree, bins, grids, rng, keys=keys,
                           move_probs=(0.05, 0.05, 0.9)).kind
              for _ in range(300)]
     frac_change = sum(k is MoveKind.CHANGE for k in kinds) / len(kinds)
@@ -435,10 +488,11 @@ def test_leaves_partition_rows_under_random_walk():
     X = rng.random((n, 3))
     grids = make_cutpoint_grids(X, 20)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     tree = _root_tree(n)
     applied = 0
     for _ in range(300):
-        prop = propose_move(tree, bins, grids, rng)
+        prop = propose_move(tree, bins, grids, rng, keys=keys)
         if prop is None:
             continue
         apply_move(tree, prop)
@@ -484,9 +538,10 @@ def test_routing_is_a_partition_of_feature_space():
     X = rng.random((60, 3))
     grids = make_cutpoint_grids(X, 15)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     tree = _root_tree(60)
     for _ in range(200):
-        prop = propose_move(tree, bins, grids, rng)
+        prop = propose_move(tree, bins, grids, rng, keys=keys)
         if prop is not None and prop.kind is not MoveKind.PRUNE:
             apply_move(tree, prop)
     leaves = tree.leaves()
@@ -510,10 +565,11 @@ def test_constant_feature_never_selected():
     X = np.column_stack([rng.random(n), np.full(n, 0.3), rng.random(n)])
     grids = make_cutpoint_grids(X, 12)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     tree = _root_tree(n)
     checked = 0
     for _ in range(10_000):
-        prop = propose_move(tree, bins, grids, rng)
+        prop = propose_move(tree, bins, grids, rng, keys=keys)
         if prop is None:
             continue
         if prop.rule is not None:
@@ -531,11 +587,12 @@ def test_evaluate_forest_is_order_invariant():
     X = rng.random((40, 2))
     grids = make_cutpoint_grids(X, 10)
     bins = cutpoint_bins(X, grids)
+    keys = row_signatures(bins)
     trees = []
     for _ in range(6):
         t = _root_tree(40)
         for _ in range(30):
-            prop = propose_move(t, bins, grids, rng)
+            prop = propose_move(t, bins, grids, rng, keys=keys)
             if prop is not None:
                 apply_move(t, prop)
         for leaf in t.leaves():
