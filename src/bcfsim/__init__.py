@@ -19,9 +19,10 @@ from .ranktests import (
     fligner_policello, select_and_run,
 )
 from .trees import (
-    SplitRule, Node, DecisionTree, Forest, MoveKind, MoveProposal,
-    depth_split_prob, evaluate_tree, evaluate_forest, make_cutpoint_grids,
-    valid_cutpoints, propose_move, apply_move, structural_equal,
+    SplitRule, RowSet, Node, DecisionTree, Forest, MoveKind, MoveProposal,
+    SplitTable, depth_split_prob, evaluate_tree, evaluate_forest,
+    make_cutpoint_grids, cutpoint_bins, valid_cutpoints, propose_move,
+    apply_move, structural_equal,
 )
 from .bart import (
     HalfCauchy, HalfNormal, FixedScale, SigmaPrior, BartConfig,

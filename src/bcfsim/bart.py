@@ -25,15 +25,13 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import chi2
 
 from .trees import (
-    DecisionTree,
     MoveKind,
-    Node,
+    SplitTable,
     cutpoint_bins,
     depth_split_prob,
     make_cutpoint_grids,
     propose_move,
     apply_move,
-    row_signatures,
 )
 
 __all__ = [
@@ -186,9 +184,10 @@ def _llm(n, s, sig2, ls2):
     if n == 0:
         return 0.0
     denom = sig2 + n * ls2
+    log_sig2 = math.log(sig2)
     return (
-        -0.5 * n * (_LOG_2PI + math.log(sig2))
-        - 0.5 * (math.log(denom) - math.log(sig2))
+        -0.5 * n * (_LOG_2PI + log_sig2)
+        - 0.5 * (math.log(denom) - log_sig2)
         + ls2 * s * s / (2.0 * sig2 * denom)
     )
 
@@ -239,6 +238,40 @@ def _slice_sample(log_density, x0: float, rng, width: float = 1.0,
         f"after {_SLICE_SHRINK_CAP} shrink steps")
 
 
+def _log_like_ratio(prop, resid, sig2, ls2):
+    """Marginal-likelihood log ratio of a proposal, with the child sums.
+
+    Returns ``(log_ratio, sums_new, sums_old)``: the residual sums of the
+    children the move creates (Grow, Change) and of the node's existing
+    children (Prune, Change), None where the move has none, for the leaf
+    redraw to reuse.
+    """
+    if prop.kind is MoveKind.GROW:
+        wl, wr = prop.left.wrows, prop.right.wrows
+        nl, sl = len(wl), float(resid[wl].sum())
+        nr, sr = len(wr), float(resid[wr].sum())
+        ratio = (_llm(nl, sl, sig2, ls2) + _llm(nr, sr, sig2, ls2)
+                 - _llm(nl + nr, sl + sr, sig2, ls2))
+        return ratio, (sl, sr), None
+    lw = prop.node.left.rowset.wrows
+    rw = prop.node.right.rowset.wrows
+    if prop.kind is MoveKind.PRUNE:
+        nl, sl = len(lw), float(resid[lw].sum())
+        nr, sr = len(rw), float(resid[rw].sum())
+        ratio = (_llm(nl + nr, sl + sr, sig2, ls2)
+                 - _llm(nl, sl, sig2, ls2) - _llm(nr, sr, sig2, ls2))
+        return ratio, None, (sl, sr)
+    # Change: same rows redistributed between the two leaf children
+    wl, wr = prop.left.wrows, prop.right.wrows
+    new = float(resid[wl].sum()), float(resid[wr].sum())
+    old = float(resid[lw].sum()), float(resid[rw].sum())
+    ratio = (_llm(len(wl), new[0], sig2, ls2)
+             + _llm(len(wr), new[1], sig2, ls2)
+             - _llm(len(lw), old[0], sig2, ls2)
+             - _llm(len(rw), old[1], sig2, ls2))
+    return ratio, new, old
+
+
 class ForestSampler:
     """Backfitting state for one forest: trees, row caches, and scale.
 
@@ -254,9 +287,15 @@ class ForestSampler:
     depends on this bookkeeping.
 
     The rest of the per-tree state is kept incrementally too (see the
-    ``trees`` module docstring): ``keys`` holds one bin signature per row,
-    from which leaf split flags are computed once per leaf, and each
-    tree's ``leaf_list`` is edited by ``apply_move`` instead of rewalked.
+    ``trees`` module docstring): ``splits`` is the sampler's ``SplitTable``
+    (bins, row signatures, the shared root row set and the table of routed
+    root splits), each tree's ``leaf_list`` is edited by ``apply_move``
+    instead of rewalked, and its leaf scan is cached until the tree
+    changes. The leaf redraw reuses the child residual sums that the
+    likelihood ratio has just computed: the new children after an accepted
+    Grow or Change and the existing ones after a rejected Prune or Change.
+    The residual does not change in between and the sum gathers the same
+    rows in the same order, so each reused value is the same float.
 
     ``weights`` (0/1 per unit, optional) multiply the forest inside the
     likelihood: rows with weight zero still route through the trees and
@@ -282,16 +321,9 @@ class ForestSampler:
             self.weights = w.astype(bool)
         self.grids = make_cutpoint_grids(self.X, config.cutpoints_per_feature)
         self.bins = cutpoint_bins(self.X, self.grids)
-        self.keys = row_signatures(self.bins)
-        n = self.X.shape[0]
-        all_rows = np.arange(n)
-        all_wrows = self._wfilter(all_rows)
-        self.trees = [
-            DecisionTree(Node(rows=all_rows, wrows=all_wrows),
-                         n_features=self.X.shape[1])
-            for _ in range(config.num_trees)
-        ]
-        self.fits = np.zeros((config.num_trees, n))
+        self.splits = SplitTable(self.bins, self.grids, self.weights)
+        self.trees = [self.splits.new_tree() for _ in range(config.num_trees)]
+        self.fits = np.zeros((config.num_trees, self.X.shape[0]))
         self.forest_scale = float(config.leaf_scale_prior.initial())
         self._scale_root = math.sqrt(config.num_trees)
         self.proposals = 0
@@ -301,85 +333,56 @@ class ForestSampler:
     def leaf_sd(self) -> float:
         return self.forest_scale / self._scale_root
 
-    def _wfilter(self, rows):
-        if self.weights is None:
-            return rows
-        return rows[self.weights[rows]]
-
     def sweep(self, resid: np.ndarray, sigma: float, rng) -> None:
         """One backfitting pass over every tree, then the scale update."""
         cfg = self.config
         prior_only = cfg.prior_only
+        splits = self.splits
         leaf_sd = self.leaf_sd
         sig2 = sigma * sigma
         ls2 = leaf_sd * leaf_sd
+        prec = 1.0 / ls2
         for tree, fit in zip(self.trees, self.fits):
             resid += fit
-            prop = propose_move(tree, self.bins, self.grids, rng,
-                                cfg.move_probabilities, cfg.base, cfg.power,
-                                keys=self.keys)
+            prop = propose_move(tree, splits, rng, cfg.move_probabilities,
+                                cfg.base, cfg.power)
             self.proposals += 1
+            known = {}  # leaf -> residual sum the likelihood ratio computed
             if prop is not None:
                 if prior_only:
-                    log_like = 0.0
+                    log_like, sums_new, sums_old = 0.0, None, None
                 else:
-                    log_like = self._log_like_ratio(prop, resid, sig2, ls2)
+                    log_like, sums_new, sums_old = _log_like_ratio(
+                        prop, resid, sig2, ls2)
                 log_alpha = (log_like + prop.log_tree_prior_ratio
                              + prop.log_transition_ratio)
                 u = rng.random()
                 if log_alpha >= 0.0 or (u > 0.0 and math.log(u) < log_alpha):
-                    if prop.rows_left is not None:
-                        # computed here only when prior_only skipped the
-                        # likelihood ratio
-                        self._child_wrows(prop)
                     apply_move(tree, prop)
                     self.accepts += 1
-            leaves = tree.leaf_list
-            noise = rng.standard_normal(len(leaves))
-            for leaf, eps in zip(leaves, noise):
-                wrows = leaf.wrows
-                if prior_only:
-                    value = leaf_sd * float(eps)
+                    sums = sums_new
                 else:
-                    var = 1.0 / (1.0 / ls2 + len(wrows) / sig2)
-                    mean = var * float(resid[wrows].sum()) / sig2
-                    value = mean + math.sqrt(var) * float(eps)
+                    sums = sums_old
+                if sums is not None:
+                    known = {prop.node.left: sums[0],
+                             prop.node.right: sums[1]}
+            leaves = tree.leaf_list
+            noise = rng.standard_normal(len(leaves)).tolist()
+            for leaf, eps in zip(leaves, noise):
+                wrows = leaf.rowset.wrows
+                if prior_only:
+                    value = leaf_sd * eps
+                else:
+                    total = known.get(leaf)
+                    if total is None:
+                        total = float(resid[wrows].sum())
+                    var = 1.0 / (prec + len(wrows) / sig2)
+                    mean = var * total / sig2
+                    value = mean + math.sqrt(var) * eps
                 leaf.value = value
                 fit[wrows] = value
             resid -= fit
         self._update_scale(rng, sig2)
-
-    def _child_wrows(self, prop):
-        """Weighted rows of a Grow/Change proposal's children, kept on it."""
-        if prop.wrows_left is None:
-            prop.wrows_left = self._wfilter(prop.rows_left)
-            prop.wrows_right = self._wfilter(prop.rows_right)
-        return prop.wrows_left, prop.wrows_right
-
-    def _log_like_ratio(self, prop, resid, sig2, ls2) -> float:
-        if prop.kind is MoveKind.GROW:
-            wl, wr = self._child_wrows(prop)
-            nl, sl = len(wl), float(resid[wl].sum())
-            nr, sr = len(wr), float(resid[wr].sum())
-            return (_llm(nl, sl, sig2, ls2) + _llm(nr, sr, sig2, ls2)
-                    - _llm(nl + nr, sl + sr, sig2, ls2))
-        if prop.kind is MoveKind.PRUNE:
-            lw = prop.node.left.wrows
-            rw = prop.node.right.wrows
-            nl, sl = len(lw), float(resid[lw].sum())
-            nr, sr = len(rw), float(resid[rw].sum())
-            return (_llm(nl + nr, sl + sr, sig2, ls2)
-                    - _llm(nl, sl, sig2, ls2) - _llm(nr, sr, sig2, ls2))
-        # Change: same rows redistributed between the two leaf children
-        wl, wr = self._child_wrows(prop)
-        ol = prop.node.left.wrows
-        orr = prop.node.right.wrows
-        return (
-            _llm(len(wl), float(resid[wl].sum()), sig2, ls2)
-            + _llm(len(wr), float(resid[wr].sum()), sig2, ls2)
-            - _llm(len(ol), float(resid[ol].sum()), sig2, ls2)
-            - _llm(len(orr), float(resid[orr].sum()), sig2, ls2)
-        )
 
     def _update_scale(self, rng, sig2) -> None:
         prior = self.config.leaf_scale_prior
@@ -409,7 +412,7 @@ class ForestSampler:
         out = np.zeros(self.X.shape[0])
         for tree in self.trees:
             for leaf in tree.leaf_list:
-                out[leaf.rows] += leaf.value
+                out[leaf.rowset.rows] += leaf.value
         return out
 
     @property

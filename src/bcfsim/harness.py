@@ -328,7 +328,11 @@ def read_replicates_csv(path) -> list[ReplicateRecord]:
 
 def _run_cell(config: ExperimentConfig, selection: Selection, alpha: float,
               progress=None):
-    """Fit every model variant on every replicate of one grid cell."""
+    """Fit every model variant on every replicate of one grid cell.
+
+    Any error from a fit or its scoring is raised again as a RuntimeError
+    naming the cell, replicate and model, chained to the original.
+    """
     bcf_config = config.bcf_config()
     rows = []
     for rep in range(config.replicates):
@@ -337,19 +341,24 @@ def _run_cell(config: ExperimentConfig, selection: Selection, alpha: float,
         dataset = generate(DgpSpec(selection, alpha, config.n), data_seed)
         for model in config.models:
             fit_seed = derive_seed(data_seed, model)
-            fit = fit_bcf(
-                dataset.X, dataset.D, dataset.Y, model,
-                pi_true=(dataset.pi_true
-                         if model == PropensityMode.TRUE_PROPENSITY.value
-                         else None),
-                config=bcf_config, seed=fit_seed,
-            )
+            try:
+                fit = fit_bcf(
+                    dataset.X, dataset.D, dataset.Y, model,
+                    pi_true=(dataset.pi_true
+                             if model == PropensityMode.TRUE_PROPENSITY.value
+                             else None),
+                    config=bcf_config, seed=fit_seed,
+                )
+                record = evaluate_fit(fit, dataset, rep, data_seed,
+                                      config.interval_level)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"fit failed in cell {_cell_key(selection, alpha)}, "
+                    f"replicate {rep}, model {model}: "
+                    f"{type(exc).__name__}: {exc}") from exc
             # hashed after the fit, so a fit that mutated its inputs would
             # break the within-replicate digest equality audit
-            digest = dataset_digest(dataset)
-            record = evaluate_fit(fit, dataset, rep, data_seed,
-                                  config.interval_level)
-            rows.append((record, digest))
+            rows.append((record, dataset_digest(dataset)))
             if progress is not None:
                 progress(f"{_cell_key(selection, alpha)} "
                          f"rep {rep + 1}/{config.replicates} {model} "
@@ -444,25 +453,23 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
             all_rows.extend(rows)
 
     records = [rec for rec, _ in all_rows]
-    _write_run_outputs(config, out, records, digests=all_rows)
+    _write_text(out / "replicates.csv", _records_csv_text(records, _CSV_FIELDS))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["dgp_id", "alpha", "replicate_index", "model",
+                     "seed", "dataset_digest"])
+    for rec, digest in all_rows:
+        writer.writerow([rec.dgp_id, repr(rec.alpha),
+                         str(rec.replicate_index), rec.model,
+                         str(rec.seed), digest])
+    _write_text(out / "digests.csv", buf.getvalue())
+    _write_reports(config, out, records)
+    _write_timing(out, records)
     return records
 
 
-def _write_run_outputs(config, out: Path, records, digests=None,
-                       write_timing: bool = True) -> None:
-    _write_text(out / "replicates.csv", _records_csv_text(records, _CSV_FIELDS))
-
-    if digests is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["dgp_id", "alpha", "replicate_index", "model",
-                         "seed", "dataset_digest"])
-        for rec, digest in digests:
-            writer.writerow([rec.dgp_id, repr(rec.alpha),
-                             str(rec.replicate_index), rec.model,
-                             str(rec.seed), digest])
-        _write_text(out / "digests.csv", buf.getvalue())
-
+def _write_reports(config, out: Path, records) -> None:
+    """Summary, p-value, boxplot and scatter files derived from records."""
     table = summarize(records)
     by_cell = {}
     for rec in records:
@@ -488,8 +495,8 @@ def _write_run_outputs(config, out: Path, records, digests=None,
         _write_text(out / f"scatter_pi_vs_b_{selection.value}.csv",
                     _scatter_csv_text(config.master_seed, selection))
 
-    if not write_timing:
-        return
+
+def _write_timing(out: Path, records) -> None:
     timing = {"rows": [
         {"dgp_id": r.dgp_id, "alpha": r.alpha, "model": r.model,
          "replicate_index": r.replicate_index, "seconds": r.fit_seconds}
@@ -708,10 +715,11 @@ def timing_report(records) -> dict:
 def report_from(run_dir) -> list[ReplicateRecord]:
     """Regenerate every derived artifact from a run directory's raw records.
 
-    Reads replicates.csv and run_config.json, rewrites the summary, p-value,
-    boxplot and scatter files (byte-identical to what the original run
-    produced), and leaves timing.json untouched since the raw CSV carries no
-    wall-clock data. Returns the records.
+    Reads replicates.csv and run_config.json and rewrites the summary,
+    p-value, boxplot and scatter files (byte-identical to what the original
+    run produced). Its inputs stay untouched, and so do digests.csv and
+    timing.json, which need the datasets and the wall-clock data that the
+    raw CSV does not carry. Returns the records.
     """
     run = Path(run_dir)
     config_path = run / "run_config.json"
@@ -725,5 +733,5 @@ def report_from(run_dir) -> list[ReplicateRecord]:
     records = read_replicates_csv(csv_path)
     if not records:
         raise ValueError(f"{csv_path} holds no records")
-    _write_run_outputs(config, run, records, digests=None, write_timing=False)
+    _write_reports(config, run, records)
     return records

@@ -9,17 +9,26 @@ single (dgp, alpha, model, replicate) cell produces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 
+def _require_finite(**arrays) -> None:
+    """Raise a ValueError naming the first input holding a NaN or inf."""
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite (no NaN or inf)")
+
+
 def pointwise_errors(estimate, truth) -> dict:
     """RMSE, MAE and MAPE of ``estimate`` against ``truth``.
 
-    MAPE divides by |truth|, so any exactly-zero truth entry is an error
-    rather than a silent skip (the synthetic designs make zeros a
-    measure-zero event, so hitting one means something is wrong upstream).
+    Both inputs must be finite. MAPE divides by |truth|, so any exactly-zero
+    truth entry is an error rather than a silent skip (the synthetic designs
+    make zeros a measure-zero event, so hitting one means something is wrong
+    upstream).
     """
     est = np.asarray(estimate, dtype=float)
     tru = np.asarray(truth, dtype=float)
@@ -27,6 +36,7 @@ def pointwise_errors(estimate, truth) -> dict:
         raise ValueError(f"shape mismatch: {est.shape} vs {tru.shape}")
     if est.size == 0:
         raise ValueError("empty input")
+    _require_finite(estimate=est, truth=tru)
     if np.any(tru == 0):
         raise ValueError("MAPE undefined: truth contains an exact zero")
     err = est - tru
@@ -40,6 +50,8 @@ def pointwise_errors(estimate, truth) -> dict:
 def interval_metrics(lower, upper, truth, nominal: float) -> dict:
     """Coverage, mean length, and coverage error of credible intervals.
 
+    All three arrays must be finite.
+
     cover     fraction of units with lower <= truth <= upper
     len       mean(upper - lower)
     se_cover  (cover - nominal)^2
@@ -52,6 +64,7 @@ def interval_metrics(lower, upper, truth, nominal: float) -> dict:
         raise ValueError("lower, upper and truth must share a shape")
     if lo.size == 0:
         raise ValueError("empty input")
+    _require_finite(lower=lo, upper=hi, truth=tru)
     if not 0 < nominal < 1:
         raise ValueError(f"nominal level must be in (0, 1), got {nominal}")
     if np.any(lo > hi):
@@ -93,14 +106,17 @@ class ReplicateRecord:
     fit_seconds: float
 
     def __post_init__(self):
+        # written so that NaN fails every check: comparisons with NaN are
+        # False
         for name in ("cover_cate", "cover_ate"):
             v = getattr(self, name)
             if not 0 <= v <= 1:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name in ("len_cate", "len_ate", "rmse_cate", "mae_cate", "rmse_ate",
-                     "mae_ate", "rmse_pi", "mae_pi"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for name in METRIC_FIELDS:
+            v = getattr(self, name)
+            if not 0 <= v < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and nonnegative, got {v}")
 
 
 # Field order is the contract for replicates.csv (fit_seconds is excluded

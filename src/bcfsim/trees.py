@@ -23,32 +23,41 @@ Proposals never compare floats against the grids. ``cutpoint_bins`` maps
 each (row, feature) once per fit to its bin index ``i``, the number of grid
 points strictly below the value (``searchsorted(grid, x, side="left")``),
 stored in the smallest unsigned dtype that holds the grid length (uint8 at
-100 cutpoints). Routing is exact in bin space: grids are sorted, so the grid
-points below ``x`` are the first ``i`` of them, and ``x <= grid[k]`` holds
-exactly when ``i <= k``. A node's valid cutpoints on a feature are the grid
-indices ``k`` with ``min(i) <= k < max(i)`` over its rows (some row goes
-left and some goes right), so the per-feature counts and offsets are an
-integer min and max over the node's bin rows. The float cutpoint
-``grids[f][k]`` is kept only on the split rule.
+100 cutpoints) with each feature's column contiguous. Routing is exact in
+bin space: grids are sorted, so the grid points below ``x`` are the first
+``i`` of them, and ``x <= grid[k]`` holds exactly when ``i <= k``. A node's
+valid cutpoints on a feature are the grid indices ``k`` with
+``min(i) <= k < max(i)`` over its rows (some row goes left and some goes
+right), so the per-feature counts and offsets are an integer min and max
+over the node's bin columns, gathered feature by feature. The float
+cutpoint ``grids[f][k]`` is kept only on the split rule.
 
-Sampler state is kept incrementally rather than rescanned per proposal:
+Sampler state is kept incrementally rather than recomputed per proposal:
 
-- ``row_signatures`` gives each row one integer key, equal for two rows
-  exactly when their bin rows are equal. A node has a valid cutpoint
-  exactly when its rows do not all share one key, so a leaf's split flag is
-  a 1-D gather and min/max. The per-feature ranges are built only for a
-  node drawn for Grow, Prune or Change, and cached there.
-- A Grow proposal carries the child flags (and the sampler's weighted
-  child rows) it computed, so an accepted Grow recomputes neither.
-- ``DecisionTree.leaf_list`` holds the leaves in ``leaves()`` order;
-  ``apply_move`` edits it in place (Grow puts the two children in the
-  leaf's slot, Prune puts the parent in its children's two slots).
+- A node's rows live in a ``RowSet`` with the caches derived from them:
+  the weighted rows, the split flag and the per-feature cutpoint ranges,
+  each filled at most once. ``row_signatures`` gives each row one integer
+  key, equal for two rows exactly when their bin rows are equal, so the
+  split flag (the rows do not all share one key) is a 1-D gather and
+  min/max; the ranges are built only for a node drawn for a move.
+- ``SplitTable`` holds one sampler's fit-wide state. All of its roots share
+  one row set whose flag and ranges are computed once, and a root split
+  ``(feature, k)`` is routed once per sampler: its pair of child row sets
+  is kept in a table (at most one entry per valid root cutpoint) and shared
+  by every tree that proposes or holds that split.
+- ``DecisionTree.leaf_list`` holds the leaves in ``leaves()`` order, and
+  ``DecisionTree.scan`` the singly-internal nodes and leaf split flags of
+  the current structure; ``apply_move`` edits the first in place and
+  clears the second, so a rejected or null proposal rescans nothing.
 - The depth part of the tree-prior ratio is cached per (depth, base,
-  power) and evaluated in the original left-to-right order.
+  power) and evaluated in the original left-to-right order, and a uniform
+  pick among one candidate draws nothing from the generator (numpy's
+  ``integers(1)`` leaves the bit generator state unchanged).
 
-None of this changes a draw: the flags are the same booleans, the leaf list
-is the same sequence of nodes the rng indexes into, and every float is
-computed by the same operations in the same order.
+None of this changes a draw: the flags and ranges are the same integers and
+booleans, the shared row arrays hold the same indices in the same order,
+the leaf list is the same sequence of nodes the rng indexes into, and every
+float is computed by the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -79,15 +88,31 @@ class SplitRule:
     cutpoint: float
 
 
+class RowSet:
+    """The training rows reaching a node and the sampler caches built on them.
+
+    ``rows`` are the row indices and ``wrows`` the subset with nonzero
+    design weight (``rows`` itself for an unweighted forest).
+    ``splittable`` caches whether the rows admit any valid cutpoint and
+    ``cutinfo`` their per-feature cutpoint ranges, both None until first
+    needed. The rows never change, so nodes with equal rows may share one
+    set and each cache is filled at most once for all of them.
+    """
+
+    __slots__ = ("rows", "wrows", "splittable", "cutinfo")
+
+    def __init__(self, rows, wrows=None):
+        self.rows = rows
+        self.wrows = rows if wrows is None else wrows
+        self.splittable = None
+        self.cutinfo = None
+
+
 class Node:
     """One tree node; a leaf when ``feature`` is None, internal otherwise.
 
-    ``rows`` caches the training-row indices reaching the node and ``wrows``
-    the subset with nonzero design weight (identical to ``rows`` for an
-    unweighted forest). ``splittable`` caches whether the rows admit any
-    valid cutpoint and ``cutinfo`` their per-feature cutpoint ranges (None
-    until first needed). All four are sampler bookkeeping, not part of the
-    tree function itself.
+    ``rowset`` holds the training rows reaching the node and their caches
+    (sampler bookkeeping, not part of the tree function itself).
 
     The parent is held through a weak reference, so a tree has no reference
     cycle and is freed as soon as it is dropped instead of waiting, rows
@@ -95,11 +120,9 @@ class Node:
     """
 
     __slots__ = ("depth", "_parent", "feature", "cutpoint", "value",
-                 "left", "right", "rows", "wrows", "splittable", "cutinfo",
-                 "__weakref__")
+                 "left", "right", "rowset", "__weakref__")
 
-    def __init__(self, depth=0, parent=None, value=0.0, rows=None,
-                 wrows=None, splittable=None):
+    def __init__(self, depth=0, parent=None, value=0.0, rowset=None):
         self.depth = depth
         self._parent = None if parent is None else weakref.ref(parent)
         self.feature = None
@@ -107,10 +130,7 @@ class Node:
         self.value = value
         self.left = None
         self.right = None
-        self.rows = rows
-        self.wrows = rows if wrows is None else wrows
-        self.splittable = splittable
-        self.cutinfo = None
+        self.rowset = rowset
 
     @property
     def parent(self):
@@ -124,12 +144,18 @@ class Node:
 
 
 class DecisionTree:
-    """A binary tree; ``leaf_list`` is ``leaves()``, kept by ``apply_move``."""
+    """A binary tree; ``leaf_list`` is ``leaves()``, kept by ``apply_move``.
+
+    ``scan`` caches ``propose_move``'s pass over the leaves (the
+    singly-internal nodes, the leaf split flags and their count) until
+    ``apply_move`` changes the structure.
+    """
 
     def __init__(self, root: Node | None = None, n_features: int | None = None):
         self.root = root if root is not None else Node()
         self.n_features = n_features
         self.leaf_list = self.leaves()
+        self.scan = None
 
     def leaves(self) -> list[Node]:
         out, stack = [], [self.root]
@@ -199,10 +225,12 @@ def cutpoint_bins(X: np.ndarray, grids) -> np.ndarray:
     Column ``j`` is ``searchsorted(grids[j], X[:, j], side="left")`` in the
     smallest unsigned dtype holding the longest grid's length, so
     ``bins[:, j] <= k`` equals ``X[:, j] <= grids[j][k]`` for every grid
-    index ``k``. ``X`` must be finite: a NaN sorts past every grid point.
+    index ``k``. Each column is contiguous (Fortran order), so a feature's
+    bins gather with one ``take``. ``X`` must be finite: a NaN sorts past
+    every grid point.
     """
     width = max((len(grid) for grid in grids), default=0)
-    bins = np.empty(X.shape, dtype=np.min_scalar_type(width))
+    bins = np.empty(X.shape, dtype=np.min_scalar_type(width), order="F")
     for j, grid in enumerate(grids):
         bins[:, j] = np.searchsorted(grid, X[:, j], side="left")
     return bins
@@ -230,6 +258,66 @@ def valid_cutpoints(column, membership, grid) -> np.ndarray:
     return grid[(grid >= lo) & (grid < hi)]
 
 
+class SplitTable:
+    """Routing state shared by every tree of one sampler.
+
+    Holds the bins (``cutpoint_bins``, feature columns contiguous), the
+    grids, the row signatures (``row_signatures``) and the boolean design
+    weights, if any. ``root`` is the row set of all rows, shared by every
+    root (``new_tree``), with its split flag and cutpoint ranges computed
+    here, once. ``root_splits`` maps a root split ``(feature, k)`` to its
+    pair of child row sets: it is filled the first time any tree proposes
+    that split, so later proposals of it at any root route nothing, and the
+    children of an accepted one share the pair and its lazily filled
+    caches. It holds at most one entry per valid root cutpoint. The arrays
+    of these shared row sets are read-only.
+    """
+
+    def __init__(self, bins: np.ndarray, grids, weights=None):
+        self.bins = np.asfortranarray(bins)
+        self.grids = grids
+        self.keys = row_signatures(self.bins)
+        self.weights = weights
+        self.root = _shared(self._rowset(np.arange(self.bins.shape[0])))
+        _rowset_cutinfo(self.root, self.bins)
+        _rowset_splittable(self.root, self.keys)
+        self.root_splits = {}
+
+    def _rowset(self, rows: np.ndarray) -> RowSet:
+        """A row set with its weighted rows."""
+        if self.weights is None:
+            return RowSet(rows)
+        return RowSet(rows, rows.compress(self.weights.take(rows)))
+
+    def new_tree(self) -> DecisionTree:
+        """A root-only tree on the shared root row set."""
+        return DecisionTree(Node(rowset=self.root),
+                            n_features=self.bins.shape[1])
+
+    def children(self, rowset: RowSet, feature: int, k: int):
+        """Row sets of the rows at or below and above grid index ``k``."""
+        if rowset is self.root:
+            pair = self.root_splits.get((feature, k))
+            if pair is None:
+                left, right = self._route(rowset.rows, feature, k)
+                pair = self.root_splits[feature, k] = (_shared(left),
+                                                       _shared(right))
+            return pair
+        return self._route(rowset.rows, feature, k)
+
+    def _route(self, rows, feature, k):
+        mask = self.bins[:, feature].take(rows) <= k
+        return (self._rowset(rows.compress(mask)),
+                self._rowset(rows.compress(~mask)))
+
+
+def _shared(rowset: RowSet) -> RowSet:
+    """Mark a row set's arrays read-only before it is shared."""
+    rowset.rows.setflags(write=False)
+    rowset.wrows.setflags(write=False)
+    return rowset
+
+
 class MoveKind(enum.Enum):
     GROW = "grow"
     PRUNE = "prune"
@@ -243,24 +331,18 @@ class MoveProposal:
     ``log_transition_ratio`` is log q(reverse)/q(forward) and
     ``log_tree_prior_ratio`` is log p(T')/p(T) including the rule prior;
     adding the marginal-likelihood log ratio gives the full acceptance
-    exponent. ``rows_left``/``rows_right`` carry the child memberships the
-    move would create (Grow and Change only). ``split_left``/``split_right``
-    are the children's split flags when a Grow proposal computed them, and
-    ``wrows_left``/``wrows_right`` the weighted child rows once the sampler
-    computed them; ``apply_move`` hands any that are set to the children.
+    exponent. ``left``/``right`` are the row sets of the children the move
+    would create (Grow and Change only); ``apply_move`` hands them to the
+    children.
     """
 
     kind: MoveKind
     node: Node
     rule: SplitRule | None
-    rows_left: np.ndarray | None
-    rows_right: np.ndarray | None
+    left: RowSet | None
+    right: RowSet | None
     log_transition_ratio: float
     log_tree_prior_ratio: float
-    split_left: bool | None = None
-    split_right: bool | None = None
-    wrows_left: np.ndarray | None = None
-    wrows_right: np.ndarray | None = None
 
 
 def _cut_ranges(bins, rows):
@@ -268,41 +350,44 @@ def _cut_ranges(bins, rows):
 
     Returns ``(counts, starts, splittable)``: feature ``j`` admits the grid
     indices ``starts[j] .. starts[j] + counts[j] - 1``, and ``splittable``
-    says whether any feature admits one.
+    says whether any feature admits one. The rows are gathered from the
+    feature-major view of ``bins``, one contiguous column per feature.
     """
-    sub = bins[rows]
-    starts = sub.min(axis=0)
-    counts = sub.max(axis=0) - starts
+    sub = bins.T.take(rows, axis=1)
+    starts = sub.min(axis=1)
+    counts = sub.max(axis=1) - starts
     return counts, starts, bool(counts.any())
 
 
-def _node_cutinfo(node, bins):
-    """``(counts, starts, features)`` of a node's rows, cached on the node.
+def _rowset_cutinfo(rowset, bins):
+    """``(counts, starts, features)`` of a row set, cached on it.
 
     ``counts`` and ``starts`` are ``_cut_ranges`` of the rows and
-    ``features`` the indices with a nonzero count. Depends only on the
-    node's fixed row set and the fit-wide bins; ``apply_move`` clears the
-    cache of any node whose rows it replaces.
+    ``features`` the indices with a nonzero count.
     """
-    info = node.cutinfo
+    info = rowset.cutinfo
     if info is None:
-        counts, starts, _ = _cut_ranges(bins, node.rows)
-        info = node.cutinfo = (counts, starts, np.flatnonzero(counts))
+        counts, starts, _ = _cut_ranges(bins, rowset.rows)
+        info = rowset.cutinfo = (counts, starts, np.flatnonzero(counts))
     return info
 
 
-def _rows_splittable(keys, rows) -> bool:
-    """Whether a row set admits a valid cutpoint: not all one signature."""
-    sig = keys[rows]
-    return bool(sig.min() != sig.max())
+def _rowset_splittable(rowset, keys) -> bool:
+    """Whether a row set admits a valid cutpoint: not all one signature.
 
-
-def _node_splittable(node, keys) -> bool:
-    """``_rows_splittable`` of a node's rows, cached like ``cutinfo``."""
-    flag = node.splittable
+    Cached on the row set like ``cutinfo``.
+    """
+    flag = rowset.splittable
     if flag is None:
-        flag = node.splittable = _rows_splittable(keys, node.rows)
+        sig = keys[rowset.rows]
+        flag = rowset.splittable = bool(sig.min() != sig.max())
     return flag
+
+
+def _pick(rng, n: int) -> int:
+    """Uniform index below ``n``; one candidate consumes no generator state,
+    exactly as ``rng.integers(1)`` would not."""
+    return int(rng.integers(n)) if n > 1 else 0
 
 
 def _log1m(p: float) -> float:
@@ -334,11 +419,23 @@ def _kind_mass(move_probs, grow_ok: bool, prunable: bool) -> float:
     return mass
 
 
-def propose_move(tree: DecisionTree, bins: np.ndarray, grids, rng,
+def _scan(tree: DecisionTree, keys):
+    """``(singly, flags, n_split)`` of the tree, cached until it changes."""
+    scan = tree.scan
+    if scan is None:
+        leaves = tree.leaf_list
+        singly = [p for lf in leaves
+                  if (p := lf.parent) is not None and p.left is lf
+                  and p.right.is_leaf]
+        flags = [_rowset_splittable(leaf.rowset, keys) for leaf in leaves]
+        scan = tree.scan = (singly, flags, flags.count(True))
+    return scan
+
+
+def propose_move(tree: DecisionTree, table: SplitTable, rng,
                  move_probs=(0.4, 0.4, 0.2), base: float = 0.95,
-                 power: float = 2.0, *,
-                 keys: np.ndarray) -> MoveProposal | None:
-    """Draw one Grow/Prune/Change proposal for a tree with cached row sets.
+                 power: float = 2.0) -> MoveProposal | None:
+    """Draw one Grow/Prune/Change proposal for a tree built by ``table``.
 
     The kind is drawn from ``move_probs`` restricted to the kinds the
     current structure allows: Grow needs a leaf with at least one valid
@@ -347,16 +444,8 @@ def propose_move(tree: DecisionTree, bins: np.ndarray, grids, rng,
     kind is possible (root-only tree, no valid cutpoints anywhere) or when
     the Grow leaf draw lands on a leaf none of whose features admit a valid
     cutpoint; the sampler treats either as a rejected step.
-
-    ``bins`` is ``cutpoint_bins(X, grids)`` for the training covariates and
-    ``keys`` is ``row_signatures(bins)``.
     """
-    leaves = tree.leaf_list
-    singly = [p for lf in leaves
-              if (p := lf.parent) is not None and p.left is lf
-              and p.right.is_leaf]
-    flags = [_node_splittable(leaf, keys) for leaf in leaves]
-    n_split = flags.count(True)
+    singly, flags, n_split = _scan(tree, table.keys)
     prunable = bool(singly)
     mass = _kind_mass(move_probs, n_split > 0, prunable)
     if mass == 0.0:
@@ -374,37 +463,38 @@ def propose_move(tree: DecisionTree, bins: np.ndarray, grids, rng,
     else:
         kind = MoveKind.CHANGE
     if kind is MoveKind.GROW:
-        return _propose_grow(bins, keys, grids, rng, move_probs, base, power,
-                             leaves, singly, flags, n_split, mass)
+        return _propose_grow(tree, table, rng, move_probs, base, power,
+                             singly, flags, n_split, mass)
     if kind is MoveKind.PRUNE:
-        return _propose_prune(bins, rng, move_probs, base, power,
-                              leaves, singly, mass)
-    return _propose_change(bins, grids, rng, singly)
+        return _propose_prune(tree, table, rng, move_probs, base, power,
+                              singly, mass)
+    return _propose_change(table, rng, singly)
 
 
-def _draw_rule(node, bins, rng):
+def _draw_rule(node, table, rng):
     """Draw a split rule at ``node`` from the rule prior: returns the
     feature, grid index, valid-cutpoint count and the two child row sets."""
-    counts, starts, features = _node_cutinfo(node, bins)
-    feature = int(features[int(rng.integers(features.size))])
+    counts, starts, features = _rowset_cutinfo(node.rowset, table.bins)
+    feature = int(features[_pick(rng, features.size)])
     n_cut = int(counts[feature])
-    k = int(starts[feature]) + int(rng.integers(n_cut))
-    mask = bins[node.rows, feature] <= k
-    return feature, k, n_cut, node.rows[mask], node.rows[~mask]
+    k = int(starts[feature]) + _pick(rng, n_cut)
+    left, right = table.children(node.rowset, feature, k)
+    return feature, k, n_cut, left, right
 
 
-def _propose_grow(bins, keys, grids, rng, move_probs, base, power, leaves,
-                  singly, flags, n_split, mass):
-    idx = int(rng.integers(len(leaves)))
+def _propose_grow(tree, table, rng, move_probs, base, power, singly, flags,
+                  n_split, mass):
+    leaves = tree.leaf_list
+    idx = _pick(rng, len(leaves))
     leaf = leaves[idx]
     if not flags[idx]:
         # the drawn leaf has no valid cutpoint on any feature: automatic
         # rejection (some other leaf is splittable, or Grow was never drawn)
         return None
-    feature, k, n_cut, rows_left, rows_right = _draw_rule(leaf, bins, rng)
-    n_splittable = int(_node_cutinfo(leaf, bins)[2].size)
+    feature, k, n_cut, left, right = _draw_rule(leaf, table, rng)
+    log_rule = math.log(leaf.rowset.cutinfo[2].size), math.log(n_cut)
     log_prior = (_depth_log_prior(leaf.depth, base, power)
-                 - math.log(n_splittable) - math.log(n_cut))
+                 - log_rule[0] - log_rule[1])
 
     # Singly-internal count of the tree the grow would create: the leaf
     # becomes one, and its parent stops being one if the sibling is a leaf.
@@ -417,41 +507,35 @@ def _propose_grow(bins, keys, grids, rng, move_probs, base, power, leaves,
     # Kind mass of the grown tree: it can always prune, and can grow again
     # if an untouched leaf is splittable or either new child is. The child
     # flags are computed only when the untouched leaves do not settle it.
-    others = n_split > 1
-    split_left = None if others else _rows_splittable(keys, rows_left)
-    split_right = (None if others or split_left
-                   else _rows_splittable(keys, rows_right))
-    grow_ok_after = others or split_left or split_right
+    grow_ok_after = (n_split > 1
+                     or _rowset_splittable(left, table.keys)
+                     or _rowset_splittable(right, table.keys))
     mass_after = _kind_mass(move_probs, grow_ok_after, True)
     p_grow, p_prune, _ = move_probs
     log_forward = (math.log(p_grow) - math.log(mass) - math.log(len(leaves))
-                   - math.log(n_splittable) - math.log(n_cut))
+                   - log_rule[0] - log_rule[1])
     log_reverse = (math.log(p_prune) - math.log(mass_after)
                    - math.log(si_after))
 
     return MoveProposal(
         kind=MoveKind.GROW,
         node=leaf,
-        rule=SplitRule(feature, float(grids[feature][k])),
-        rows_left=rows_left,
-        rows_right=rows_right,
+        rule=SplitRule(feature, float(table.grids[feature][k])),
+        left=left,
+        right=right,
         log_transition_ratio=log_reverse - log_forward,
         log_tree_prior_ratio=log_prior,
-        split_left=split_left,
-        split_right=split_right,
     )
 
 
-def _propose_prune(bins, rng, move_probs, base, power, leaves, singly,
-                   mass):
-    node = singly[int(rng.integers(len(singly)))]
-    counts, _, features = _node_cutinfo(node, bins)
-    n_splittable = int(features.size)
-    n_cut = int(counts[node.feature])
+def _propose_prune(tree, table, rng, move_probs, base, power, singly, mass):
+    node = singly[_pick(rng, len(singly))]
+    counts, _, features = _rowset_cutinfo(node.rowset, table.bins)
+    log_rule = math.log(features.size), math.log(counts[node.feature])
     log_prior = -(_depth_log_prior(node.depth, base, power)
-                  - math.log(n_splittable) - math.log(n_cut))
+                  - log_rule[0] - log_rule[1])
 
-    n_leaves_after = len(leaves) - 1
+    n_leaves_after = len(tree.leaf_list) - 1
     # Kind mass of the pruned tree: the merged leaf straddles the removed
     # cutpoint, so that cutpoint stays valid and Grow remains possible;
     # Prune and Change survive unless the node was the root.
@@ -460,22 +544,22 @@ def _propose_prune(bins, rng, move_probs, base, power, leaves, singly,
     log_forward = math.log(p_prune) - math.log(mass) - math.log(len(singly))
     log_reverse = (math.log(p_grow) - math.log(mass_after)
                    - math.log(n_leaves_after)
-                   - math.log(n_splittable) - math.log(n_cut))
+                   - log_rule[0] - log_rule[1])
 
     return MoveProposal(
         kind=MoveKind.PRUNE,
         node=node,
         rule=None,
-        rows_left=None,
-        rows_right=None,
+        left=None,
+        right=None,
         log_transition_ratio=log_reverse - log_forward,
         log_tree_prior_ratio=log_prior,
     )
 
 
-def _propose_change(bins, grids, rng, singly):
-    node = singly[int(rng.integers(len(singly)))]
-    feature, k, n_cut, rows_left, rows_right = _draw_rule(node, bins, rng)
+def _propose_change(table, rng, singly):
+    node = singly[_pick(rng, len(singly))]
+    feature, k, n_cut, left, right = _draw_rule(node, table, rng)
 
     # Rule proposal matches the rule prior, so the two ratios are equal and
     # opposite: only the cutpoint-count asymmetry between old and new feature
@@ -486,15 +570,15 @@ def _propose_change(bins, grids, rng, singly):
     # node reproduces the same partition; and when a new rule does move rows,
     # the child receiving rows from both sides of the old cutpoint is
     # splittable at that old cutpoint.
-    n_cut_old = int(_node_cutinfo(node, bins)[0][node.feature])
+    n_cut_old = int(node.rowset.cutinfo[0][node.feature])
     log_transition = math.log(n_cut) - math.log(n_cut_old)
 
     return MoveProposal(
         kind=MoveKind.CHANGE,
         node=node,
-        rule=SplitRule(feature, float(grids[feature][k])),
-        rows_left=rows_left,
-        rows_right=rows_right,
+        rule=SplitRule(feature, float(table.grids[feature][k])),
+        left=left,
+        right=right,
         log_transition_ratio=log_transition,
         log_tree_prior_ratio=-log_transition,
     )
@@ -503,23 +587,17 @@ def _propose_change(bins, grids, rng, singly):
 def apply_move(tree: DecisionTree, proposal: MoveProposal) -> None:
     """Mutate the tree and its ``leaf_list`` per an accepted proposal.
 
-    New or re-partitioned children take the proposal's row sets and any
-    split flags and weighted rows it carries; the rest stay None (``wrows``
-    defaults to ``rows``) and are filled on demand.
+    New or re-partitioned children take the proposal's row sets, caches
+    and all; the tree's ``scan`` is cleared.
     """
     node = proposal.node
     leaves = tree.leaf_list
+    tree.scan = None
     if proposal.kind is MoveKind.GROW:
         node.feature = proposal.rule.feature
         node.cutpoint = proposal.rule.cutpoint
-        node.left = Node(node.depth + 1, parent=node,
-                         rows=proposal.rows_left,
-                         wrows=proposal.wrows_left,
-                         splittable=proposal.split_left)
-        node.right = Node(node.depth + 1, parent=node,
-                          rows=proposal.rows_right,
-                          wrows=proposal.wrows_right,
-                          splittable=proposal.split_right)
+        node.left = Node(node.depth + 1, parent=node, rowset=proposal.left)
+        node.right = Node(node.depth + 1, parent=node, rowset=proposal.right)
         i = leaves.index(node)
         leaves[i:i + 1] = (node.left, node.right)
     elif proposal.kind is MoveKind.PRUNE:
@@ -532,13 +610,8 @@ def apply_move(tree: DecisionTree, proposal: MoveProposal) -> None:
     else:
         node.feature = proposal.rule.feature
         node.cutpoint = proposal.rule.cutpoint
-        for child, rows, wrows in (
-                (node.left, proposal.rows_left, proposal.wrows_left),
-                (node.right, proposal.rows_right, proposal.wrows_right)):
-            child.rows = rows
-            child.wrows = rows if wrows is None else wrows
-            child.splittable = None
-            child.cutinfo = None
+        node.left.rowset = proposal.left
+        node.right.rowset = proposal.right
 
 
 def structural_equal(a: DecisionTree, b: DecisionTree) -> bool:

@@ -11,7 +11,7 @@ from bcfsim.bart import (
     HalfNormal, SigmaPrior, _slice_sample, fit_binary_probit, fit_continuous,
     leaf_log_marginal,
 )
-from bcfsim.trees import _cut_ranges
+from bcfsim.trees import _cut_ranges, _scan
 
 
 def _stump_config(**kw):
@@ -271,23 +271,55 @@ def test_residual_bookkeeping_weighted():
     assert_array_equal(resid[z == 0], y[z == 0])
 
 
+def _check_cached_ranges(rowset, bins):
+    # a filled cache equals what a fresh pass over the rows computes
+    counts, starts, flag = _cut_ranges(bins, rowset.rows)
+    if rowset.splittable is not None:
+        assert rowset.splittable == flag
+    if rowset.cutinfo is not None:
+        assert_array_equal(rowset.cutinfo[0], counts)
+        assert_array_equal(rowset.cutinfo[1], starts)
+        assert_array_equal(rowset.cutinfo[2], np.flatnonzero(counts))
+
+
 def _check_incremental_state(sampler):
-    # the kept per-tree state equals what a full rescan computes
+    # the kept per-tree state equals what a full rescan computes; returns
+    # how many cached scans and table-built children it checked
     n = sampler.X.shape[0]
     weights = (np.ones(n, dtype=bool) if sampler.weights is None
                else sampler.weights)
+    table = sampler.splits
+    shared = {id(rs) for pair in table.root_splits.values() for rs in pair}
+    scans = from_table = 0
     for tree, fit in zip(sampler.trees, sampler.fits):
         walked = tree.leaves()
         assert len(tree.leaf_list) == len(walked)
         assert all(a is b for a, b in zip(tree.leaf_list, walked))
+        assert tree.root.rowset is table.root
+        cached = tree.scan
+        if cached is not None:
+            tree.scan = None
+            singly, flags, n_split = _scan(tree, table.keys)
+            assert len(cached[0]) == len(singly)
+            assert all(a is b for a, b in zip(cached[0], singly))
+            assert cached[1:] == (flags, n_split)
+            scans += 1
         dense = np.zeros(n)
-        for leaf in walked:
-            assert_array_equal(leaf.wrows, leaf.rows[weights[leaf.rows]])
-            if leaf.splittable is not None:
-                assert leaf.splittable == _cut_ranges(sampler.bins,
-                                                      leaf.rows)[2]
-            dense[leaf.wrows] = leaf.value
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            rowset = node.rowset
+            assert_array_equal(rowset.wrows, rowset.rows[weights[rowset.rows]])
+            _check_cached_ranges(rowset, sampler.bins)
+            if node.depth == 1 and id(rowset) in shared:
+                assert not rowset.rows.flags.writeable
+                from_table += 1
+            if node.is_leaf:
+                dense[rowset.wrows] = node.value
+            else:
+                stack.extend([node.left, node.right])
         assert_array_equal(fit, dense)
+    return scans, from_table
 
 
 @settings(max_examples=40, deadline=None)
@@ -312,11 +344,13 @@ def test_incremental_state_matches_rescan(seed, weighted, prior_only):
     sampler = ForestSampler(X, config, weights=weights)
     y = rng.normal(size=n)
     resid = y.copy()
+    checked = np.zeros(2, dtype=int)
     for _ in range(12):
         sampler.sweep(resid, 0.7, rng)
-        _check_incremental_state(sampler)
+        checked += _check_incremental_state(sampler)
         assert_allclose(resid, y - sampler.fits.sum(axis=0), atol=1e-10)
     assert sampler.accepts > 0
+    assert checked.min() > 0
 
 
 # -------------------------------------------------------- continuous fitting

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from bcfsim import harness
 from bcfsim.cli import main
 from bcfsim.dgp import DgpSpec, generate
 
@@ -132,6 +133,33 @@ def test_run_reports_config_file_typos(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "unknown config key" in err
+
+
+def test_run_names_the_failing_fit(tmp_path, capsys, monkeypatch):
+    # the second cell's fit raises an error type main() does not catch by
+    # itself; run must still exit 1 naming the fit, keeping the first cell
+    cfg = tmp_path / "two_cells.cfg"
+    cfg.write_text(TINY_CFG.replace("alphas = 4", "alphas = 2, 4"),
+                   encoding="utf-8")
+    real_fit = harness.fit_bcf
+    calls = []
+
+    def failing_second_fit(*args, **kwargs):
+        calls.append(args[3])
+        if len(calls) == 2:
+            raise FloatingPointError("slice sampler diverged")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_bcf", failing_second_fit)
+    out = tmp_path / "run"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("fit failed in cell extreme_4, replicate 0, model no_propensity"
+            in err)
+    assert "FloatingPointError: slice sampler diverged" in err
+    assert (out / "cells" / "cell_extreme_2.csv").exists()
+    assert not (out / "cells" / "cell_extreme_4.csv").exists()
 
 
 # ---------------------------------------------------------------------------

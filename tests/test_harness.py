@@ -9,6 +9,7 @@ bytes.
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -590,6 +591,22 @@ def test_report_from_regenerates_derived_artifacts(mini_run):
         assert (out / name).read_bytes() == originals[name], name
     # no wall-clock data in the CSV, so timing must be left alone
     assert (out / "timing.json").read_bytes() == timing_before
+
+
+def test_report_from_leaves_its_inputs_untouched(mini_run):
+    # a rebuild reads replicates.csv and run_config.json and must not
+    # rewrite them (nor digests.csv): bytes, inode and mtime all survive
+    _, out, _ = mini_run
+    kept = ["replicates.csv", "run_config.json", "digests.csv"]
+    for name in kept:
+        os.utime(out / name, ns=(1_000_000_000, 1_000_000_000))
+    before = {name: ((out / name).read_bytes(), (out / name).stat().st_ino,
+                     (out / name).stat().st_mtime_ns) for name in kept}
+    report_from(out)
+    for name in kept:
+        path = out / name
+        assert (path.read_bytes(), path.stat().st_ino,
+                path.stat().st_mtime_ns) == before[name], name
 
 
 def test_report_from_requires_run_artifacts(tmp_path):

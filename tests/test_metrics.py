@@ -101,6 +101,24 @@ def test_interval_metrics_validation():
         interval_metrics([], [], [], 0.95)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_interval_metrics_reject_non_finite_inputs(bad):
+    good = [0.0, 0.0]
+    for name, args in (("lower", ([bad, 0.0], [1.0, 1.0], [0.5, 0.5])),
+                       ("upper", (good, [bad, 1.0], [0.5, 0.5])),
+                       ("truth", (good, [1.0, 1.0], [0.5, bad]))):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            interval_metrics(*args, 0.95)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pointwise_errors_reject_non_finite_inputs(bad):
+    with pytest.raises(ValueError, match="estimate must be finite"):
+        pointwise_errors([1.0, bad], [1.0, 2.0])
+    with pytest.raises(ValueError, match="truth must be finite"):
+        pointwise_errors([1.0, 2.0], [bad, 2.0])
+
+
 def test_interval_metrics_degenerate_interval_ok():
     # zero-width intervals are legal; they cover only exact hits
     out = interval_metrics([1.0, 2.0], [1.0, 2.0], [1.0, 0.0], 0.5)
@@ -144,6 +162,13 @@ def test_record_validation():
         _record(len_ate=-0.1)
     with pytest.raises(ValueError):
         _record(rmse_pi=-1e-9)
+
+
+@pytest.mark.parametrize("name", METRIC_FIELDS)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_record_rejects_non_finite_metrics(name, bad):
+    with pytest.raises(ValueError, match=name):
+        _record(**{name: bad})
 
 
 def test_record_is_plain_data():

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bcfsim.bart import BartConfig, ForestSampler
 from bcfsim.trees import (
-    DecisionTree, Forest, MoveKind, Node, SplitRule, _cut_ranges,
-    _node_cutinfo, _node_splittable,
+    DecisionTree, Forest, MoveKind, Node, RowSet, SplitRule, SplitTable,
+    _cut_ranges, _pick, _rowset_cutinfo, _rowset_splittable,
     apply_move, cutpoint_bins, depth_split_prob, evaluate_forest,
     evaluate_tree, make_cutpoint_grids, propose_move, row_signatures,
     structural_equal, valid_cutpoints,
@@ -16,14 +16,13 @@ from bcfsim.trees import (
 
 
 def _root_tree(n_rows: int) -> DecisionTree:
-    return DecisionTree(Node(rows=np.arange(n_rows)))
+    return DecisionTree(Node(rowset=RowSet(np.arange(n_rows))))
 
 
-def _propose_kind(tree, bins, grids, rng, kind, **kw):
+def _propose_kind(tree, table, rng, kind, **kw):
     # public-path proposal of a specific kind, retrying the rng draw
-    keys = row_signatures(bins)
     for _ in range(500):
-        prop = propose_move(tree, bins, grids, rng, keys=keys, **kw)
+        prop = propose_move(tree, table, rng, **kw)
         if prop is not None and prop.kind is kind:
             return prop
     raise AssertionError(f"no {kind} proposal in 500 attempts")
@@ -148,7 +147,7 @@ def test_node_cutinfo_matches_valid_cutpoints(seed):
     rng = np.random.default_rng(seed)
     for size in (1, 2, 5, 17, len(X)):
         rows = np.sort(rng.choice(len(X), size=size, replace=False))
-        counts, starts, features = _node_cutinfo(Node(rows=rows), bins)
+        counts, starts, features = _rowset_cutinfo(RowSet(rows), bins)
         for j, grid in enumerate(grids):
             want = valid_cutpoints(X[:, j], rows, grid)
             assert counts[j] == want.size
@@ -185,7 +184,7 @@ def test_signature_splittability_matches_cut_ranges(seed):
             subsets.append(np.sort(np.append(members, other[0])))
     for rows in subsets:
         want = _cut_ranges(bins, rows)[2]
-        assert _node_splittable(Node(rows=rows), keys) == want
+        assert _rowset_splittable(RowSet(rows), keys) == want
         assert want == (len(np.unique(bins[rows], axis=0)) > 1)
 
 
@@ -216,18 +215,98 @@ def test_wide_grid_bins_do_not_overflow():
             node = stack.pop()
             if node.is_leaf:
                 continue
-            goes_left = X[node.rows, node.feature] <= node.cutpoint
-            assert_array_equal(node.left.rows, node.rows[goes_left])
-            assert_array_equal(node.right.rows, node.rows[~goes_left])
+            goes_left = X[node.rowset.rows, node.feature] <= node.cutpoint
+            rows = node.rowset.rows
+            assert_array_equal(node.left.rowset.rows, rows[goes_left])
+            assert_array_equal(node.right.rowset.rows, rows[~goes_left])
             high += node.cutpoint > sampler.grids[node.feature][255]
             stack.extend([node.left, node.right])
     assert high > 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans())
+def test_root_split_table_matches_fresh_routing(seed, weighted):
+    # every entry of the root split table, filled by proposals of several
+    # trees, is the routing of all rows by bins[:, f] <= k, with read-only
+    # arrays; the root row set's caches equal a rescan of all rows
+    X, grids = _tied_design(seed)
+    n = len(X)
+    bins = cutpoint_bins(X, grids)
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n) < 0.5 if weighted else None
+    table = SplitTable(bins, grids, weights)
+    trees = [table.new_tree() for _ in range(4)]
+    for _ in range(30):
+        for tree in trees:
+            prop = propose_move(tree, table, rng)
+            if prop is not None and rng.random() < 0.5:
+                apply_move(tree, prop)
+    all_rows = np.arange(n)
+    keep = np.ones(n, dtype=bool) if weights is None else weights
+    counts, starts, flag = _cut_ranges(bins, all_rows)
+    root = table.root
+    assert_array_equal(root.rows, all_rows)
+    assert root.splittable == flag
+    assert_array_equal(root.cutinfo[0], counts)
+    assert_array_equal(root.cutinfo[1], starts)
+    assert table.root_splits
+    for (f, k), (left, right) in table.root_splits.items():
+        assert starts[f] <= k < starts[f] + counts[f]
+        goes_left = bins[:, f] <= k
+        assert_array_equal(left.rows, all_rows[goes_left])
+        assert_array_equal(right.rows, all_rows[~goes_left])
+        for rowset in (root, left, right):
+            assert_array_equal(rowset.wrows, rowset.rows[keep[rowset.rows]])
+            assert not rowset.rows.flags.writeable
+            assert not rowset.wrows.flags.writeable
+            with pytest.raises(ValueError):
+                rowset.rows[0] = 0
+
+
+def test_root_split_table_stays_within_root_cutpoints():
+    # 300 cutpoints on two features give 600 valid root cutpoints; many
+    # root proposals fill the table but never past one entry per cutpoint
+    rng = np.random.default_rng(25)
+    n = 120
+    X = rng.random((n, 2))
+    y = np.sin(6.0 * X[:, 0]) + rng.normal(0.0, 0.3, size=n)
+    sampler = ForestSampler(X, BartConfig(num_trees=200,
+                                          cutpoints_per_feature=300))
+    table = sampler.splits
+    counts, starts, _ = table.root.cutinfo
+    assert counts.sum() == 600
+    resid = y - y.mean()
+    chain = np.random.default_rng(26)
+    for _ in range(20):
+        sampler.sweep(resid, 0.5, chain)
+    assert 300 < len(table.root_splits) <= counts.sum()
+    for f, k in table.root_splits:
+        assert starts[f] <= k < starts[f] + counts[f]
+
+
+def test_single_candidate_pick_draws_nothing():
+    # numpy's integers(1) leaves the generator state unchanged, so skipping
+    # that call for one candidate keeps every later draw the same
+    rng = np.random.default_rng(31)
+    rng.random()
+    state = rng.bit_generator.state
+    rng.integers(1)
+    assert rng.bit_generator.state == state
+    assert _pick(rng, 1) == 0
+    assert rng.bit_generator.state == state
+    twin = np.random.default_rng(31)
+    twin.random()
+    sizes = [2, 3, 5] * 20
+    assert ([_pick(rng, n) for n in sizes]
+            == [int(twin.integers(n)) for n in sizes])
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 # ----------------------------------------------------------------- routing
 
 def _two_leaf_tree(feature=0, cutpoint=0.5, left=1.0, right=2.0):
-    root = Node(rows=np.arange(4))
+    root = Node(rowset=RowSet(np.arange(4)))
     root.feature = feature
     root.cutpoint = cutpoint
     root.left = Node(depth=1, parent=root, value=left)
@@ -267,12 +346,11 @@ def test_splittable_stump_always_proposes_grow():
     # the kind draw must land on it every time, not just 40% of the time
     X = np.random.default_rng(1).random((20, 2))
     grids = make_cutpoint_grids(X, 10)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
-    tree = _root_tree(20)
+    table = SplitTable(cutpoint_bins(X, grids), grids)
+    tree = table.new_tree()
     rng = np.random.default_rng(2)
     for _ in range(200):
-        prop = propose_move(tree, bins, grids, rng, keys=keys)
+        prop = propose_move(tree, table, rng)
         assert prop is not None
         assert prop.kind is MoveKind.GROW
 
@@ -280,12 +358,11 @@ def test_splittable_stump_always_proposes_grow():
 def test_stump_on_constant_features_has_no_legal_move():
     X = np.ones((10, 3))
     grids = make_cutpoint_grids(X, 10)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
-    tree = _root_tree(10)
+    table = SplitTable(cutpoint_bins(X, grids), grids)
+    tree = table.new_tree()
     rng = np.random.default_rng(3)
     for _ in range(50):
-        assert propose_move(tree, bins, grids, rng, keys=keys) is None
+        assert propose_move(tree, table, rng) is None
 
 
 def test_kind_renormalizes_when_grow_is_unavailable():
@@ -293,15 +370,14 @@ def test_kind_renormalizes_when_grow_is_unavailable():
     # Grow drops out and Prune/Change split the mass 2:1
     X = np.array([[0.0], [1.0]])
     grids = make_cutpoint_grids(X, 3)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
-    tree = _root_tree(2)
+    table = SplitTable(cutpoint_bins(X, grids), grids)
+    tree = table.new_tree()
     rng = np.random.default_rng(2)
-    apply_move(tree, propose_move(tree, bins, grids, rng, keys=keys))
+    apply_move(tree, propose_move(tree, table, rng))
     counts = {k: 0 for k in MoveKind}
     n = 3000
     for _ in range(n):
-        prop = propose_move(tree, bins, grids, rng, keys=keys)
+        prop = propose_move(tree, table, rng)
         assert prop is not None
         counts[prop.kind] += 1
     assert counts[MoveKind.GROW] == 0
@@ -314,12 +390,13 @@ def test_grow_rows_match_rule():
     X = rng.random((60, 3))
     grids = make_cutpoint_grids(X, 25)
     bins = cutpoint_bins(X, grids)
-    tree = _root_tree(60)
-    prop = _propose_kind(tree, bins, grids, rng, MoveKind.GROW)
+    table = SplitTable(bins, grids)
+    tree = table.new_tree()
+    prop = _propose_kind(tree, table, rng, MoveKind.GROW)
     f, c = prop.rule.feature, prop.rule.cutpoint
-    assert_array_equal(prop.rows_left, np.flatnonzero(X[:, f] <= c))
-    assert_array_equal(prop.rows_right, np.flatnonzero(X[:, f] > c))
-    assert prop.rows_left.size > 0 and prop.rows_right.size > 0
+    assert_array_equal(prop.left.rows, np.flatnonzero(X[:, f] <= c))
+    assert_array_equal(prop.right.rows, np.flatnonzero(X[:, f] > c))
+    assert prop.left.rows.size > 0 and prop.right.rows.size > 0
 
 
 def test_grow_then_prune_restores_structure():
@@ -327,11 +404,12 @@ def test_grow_then_prune_restores_structure():
     X = rng.random((30, 2))
     grids = make_cutpoint_grids(X, 15)
     bins = cutpoint_bins(X, grids)
-    tree = _root_tree(30)
-    grow = _propose_kind(tree, bins, grids, rng, MoveKind.GROW)
+    table = SplitTable(bins, grids)
+    tree = table.new_tree()
+    grow = _propose_kind(tree, table, rng, MoveKind.GROW)
     apply_move(tree, grow)
     assert not tree.root.is_leaf
-    prune = _propose_kind(tree, bins, grids, rng, MoveKind.PRUNE)
+    prune = _propose_kind(tree, table, rng, MoveKind.PRUNE)
     assert prune.node is tree.root
     apply_move(tree, prune)
     assert tree.root.is_leaf
@@ -344,20 +422,19 @@ def test_grow_prune_ratios_are_antisymmetric():
     rng = np.random.default_rng(6)
     X = rng.random((50, 3))
     grids = make_cutpoint_grids(X, 20)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
+    table = SplitTable(cutpoint_bins(X, grids), grids)
     for _ in range(10):
-        tree = _root_tree(50)
+        tree = table.new_tree()
         # random starting shape: a few accepted grows
         for _ in range(int(rng.integers(0, 3))):
-            prop = propose_move(tree, bins, grids, rng, keys=keys)
+            prop = propose_move(tree, table, rng)
             if prop is not None and prop.kind is MoveKind.GROW:
                 apply_move(tree, prop)
-        grow = _propose_kind(tree, bins, grids, rng, MoveKind.GROW)
+        grow = _propose_kind(tree, table, rng, MoveKind.GROW)
         grown = grow.node
         apply_move(tree, grow)
         for _ in range(500):
-            prune = propose_move(tree, bins, grids, rng, keys=keys)
+            prune = propose_move(tree, table, rng)
             if (prune is not None and prune.kind is MoveKind.PRUNE
                     and prune.node is grown):
                 break
@@ -374,11 +451,9 @@ def test_stump_grow_ratio_uses_renormalized_kind_mass():
     # mass and the reverse Prune carries probability 0.4 / (0.4 + 0.2).
     X = np.array([[0.0], [1.0]])
     grids = make_cutpoint_grids(X, 3)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
+    table = SplitTable(cutpoint_bins(X, grids), grids)
     assert_allclose(grids[0], [0.25, 0.5, 0.75])
-    prop = propose_move(_root_tree(2), bins, grids, np.random.default_rng(0),
-                        keys=keys)
+    prop = propose_move(table.new_tree(), table, np.random.default_rng(0))
     assert prop.kind is MoveKind.GROW
     want = math.log(0.4) - math.log(0.4 + 0.2) + math.log(3.0)
     assert prop.log_transition_ratio == pytest.approx(want, rel=1e-12)
@@ -393,14 +468,13 @@ def test_grow_prune_antisymmetry_with_degenerate_children():
     # mass; the reverse Prune must reproduce both masses bit-for-bit
     X = np.array([[0.0], [1.0]])
     grids = make_cutpoint_grids(X, 3)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
-    tree = _root_tree(2)
+    table = SplitTable(cutpoint_bins(X, grids), grids)
+    tree = table.new_tree()
     rng = np.random.default_rng(1)
-    grow = propose_move(tree, bins, grids, rng, keys=keys)
+    grow = propose_move(tree, table, rng)
     assert grow.kind is MoveKind.GROW
     apply_move(tree, grow)
-    prune = _propose_kind(tree, bins, grids, rng, MoveKind.PRUNE)
+    prune = _propose_kind(tree, table, rng, MoveKind.PRUNE)
     assert prune.node is tree.root
     assert prune.log_transition_ratio == -grow.log_transition_ratio
     assert prune.log_tree_prior_ratio == -grow.log_tree_prior_ratio
@@ -411,37 +485,47 @@ def test_change_prior_cancels_transition():
     X = rng.random((40, 2))
     grids = make_cutpoint_grids(X, 12)
     bins = cutpoint_bins(X, grids)
-    tree = _root_tree(40)
-    apply_move(tree, _propose_kind(tree, bins, grids, rng, MoveKind.GROW))
+    table = SplitTable(bins, grids)
+    tree = table.new_tree()
+    apply_move(tree, _propose_kind(tree, table, rng, MoveKind.GROW))
     for _ in range(20):
-        prop = _propose_kind(tree, bins, grids, rng, MoveKind.CHANGE)
+        prop = _propose_kind(tree, table, rng, MoveKind.CHANGE)
         assert prop.log_tree_prior_ratio == -prop.log_transition_ratio
         assert math.isfinite(prop.log_transition_ratio)
 
 
 def test_change_clears_child_cutpoint_cache():
+    # a Change hands the children the proposal's row sets, so no cache of
+    # the old rows survives; a root Change takes the pair from the root
+    # split table, whose caches may be filled already and must then
+    # describe the new rows
     rng = np.random.default_rng(8)
     X = rng.random((40, 2))
     grids = make_cutpoint_grids(X, 12)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
-    tree = _root_tree(40)
-    apply_move(tree, _propose_kind(tree, bins, grids, rng, MoveKind.GROW))
-    change = _propose_kind(tree, bins, grids, rng, MoveKind.CHANGE)
+    table = SplitTable(cutpoint_bins(X, grids), grids)
+    tree = table.new_tree()
+    apply_move(tree, _propose_kind(tree, table, rng, MoveKind.GROW))
+    change = _propose_kind(tree, table, rng, MoveKind.CHANGE)
     node = change.node
     # warm the caches, then apply the change
-    _ = propose_move(tree, bins, grids, rng, keys=keys)
-    assert node.left.splittable is not None
-    assert node.right.splittable is not None
+    _ = propose_move(tree, table, rng)
+    assert node.left.rowset.splittable is not None
+    assert node.right.rowset.splittable is not None
     apply_move(tree, change)
-    assert node.left.cutinfo is None
-    assert node.right.cutinfo is None
-    assert node.left.splittable is None
-    assert node.right.splittable is None
-    # the next proposal recomputes both flags from the new row sets
-    _ = propose_move(tree, bins, grids, rng, keys=keys)
+    assert node.left.rowset is change.left
+    assert node.right.rowset is change.right
+    assert (change.left, change.right) in table.root_splits.values()
     for child in (node.left, node.right):
-        assert child.splittable == _cut_ranges(bins, child.rows)[2]
+        want = _cut_ranges(table.bins, child.rowset.rows)
+        assert child.rowset.splittable in (None, want[2])
+        if child.rowset.cutinfo is not None:
+            assert_array_equal(child.rowset.cutinfo[0], want[0])
+            assert_array_equal(child.rowset.cutinfo[1], want[1])
+    # the next proposal fills both flags from the new row sets
+    _ = propose_move(tree, table, rng)
+    for child in (node.left, node.right):
+        want = _cut_ranges(table.bins, child.rowset.rows)
+        assert child.rowset.splittable == want[2]
     assert node.feature == change.rule.feature
     assert node.cutpoint == change.rule.cutpoint
 
@@ -452,14 +536,13 @@ def test_move_kind_frequencies():
     rng = np.random.default_rng(9)
     X = rng.random((80, 3))
     grids = make_cutpoint_grids(X, 20)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
-    tree = _root_tree(80)
-    apply_move(tree, _propose_kind(tree, bins, grids, rng, MoveKind.GROW))
+    table = SplitTable(cutpoint_bins(X, grids), grids)
+    tree = table.new_tree()
+    apply_move(tree, _propose_kind(tree, table, rng, MoveKind.GROW))
     counts = {k: 0 for k in MoveKind}
     n = 10_000
     for _ in range(n):
-        prop = propose_move(tree, bins, grids, rng, keys=keys)
+        prop = propose_move(tree, table, rng)
         assert prop is not None
         counts[prop.kind] += 1
     for kind, p in zip(MoveKind, (0.4, 0.4, 0.2)):
@@ -471,11 +554,10 @@ def test_custom_move_probabilities_respected():
     rng = np.random.default_rng(10)
     X = rng.random((50, 2))
     grids = make_cutpoint_grids(X, 10)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
-    tree = _root_tree(50)
-    apply_move(tree, _propose_kind(tree, bins, grids, rng, MoveKind.GROW))
-    kinds = [propose_move(tree, bins, grids, rng, keys=keys,
+    table = SplitTable(cutpoint_bins(X, grids), grids)
+    tree = table.new_tree()
+    apply_move(tree, _propose_kind(tree, table, rng, MoveKind.GROW))
+    kinds = [propose_move(tree, table, rng,
                           move_probs=(0.05, 0.05, 0.9)).kind
              for _ in range(300)]
     frac_change = sum(k is MoveKind.CHANGE for k in kinds) / len(kinds)
@@ -487,19 +569,19 @@ def test_leaves_partition_rows_under_random_walk():
     n = 80
     X = rng.random((n, 3))
     grids = make_cutpoint_grids(X, 20)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
-    tree = _root_tree(n)
+    table = SplitTable(cutpoint_bins(X, grids), grids)
+    tree = table.new_tree()
     applied = 0
     for _ in range(300):
-        prop = propose_move(tree, bins, grids, rng, keys=keys)
+        prop = propose_move(tree, table, rng)
         if prop is None:
             continue
         apply_move(tree, prop)
         applied += 1
     assert applied > 100
 
-    all_rows = np.sort(np.concatenate([leaf.rows for leaf in tree.leaves()]))
+    all_rows = np.sort(np.concatenate([leaf.rowset.rows
+                                       for leaf in tree.leaves()]))
     assert_array_equal(all_rows, np.arange(n))
 
     # every internal node splits its rows exactly per its rule
@@ -508,10 +590,11 @@ def test_leaves_partition_rows_under_random_walk():
         node = stack.pop()
         if node.is_leaf:
             continue
-        merged = np.sort(np.concatenate([node.left.rows, node.right.rows]))
-        assert_array_equal(merged, np.sort(node.rows))
-        assert np.all(X[node.left.rows, node.feature] <= node.cutpoint)
-        assert np.all(X[node.right.rows, node.feature] > node.cutpoint)
+        merged = np.sort(np.concatenate([node.left.rowset.rows,
+                                         node.right.rowset.rows]))
+        assert_array_equal(merged, np.sort(node.rowset.rows))
+        assert np.all(X[node.left.rowset.rows, node.feature] <= node.cutpoint)
+        assert np.all(X[node.right.rowset.rows, node.feature] > node.cutpoint)
         stack.extend([node.left, node.right])
 
 
@@ -537,11 +620,10 @@ def test_routing_is_a_partition_of_feature_space():
     rng = np.random.default_rng(20)
     X = rng.random((60, 3))
     grids = make_cutpoint_grids(X, 15)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
-    tree = _root_tree(60)
+    table = SplitTable(cutpoint_bins(X, grids), grids)
+    tree = table.new_tree()
     for _ in range(200):
-        prop = propose_move(tree, bins, grids, rng, keys=keys)
+        prop = propose_move(tree, table, rng)
         if prop is not None and prop.kind is not MoveKind.PRUNE:
             apply_move(tree, prop)
     leaves = tree.leaves()
@@ -564,17 +646,16 @@ def test_constant_feature_never_selected():
     n = 70
     X = np.column_stack([rng.random(n), np.full(n, 0.3), rng.random(n)])
     grids = make_cutpoint_grids(X, 12)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
-    tree = _root_tree(n)
+    table = SplitTable(cutpoint_bins(X, grids), grids)
+    tree = table.new_tree()
     checked = 0
     for _ in range(10_000):
-        prop = propose_move(tree, bins, grids, rng, keys=keys)
+        prop = propose_move(tree, table, rng)
         if prop is None:
             continue
         if prop.rule is not None:
             assert prop.rule.feature != 1
-            node_vals = X[prop.node.rows, prop.rule.feature]
+            node_vals = X[prop.node.rowset.rows, prop.rule.feature]
             assert np.unique(node_vals).size > 1
             checked += 1
         if rng.random() < 0.5:
@@ -586,13 +667,12 @@ def test_evaluate_forest_is_order_invariant():
     rng = np.random.default_rng(21)
     X = rng.random((40, 2))
     grids = make_cutpoint_grids(X, 10)
-    bins = cutpoint_bins(X, grids)
-    keys = row_signatures(bins)
+    table = SplitTable(cutpoint_bins(X, grids), grids)
     trees = []
     for _ in range(6):
-        t = _root_tree(40)
+        t = table.new_tree()
         for _ in range(30):
-            prop = propose_move(t, bins, grids, rng, keys=keys)
+            prop = propose_move(t, table, rng)
             if prop is not None:
                 apply_move(t, prop)
         for leaf in t.leaves():
