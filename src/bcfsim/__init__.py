@@ -19,10 +19,9 @@ from .ranktests import (
     fligner_policello, select_and_run,
 )
 from .trees import (
-    SplitRule, RowSet, Node, DecisionTree, Forest, MoveKind, MoveProposal,
-    SplitTable, depth_split_prob, evaluate_tree, evaluate_forest,
-    make_cutpoint_grids, cutpoint_bins, valid_cutpoints, propose_move,
-    apply_move, structural_equal,
+    SplitRule, RowSet, Node, DecisionTree, MoveKind, MoveProposal,
+    SplitTable, depth_split_prob, make_cutpoint_grids, cutpoint_bins,
+    propose_move, apply_move,
 )
 from .bart import (
     HalfCauchy, HalfNormal, FixedScale, SigmaPrior, BartConfig,

@@ -99,10 +99,9 @@ class BartConfig:
     """Forest size, tree prior, scale priors and chain controls.
 
     ``base``/``power`` set the depth-split prior base*(1+d)^-power. The last
-    three fields are test hooks: ``standardize=False`` fits on the raw
-    outcome scale, ``fixed_sigma`` pins the noise sd (skipping its Gibbs
-    update), and ``prior_only`` disables the likelihood so the chain samples
-    the tree prior.
+    two fields are test hooks: ``fixed_sigma`` pins the noise sd on the raw
+    outcome scale (no standardization, no Gibbs update), and ``prior_only``
+    disables the likelihood so the chain samples the tree prior.
     """
 
     num_trees: int = 200
@@ -115,7 +114,6 @@ class BartConfig:
     thin: int = 1
     cutpoints_per_feature: int = 100
     move_probabilities: tuple = (0.4, 0.4, 0.2)
-    standardize: bool = True
     fixed_sigma: float | None = None
     prior_only: bool = False
 
@@ -427,14 +425,59 @@ def _sigma_prior_scale(prior: SigmaPrior, var_y: float) -> float:
     return float(chi2.ppf(1.0 - prior.q, prior.nu)) * var_y / prior.nu
 
 
+def _standardize(y: np.ndarray, config: BartConfig):
+    """``(y_work, center, scale)``: y at mean 0 and sd 1, or as given
+    (center 0, scale 1) when the config pins sigma on the raw scale."""
+    if config.fixed_sigma is not None:
+        center, scale = 0.0, 1.0
+    else:
+        center = float(y.mean())
+        sd = float(y.std())
+        scale = sd if sd > 0 else 1.0
+    return (y - center) / scale, center, scale
+
+
+def _run_chain(samplers, resid: np.ndarray, config: BartConfig, rng, retain,
+               lam: float | None = None, latent=None) -> None:
+    """Run one chain of backfitting sweeps over ``samplers``, in order.
+
+    ``resid``, the working response minus every forest, is kept in place;
+    ``latent(resid)`` may rewrite it before each iteration's sweeps. Sigma
+    stays at ``config.fixed_sigma`` (else 1) when that is set or under
+    ``prior_only``, and is otherwise drawn with prior scale ``lam``
+    (default: calibrated on the starting ``resid``).
+    ``retain(k, resid, sigma)`` receives the k-th retained iteration.
+    """
+    n = resid.shape[0]
+    prior = config.sigma_prior
+    fixed = config.fixed_sigma
+    sample_sigma = fixed is None and not config.prior_only
+    sigma = 1.0 if fixed is None else fixed
+    if sample_sigma and lam is None:
+        lam = _sigma_prior_scale(prior, float(resid.var()))
+    k = 0
+    for it in range(config.iterations):
+        if latent is not None:
+            latent(resid)
+        for sampler in samplers:
+            sampler.sweep(resid, sigma, rng)
+        if sample_sigma:
+            ssr = float(resid @ resid)
+            shape = 0.5 * (prior.nu + n)
+            rate = 0.5 * (prior.nu * lam + ssr)
+            sigma = math.sqrt(rate / rng.gamma(shape))
+        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
+            retain(k, resid, sigma)
+            k += 1
+
+
 def fit_continuous(X, y, config: BartConfig = BartConfig(), seed=0) -> BartPosterior:
     """Fit BART to a continuous outcome; deterministic given (inputs, seed).
 
-    The outcome is standardized internally (unless the config's
-    ``standardize`` hook is off) and draws are returned on the original
-    scale. Each sweep updates every tree by one MH move plus conjugate leaf
-    redraws, then the noise variance from its inverse-gamma full
-    conditional.
+    The outcome is standardized internally (unless the config pins
+    ``fixed_sigma``) and draws are returned on the original scale. Each
+    sweep updates every tree by one MH move plus conjugate leaf redraws,
+    then the noise variance from its inverse-gamma full conditional.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -447,36 +490,18 @@ def fit_continuous(X, y, config: BartConfig = BartConfig(), seed=0) -> BartPoste
         raise ValueError("y must be finite (no NaN or inf)")
     config.validate()
     rng = np.random.default_rng(seed)
-
-    if config.standardize:
-        center = float(y.mean())
-        sd = float(y.std())
-        scale = sd if sd > 0 else 1.0
-    else:
-        center, scale = 0.0, 1.0
-    y_work = (y - center) / scale
-
+    y_work, center, scale = _standardize(y, config)
     sampler = ForestSampler(X, config)
-    resid = y_work.copy()
-    sigma = config.fixed_sigma if config.fixed_sigma is not None else 1.0
-    prior = config.sigma_prior
-    lam = _sigma_prior_scale(prior, float(y_work.var()))
 
     keep = config.n_retained
     draws = np.empty((keep, n))
     sigma_draws = np.empty(keep)
-    k = 0
-    for it in range(config.iterations):
-        sampler.sweep(resid, sigma, rng)
-        if config.fixed_sigma is None and not config.prior_only:
-            ssr = float(resid @ resid)
-            shape = 0.5 * (prior.nu + n)
-            rate = 0.5 * (prior.nu * lam + ssr)
-            sigma = math.sqrt(rate / rng.gamma(shape))
-        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-            draws[k] = center + scale * (y_work - resid)
-            sigma_draws[k] = scale * sigma
-            k += 1
+
+    def retain(k, resid, sigma):
+        draws[k] = center + scale * (y_work - resid)
+        sigma_draws[k] = scale * sigma
+
+    _run_chain([sampler], y_work.copy(), config, rng, retain)
     return BartPosterior(
         draws=draws,
         sigma_draws=sigma_draws,
@@ -501,7 +526,7 @@ def fit_binary_probit(X, d, config: BartConfig = BartConfig(), seed=0) -> BartPo
         raise ValueError("d must be binary")
     if d.min() == d.max():
         raise ValueError("d must contain both classes")
-    config = replace(config, standardize=False, fixed_sigma=1.0)
+    config = replace(config, fixed_sigma=1.0)
     config.validate()
     rng = np.random.default_rng(seed)
 
@@ -509,28 +534,28 @@ def fit_binary_probit(X, d, config: BartConfig = BartConfig(), seed=0) -> BartPo
     pos = d == 1
     neg = ~pos
     sampler = ForestSampler(X, config)
-    g = np.zeros(n)
+    z = np.zeros(n)  # latent utilities; the forest output is z - resid
 
-    keep = config.n_retained
-    draws = np.empty((keep, n))
-    probs = np.empty((keep, n))
-    k = 0
-    for it in range(config.iterations):
+    def latent(resid):
         # Albert-Chib latent draws by inverse survival / CDF sampling
+        g = z - resid
         u = rng.random(n)
-        z = np.empty(n)
         w_pos = np.maximum(u[pos] * ndtr(g[pos]), 1e-300)
         z[pos] = g[pos] - ndtri(w_pos)
         w_neg = np.maximum(u[neg] * ndtr(-g[neg]), 1e-300)
         z[neg] = g[neg] + ndtri(w_neg)
+        resid[:] = z - g
 
-        resid = z - g
-        sampler.sweep(resid, 1.0, rng)
+    keep = config.n_retained
+    draws = np.empty((keep, n))
+    probs = np.empty((keep, n))
+
+    def retain(k, resid, sigma):
         g = z - resid
-        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-            draws[k] = g
-            probs[k] = np.clip(ndtr(g), 1e-12, 1.0 - 1e-12)
-            k += 1
+        draws[k] = g
+        probs[k] = np.clip(ndtr(g), 1e-12, 1.0 - 1e-12)
+
+    _run_chain([sampler], np.zeros(n), config, rng, retain, latent=latent)
     return BartPosterior(
         draws=draws,
         sigma_draws=None,

@@ -22,7 +22,6 @@ outcome sd).
 from __future__ import annotations
 
 import enum
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -34,7 +33,8 @@ from .bart import (
     HalfCauchy,
     HalfNormal,
     HALF_NORMAL_MEDIAN,
-    _sigma_prior_scale,
+    _run_chain,
+    _standardize,
     fit_binary_probit,
 )
 
@@ -72,7 +72,8 @@ class BcfConfig:
 
     The two outcome forests run interleaved inside one chain, so their
     chain controls (iterations, burn-in, thinning) must agree; the noise
-    variance prior is read from ``mu_config``. ``propensity_config`` drives
+    variance prior and the ``fixed_sigma``/``prior_only`` hooks of the chain
+    are read from ``mu_config``. ``propensity_config`` drives
     the internal probit fit and is used only by the estimated-propensity
     variant.
     """
@@ -185,43 +186,26 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     zmask = z.astype(bool)
 
     mu_cfg = config.mu_config
-    center = float(y.mean())
-    sd = float(y.std())
-    scale = sd if sd > 0 else 1.0
-    if not mu_cfg.standardize:
-        center, scale = 0.0, 1.0
-    y_work = (y - center) / scale
-
+    y_work, center, scale = _standardize(y, mu_cfg)
     rng = np.random.default_rng(ss_outcome)
     mu_sampler = ForestSampler(design, mu_cfg)
     tau_sampler = ForestSampler(X, config.tau_config, weights=z)
-    resid = y_work.copy()
-    sigma = mu_cfg.fixed_sigma if mu_cfg.fixed_sigma is not None else 1.0
-    prior = mu_cfg.sigma_prior
-    lam = _sigma_prior_scale(prior, float(y_work.var()))
 
     keep = mu_cfg.n_retained
     mu_draws = np.empty((keep, n))
     tau_draws = np.empty((keep, n))
     sigma_draws = np.empty(keep)
-    k = 0
-    for it in range(mu_cfg.iterations):
-        mu_sampler.sweep(resid, sigma, rng)
-        tau_sampler.sweep(resid, sigma, rng)
-        if mu_cfg.fixed_sigma is None and not mu_cfg.prior_only:
-            ssr = float(resid @ resid)
-            shape = 0.5 * (prior.nu + n)
-            rate = 0.5 * (prior.nu * lam + ssr)
-            sigma = math.sqrt(rate / rng.gamma(shape))
-        if it >= mu_cfg.burn_in and (it - mu_cfg.burn_in) % mu_cfg.thin == 0:
-            tau_work = tau_sampler.current_fit()
-            # residual bookkeeping gives mu without another forest traversal
-            mu_work = y_work - resid
-            mu_work[zmask] -= tau_work[zmask]
-            mu_draws[k] = center + scale * mu_work
-            tau_draws[k] = scale * tau_work
-            sigma_draws[k] = scale * sigma
-            k += 1
+
+    def retain(k, resid, sigma):
+        tau_work = tau_sampler.current_fit()
+        # residual bookkeeping gives mu without another forest traversal
+        mu_work = y_work - resid
+        mu_work[zmask] -= tau_work[zmask]
+        mu_draws[k] = center + scale * mu_work
+        tau_draws[k] = scale * tau_work
+        sigma_draws[k] = scale * sigma
+
+    _run_chain([mu_sampler, tau_sampler], y_work.copy(), mu_cfg, rng, retain)
     return BcfFit(
         mu_draws=mu_draws,
         tau_draws=tau_draws,

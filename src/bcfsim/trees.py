@@ -1,6 +1,6 @@
 """Binary regression trees and Metropolis-Hastings move proposals.
 
-The tree machinery shared by every forest in the package: node/tree/forest
+The tree machinery shared by every forest in the package: node and tree
 structures, routing (a feature value less than or equal to the cutpoint goes
 left), per-feature cutpoint grids, and the Grow / Prune / Change proposal
 kernel in the style of Chipman, George & McCulloch (2010), with Grow 0.4,
@@ -151,9 +151,8 @@ class DecisionTree:
     ``apply_move`` changes the structure.
     """
 
-    def __init__(self, root: Node | None = None, n_features: int | None = None):
+    def __init__(self, root: Node | None = None):
         self.root = root if root is not None else Node()
-        self.n_features = n_features
         self.leaf_list = self.leaves()
         self.scan = None
 
@@ -167,39 +166,6 @@ class DecisionTree:
                 stack.append(node.right)
                 stack.append(node.left)
         return out
-
-    def leaf_for(self, x) -> Node:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.cutpoint else node.right
-        return node
-
-
-def evaluate_tree(tree: DecisionTree, x) -> float:
-    """Value of the unique leaf reached by routing ``x`` down the tree."""
-    x = np.asarray(x, dtype=float)
-    if tree.n_features is not None and x.shape != (tree.n_features,):
-        raise ValueError(
-            f"expected {tree.n_features} covariates, got shape {x.shape}"
-        )
-    return float(tree.leaf_for(x).value)
-
-
-@dataclass
-class Forest:
-    """An ordered sum of trees plus the leaf-value prior scale.
-
-    ``leaf_scale`` is the standard deviation of the zero-centered normal
-    prior on individual leaf values.
-    """
-
-    trees: list
-    leaf_scale: float
-
-
-def evaluate_forest(forest: Forest, x) -> float:
-    """Sum of per-tree evaluations; an empty forest evaluates to 0."""
-    return float(sum(evaluate_tree(t, x) for t in forest.trees))
 
 
 def make_cutpoint_grids(X: np.ndarray, count: int) -> list[np.ndarray]:
@@ -241,23 +207,6 @@ def row_signatures(bins: np.ndarray) -> np.ndarray:
     return np.unique(bins, axis=0, return_inverse=True)[1].reshape(-1)
 
 
-def valid_cutpoints(column, membership, grid) -> np.ndarray:
-    """Grid values splitting the member rows into two nonempty children.
-
-    With ties routed left, a cutpoint c is valid iff min <= c < max over the
-    member rows. An empty result is legitimate (constant column within the
-    node, or a grid that all rows route past).
-    """
-    column = np.asarray(column, dtype=float)
-    membership = np.asarray(membership)
-    if membership.size == 0:
-        raise ValueError("membership must be nonempty")
-    grid = np.asarray(grid, dtype=float)
-    vals = column[membership]
-    lo, hi = vals.min(), vals.max()
-    return grid[(grid >= lo) & (grid < hi)]
-
-
 class SplitTable:
     """Routing state shared by every tree of one sampler.
 
@@ -291,8 +240,7 @@ class SplitTable:
 
     def new_tree(self) -> DecisionTree:
         """A root-only tree on the shared root row set."""
-        return DecisionTree(Node(rowset=self.root),
-                            n_features=self.bins.shape[1])
+        return DecisionTree(Node(rowset=self.root))
 
     def children(self, rowset: RowSet, feature: int, k: int):
         """Row sets of the rows at or below and above grid index ``k``."""
@@ -613,17 +561,3 @@ def apply_move(tree: DecisionTree, proposal: MoveProposal) -> None:
         node.left.rowset = proposal.left
         node.right.rowset = proposal.right
 
-
-def structural_equal(a: DecisionTree, b: DecisionTree) -> bool:
-    """Node-by-node topology and split-rule equality (leaf values ignored)."""
-
-    def rec(x: Node, y: Node) -> bool:
-        if x.is_leaf != y.is_leaf:
-            return False
-        if x.is_leaf:
-            return True
-        if x.feature != y.feature or x.cutpoint != y.cutpoint:
-            return False
-        return rec(x.left, y.left) and rec(x.right, y.right)
-
-    return rec(a.root, b.root)

@@ -190,8 +190,7 @@ def test_criterion_7_single_leaf_matches_conjugate_posterior(capsys):
     X = np.full((n, 1), 0.5)
     y = 0.7 + 0.9 * rng.standard_normal(n)
     config = BartConfig(num_trees=1, leaf_scale_prior=FixedScale(leaf_sd),
-                        standardize=False, fixed_sigma=sigma,
-                        iterations=2500, burn_in=500)
+                        fixed_sigma=sigma, iterations=2500, burn_in=500)
     fit = fit_continuous(X, y, config, seed=8128)
     draws = fit.draws[:, 0]
 

@@ -17,7 +17,7 @@ from bcfsim.trees import _cut_ranges, _scan
 def _stump_config(**kw):
     # one tree that can never split (tests pair this with constant X)
     defaults = dict(num_trees=1, leaf_scale_prior=FixedScale(0.9),
-                    standardize=False, fixed_sigma=1.2,
+                    fixed_sigma=1.2,
                     iterations=3000, burn_in=500)
     defaults.update(kw)
     return BartConfig(**defaults)
@@ -454,7 +454,7 @@ def test_fixed_sigma_is_exact():
     X = rng.random((25, 2))
     y = rng.normal(size=25)
     cfg = BartConfig(num_trees=4, iterations=30, burn_in=10,
-                     standardize=False, fixed_sigma=0.7)
+                     fixed_sigma=0.7)
     post = fit_continuous(X, y, cfg, seed=17)
     assert_array_equal(post.sigma_draws, np.full(cfg.n_retained, 0.7))
 

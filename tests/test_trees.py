@@ -7,16 +7,52 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from bcfsim.bart import BartConfig, ForestSampler
 from bcfsim.trees import (
-    DecisionTree, Forest, MoveKind, Node, RowSet, SplitRule, SplitTable,
+    DecisionTree, MoveKind, Node, RowSet, SplitRule, SplitTable,
     _cut_ranges, _pick, _rowset_cutinfo, _rowset_splittable,
-    apply_move, cutpoint_bins, depth_split_prob, evaluate_forest,
-    evaluate_tree, make_cutpoint_grids, propose_move, row_signatures,
-    structural_equal, valid_cutpoints,
+    apply_move, cutpoint_bins, depth_split_prob, make_cutpoint_grids,
+    propose_move, row_signatures,
 )
+
+
+def valid_cutpoints(column, membership, grid) -> np.ndarray:
+    """Grid values splitting the member rows into two nonempty children.
+
+    The float reference for the bin-space cutpoint ranges: with ties routed
+    left, a cutpoint c is valid iff min <= c < max over the member rows. An
+    empty result is legitimate (constant column within the node, or a grid
+    that all rows route past).
+    """
+    column = np.asarray(column, dtype=float)
+    membership = np.asarray(membership)
+    if membership.size == 0:
+        raise ValueError("membership must be nonempty")
+    grid = np.asarray(grid, dtype=float)
+    vals = column[membership]
+    lo, hi = vals.min(), vals.max()
+    return grid[(grid >= lo) & (grid < hi)]
 
 
 def _root_tree(n_rows: int) -> DecisionTree:
     return DecisionTree(Node(rowset=RowSet(np.arange(n_rows))))
+
+
+def _structure(tree: DecisionTree):
+    """Nested (feature, cutpoint, left, right) tuples, None at a leaf; leaf
+    values are ignored."""
+    def rec(node):
+        if node.is_leaf:
+            return None
+        return (node.feature, node.cutpoint, rec(node.left), rec(node.right))
+
+    return rec(tree.root)
+
+
+def _route(tree: DecisionTree, x) -> Node:
+    """The leaf reached by ``x``, walking the float split rules (ties left)."""
+    node = tree.root
+    while not node.is_leaf:
+        node = node.left if x[node.feature] <= node.cutpoint else node.right
+    return node
 
 
 def _propose_kind(tree, table, rng, kind, **kw):
@@ -303,42 +339,6 @@ def test_single_candidate_pick_draws_nothing():
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-# ----------------------------------------------------------------- routing
-
-def _two_leaf_tree(feature=0, cutpoint=0.5, left=1.0, right=2.0):
-    root = Node(rowset=RowSet(np.arange(4)))
-    root.feature = feature
-    root.cutpoint = cutpoint
-    root.left = Node(depth=1, parent=root, value=left)
-    root.right = Node(depth=1, parent=root, value=right)
-    return DecisionTree(root, n_features=2)
-
-
-def test_evaluate_tree_routes_ties_left():
-    tree = _two_leaf_tree()
-    assert evaluate_tree(tree, [0.4, 9.9]) == 1.0
-    assert evaluate_tree(tree, [0.5, 0.0]) == 1.0
-    assert evaluate_tree(tree, [0.5000001, 0.0]) == 2.0
-
-
-def test_evaluate_tree_checks_feature_count():
-    tree = _two_leaf_tree()
-    with pytest.raises(ValueError):
-        evaluate_tree(tree, [0.1, 0.2, 0.3])
-
-
-def test_evaluate_forest_sums_trees():
-    forest = Forest(trees=[_two_leaf_tree(), _two_leaf_tree(left=10.0)],
-                    leaf_scale=1.0)
-    assert evaluate_forest(forest, [0.0, 0.0]) == 11.0
-    assert evaluate_forest(Forest(trees=[], leaf_scale=1.0), [0.0]) == 0.0
-
-
-def test_leaf_for_returns_node():
-    tree = _two_leaf_tree()
-    assert tree.leaf_for(np.array([0.9, 0.0])) is tree.root.right
-
-
 # ------------------------------------------------------------ move proposals
 
 def test_splittable_stump_always_proposes_grow():
@@ -413,7 +413,7 @@ def test_grow_then_prune_restores_structure():
     assert prune.node is tree.root
     apply_move(tree, prune)
     assert tree.root.is_leaf
-    assert structural_equal(tree, _root_tree(30))
+    assert _structure(tree) == _structure(_root_tree(30))
 
 
 def test_grow_prune_ratios_are_antisymmetric():
@@ -616,7 +616,7 @@ def _leaf_regions(tree):
 
 def test_routing_is_a_partition_of_feature_space():
     # exhaustive check: each random vector satisfies the root-path
-    # conditions of exactly one leaf, and that leaf is the one evaluated
+    # conditions of exactly one leaf, and that leaf is the one it routes to
     rng = np.random.default_rng(20)
     X = rng.random((60, 3))
     grids = make_cutpoint_grids(X, 15)
@@ -628,15 +628,20 @@ def test_routing_is_a_partition_of_feature_space():
             apply_move(tree, prop)
     leaves = tree.leaves()
     assert len(leaves) > 3
-    for leaf in leaves:
-        leaf.value = float(rng.normal())
     regions = _leaf_regions(tree)
     assert len(regions) == len(leaves)
     for x in rng.random((1000, 3)):
         hits = [node for node, conds in regions
                 if all((x[f] <= c) == left for f, c, left in conds)]
         assert len(hits) == 1
-        assert evaluate_tree(tree, x) == hits[0].value
+        assert _route(tree, x) is hits[0]
+    # the sampler's leaf row sets partition the training rows the same way
+    owner = np.full(len(X), -1)
+    for i, leaf in enumerate(leaves):
+        assert (owner[leaf.rowset.rows] == -1).all()
+        owner[leaf.rowset.rows] = i
+    assert (owner >= 0).all()
+    assert [leaves[i] for i in owner] == [_route(tree, x) for x in X]
 
 
 def test_constant_feature_never_selected():
@@ -661,37 +666,6 @@ def test_constant_feature_never_selected():
         if rng.random() < 0.5:
             apply_move(tree, prop)
     assert checked > 2000
-
-
-def test_evaluate_forest_is_order_invariant():
-    rng = np.random.default_rng(21)
-    X = rng.random((40, 2))
-    grids = make_cutpoint_grids(X, 10)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
-    trees = []
-    for _ in range(6):
-        t = table.new_tree()
-        for _ in range(30):
-            prop = propose_move(t, table, rng)
-            if prop is not None:
-                apply_move(t, prop)
-        for leaf in t.leaves():
-            leaf.value = float(rng.normal())
-        trees.append(t)
-    fwd = Forest(trees=trees, leaf_scale=1.0)
-    rev = Forest(trees=trees[::-1], leaf_scale=1.0)
-    for x in rng.random((50, 2)):
-        assert_allclose(evaluate_forest(fwd, x), evaluate_forest(rev, x),
-                        rtol=0, atol=1e-12)
-
-
-def test_structural_equal_discriminates():
-    a = _two_leaf_tree()
-    b = _two_leaf_tree(left=99.0)  # leaf values are ignored
-    assert structural_equal(a, b)
-    c = _two_leaf_tree(cutpoint=0.6)
-    assert not structural_equal(a, c)
-    assert not structural_equal(a, _root_tree(4))
 
 
 def test_split_rule_is_frozen():
