@@ -8,11 +8,18 @@ inverse-gamma Gibbs update each sweep, and half-Cauchy / half-normal leaf
 scales are refreshed by slice sampling. The binary sampler is the
 Albert-Chib latent-variable scheme with the noise scale pinned to 1.
 
+Every chain runs through one driver, ``_run_chain``: per iteration an
+optional latent step rewrites the working residual, each forest sweeps in
+order, the noise sd gets its Gibbs step unless pinned, and retained
+iterations go to a callback. ``fit_continuous``, ``fit_binary_probit`` and
+``bcf.fit_bcf`` are thin wrappers around it.
+
 Scale conventions: ``leaf_scale_prior`` acts on the prior standard deviation
 of the summed forest output; individual leaf values get sd
 ``forest_scale / sqrt(num_trees)``. The continuous sampler standardizes the
 outcome internally (mean 0, sd 1) and returns draws on the original scale,
-which makes priors anchored to "the sd of y" exact.
+which makes priors anchored to "the sd of y" exact. A pinned noise sd
+(``fixed_sigma``) is read on the raw outcome scale and turns that off.
 """
 
 from __future__ import annotations
@@ -135,14 +142,27 @@ class BartConfig:
         probs = self.move_probabilities
         if len(probs) != 3 or min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
             raise ValueError("move_probabilities must be 3 nonnegatives summing to 1")
-        if not isinstance(self.leaf_scale_prior, (HalfCauchy, HalfNormal, FixedScale)):
+        prior = self.leaf_scale_prior
+        if not isinstance(prior, (HalfCauchy, HalfNormal, FixedScale)):
             raise ValueError("unknown leaf_scale_prior")
-        if self.fixed_sigma is not None and self.fixed_sigma <= 0:
-            raise ValueError("fixed_sigma must be positive")
+        if not _finite_positive(
+                prior.value if isinstance(prior, FixedScale) else prior.scale):
+            raise ValueError(
+                f"leaf_scale_prior needs a finite positive parameter: {prior}")
+        nu, q = self.sigma_prior.nu, self.sigma_prior.q
+        if not (_finite_positive(nu) and 0 < q < 1):
+            raise ValueError("sigma_prior needs a finite nu > 0 and 0 < q < 1: "
+                             f"{self.sigma_prior}")
+        if self.fixed_sigma is not None and not _finite_positive(self.fixed_sigma):
+            raise ValueError("fixed_sigma must be finite and positive")
 
     @property
     def n_retained(self) -> int:
         return len(range(self.burn_in, self.iterations, self.thin))
+
+
+def _finite_positive(x) -> bool:
+    return math.isfinite(x) and x > 0
 
 
 @dataclass
@@ -425,6 +445,20 @@ def _sigma_prior_scale(prior: SigmaPrior, var_y: float) -> float:
     return float(chi2.ppf(1.0 - prior.q, prior.nu)) * var_y / prior.nu
 
 
+def _check_inputs(X, y, name: str = "y"):
+    """``X`` as a 2-D float array and ``y`` as one finite float per row."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-D")
+    y = np.asarray(y, dtype=float)
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"{name} must be 1-D with one value per row of X, "
+                         f"got shape {y.shape} for {X.shape[0]} rows")
+    if not np.isfinite(y).all():
+        raise ValueError(f"{name} must be finite (no NaN or inf)")
+    return X, y
+
+
 def _standardize(y: np.ndarray, config: BartConfig):
     """``(y_work, center, scale)``: y at mean 0 and sd 1, or as given
     (center 0, scale 1) when the config pins sigma on the raw scale."""
@@ -479,15 +513,10 @@ def fit_continuous(X, y, config: BartConfig = BartConfig(), seed=0) -> BartPoste
     sweep updates every tree by one MH move plus conjugate leaf redraws,
     then the noise variance from its inverse-gamma full conditional.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be 2-D with one row per outcome")
+    X, y = _check_inputs(X, y)
     n = y.shape[0]
     if n < 2:
         raise ValueError("need at least 2 observations")
-    if not np.isfinite(y).all():
-        raise ValueError("y must be finite (no NaN or inf)")
     config.validate()
     rng = np.random.default_rng(seed)
     y_work, center, scale = _standardize(y, config)
@@ -518,10 +547,7 @@ def fit_binary_probit(X, d, config: BartConfig = BartConfig(), seed=0) -> BartPo
     against the latent residuals with the noise sd pinned at 1.
     ``probability_draws`` are the normal CDF of the forest output.
     """
-    X = np.asarray(X, dtype=float)
-    d = np.asarray(d)
-    if X.ndim != 2 or X.shape[0] != d.shape[0]:
-        raise ValueError("X must be 2-D with one row per outcome")
+    X, d = _check_inputs(X, d, "d")
     if not np.all((d == 0) | (d == 1)):
         raise ValueError("d must be binary")
     if d.min() == d.max():

@@ -10,7 +10,9 @@ carrying a propensity estimate; tau sees the covariates alone and is
 updated only against treated units. Three variants differ solely in what
 fills the extra column: a constant 0.5 (no propensity adjustment), the true
 assignment probabilities, or the posterior mean probability from an
-internal probit fit of treatment on covariates.
+internal probit fit of treatment on covariates. Both outcome forests run
+in one chain of the BART driver ``bart._run_chain``: the mu forest sweeps,
+then the tau forest, then the noise sd gets its Gibbs step.
 
 Forest priors follow the usual BCF asymmetry: a large, flexible mu forest
 (200 trees, depth prior 0.95/(1+d)^2, half-Cauchy scale with median twice
@@ -33,6 +35,7 @@ from .bart import (
     HalfCauchy,
     HalfNormal,
     HALF_NORMAL_MEDIAN,
+    _check_inputs,
     _run_chain,
     _standardize,
     fit_binary_probit,
@@ -137,16 +140,9 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     outcome chain draw from independent streams.
     """
     t0 = time.perf_counter()
-    X = np.asarray(X, dtype=float)
-    z = np.asarray(z)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
+    X, y = _check_inputs(X, y)
+    _, z = _check_inputs(X, z, "z")
     n = X.shape[0]
-    if z.shape != (n,) or y.shape != (n,):
-        raise ValueError("X, z, y must have matching lengths")
-    if not np.isfinite(y).all():
-        raise ValueError("y must be finite (no NaN or inf)")
     if not np.all((z == 0) | (z == 1)):
         raise ValueError("z must be binary")
     if z.min() == z.max():

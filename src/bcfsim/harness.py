@@ -286,12 +286,12 @@ def _write_text(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
-def _records_csv_text(records, fields) -> str:
+def _csv_text(header, rows) -> str:
+    """CSV text of a header row and the data rows, lines ending in "\\n"."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for rec in records:
-        writer.writerow([_field_str(rec, f) for f in fields])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -367,13 +367,10 @@ def _run_cell(config: ExperimentConfig, selection: Selection, alpha: float,
 
 
 def _write_cell(cell_csv: Path, cell_timing: Path, rows) -> None:
-    fields = _CSV_FIELDS + ("dataset_digest",)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for rec, digest in rows:
-        writer.writerow([_field_str(rec, f) for f in _CSV_FIELDS] + [digest])
-    _write_text(cell_csv, buf.getvalue())
+    _write_text(cell_csv, _csv_text(
+        _CSV_FIELDS + ("dataset_digest",),
+        ([_field_str(rec, f) for f in _CSV_FIELDS] + [digest]
+         for rec, digest in rows)))
     timing = {
         f"{rec.replicate_index}:{rec.model}": rec.fit_seconds
         for rec, _ in rows
@@ -453,16 +450,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
             all_rows.extend(rows)
 
     records = [rec for rec, _ in all_rows]
-    _write_text(out / "replicates.csv", _records_csv_text(records, _CSV_FIELDS))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dgp_id", "alpha", "replicate_index", "model",
-                     "seed", "dataset_digest"])
-    for rec, digest in all_rows:
-        writer.writerow([rec.dgp_id, repr(rec.alpha),
-                         str(rec.replicate_index), rec.model,
-                         str(rec.seed), digest])
-    _write_text(out / "digests.csv", buf.getvalue())
+    _write_text(out / "replicates.csv", _csv_text(
+        _CSV_FIELDS,
+        ([_field_str(rec, f) for f in _CSV_FIELDS] for rec in records)))
+    _write_text(out / "digests.csv", _csv_text(
+        ["dgp_id", "alpha", "replicate_index", "model", "seed",
+         "dataset_digest"],
+        ([rec.dgp_id, repr(rec.alpha), str(rec.replicate_index), rec.model,
+          str(rec.seed), digest] for rec, digest in all_rows)))
     _write_reports(config, out, records)
     _write_timing(out, records)
     return records
@@ -549,19 +544,17 @@ def summarize(records) -> SummaryTable:
 def _summary_csv_text(table: SummaryTable, dgp_id: str, alpha: float) -> str:
     cell = table.cells[(dgp_id, float(alpha))]
     models = [m for m in table.models if m in next(iter(cell.values()))]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["metric"]
     for m in models:
         header += [f"mean_{m}", f"sd_{m}"]
-    writer.writerow(header)
+    rows = []
     for metric in METRIC_FIELDS:
         row = [metric]
         for m in models:
             mean, sd, _ = cell[metric][m]
             row += [repr(mean), "" if sd is None else repr(sd)]
-        writer.writerow(row)
-    return buf.getvalue()
+        rows.append(row)
+    return _csv_text(header, rows)
 
 
 def _summary_md_text(table: SummaryTable, dgp_id: str, alpha: float) -> str:
@@ -587,14 +580,11 @@ def _summary_md_text(table: SummaryTable, dgp_id: str, alpha: float) -> str:
 
 
 def _boxplot_csv_text(cell_records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", "model", "replicate_index", "value"])
-    for metric in METRIC_FIELDS:
-        for rec in cell_records:
-            writer.writerow([metric, rec.model, str(rec.replicate_index),
-                             repr(float(getattr(rec, metric)))])
-    return buf.getvalue()
+    return _csv_text(
+        ["metric", "model", "replicate_index", "value"],
+        ([metric, rec.model, str(rec.replicate_index),
+          repr(float(getattr(rec, metric)))]
+         for metric in METRIC_FIELDS for rec in cell_records))
 
 
 def _scatter_csv_text(master_seed: int, selection: Selection) -> str:
@@ -603,12 +593,8 @@ def _scatter_csv_text(master_seed: int, selection: Selection) -> str:
     X = rng.random((_SCATTER_POINTS, 5))
     b = baseline(X)
     pi = propensity(X, selection)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["b", "pi"])
-    for i in range(_SCATTER_POINTS):
-        writer.writerow([repr(float(b[i])), repr(float(pi[i]))])
-    return buf.getvalue()
+    return _csv_text(["b", "pi"], ([repr(float(b[i])), repr(float(pi[i]))]
+                                   for i in range(_SCATTER_POINTS)))
 
 
 @dataclass
@@ -654,13 +640,11 @@ _PVALUE_COLUMNS = ("levene", "brown_forsythe", "fligner_policello",
 
 
 def _pvalues_csv_text(table: PValueTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["metric"]
     for name in _PVALUE_COLUMNS:
         header += [f"{name}_stat", f"{name}_p"]
     header.append("selected")
-    writer.writerow(header)
+    rows = []
     for metric in METRIC_FIELDS:
         report: TestReport = table.reports[metric]
         row = [metric]
@@ -671,8 +655,8 @@ def _pvalues_csv_text(table: PValueTable) -> str:
             else:
                 row += [repr(float(result.stat)), repr(float(result.p))]
         row.append("+".join(report.selected))
-        writer.writerow(row)
-    return buf.getvalue()
+        rows.append(row)
+    return _csv_text(header, rows)
 
 
 def _mean_fit_seconds(records) -> dict:

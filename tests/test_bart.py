@@ -106,6 +106,20 @@ def test_config_validation():
         dict(move_probabilities=(1.0, 0.0)),
         dict(leaf_scale_prior=object()),
         dict(fixed_sigma=0.0),
+        dict(fixed_sigma=math.nan),
+        dict(fixed_sigma=math.inf),
+        dict(sigma_prior=SigmaPrior(q=1.5)),
+        dict(sigma_prior=SigmaPrior(q=0.0)),
+        dict(sigma_prior=SigmaPrior(q=math.nan)),
+        dict(sigma_prior=SigmaPrior(nu=-1.0)),
+        dict(sigma_prior=SigmaPrior(nu=0.0)),
+        dict(sigma_prior=SigmaPrior(nu=math.inf)),
+        dict(sigma_prior=SigmaPrior(nu=math.nan)),
+        dict(leaf_scale_prior=FixedScale(math.nan)),
+        dict(leaf_scale_prior=FixedScale(-1.0)),
+        dict(leaf_scale_prior=HalfCauchy(0.0)),
+        dict(leaf_scale_prior=HalfCauchy(math.inf)),
+        dict(leaf_scale_prior=HalfNormal(-1.0)),
     ]
     for kw in bad:
         with pytest.raises(ValueError):
@@ -391,6 +405,8 @@ def test_fit_continuous_input_validation():
         fit_continuous(np.zeros(10), np.zeros(10))
     with pytest.raises(ValueError):
         fit_continuous(np.zeros((1, 1)), np.zeros(1))
+    with pytest.raises(ValueError, match="1-D"):
+        fit_continuous(X, np.zeros((10, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -505,6 +521,8 @@ def test_probit_validation():
         fit_binary_probit(X, np.zeros(20))
     with pytest.raises(ValueError):
         fit_binary_probit(X, np.zeros(19))
+    with pytest.raises(ValueError, match="1-D"):
+        fit_binary_probit(X, (np.arange(20) % 2).reshape(-1, 1))
 
 
 def test_probit_outputs():

@@ -135,6 +135,10 @@ def test_input_validation():
         fit_bcf(X, np.zeros_like(z), y, "no_propensity", config=cfg)
     with pytest.raises(ValueError):
         fit_bcf(X[:, 0], z, y, "no_propensity", config=cfg)
+    with pytest.raises(ValueError, match="1-D"):
+        fit_bcf(X, z, y.reshape(-1, 1), "no_propensity", config=cfg)
+    with pytest.raises(ValueError, match="1-D"):
+        fit_bcf(X, z.reshape(-1, 1), y, "no_propensity", config=cfg)
     with pytest.raises(ValueError):
         fit_bcf(X, z, y, "some_other_mode", config=cfg)
 
