@@ -472,14 +472,14 @@ def _standardize(y: np.ndarray, config: BartConfig):
 
 
 def _run_chain(samplers, resid: np.ndarray, config: BartConfig, rng, retain,
-               lam: float | None = None, latent=None) -> None:
+               latent=None) -> None:
     """Run one chain of backfitting sweeps over ``samplers``, in order.
 
     ``resid``, the working response minus every forest, is kept in place;
     ``latent(resid)`` may rewrite it before each iteration's sweeps. Sigma
     stays at ``config.fixed_sigma`` (else 1) when that is set or under
-    ``prior_only``, and is otherwise drawn with prior scale ``lam``
-    (default: calibrated on the starting ``resid``).
+    ``prior_only``, and is otherwise drawn under the sigma prior calibrated
+    on the starting ``resid``.
     ``retain(k, resid, sigma)`` receives the k-th retained iteration.
     """
     n = resid.shape[0]
@@ -487,7 +487,7 @@ def _run_chain(samplers, resid: np.ndarray, config: BartConfig, rng, retain,
     fixed = config.fixed_sigma
     sample_sigma = fixed is None and not config.prior_only
     sigma = 1.0 if fixed is None else fixed
-    if sample_sigma and lam is None:
+    if sample_sigma:
         lam = _sigma_prior_scale(prior, float(resid.var()))
     k = 0
     for it in range(config.iterations):

@@ -8,8 +8,8 @@ from scipy import integrate, stats as spstats
 
 from bcfsim.bart import (
     HALF_NORMAL_MEDIAN, BartConfig, FixedScale, ForestSampler, HalfCauchy,
-    HalfNormal, SigmaPrior, _run_chain, _sigma_prior_scale, _slice_sample,
-    fit_binary_probit, fit_continuous, leaf_log_marginal,
+    HalfNormal, SigmaPrior, _slice_sample, fit_binary_probit, fit_continuous,
+    leaf_log_marginal,
 )
 from bcfsim.trees import _cut_ranges, _scan
 
@@ -463,27 +463,6 @@ def test_sigma_median_brackets_unit_noise():
     post = fit_continuous(X, y, cfg, seed=25)
     assert np.all(post.sigma_draws > 0)
     assert 0.8 < float(np.median(post.sigma_draws)) < 1.2
-
-
-def test_chain_driver_takes_a_sigma_prior_scale():
-    # without lam the driver calibrates the sigma prior on the starting
-    # residual; passing that value replays the chain, another one moves it
-    rng = np.random.default_rng(26)
-    X = rng.random((30, 2))
-    y = rng.normal(size=30)
-    cfg = BartConfig(num_trees=3, iterations=8, burn_in=2, thin=2)
-
-    def sigmas(lam):
-        kept = []
-        _run_chain([ForestSampler(X, cfg)], y.copy(), cfg,
-                   np.random.default_rng(27),
-                   lambda k, resid, sigma: kept.append((k, sigma)), lam=lam)
-        return kept
-
-    default = sigmas(None)
-    assert [k for k, _ in default] == list(range(cfg.n_retained))
-    assert sigmas(_sigma_prior_scale(cfg.sigma_prior, float(y.var()))) == default
-    assert sigmas(50.0) != default
 
 
 def test_fixed_sigma_is_exact():
