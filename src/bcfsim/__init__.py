@@ -24,8 +24,8 @@ from .trees import (
     propose_move, apply_move,
 )
 from .bart import (
-    HalfCauchy, HalfNormal, FixedScale, SigmaPrior, BartConfig,
-    BartPosterior, ForestSampler, leaf_log_marginal, fit_continuous,
+    HalfCauchy, HalfNormal, FixedScale, SigmaPrior, FixedSigma, ForestPrior,
+    ChainConfig, BartPosterior, ForestSampler, fit_continuous,
     fit_binary_probit,
 )
 from .bcf import (

@@ -8,6 +8,10 @@ inverse-gamma Gibbs update each sweep, and half-Cauchy / half-normal leaf
 scales are refreshed by slice sampling. The binary sampler is the
 Albert-Chib latent-variable scheme with the noise scale pinned to 1.
 
+Each setting lives where it is read: a ``ForestPrior`` per forest sampler,
+a ``ChainConfig`` per chain, and a noise prior (``SigmaPrior`` or a pinned
+``FixedSigma``) for the chain's sigma step.
+
 Every chain runs through one driver, ``_run_chain``: per iteration an
 optional latent step rewrites the working residual, each forest sweeps in
 order, the noise sd gets its Gibbs step unless pinned, and retained
@@ -18,14 +22,14 @@ Scale conventions: ``leaf_scale_prior`` acts on the prior standard deviation
 of the summed forest output; individual leaf values get sd
 ``forest_scale / sqrt(num_trees)``. The continuous sampler standardizes the
 outcome internally (mean 0, sd 1) and returns draws on the original scale,
-which makes priors anchored to "the sd of y" exact. A pinned noise sd
-(``fixed_sigma``) is read on the raw outcome scale and turns that off.
+which makes priors anchored to "the sd of y" exact. A ``FixedSigma`` noise
+prior is read on the raw outcome scale and turns that off.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -42,9 +46,9 @@ from .trees import (
 )
 
 __all__ = [
-    "HalfCauchy", "HalfNormal", "FixedScale", "SigmaPrior", "BartConfig",
-    "BartPosterior", "ForestSampler", "depth_split_prob",
-    "leaf_log_marginal", "fit_continuous", "fit_binary_probit",
+    "HalfCauchy", "HalfNormal", "FixedScale", "SigmaPrior", "FixedSigma",
+    "ForestPrior", "ChainConfig", "BartPosterior", "ForestSampler",
+    "depth_split_prob", "fit_continuous", "fit_binary_probit",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -102,27 +106,35 @@ class SigmaPrior:
 
 
 @dataclass(frozen=True)
-class BartConfig:
-    """Forest size, tree prior, scale priors and chain controls.
+class FixedSigma:
+    """Degenerate noise prior: sigma stays at ``value`` on the raw outcome
+    scale, with no standardization or Gibbs step (a test hook)."""
 
-    ``base``/``power`` set the depth-split prior base*(1+d)^-power. The last
-    two fields are test hooks: ``fixed_sigma`` pins the noise sd on the raw
-    outcome scale (no standardization, no Gibbs update), and ``prior_only``
-    disables the likelihood so the chain samples the tree prior.
-    """
+    value: float
+
+
+def _check_sigma_prior(prior) -> None:
+    if isinstance(prior, FixedSigma):
+        ok = _finite_positive(prior.value)
+    else:
+        ok = (isinstance(prior, SigmaPrior) and _finite_positive(prior.nu)
+              and 0 < prior.q < 1)
+    if not ok:
+        raise ValueError("sigma prior needs a finite positive FixedSigma "
+                         f"value or a finite nu > 0 and 0 < q < 1: {prior!r}")
+
+
+@dataclass(frozen=True)
+class ForestPrior:
+    """One forest's size, tree prior, leaf-scale prior and proposal grid;
+    ``base``/``power`` set the depth-split prior base*(1+d)^-power."""
 
     num_trees: int = 200
     base: float = 0.95
     power: float = 2.0
     leaf_scale_prior: object = FixedScale(1.5)
-    sigma_prior: SigmaPrior = SigmaPrior()
-    iterations: int = 2000
-    burn_in: int = 1000
-    thin: int = 1
     cutpoints_per_feature: int = 100
     move_probabilities: tuple = (0.4, 0.4, 0.2)
-    fixed_sigma: float | None = None
-    prior_only: bool = False
 
     def validate(self) -> None:
         if self.num_trees < 1:
@@ -131,12 +143,6 @@ class BartConfig:
             raise ValueError(f"base must be in (0, 1], got {self.base}")
         if self.power < 0:
             raise ValueError("power must be nonnegative")
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
-        if not 0 <= self.burn_in < self.iterations:
-            raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
-        if self.thin < 1:
-            raise ValueError("thin must be positive")
         if self.cutpoints_per_feature < 1:
             raise ValueError("cutpoints_per_feature must be positive")
         probs = self.move_probabilities
@@ -149,12 +155,28 @@ class BartConfig:
                 prior.value if isinstance(prior, FixedScale) else prior.scale):
             raise ValueError(
                 f"leaf_scale_prior needs a finite positive parameter: {prior}")
-        nu, q = self.sigma_prior.nu, self.sigma_prior.q
-        if not (_finite_positive(nu) and 0 < q < 1):
-            raise ValueError("sigma_prior needs a finite nu > 0 and 0 < q < 1: "
-                             f"{self.sigma_prior}")
-        if self.fixed_sigma is not None and not _finite_positive(self.fixed_sigma):
-            raise ValueError("fixed_sigma must be finite and positive")
+
+
+@dataclass(frozen=True)
+class ChainConfig:
+    """Length and thinning of one chain, shared by every forest in it.
+
+    ``prior_only`` is a test hook: it disables the likelihood so the chain
+    samples the tree prior, with sigma at 1 unless a ``FixedSigma`` pins it.
+    """
+
+    iterations: int = 2000
+    burn_in: int = 1000
+    thin: int = 1
+    prior_only: bool = False
+
+    def validate(self) -> None:
+        if self.iterations < 1:
+            raise ValueError("iterations must be positive")
+        if not 0 <= self.burn_in < self.iterations:
+            raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
+        if self.thin < 1:
+            raise ValueError("thin must be positive")
 
     @property
     def n_retained(self) -> int:
@@ -181,24 +203,9 @@ class BartPosterior:
     acceptance_rate: float
 
 
-def leaf_log_marginal(n_node: int, sum_resid: float, sigma: float,
-                      leaf_sd: float) -> float:
-    """Log marginal likelihood of a node's residuals, leaf mean integrated out.
-
-    The leaf mean carries a N(0, leaf_sd^2) prior and residuals are
-    N(mean, sigma^2). The residual sum of squares enters only through a term
-    that is identical across competing partitions of the same rows, so it is
-    omitted; what remains depends on the data through (n_node, sum_resid)
-    alone. An empty node contributes 0.
-    """
-    if sigma <= 0 or leaf_sd <= 0:
-        raise ValueError("sigma and leaf_sd must be positive")
-    if n_node < 0:
-        raise ValueError("n_node must be nonnegative")
-    return _llm(n_node, sum_resid, sigma * sigma, leaf_sd * leaf_sd)
-
-
 def _llm(n, s, sig2, ls2):
+    """Log marginal of ``n`` N(m, sig2) residuals with sum ``s`` and m ~
+    N(0, ls2) integrated out, less the SSR term shared by all partitions."""
     if n == 0:
         return 0.0
     denom = sig2 + n * ls2
@@ -323,27 +330,27 @@ class ForestSampler:
     weight.
     """
 
-    def __init__(self, X: np.ndarray, config: BartConfig, weights=None):
-        config.validate()
+    def __init__(self, X: np.ndarray, prior: ForestPrior, weights=None):
+        prior.validate()
         self.X = np.ascontiguousarray(np.asarray(X, dtype=float))
         if self.X.ndim != 2 or self.X.shape[0] < 1:
             raise ValueError("X must be a nonempty 2-D array")
         if not np.isfinite(self.X).all():
             raise ValueError("X must be finite (no NaN or inf)")
-        self.config = config
+        self.prior = prior
         self.weights = None
         if weights is not None:
             w = np.asarray(weights)
             if w.shape != (self.X.shape[0],):
                 raise ValueError("weights must be one value per row")
             self.weights = w.astype(bool)
-        self.grids = make_cutpoint_grids(self.X, config.cutpoints_per_feature)
+        self.grids = make_cutpoint_grids(self.X, prior.cutpoints_per_feature)
         self.bins = cutpoint_bins(self.X, self.grids)
-        self.splits = SplitTable(self.bins, self.grids, self.weights)
-        self.trees = [self.splits.new_tree() for _ in range(config.num_trees)]
-        self.fits = np.zeros((config.num_trees, self.X.shape[0]))
-        self.forest_scale = float(config.leaf_scale_prior.initial())
-        self._scale_root = math.sqrt(config.num_trees)
+        self.splits = SplitTable(self.bins, self.weights)
+        self.trees = [self.splits.new_tree() for _ in range(prior.num_trees)]
+        self.fits = np.zeros((prior.num_trees, self.X.shape[0]))
+        self.forest_scale = float(prior.leaf_scale_prior.initial())
+        self._scale_root = math.sqrt(prior.num_trees)
         self.proposals = 0
         self.accepts = 0
 
@@ -351,10 +358,11 @@ class ForestSampler:
     def leaf_sd(self) -> float:
         return self.forest_scale / self._scale_root
 
-    def sweep(self, resid: np.ndarray, sigma: float, rng) -> None:
-        """One backfitting pass over every tree, then the scale update."""
-        cfg = self.config
-        prior_only = cfg.prior_only
+    def sweep(self, resid: np.ndarray, sigma: float, rng,
+              prior_only: bool = False) -> None:
+        """One backfitting pass over every tree, then the scale update;
+        ``prior_only`` drops the likelihood from moves and leaf draws."""
+        prior = self.prior
         splits = self.splits
         leaf_sd = self.leaf_sd
         sig2 = sigma * sigma
@@ -362,8 +370,7 @@ class ForestSampler:
         prec = 1.0 / ls2
         for tree, fit in zip(self.trees, self.fits):
             resid += fit
-            prop = propose_move(tree, splits, rng, cfg.move_probabilities,
-                                cfg.base, cfg.power)
+            prop = propose_move(tree, splits, rng, prior)
             self.proposals += 1
             known = {}  # leaf -> residual sum the likelihood ratio computed
             if prop is not None:
@@ -403,7 +410,7 @@ class ForestSampler:
         self._update_scale(rng, sig2)
 
     def _update_scale(self, rng, sig2) -> None:
-        prior = self.config.leaf_scale_prior
+        prior = self.prior.leaf_scale_prior
         if isinstance(prior, FixedScale):
             return
         values = np.array([leaf.value for tree in self.trees
@@ -459,10 +466,10 @@ def _check_inputs(X, y, name: str = "y"):
     return X, y
 
 
-def _standardize(y: np.ndarray, config: BartConfig):
+def _standardize(y: np.ndarray, sigma_prior):
     """``(y_work, center, scale)``: y at mean 0 and sd 1, or as given
-    (center 0, scale 1) when the config pins sigma on the raw scale."""
-    if config.fixed_sigma is not None:
+    (center 0, scale 1) when a ``FixedSigma`` pins sigma on the raw scale."""
+    if isinstance(sigma_prior, FixedSigma):
         center, scale = 0.0, 1.0
     else:
         center = float(y.mean())
@@ -471,45 +478,47 @@ def _standardize(y: np.ndarray, config: BartConfig):
     return (y - center) / scale, center, scale
 
 
-def _run_chain(samplers, resid: np.ndarray, config: BartConfig, rng, retain,
-               latent=None) -> None:
+def _run_chain(samplers, resid: np.ndarray, chain: ChainConfig, sigma_prior,
+               rng, retain, latent=None) -> None:
     """Run one chain of backfitting sweeps over ``samplers``, in order.
 
     ``resid``, the working response minus every forest, is kept in place;
     ``latent(resid)`` may rewrite it before each iteration's sweeps. Sigma
-    stays at ``config.fixed_sigma`` (else 1) when that is set or under
-    ``prior_only``, and is otherwise drawn under the sigma prior calibrated
-    on the starting ``resid``.
+    stays at a ``FixedSigma``'s value, or at 1 under ``chain.prior_only``,
+    and is otherwise drawn under the ``SigmaPrior`` calibrated on the
+    starting ``resid``.
     ``retain(k, resid, sigma)`` receives the k-th retained iteration.
     """
     n = resid.shape[0]
-    prior = config.sigma_prior
-    fixed = config.fixed_sigma
-    sample_sigma = fixed is None and not config.prior_only
-    sigma = 1.0 if fixed is None else fixed
+    fixed = isinstance(sigma_prior, FixedSigma)
+    sample_sigma = not fixed and not chain.prior_only
+    sigma = sigma_prior.value if fixed else 1.0
     if sample_sigma:
-        lam = _sigma_prior_scale(prior, float(resid.var()))
+        lam = _sigma_prior_scale(sigma_prior, float(resid.var()))
     k = 0
-    for it in range(config.iterations):
+    for it in range(chain.iterations):
         if latent is not None:
             latent(resid)
         for sampler in samplers:
-            sampler.sweep(resid, sigma, rng)
+            sampler.sweep(resid, sigma, rng, chain.prior_only)
         if sample_sigma:
             ssr = float(resid @ resid)
-            shape = 0.5 * (prior.nu + n)
-            rate = 0.5 * (prior.nu * lam + ssr)
+            shape = 0.5 * (sigma_prior.nu + n)
+            rate = 0.5 * (sigma_prior.nu * lam + ssr)
             sigma = math.sqrt(rate / rng.gamma(shape))
-        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
+        if it >= chain.burn_in and (it - chain.burn_in) % chain.thin == 0:
             retain(k, resid, sigma)
             k += 1
 
 
-def fit_continuous(X, y, config: BartConfig = BartConfig(), seed=0) -> BartPosterior:
+def fit_continuous(X, y, prior: ForestPrior = ForestPrior(),
+                   chain: ChainConfig = ChainConfig(),
+                   sigma_prior: SigmaPrior | FixedSigma = SigmaPrior(),
+                   seed=0) -> BartPosterior:
     """Fit BART to a continuous outcome; deterministic given (inputs, seed).
 
-    The outcome is standardized internally (unless the config pins
-    ``fixed_sigma``) and draws are returned on the original scale. Each
+    The outcome is standardized internally (unless ``sigma_prior`` is a
+    ``FixedSigma``) and draws are returned on the original scale. Each
     sweep updates every tree by one MH move plus conjugate leaf redraws,
     then the noise variance from its inverse-gamma full conditional.
     """
@@ -517,12 +526,13 @@ def fit_continuous(X, y, config: BartConfig = BartConfig(), seed=0) -> BartPoste
     n = y.shape[0]
     if n < 2:
         raise ValueError("need at least 2 observations")
-    config.validate()
+    chain.validate()
+    _check_sigma_prior(sigma_prior)
     rng = np.random.default_rng(seed)
-    y_work, center, scale = _standardize(y, config)
-    sampler = ForestSampler(X, config)
+    y_work, center, scale = _standardize(y, sigma_prior)
+    sampler = ForestSampler(X, prior)
 
-    keep = config.n_retained
+    keep = chain.n_retained
     draws = np.empty((keep, n))
     sigma_draws = np.empty(keep)
 
@@ -530,7 +540,7 @@ def fit_continuous(X, y, config: BartConfig = BartConfig(), seed=0) -> BartPoste
         draws[k] = center + scale * (y_work - resid)
         sigma_draws[k] = scale * sigma
 
-    _run_chain([sampler], y_work.copy(), config, rng, retain)
+    _run_chain([sampler], y_work.copy(), chain, sigma_prior, rng, retain)
     return BartPosterior(
         draws=draws,
         sigma_draws=sigma_draws,
@@ -539,7 +549,9 @@ def fit_continuous(X, y, config: BartConfig = BartConfig(), seed=0) -> BartPoste
     )
 
 
-def fit_binary_probit(X, d, config: BartConfig = BartConfig(), seed=0) -> BartPosterior:
+def fit_binary_probit(X, d, prior: ForestPrior = ForestPrior(),
+                      chain: ChainConfig = ChainConfig(),
+                      seed=0) -> BartPosterior:
     """Probit BART via truncated-normal data augmentation.
 
     Latent utilities are N(forest(x), 1), positive exactly for d=1; each
@@ -552,14 +564,13 @@ def fit_binary_probit(X, d, config: BartConfig = BartConfig(), seed=0) -> BartPo
         raise ValueError("d must be binary")
     if d.min() == d.max():
         raise ValueError("d must contain both classes")
-    config = replace(config, fixed_sigma=1.0)
-    config.validate()
+    chain.validate()
     rng = np.random.default_rng(seed)
 
     n = d.shape[0]
     pos = d == 1
     neg = ~pos
-    sampler = ForestSampler(X, config)
+    sampler = ForestSampler(X, prior)
     z = np.zeros(n)  # latent utilities; the forest output is z - resid
 
     def latent(resid):
@@ -572,7 +583,7 @@ def fit_binary_probit(X, d, config: BartConfig = BartConfig(), seed=0) -> BartPo
         z[neg] = g[neg] + ndtri(w_neg)
         resid[:] = z - g
 
-    keep = config.n_retained
+    keep = chain.n_retained
     draws = np.empty((keep, n))
     probs = np.empty((keep, n))
 
@@ -581,7 +592,8 @@ def fit_binary_probit(X, d, config: BartConfig = BartConfig(), seed=0) -> BartPo
         draws[k] = g
         probs[k] = np.clip(ndtr(g), 1e-12, 1.0 - 1e-12)
 
-    _run_chain([sampler], np.zeros(n), config, rng, retain, latent=latent)
+    _run_chain([sampler], np.zeros(n), chain, FixedSigma(1.0), rng, retain,
+               latent=latent)
     return BartPosterior(
         draws=draws,
         sigma_draws=None,

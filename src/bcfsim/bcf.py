@@ -12,7 +12,8 @@ fills the extra column: a constant 0.5 (no propensity adjustment), the true
 assignment probabilities, or the posterior mean probability from an
 internal probit fit of treatment on covariates. Both outcome forests run
 in one chain of the BART driver ``bart._run_chain``: the mu forest sweeps,
-then the tau forest, then the noise sd gets its Gibbs step.
+then the tau forest, then the noise sd gets its Gibbs step. The probit
+stage runs a chain of the same length, so one ``ChainConfig`` serves both.
 
 Forest priors follow the usual BCF asymmetry: a large, flexible mu forest
 (200 trees, depth prior 0.95/(1+d)^2, half-Cauchy scale with median twice
@@ -25,17 +26,21 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bart import (
-    BartConfig,
+    ChainConfig,
+    FixedSigma,
+    ForestPrior,
     ForestSampler,
     HalfCauchy,
     HalfNormal,
     HALF_NORMAL_MEDIAN,
+    SigmaPrior,
     _check_inputs,
+    _check_sigma_prior,
     _run_chain,
     _standardize,
     fit_binary_probit,
@@ -55,47 +60,33 @@ class PropensityMode(str, enum.Enum):
     ESTIMATED_PROPENSITY = "estimated_propensity"
 
 
-def _default_mu_config() -> BartConfig:
-    return BartConfig(
-        num_trees=200, base=0.95, power=2.0,
-        leaf_scale_prior=HalfCauchy(2.0),
-    )
-
-
-def _default_tau_config() -> BartConfig:
-    return BartConfig(
-        num_trees=50, base=0.25, power=3.0,
-        leaf_scale_prior=HalfNormal(1.0 / HALF_NORMAL_MEDIAN),
-    )
-
-
 @dataclass(frozen=True)
 class BcfConfig:
-    """Per-forest settings plus the credible-interval level.
+    """Every setting a BCF fit reads, each in the one place it is read.
 
-    The two outcome forests run interleaved inside one chain, so their
-    chain controls (iterations, burn-in, thinning) must agree; the noise
-    variance prior and the ``fixed_sigma``/``prior_only`` hooks of the chain
-    are read from ``mu_config``. ``propensity_config`` drives
-    the internal probit fit and is used only by the estimated-propensity
-    variant.
+    ``mu``, ``tau`` and ``propensity`` are the forest priors of the
+    prognostic forest, the treatment forest and the internal probit fit
+    (used only by the estimated-propensity variant). ``chain`` sets the
+    length of both the outcome chain and the probit stage's chain.
+    ``sigma_prior`` is the outcome noise prior; the probit stage pins its
+    noise sd at 1.
     """
 
-    mu_config: BartConfig = field(default_factory=_default_mu_config)
-    tau_config: BartConfig = field(default_factory=_default_tau_config)
-    propensity_config: BartConfig = field(default_factory=BartConfig)
-    interval_level: float = 0.95
+    mu: ForestPrior = ForestPrior(num_trees=200, base=0.95, power=2.0,
+                                  leaf_scale_prior=HalfCauchy(2.0))
+    tau: ForestPrior = ForestPrior(
+        num_trees=50, base=0.25, power=3.0,
+        leaf_scale_prior=HalfNormal(1.0 / HALF_NORMAL_MEDIAN))
+    propensity: ForestPrior = ForestPrior()
+    chain: ChainConfig = ChainConfig()
+    sigma_prior: SigmaPrior | FixedSigma = SigmaPrior()
 
     def validate(self) -> None:
-        self.mu_config.validate()
-        self.tau_config.validate()
-        self.propensity_config.validate()
-        for name in ("iterations", "burn_in", "thin"):
-            if getattr(self.mu_config, name) != getattr(self.tau_config, name):
-                raise ValueError(
-                    f"mu and tau forests share one chain; {name} must match")
-        if not 0.0 < self.interval_level < 1.0:
-            raise ValueError("interval_level must be in (0, 1)")
+        self.mu.validate()
+        self.tau.validate()
+        self.propensity.validate()
+        self.chain.validate()
+        _check_sigma_prior(self.sigma_prior)
 
 
 @dataclass
@@ -174,20 +165,19 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
         if mode is PropensityMode.NO_PROPENSITY:
             pi_used = np.full(n, 0.5)
         else:
-            probit = fit_binary_probit(X, z, config.propensity_config,
+            probit = fit_binary_probit(X, z, config.propensity, config.chain,
                                        seed=ss_propensity)
             pi_used = probit.probability_draws.mean(axis=0)
 
     design = build_design(X, pi_used)
     zmask = z.astype(bool)
 
-    mu_cfg = config.mu_config
-    y_work, center, scale = _standardize(y, mu_cfg)
+    y_work, center, scale = _standardize(y, config.sigma_prior)
     rng = np.random.default_rng(ss_outcome)
-    mu_sampler = ForestSampler(design, mu_cfg)
-    tau_sampler = ForestSampler(X, config.tau_config, weights=z)
+    mu_sampler = ForestSampler(design, config.mu)
+    tau_sampler = ForestSampler(X, config.tau, weights=z)
 
-    keep = mu_cfg.n_retained
+    keep = config.chain.n_retained
     mu_draws = np.empty((keep, n))
     tau_draws = np.empty((keep, n))
     sigma_draws = np.empty(keep)
@@ -201,7 +191,8 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
         tau_draws[k] = scale * tau_work
         sigma_draws[k] = scale * sigma
 
-    _run_chain([mu_sampler, tau_sampler], y_work.copy(), mu_cfg, rng, retain)
+    _run_chain([mu_sampler, tau_sampler], y_work.copy(), config.chain,
+               config.sigma_prior, rng, retain)
     return BcfFit(
         mu_draws=mu_draws,
         tau_draws=tau_draws,

@@ -35,11 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .bart import ChainConfig
 from .bcf import (
     BcfConfig, PropensityMode, ate_posterior, cate_intervals, fit_bcf,
-    _default_mu_config, _default_tau_config,
 )
-from .bart import BartConfig
 from .dgp import Dataset, DgpSpec, Selection, baseline, generate, propensity
 from .metrics import (
     METRIC_FIELDS, RECORD_FIELDS, ReplicateRecord, interval_metrics,
@@ -135,14 +134,8 @@ class ExperimentConfig:
         self.bcf_config().validate()
 
     def bcf_config(self) -> BcfConfig:
-        chain = dict(iterations=self.iterations, burn_in=self.burn_in,
-                     thin=self.thin)
-        return BcfConfig(
-            mu_config=dataclasses.replace(_default_mu_config(), **chain),
-            tau_config=dataclasses.replace(_default_tau_config(), **chain),
-            propensity_config=dataclasses.replace(BartConfig(), **chain),
-            interval_level=self.interval_level,
-        )
+        return BcfConfig(chain=ChainConfig(
+            iterations=self.iterations, burn_in=self.burn_in, thin=self.thin))
 
     def to_json_dict(self) -> dict:
         return {

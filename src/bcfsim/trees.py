@@ -29,8 +29,8 @@ bin space: grids are sorted, so the grid points below ``x`` are the first
 valid cutpoints on a feature are the grid indices ``k`` with
 ``min(i) <= k < max(i)`` over its rows (some row goes left and some goes
 right), so the per-feature counts and offsets are an integer min and max
-over the node's bin columns, gathered feature by feature. The float
-cutpoint ``grids[f][k]`` is kept only on the split rule.
+over the node's bin columns, gathered feature by feature. Split rules and
+nodes keep the grid index ``k``; the float cutpoint is ``grids[f][k]``.
 
 Sampler state is kept incrementally rather than recomputed per proposal:
 
@@ -84,8 +84,10 @@ def depth_split_prob(depth: int, base: float, power: float) -> float:
 
 @dataclass(frozen=True)
 class SplitRule:
+    """Rows with ``x[feature] <= grids[feature][k]`` go left."""
+
     feature: int
-    cutpoint: float
+    k: int
 
 
 class RowSet:
@@ -109,7 +111,8 @@ class RowSet:
 
 
 class Node:
-    """One tree node; a leaf when ``feature`` is None, internal otherwise.
+    """One tree node; a leaf when ``feature`` is None, internal otherwise,
+    splitting on grid index ``k`` like a ``SplitRule``.
 
     ``rowset`` holds the training rows reaching the node and their caches
     (sampler bookkeeping, not part of the tree function itself).
@@ -119,14 +122,14 @@ class Node:
     and all, for a full garbage collection.
     """
 
-    __slots__ = ("depth", "_parent", "feature", "cutpoint", "value",
+    __slots__ = ("depth", "_parent", "feature", "k", "value",
                  "left", "right", "rowset", "__weakref__")
 
     def __init__(self, depth=0, parent=None, value=0.0, rowset=None):
         self.depth = depth
         self._parent = None if parent is None else weakref.ref(parent)
         self.feature = None
-        self.cutpoint = 0.0
+        self.k = 0
         self.value = value
         self.left = None
         self.right = None
@@ -211,7 +214,7 @@ class SplitTable:
     """Routing state shared by every tree of one sampler.
 
     Holds the bins (``cutpoint_bins``, feature columns contiguous), the
-    grids, the row signatures (``row_signatures``) and the boolean design
+    row signatures (``row_signatures``) and the boolean design
     weights, if any. ``root`` is the row set of all rows, shared by every
     root (``new_tree``), with its split flag and cutpoint ranges computed
     here, once. ``root_splits`` maps a root split ``(feature, k)`` to its
@@ -222,9 +225,8 @@ class SplitTable:
     of these shared row sets are read-only.
     """
 
-    def __init__(self, bins: np.ndarray, grids, weights=None):
+    def __init__(self, bins: np.ndarray, weights=None):
         self.bins = np.asfortranarray(bins)
-        self.grids = grids
         self.keys = row_signatures(self.bins)
         self.weights = weights
         self.root = _shared(self._rowset(np.arange(self.bins.shape[0])))
@@ -381,11 +383,12 @@ def _scan(tree: DecisionTree, keys):
 
 
 def propose_move(tree: DecisionTree, table: SplitTable, rng,
-                 move_probs=(0.4, 0.4, 0.2), base: float = 0.95,
-                 power: float = 2.0) -> MoveProposal | None:
+                 prior) -> MoveProposal | None:
     """Draw one Grow/Prune/Change proposal for a tree built by ``table``.
 
-    The kind is drawn from ``move_probs`` restricted to the kinds the
+    ``prior`` is the forest's ``bart.ForestPrior``; its
+    ``move_probabilities``, ``base`` and ``power`` are read here. The kind
+    is drawn from the move probabilities restricted to the kinds the
     current structure allows: Grow needs a leaf with at least one valid
     cutpoint, Prune and Change need an internal node. A root-only tree on
     splittable columns therefore always proposes Grow. Returns None when no
@@ -393,6 +396,7 @@ def propose_move(tree: DecisionTree, table: SplitTable, rng,
     the Grow leaf draw lands on a leaf none of whose features admit a valid
     cutpoint; the sampler treats either as a rejected step.
     """
+    move_probs = prior.move_probabilities
     singly, flags, n_split = _scan(tree, table.keys)
     prunable = bool(singly)
     mass = _kind_mass(move_probs, n_split > 0, prunable)
@@ -411,11 +415,10 @@ def propose_move(tree: DecisionTree, table: SplitTable, rng,
     else:
         kind = MoveKind.CHANGE
     if kind is MoveKind.GROW:
-        return _propose_grow(tree, table, rng, move_probs, base, power,
-                             singly, flags, n_split, mass)
+        return _propose_grow(tree, table, rng, prior, singly, flags, n_split,
+                             mass)
     if kind is MoveKind.PRUNE:
-        return _propose_prune(tree, table, rng, move_probs, base, power,
-                              singly, mass)
+        return _propose_prune(tree, table, rng, prior, singly, mass)
     return _propose_change(table, rng, singly)
 
 
@@ -430,8 +433,7 @@ def _draw_rule(node, table, rng):
     return feature, k, n_cut, left, right
 
 
-def _propose_grow(tree, table, rng, move_probs, base, power, singly, flags,
-                  n_split, mass):
+def _propose_grow(tree, table, rng, prior, singly, flags, n_split, mass):
     leaves = tree.leaf_list
     idx = _pick(rng, len(leaves))
     leaf = leaves[idx]
@@ -441,7 +443,7 @@ def _propose_grow(tree, table, rng, move_probs, base, power, singly, flags,
         return None
     feature, k, n_cut, left, right = _draw_rule(leaf, table, rng)
     log_rule = math.log(leaf.rowset.cutinfo[2].size), math.log(n_cut)
-    log_prior = (_depth_log_prior(leaf.depth, base, power)
+    log_prior = (_depth_log_prior(leaf.depth, prior.base, prior.power)
                  - log_rule[0] - log_rule[1])
 
     # Singly-internal count of the tree the grow would create: the leaf
@@ -458,6 +460,7 @@ def _propose_grow(tree, table, rng, move_probs, base, power, singly, flags,
     grow_ok_after = (n_split > 1
                      or _rowset_splittable(left, table.keys)
                      or _rowset_splittable(right, table.keys))
+    move_probs = prior.move_probabilities
     mass_after = _kind_mass(move_probs, grow_ok_after, True)
     p_grow, p_prune, _ = move_probs
     log_forward = (math.log(p_grow) - math.log(mass) - math.log(len(leaves))
@@ -468,7 +471,7 @@ def _propose_grow(tree, table, rng, move_probs, base, power, singly, flags,
     return MoveProposal(
         kind=MoveKind.GROW,
         node=leaf,
-        rule=SplitRule(feature, float(table.grids[feature][k])),
+        rule=SplitRule(feature, k),
         left=left,
         right=right,
         log_transition_ratio=log_reverse - log_forward,
@@ -476,17 +479,18 @@ def _propose_grow(tree, table, rng, move_probs, base, power, singly, flags,
     )
 
 
-def _propose_prune(tree, table, rng, move_probs, base, power, singly, mass):
+def _propose_prune(tree, table, rng, prior, singly, mass):
     node = singly[_pick(rng, len(singly))]
     counts, _, features = _rowset_cutinfo(node.rowset, table.bins)
     log_rule = math.log(features.size), math.log(counts[node.feature])
-    log_prior = -(_depth_log_prior(node.depth, base, power)
+    log_prior = -(_depth_log_prior(node.depth, prior.base, prior.power)
                   - log_rule[0] - log_rule[1])
 
     n_leaves_after = len(tree.leaf_list) - 1
     # Kind mass of the pruned tree: the merged leaf straddles the removed
     # cutpoint, so that cutpoint stays valid and Grow remains possible;
     # Prune and Change survive unless the node was the root.
+    move_probs = prior.move_probabilities
     mass_after = _kind_mass(move_probs, True, node.parent is not None)
     p_grow, p_prune, _ = move_probs
     log_forward = math.log(p_prune) - math.log(mass) - math.log(len(singly))
@@ -524,7 +528,7 @@ def _propose_change(table, rng, singly):
     return MoveProposal(
         kind=MoveKind.CHANGE,
         node=node,
-        rule=SplitRule(feature, float(table.grids[feature][k])),
+        rule=SplitRule(feature, k),
         left=left,
         right=right,
         log_transition_ratio=log_transition,
@@ -543,7 +547,7 @@ def apply_move(tree: DecisionTree, proposal: MoveProposal) -> None:
     tree.scan = None
     if proposal.kind is MoveKind.GROW:
         node.feature = proposal.rule.feature
-        node.cutpoint = proposal.rule.cutpoint
+        node.k = proposal.rule.k
         node.left = Node(node.depth + 1, parent=node, rowset=proposal.left)
         node.right = Node(node.depth + 1, parent=node, rowset=proposal.right)
         i = leaves.index(node)
@@ -557,7 +561,7 @@ def apply_move(tree: DecisionTree, proposal: MoveProposal) -> None:
         node.right = None
     else:
         node.feature = proposal.rule.feature
-        node.cutpoint = proposal.rule.cutpoint
+        node.k = proposal.rule.k
         node.left.rowset = proposal.left
         node.right.rowset = proposal.right
 

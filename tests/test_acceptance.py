@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bcfsim.bart import BartConfig, FixedScale, fit_continuous
+from bcfsim.bart import (
+    ChainConfig, FixedScale, FixedSigma, ForestPrior, fit_continuous,
+)
 from bcfsim.bcf import PropensityMode
 from bcfsim.dgp import DgpSpec, Selection, beta_cdf_2_4, generate, signal_ratio
 from bcfsim.harness import (
@@ -189,9 +191,10 @@ def test_criterion_7_single_leaf_matches_conjugate_posterior(capsys):
     rng = np.random.default_rng(414213562)
     X = np.full((n, 1), 0.5)
     y = 0.7 + 0.9 * rng.standard_normal(n)
-    config = BartConfig(num_trees=1, leaf_scale_prior=FixedScale(leaf_sd),
-                        fixed_sigma=sigma, iterations=2500, burn_in=500)
-    fit = fit_continuous(X, y, config, seed=8128)
+    fit = fit_continuous(
+        X, y, ForestPrior(num_trees=1, leaf_scale_prior=FixedScale(leaf_sd)),
+        ChainConfig(iterations=2500, burn_in=500), FixedSigma(sigma),
+        seed=8128)
     draws = fit.draws[:, 0]
 
     post_var = 1.0 / (1.0 / leaf_sd ** 2 + n / sigma ** 2)

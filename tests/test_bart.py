@@ -7,41 +7,32 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats as spstats
 
 from bcfsim.bart import (
-    HALF_NORMAL_MEDIAN, BartConfig, FixedScale, ForestSampler, HalfCauchy,
-    HalfNormal, SigmaPrior, _slice_sample, fit_binary_probit, fit_continuous,
-    leaf_log_marginal,
+    HALF_NORMAL_MEDIAN, ChainConfig, FixedScale, FixedSigma, ForestPrior,
+    ForestSampler, HalfCauchy, HalfNormal, SigmaPrior, _llm, _slice_sample,
+    fit_binary_probit, fit_continuous,
 )
+from bcfsim.bcf import BcfConfig
 from bcfsim.trees import _cut_ranges, _scan
 
-
-def _stump_config(**kw):
-    # one tree that can never split (tests pair this with constant X)
-    defaults = dict(num_trees=1, leaf_scale_prior=FixedScale(0.9),
-                    fixed_sigma=1.2,
-                    iterations=3000, burn_in=500)
-    defaults.update(kw)
-    return BartConfig(**defaults)
+# one tree that can never split (tests pair this with constant X), with the
+# noise sd pinned
+_STUMP = ForestPrior(num_trees=1, leaf_scale_prior=FixedScale(0.9))
+_STUMP_SIGMA = FixedSigma(1.2)
 
 
 # ------------------------------------------------------- leaf log marginal
+# ``_llm(n, s, sigma**2, leaf_sd**2)``: the log marginal likelihood of a
+# node's residuals with the leaf mean integrated out, omitting the residual
+# sum of squares
 
 def test_leaf_log_marginal_single_zero_residual():
     # -0.5 * log(4 * pi), one observation at zero with unit scales
-    assert_allclose(leaf_log_marginal(1, 0.0, 1.0, 1.0),
+    assert_allclose(_llm(1, 0.0, 1.0, 1.0),
                     -1.2655121234846454, rtol=1e-13)
 
 
 def test_leaf_log_marginal_empty_node():
-    assert leaf_log_marginal(0, 0.0, 1.0, 1.0) == 0.0
-
-
-def test_leaf_log_marginal_validation():
-    with pytest.raises(ValueError):
-        leaf_log_marginal(1, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        leaf_log_marginal(1, 0.0, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        leaf_log_marginal(-1, 0.0, 1.0, 1.0)
+    assert _llm(0, 0.0, 1.0, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("sigma,leaf_sd,seed", [
@@ -61,7 +52,7 @@ def test_leaf_log_marginal_matches_quadrature(sigma, leaf_sd, seed):
     lo = r.mean() - 8 * (sigma + leaf_sd)
     hi = r.mean() + 8 * (sigma + leaf_sd)
     numeric, _ = integrate.quad(integrand, lo, hi)
-    full = (leaf_log_marginal(len(r), float(r.sum()), sigma, leaf_sd)
+    full = (_llm(len(r), float(r.sum()), sigma**2, leaf_sd**2)
             - float(r @ r) / (2 * sigma**2))
     assert_allclose(full, math.log(numeric), rtol=1e-9)
 
@@ -73,9 +64,9 @@ def test_leaf_log_marginal_split_ratio_is_ssr_free():
     r = rng.normal(size=10)
     left, right = r[:4], r[4:]
     ratio = (
-        leaf_log_marginal(4, float(left.sum()), 0.8, 1.1)
-        + leaf_log_marginal(6, float(right.sum()), 0.8, 1.1)
-        - leaf_log_marginal(10, float(r.sum()), 0.8, 1.1)
+        _llm(4, float(left.sum()), 0.8**2, 1.1**2)
+        + _llm(6, float(right.sum()), 0.8**2, 1.1**2)
+        - _llm(10, float(r.sum()), 0.8**2, 1.1**2)
     )
     assert math.isfinite(ratio)
     # same quantity from the explicit closed form including the SSR terms
@@ -92,43 +83,54 @@ def test_leaf_log_marginal_split_ratio_is_ssr_free():
 # ------------------------------------------------------------ configuration
 
 def test_config_validation():
-    BartConfig().validate()
+    ForestPrior().validate()
+    ChainConfig().validate()
+    BcfConfig(sigma_prior=FixedSigma(0.5)).validate()
     bad = [
-        dict(num_trees=0),
-        dict(base=0.0),
-        dict(base=1.2),
-        dict(power=-1.0),
-        dict(iterations=0),
-        dict(burn_in=50, iterations=50),
-        dict(thin=0),
-        dict(cutpoints_per_feature=0),
-        dict(move_probabilities=(0.5, 0.5, 0.5)),
-        dict(move_probabilities=(1.0, 0.0)),
-        dict(leaf_scale_prior=object()),
-        dict(fixed_sigma=0.0),
-        dict(fixed_sigma=math.nan),
-        dict(fixed_sigma=math.inf),
-        dict(sigma_prior=SigmaPrior(q=1.5)),
-        dict(sigma_prior=SigmaPrior(q=0.0)),
-        dict(sigma_prior=SigmaPrior(q=math.nan)),
-        dict(sigma_prior=SigmaPrior(nu=-1.0)),
-        dict(sigma_prior=SigmaPrior(nu=0.0)),
-        dict(sigma_prior=SigmaPrior(nu=math.inf)),
-        dict(sigma_prior=SigmaPrior(nu=math.nan)),
-        dict(leaf_scale_prior=FixedScale(math.nan)),
-        dict(leaf_scale_prior=FixedScale(-1.0)),
-        dict(leaf_scale_prior=HalfCauchy(0.0)),
-        dict(leaf_scale_prior=HalfCauchy(math.inf)),
-        dict(leaf_scale_prior=HalfNormal(-1.0)),
+        ForestPrior(num_trees=0),
+        ForestPrior(base=0.0),
+        ForestPrior(base=1.2),
+        ForestPrior(power=-1.0),
+        ChainConfig(iterations=0),
+        ChainConfig(burn_in=50, iterations=50),
+        ChainConfig(thin=0),
+        ForestPrior(cutpoints_per_feature=0),
+        ForestPrior(move_probabilities=(0.5, 0.5, 0.5)),
+        ForestPrior(move_probabilities=(1.0, 0.0)),
+        ForestPrior(leaf_scale_prior=object()),
+        BcfConfig(sigma_prior=FixedSigma(0.0)),
+        BcfConfig(sigma_prior=FixedSigma(math.nan)),
+        BcfConfig(sigma_prior=FixedSigma(math.inf)),
+        BcfConfig(sigma_prior=SigmaPrior(q=1.5)),
+        BcfConfig(sigma_prior=SigmaPrior(q=0.0)),
+        BcfConfig(sigma_prior=SigmaPrior(q=math.nan)),
+        BcfConfig(sigma_prior=SigmaPrior(nu=-1.0)),
+        BcfConfig(sigma_prior=SigmaPrior(nu=0.0)),
+        BcfConfig(sigma_prior=SigmaPrior(nu=math.inf)),
+        BcfConfig(sigma_prior=SigmaPrior(nu=math.nan)),
+        BcfConfig(sigma_prior=1.0),
+        ForestPrior(leaf_scale_prior=FixedScale(math.nan)),
+        ForestPrior(leaf_scale_prior=FixedScale(-1.0)),
+        ForestPrior(leaf_scale_prior=HalfCauchy(0.0)),
+        ForestPrior(leaf_scale_prior=HalfCauchy(math.inf)),
+        ForestPrior(leaf_scale_prior=HalfNormal(-1.0)),
     ]
-    for kw in bad:
+    for config in bad:
         with pytest.raises(ValueError):
-            BartConfig(**kw).validate()
+            config.validate()
+    # the entry points check what they are given before any work
+    X, y = np.random.default_rng(0).random((6, 1)), np.arange(6.0)
+    with pytest.raises(ValueError):
+        fit_continuous(X, y, sigma_prior=FixedSigma(-1.0))
+    with pytest.raises(ValueError):
+        fit_continuous(X, y, chain=ChainConfig(thin=0))
+    with pytest.raises(ValueError):
+        fit_binary_probit(X, y % 2, chain=ChainConfig(iterations=0))
 
 
 def test_config_retained_count():
-    assert BartConfig(iterations=10, burn_in=4, thin=2).n_retained == 3
-    assert BartConfig(iterations=2000, burn_in=1000).n_retained == 1000
+    assert ChainConfig(iterations=10, burn_in=4, thin=2).n_retained == 3
+    assert ChainConfig(iterations=2000, burn_in=1000).n_retained == 1000
 
 
 def test_scale_prior_initial_points():
@@ -143,17 +145,17 @@ def test_scale_prior_initial_points():
 
 def test_leaf_sd_scaling():
     X = np.random.default_rng(0).random((10, 1))
-    sampler = ForestSampler(X, BartConfig(num_trees=25,
-                                          leaf_scale_prior=FixedScale(1.5)))
+    sampler = ForestSampler(X, ForestPrior(num_trees=25,
+                                           leaf_scale_prior=FixedScale(1.5)))
     assert_allclose(sampler.leaf_sd, 0.3)
 
 
 def test_sampler_input_validation():
     with pytest.raises(ValueError):
-        ForestSampler(np.arange(5.0), BartConfig())
+        ForestSampler(np.arange(5.0), ForestPrior())
     X = np.random.default_rng(1).random((6, 2))
     with pytest.raises(ValueError):
-        ForestSampler(X, BartConfig(), weights=np.ones(5))
+        ForestSampler(X, ForestPrior(), weights=np.ones(5))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -162,7 +164,7 @@ def test_sampler_rejects_non_finite_covariates(bad):
     X = np.random.default_rng(1).random((6, 2))
     X[3, 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        ForestSampler(X, BartConfig())
+        ForestSampler(X, ForestPrior())
     with pytest.raises(ValueError, match="finite"):
         fit_binary_probit(X, np.array([0, 1, 0, 1, 0, 1]))
 
@@ -218,8 +220,8 @@ def test_stump_matches_normal_mean_posterior():
     n = 40
     X = np.zeros((n, 1))
     y = rng.normal(0.8, 1.0, size=n)
-    cfg = _stump_config()
-    post = fit_continuous(X, y, cfg, seed=99)
+    chain = ChainConfig(iterations=3000, burn_in=500)
+    post = fit_continuous(X, y, _STUMP, chain, _STUMP_SIGMA, seed=99)
 
     leaf_var = 0.9**2
     sig2 = 1.2**2
@@ -230,7 +232,7 @@ def test_stump_matches_normal_mean_posterior():
     assert np.ptp(post.draws, axis=1).max() < 1e-12
     vals = post.draws[:, 0]
     k = len(vals)
-    assert k == cfg.n_retained
+    assert k == chain.n_retained
     assert abs(vals.mean() - m_star) < 4.0 * math.sqrt(v_star / k)
     assert abs(vals.var(ddof=1) / v_star - 1.0) < 0.12
     # no structural move can ever be legal here
@@ -242,8 +244,8 @@ def test_stump_draws_are_serially_independent():
     # with the tree frozen, the leaf redraw ignores its previous value
     X = np.zeros((20, 1))
     y = np.random.default_rng(6).normal(size=20)
-    post = fit_continuous(X, y, _stump_config(iterations=2000, burn_in=0),
-                          seed=1)
+    chain = ChainConfig(iterations=2000, burn_in=0)
+    post = fit_continuous(X, y, _STUMP, chain, _STUMP_SIGMA, seed=1)
     vals = post.draws[:, 0]
     lag1 = np.corrcoef(vals[:-1], vals[1:])[0, 1]
     assert abs(lag1) < 0.08
@@ -255,8 +257,8 @@ def test_residual_bookkeeping_unweighted():
     rng = np.random.default_rng(7)
     X = rng.random((60, 3))
     y = np.sin(3 * X[:, 0]) + rng.normal(0, 0.3, size=60)
-    sampler = ForestSampler(X, BartConfig(num_trees=5, iterations=1, burn_in=0,
-                                          leaf_scale_prior=FixedScale(1.0)))
+    sampler = ForestSampler(X, ForestPrior(num_trees=5,
+                                           leaf_scale_prior=FixedScale(1.0)))
     resid = y.copy()
     for _ in range(30):
         sampler.sweep(resid, 0.5, rng)
@@ -272,8 +274,7 @@ def test_residual_bookkeeping_weighted():
     z = (rng.random(n) < 0.5).astype(int)
     y = 0.5 * z * X[:, 0] + rng.normal(0, 0.2, size=n)
     sampler = ForestSampler(
-        X, BartConfig(num_trees=4, iterations=1, burn_in=0,
-                      leaf_scale_prior=FixedScale(0.8)),
+        X, ForestPrior(num_trees=4, leaf_scale_prior=FixedScale(0.8)),
         weights=z,
     )
     resid = y.copy()
@@ -351,16 +352,15 @@ def test_incremental_state_matches_rescan(seed, weighted, prior_only):
         np.full(n, 2.0),
     ])
     weights = (rng.random(n) < 0.6).astype(int) if weighted else None
-    config = BartConfig(num_trees=3, base=0.95, power=0.5,
+    prior = ForestPrior(num_trees=3, base=0.95, power=0.5,
                         cutpoints_per_feature=6,
-                        leaf_scale_prior=HalfNormal(1.0),
-                        prior_only=prior_only)
-    sampler = ForestSampler(X, config, weights=weights)
+                        leaf_scale_prior=HalfNormal(1.0))
+    sampler = ForestSampler(X, prior, weights=weights)
     y = rng.normal(size=n)
     resid = y.copy()
     checked = np.zeros(2, dtype=int)
     for _ in range(12):
-        sampler.sweep(resid, 0.7, rng)
+        sampler.sweep(resid, 0.7, rng, prior_only)
         checked += _check_incremental_state(sampler)
         assert_allclose(resid, y - sampler.fits.sum(axis=0), atol=1e-10)
     assert sampler.accepts > 0
@@ -373,10 +373,11 @@ def test_fit_continuous_shapes_and_determinism():
     rng = np.random.default_rng(9)
     X = rng.random((30, 2))
     y = rng.normal(size=30)
-    cfg = BartConfig(num_trees=3, iterations=10, burn_in=4, thin=2)
-    a = fit_continuous(X, y, cfg, seed=11)
-    b = fit_continuous(X, y, cfg, seed=11)
-    c = fit_continuous(X, y, cfg, seed=12)
+    prior = ForestPrior(num_trees=3)
+    chain = ChainConfig(iterations=10, burn_in=4, thin=2)
+    a = fit_continuous(X, y, prior, chain, seed=11)
+    b = fit_continuous(X, y, prior, chain, seed=11)
+    c = fit_continuous(X, y, prior, chain, seed=12)
     assert a.draws.shape == (3, 30)
     assert a.sigma_draws.shape == (3,)
     assert a.probability_draws is None
@@ -390,9 +391,10 @@ def test_fit_continuous_affine_equivariance():
     rng = np.random.default_rng(10)
     X = rng.random((40, 2))
     y = np.cos(4 * X[:, 0]) + rng.normal(0, 0.4, size=40)
-    cfg = BartConfig(num_trees=8, iterations=60, burn_in=20)
-    a = fit_continuous(X, y, cfg, seed=3)
-    b = fit_continuous(X, 5.0 + 3.0 * y, cfg, seed=3)
+    prior = ForestPrior(num_trees=8)
+    chain = ChainConfig(iterations=60, burn_in=20)
+    a = fit_continuous(X, y, prior, chain, seed=3)
+    b = fit_continuous(X, 5.0 + 3.0 * y, prior, chain, seed=3)
     assert_allclose(b.draws, 5.0 + 3.0 * a.draws, rtol=1e-9, atol=1e-9)
     assert_allclose(b.sigma_draws, 3.0 * a.sigma_draws, rtol=1e-9)
 
@@ -413,15 +415,16 @@ def test_fit_continuous_input_validation():
 def test_fit_continuous_rejects_non_finite_inputs(bad):
     rng = np.random.default_rng(11)
     X, y = rng.random((10, 2)), rng.random(10)
-    cfg = BartConfig(num_trees=2, iterations=2, burn_in=1)
+    prior = ForestPrior(num_trees=2)
+    chain = ChainConfig(iterations=2, burn_in=1)
     y_bad = y.copy()
     y_bad[4] = bad
     with pytest.raises(ValueError, match="finite"):
-        fit_continuous(X, y_bad, cfg)
+        fit_continuous(X, y_bad, prior, chain)
     X_bad = X.copy()
     X_bad[4, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        fit_continuous(X_bad, y, cfg)
+        fit_continuous(X_bad, y, prior, chain)
 
 
 def test_fit_continuous_recovers_step_function():
@@ -430,9 +433,9 @@ def test_fit_continuous_recovers_step_function():
     X = rng.random((n, 2))
     truth = 2.0 * (X[:, 0] > 0.5)
     y = truth + rng.normal(0, 0.3, size=n)
-    cfg = BartConfig(num_trees=20, iterations=400, burn_in=200,
-                     leaf_scale_prior=HalfCauchy(2.0))
-    post = fit_continuous(X, y, cfg, seed=13)
+    prior = ForestPrior(num_trees=20, leaf_scale_prior=HalfCauchy(2.0))
+    chain = ChainConfig(iterations=400, burn_in=200)
+    post = fit_continuous(X, y, prior, chain, seed=13)
     fitted = post.draws.mean(axis=0)
     rmse = math.sqrt(float(np.mean((fitted - truth) ** 2)))
     assert rmse < 0.25
@@ -445,9 +448,9 @@ def test_fit_continuous_sigma_recovery():
     n = 200
     X = rng.random((n, 3))
     y = rng.normal(0, 2.0, size=n)
-    cfg = BartConfig(num_trees=20, iterations=500, burn_in=250,
-                     leaf_scale_prior=HalfCauchy(2.0))
-    post = fit_continuous(X, y, cfg, seed=15)
+    prior = ForestPrior(num_trees=20, leaf_scale_prior=HalfCauchy(2.0))
+    chain = ChainConfig(iterations=500, burn_in=250)
+    post = fit_continuous(X, y, prior, chain, seed=15)
     assert 1.7 < post.sigma_draws.mean() < 2.3
 
 
@@ -458,9 +461,9 @@ def test_sigma_median_brackets_unit_noise():
     n = 250
     X = rng.random((n, 3))
     y = np.sin(4.0 * X[:, 0]) + X[:, 1] + rng.normal(0.0, 1.0, size=n)
-    cfg = BartConfig(num_trees=20, iterations=500, burn_in=250,
-                     leaf_scale_prior=HalfCauchy(2.0))
-    post = fit_continuous(X, y, cfg, seed=25)
+    prior = ForestPrior(num_trees=20, leaf_scale_prior=HalfCauchy(2.0))
+    chain = ChainConfig(iterations=500, burn_in=250)
+    post = fit_continuous(X, y, prior, chain, seed=25)
     assert np.all(post.sigma_draws > 0)
     assert 0.8 < float(np.median(post.sigma_draws)) < 1.2
 
@@ -469,17 +472,17 @@ def test_fixed_sigma_is_exact():
     rng = np.random.default_rng(16)
     X = rng.random((25, 2))
     y = rng.normal(size=25)
-    cfg = BartConfig(num_trees=4, iterations=30, burn_in=10,
-                     fixed_sigma=0.7)
-    post = fit_continuous(X, y, cfg, seed=17)
-    assert_array_equal(post.sigma_draws, np.full(cfg.n_retained, 0.7))
+    chain = ChainConfig(iterations=30, burn_in=10)
+    post = fit_continuous(X, y, ForestPrior(num_trees=4), chain,
+                          FixedSigma(0.7), seed=17)
+    assert_array_equal(post.sigma_draws, np.full(chain.n_retained, 0.7))
 
 
 def test_half_cauchy_scale_actually_moves():
     rng = np.random.default_rng(18)
     X = rng.random((50, 2))
     sampler = ForestSampler(
-        X, BartConfig(num_trees=5, leaf_scale_prior=HalfCauchy(1.0)))
+        X, ForestPrior(num_trees=5, leaf_scale_prior=HalfCauchy(1.0)))
     start = sampler.forest_scale
     resid = rng.normal(size=50)
     for _ in range(10):
@@ -497,15 +500,15 @@ def test_prior_only_root_split_frequency():
     # and a binomial 3-standard-error band applies
     rng = np.random.default_rng(19)
     X = rng.random((100, 2))
-    cfg = BartConfig(num_trees=1, base=0.3, power=2.0, prior_only=True,
-                     leaf_scale_prior=FixedScale(1.0), iterations=1, burn_in=0)
-    sampler = ForestSampler(X, cfg)
+    prior = ForestPrior(num_trees=1, base=0.3, power=2.0,
+                        leaf_scale_prior=FixedScale(1.0))
+    sampler = ForestSampler(X, prior)
     resid = np.zeros(100)
     draws, thin = 5000, 25
     hits = 0
     for _ in range(draws):
         for _ in range(thin):
-            sampler.sweep(resid, 1.0, rng)
+            sampler.sweep(resid, 1.0, rng, prior_only=True)
         hits += not sampler.trees[0].root.is_leaf
     se = math.sqrt(0.3 * 0.7 / draws)
     assert abs(hits / draws - 0.3) < 3.0 * se
@@ -529,13 +532,14 @@ def test_probit_outputs():
     rng = np.random.default_rng(21)
     X = rng.random((60, 2))
     d = (rng.random(60) < 0.4).astype(int)
-    cfg = BartConfig(num_trees=5, iterations=40, burn_in=20)
-    post = fit_binary_probit(X, d, cfg, seed=5)
+    prior = ForestPrior(num_trees=5)
+    chain = ChainConfig(iterations=40, burn_in=20)
+    post = fit_binary_probit(X, d, prior, chain, seed=5)
     assert post.sigma_draws is None
     assert post.probability_draws.shape == (20, 60)
     assert np.all(post.probability_draws > 0)
     assert np.all(post.probability_draws < 1)
-    again = fit_binary_probit(X, d, cfg, seed=5)
+    again = fit_binary_probit(X, d, prior, chain, seed=5)
     assert_array_equal(post.probability_draws, again.probability_draws)
 
 
@@ -545,9 +549,9 @@ def test_probit_recovers_monotone_propensity():
     X = rng.random((n, 2))
     truth = spstats.norm.cdf(2.5 * (X[:, 0] - 0.5))
     d = (rng.random(n) < truth).astype(int)
-    cfg = BartConfig(num_trees=50, iterations=600, burn_in=300,
-                     leaf_scale_prior=FixedScale(1.5))
-    post = fit_binary_probit(X, d, cfg, seed=23)
+    prior = ForestPrior(num_trees=50, leaf_scale_prior=FixedScale(1.5))
+    post = fit_binary_probit(X, d, prior,
+                             ChainConfig(iterations=600, burn_in=300), seed=23)
     p_hat = post.probability_draws.mean(axis=0)
     rmse = math.sqrt(float(np.mean((p_hat - truth) ** 2)))
     assert rmse < 0.12

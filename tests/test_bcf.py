@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 from dataclasses import replace
 
@@ -5,24 +7,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bcfsim.bart import BartConfig, FixedScale, HalfCauchy, HalfNormal
+from bcfsim.bart import (
+    ChainConfig, FixedScale, FixedSigma, ForestPrior, HalfCauchy, HalfNormal,
+    SigmaPrior,
+)
 from bcfsim.bcf import (
     BcfConfig, BcfFit, PropensityMode, ate_posterior, build_design,
     cate_intervals, fit_bcf,
 )
 
 
-def _small_config(iterations=80, burn_in=40, **kw):
-    mu = BartConfig(num_trees=20, base=0.95, power=2.0,
-                    leaf_scale_prior=HalfCauchy(2.0),
-                    iterations=iterations, burn_in=burn_in)
-    tau = BartConfig(num_trees=10, base=0.25, power=3.0,
-                     leaf_scale_prior=HalfNormal(1.0),
-                     iterations=iterations, burn_in=burn_in)
-    probit = BartConfig(num_trees=20, iterations=iterations, burn_in=burn_in,
-                        leaf_scale_prior=FixedScale(1.5))
-    return BcfConfig(mu_config=mu, tau_config=tau, propensity_config=probit,
-                     **kw)
+def _small_config(iterations=80, burn_in=40):
+    return BcfConfig(
+        mu=ForestPrior(num_trees=20, base=0.95, power=2.0,
+                       leaf_scale_prior=HalfCauchy(2.0)),
+        tau=ForestPrior(num_trees=10, base=0.25, power=3.0,
+                        leaf_scale_prior=HalfNormal(1.0)),
+        propensity=ForestPrior(num_trees=20, leaf_scale_prior=FixedScale(1.5)),
+        chain=ChainConfig(iterations=iterations, burn_in=burn_in))
 
 
 def _toy_data(n=80, seed=0):
@@ -69,22 +71,84 @@ def test_build_design_validation():
 
 # ------------------------------------------------------------- config rules
 
-def test_config_requires_matching_chains():
-    mu = BartConfig(iterations=100, burn_in=50)
-    tau = BartConfig(iterations=120, burn_in=50)
-    with pytest.raises(ValueError):
-        BcfConfig(mu_config=mu, tau_config=tau).validate()
-    tau = BartConfig(iterations=100, burn_in=40)
-    with pytest.raises(ValueError):
-        BcfConfig(mu_config=mu, tau_config=tau).validate()
+# Every forest of this tiny estimated-propensity fit splits readily, so a
+# change to any tree-prior value moves some accept decision.
+_WALK_CONFIG = BcfConfig(
+    mu=ForestPrior(num_trees=4, base=0.95, power=1.0, cutpoints_per_feature=10,
+                   leaf_scale_prior=HalfCauchy(2.0)),
+    tau=ForestPrior(num_trees=3, base=0.9, power=1.0, cutpoints_per_feature=10,
+                    leaf_scale_prior=HalfNormal(1.0)),
+    propensity=ForestPrior(num_trees=4, cutpoints_per_feature=10),
+    chain=ChainConfig(iterations=12, burn_in=6),
+)
 
 
-def test_config_interval_level_bounds():
-    with pytest.raises(ValueError):
-        BcfConfig(interval_level=1.0).validate()
-    with pytest.raises(ValueError):
-        BcfConfig(interval_level=0.0).validate()
-    BcfConfig().validate()
+def _settings(config):
+    """``(path, value)`` of every settable value, nested types walked."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, (ForestPrior, ChainConfig)):
+            for path, leaf in _settings(value):
+                yield (f.name,) + path, leaf
+        else:
+            yield (f.name,), value
+
+
+def _with(config, path, value):
+    head, *rest = path
+    if rest:
+        value = _with(getattr(config, head), rest, value)
+    return replace(config, **{head: value})
+
+
+def _other(value):
+    """Another valid value of a setting."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return 0.5 * value
+    if isinstance(value, tuple):
+        return (0.3, 0.5, 0.2)
+    if isinstance(value, (HalfCauchy, HalfNormal)):
+        return replace(value, scale=2.0 * value.scale)
+    if isinstance(value, FixedScale):
+        return FixedScale(2.0 * value.value)
+    if isinstance(value, SigmaPrior):
+        return FixedSigma(0.5)
+    raise TypeError(f"no perturbation for {value!r}")
+
+
+def _walk_digest(config):
+    X, z, y = _toy_data(n=40, seed=3)
+    fit = fit_bcf(X, z, y, "estimated_propensity", config=config, seed=4)
+    h = hashlib.blake2b(digest_size=16)
+    for arr in (fit.mu_draws, fit.tau_draws, fit.sigma_draws, fit.pi_used):
+        h.update(repr(arr.shape).encode("ascii"))
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest(), fit.tau_draws.shape
+
+
+_WALK_PATHS = [path for path, _ in _settings(_WALK_CONFIG)]
+
+
+def test_settings_walk_counts_every_value():
+    assert len(_WALK_PATHS) == 23
+
+
+@pytest.mark.parametrize("path", _WALK_PATHS, ids=".".join)
+def test_every_setting_reaches_the_fit(path):
+    # no setting may be silently ignored: changing any one of them to
+    # another valid value changes the draws (thinning changes their shape)
+    value = dict(_settings(_WALK_CONFIG))[path]
+    config = _with(_WALK_CONFIG, path, _other(value))
+    config.validate()
+    base_digest, base_shape = _walk_digest(_WALK_CONFIG)
+    digest, shape = _walk_digest(config)
+    assert digest != base_digest
+    if path == ("chain", "thin"):
+        assert shape != base_shape
 
 
 # ------------------------------------------------------------ mode contract

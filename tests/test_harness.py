@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bcfsim.bart import ChainConfig
 from bcfsim.bcf import PropensityMode
 from bcfsim.dgp import Dataset, DgpSpec, Selection, generate
 from bcfsim.harness import (
@@ -118,13 +119,11 @@ def test_experiment_config_validation(kwargs):
 def test_bcf_config_propagates_chain_controls():
     config = ExperimentConfig(iterations=300, burn_in=100, thin=2)
     bcf = config.bcf_config()
-    for sub in (bcf.mu_config, bcf.tau_config, bcf.propensity_config):
-        assert sub.iterations == 300
-        assert sub.burn_in == 100
-        assert sub.thin == 2
+    assert bcf.chain == ChainConfig(iterations=300, burn_in=100, thin=2)
     # grid controls must not disturb the forest priors
-    assert bcf.mu_config.num_trees == 200
-    assert bcf.tau_config.num_trees == 50
+    assert bcf.mu.num_trees == 200
+    assert bcf.tau.num_trees == 50
+    assert bcf.propensity.num_trees == 200
 
 
 def test_apply_profile():

@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from bcfsim.bart import (
-    BartConfig, FixedScale, HalfCauchy, HalfNormal, fit_binary_probit,
-    fit_continuous,
+    ChainConfig, FixedScale, ForestPrior, HalfCauchy, HalfNormal,
+    fit_binary_probit, fit_continuous,
 )
 from bcfsim.bcf import BcfConfig, fit_bcf
 
@@ -48,16 +48,18 @@ def _data(n=60, seed=0):
     return X, z, y
 
 
-_CHAIN = dict(iterations=20, burn_in=10, cutpoints_per_feature=7)
+_CHAIN = ChainConfig(iterations=20, burn_in=10)
+_GRID = dict(cutpoints_per_feature=7)
 
 
 def _bcf_config() -> BcfConfig:
     return BcfConfig(
-        mu_config=BartConfig(num_trees=25, base=0.95, power=2.0,
-                             leaf_scale_prior=HalfCauchy(2.0), **_CHAIN),
-        tau_config=BartConfig(num_trees=10, base=0.25, power=3.0,
-                              leaf_scale_prior=HalfNormal(1.0), **_CHAIN),
-        propensity_config=BartConfig(num_trees=25, **_CHAIN),
+        mu=ForestPrior(num_trees=25, base=0.95, power=2.0,
+                       leaf_scale_prior=HalfCauchy(2.0), **_GRID),
+        tau=ForestPrior(num_trees=10, base=0.25, power=3.0,
+                        leaf_scale_prior=HalfNormal(1.0), **_GRID),
+        propensity=ForestPrior(num_trees=25, **_GRID),
+        chain=_CHAIN,
     )
 
 
@@ -72,15 +74,17 @@ PINNED = {
 
 def test_fit_continuous_draws_are_pinned():
     X, _, y = _data()
-    cfg = BartConfig(num_trees=25, leaf_scale_prior=HalfCauchy(1.0), **_CHAIN)
-    post = fit_continuous(X, y, cfg, seed=11)
+    prior = ForestPrior(num_trees=25, leaf_scale_prior=HalfCauchy(1.0),
+                        **_GRID)
+    post = fit_continuous(X, y, prior, _CHAIN, seed=11)
     assert _digest(post.draws, post.sigma_draws) == PINNED["continuous"]
 
 
 def test_fit_binary_probit_draws_are_pinned():
     X, z, _ = _data()
-    cfg = BartConfig(num_trees=25, leaf_scale_prior=FixedScale(1.5), **_CHAIN)
-    post = fit_binary_probit(X, z, cfg, seed=12)
+    prior = ForestPrior(num_trees=25, leaf_scale_prior=FixedScale(1.5),
+                        **_GRID)
+    post = fit_binary_probit(X, z, prior, _CHAIN, seed=12)
     assert _digest(post.draws, post.probability_draws) == PINNED["probit"]
 
 

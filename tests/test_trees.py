@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bcfsim.bart import BartConfig, ForestSampler
+from bcfsim.bart import ForestPrior, ForestSampler
 from bcfsim.trees import (
     DecisionTree, MoveKind, Node, RowSet, SplitRule, SplitTable,
     _cut_ranges, _pick, _rowset_cutinfo, _rowset_splittable,
     apply_move, cutpoint_bins, depth_split_prob, make_cutpoint_grids,
     propose_move, row_signatures,
 )
+
+# the default forest prior: moves 0.4/0.4/0.2, depth prior 0.95/(1+d)^2
+PRIOR = ForestPrior()
 
 
 def valid_cutpoints(column, membership, grid) -> np.ndarray:
@@ -37,28 +40,30 @@ def _root_tree(n_rows: int) -> DecisionTree:
 
 
 def _structure(tree: DecisionTree):
-    """Nested (feature, cutpoint, left, right) tuples, None at a leaf; leaf
-    values are ignored."""
+    """Nested (feature, grid index, left, right) tuples, None at a leaf;
+    leaf values are ignored."""
     def rec(node):
         if node.is_leaf:
             return None
-        return (node.feature, node.cutpoint, rec(node.left), rec(node.right))
+        return (node.feature, node.k, rec(node.left), rec(node.right))
 
     return rec(tree.root)
 
 
-def _route(tree: DecisionTree, x) -> Node:
-    """The leaf reached by ``x``, walking the float split rules (ties left)."""
+def _route(tree: DecisionTree, grids, x) -> Node:
+    """The leaf reached by ``x``, walking the float cutpoints ``grids[f][k]``
+    of the split rules (ties left)."""
     node = tree.root
     while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.cutpoint else node.right
+        cut = grids[node.feature][node.k]
+        node = node.left if x[node.feature] <= cut else node.right
     return node
 
 
-def _propose_kind(tree, table, rng, kind, **kw):
+def _propose_kind(tree, table, rng, kind):
     # public-path proposal of a specific kind, retrying the rng draw
     for _ in range(500):
-        prop = propose_move(tree, table, rng, **kw)
+        prop = propose_move(tree, table, rng, PRIOR)
         if prop is not None and prop.kind is kind:
             return prop
     raise AssertionError(f"no {kind} proposal in 500 attempts")
@@ -232,8 +237,8 @@ def test_wide_grid_bins_do_not_overflow():
     n = 300
     X = rng.random((n, 2))
     y = 3.0 * (X[:, 0] > 0.93) + rng.normal(0.0, 0.1, size=n)
-    sampler = ForestSampler(X, BartConfig(num_trees=10,
-                                          cutpoints_per_feature=300))
+    sampler = ForestSampler(X, ForestPrior(num_trees=10,
+                                           cutpoints_per_feature=300))
     bins = sampler.bins
     assert bins.dtype == np.uint16
     assert bins.max() > 255
@@ -251,11 +256,12 @@ def test_wide_grid_bins_do_not_overflow():
             node = stack.pop()
             if node.is_leaf:
                 continue
-            goes_left = X[node.rowset.rows, node.feature] <= node.cutpoint
+            cut = sampler.grids[node.feature][node.k]
+            goes_left = X[node.rowset.rows, node.feature] <= cut
             rows = node.rowset.rows
             assert_array_equal(node.left.rowset.rows, rows[goes_left])
             assert_array_equal(node.right.rowset.rows, rows[~goes_left])
-            high += node.cutpoint > sampler.grids[node.feature][255]
+            high += node.k > 255
             stack.extend([node.left, node.right])
     assert high > 0
 
@@ -271,11 +277,11 @@ def test_root_split_table_matches_fresh_routing(seed, weighted):
     bins = cutpoint_bins(X, grids)
     rng = np.random.default_rng(seed)
     weights = rng.random(n) < 0.5 if weighted else None
-    table = SplitTable(bins, grids, weights)
+    table = SplitTable(bins, weights)
     trees = [table.new_tree() for _ in range(4)]
     for _ in range(30):
         for tree in trees:
-            prop = propose_move(tree, table, rng)
+            prop = propose_move(tree, table, rng, PRIOR)
             if prop is not None and rng.random() < 0.5:
                 apply_move(tree, prop)
     all_rows = np.arange(n)
@@ -307,8 +313,8 @@ def test_root_split_table_stays_within_root_cutpoints():
     n = 120
     X = rng.random((n, 2))
     y = np.sin(6.0 * X[:, 0]) + rng.normal(0.0, 0.3, size=n)
-    sampler = ForestSampler(X, BartConfig(num_trees=200,
-                                          cutpoints_per_feature=300))
+    sampler = ForestSampler(X, ForestPrior(num_trees=200,
+                                           cutpoints_per_feature=300))
     table = sampler.splits
     counts, starts, _ = table.root.cutinfo
     assert counts.sum() == 600
@@ -346,11 +352,11 @@ def test_splittable_stump_always_proposes_grow():
     # the kind draw must land on it every time, not just 40% of the time
     X = np.random.default_rng(1).random((20, 2))
     grids = make_cutpoint_grids(X, 10)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
+    table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
     rng = np.random.default_rng(2)
     for _ in range(200):
-        prop = propose_move(tree, table, rng)
+        prop = propose_move(tree, table, rng, PRIOR)
         assert prop is not None
         assert prop.kind is MoveKind.GROW
 
@@ -358,11 +364,11 @@ def test_splittable_stump_always_proposes_grow():
 def test_stump_on_constant_features_has_no_legal_move():
     X = np.ones((10, 3))
     grids = make_cutpoint_grids(X, 10)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
+    table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
     rng = np.random.default_rng(3)
     for _ in range(50):
-        assert propose_move(tree, table, rng) is None
+        assert propose_move(tree, table, rng, PRIOR) is None
 
 
 def test_kind_renormalizes_when_grow_is_unavailable():
@@ -370,14 +376,14 @@ def test_kind_renormalizes_when_grow_is_unavailable():
     # Grow drops out and Prune/Change split the mass 2:1
     X = np.array([[0.0], [1.0]])
     grids = make_cutpoint_grids(X, 3)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
+    table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
     rng = np.random.default_rng(2)
-    apply_move(tree, propose_move(tree, table, rng))
+    apply_move(tree, propose_move(tree, table, rng, PRIOR))
     counts = {k: 0 for k in MoveKind}
     n = 3000
     for _ in range(n):
-        prop = propose_move(tree, table, rng)
+        prop = propose_move(tree, table, rng, PRIOR)
         assert prop is not None
         counts[prop.kind] += 1
     assert counts[MoveKind.GROW] == 0
@@ -390,10 +396,11 @@ def test_grow_rows_match_rule():
     X = rng.random((60, 3))
     grids = make_cutpoint_grids(X, 25)
     bins = cutpoint_bins(X, grids)
-    table = SplitTable(bins, grids)
+    table = SplitTable(bins)
     tree = table.new_tree()
     prop = _propose_kind(tree, table, rng, MoveKind.GROW)
-    f, c = prop.rule.feature, prop.rule.cutpoint
+    f = prop.rule.feature
+    c = grids[f][prop.rule.k]
     assert_array_equal(prop.left.rows, np.flatnonzero(X[:, f] <= c))
     assert_array_equal(prop.right.rows, np.flatnonzero(X[:, f] > c))
     assert prop.left.rows.size > 0 and prop.right.rows.size > 0
@@ -404,7 +411,7 @@ def test_grow_then_prune_restores_structure():
     X = rng.random((30, 2))
     grids = make_cutpoint_grids(X, 15)
     bins = cutpoint_bins(X, grids)
-    table = SplitTable(bins, grids)
+    table = SplitTable(bins)
     tree = table.new_tree()
     grow = _propose_kind(tree, table, rng, MoveKind.GROW)
     apply_move(tree, grow)
@@ -422,19 +429,19 @@ def test_grow_prune_ratios_are_antisymmetric():
     rng = np.random.default_rng(6)
     X = rng.random((50, 3))
     grids = make_cutpoint_grids(X, 20)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
+    table = SplitTable(cutpoint_bins(X, grids))
     for _ in range(10):
         tree = table.new_tree()
         # random starting shape: a few accepted grows
         for _ in range(int(rng.integers(0, 3))):
-            prop = propose_move(tree, table, rng)
+            prop = propose_move(tree, table, rng, PRIOR)
             if prop is not None and prop.kind is MoveKind.GROW:
                 apply_move(tree, prop)
         grow = _propose_kind(tree, table, rng, MoveKind.GROW)
         grown = grow.node
         apply_move(tree, grow)
         for _ in range(500):
-            prune = propose_move(tree, table, rng)
+            prune = propose_move(tree, table, rng, PRIOR)
             if (prune is not None and prune.kind is MoveKind.PRUNE
                     and prune.node is grown):
                 break
@@ -451,9 +458,10 @@ def test_stump_grow_ratio_uses_renormalized_kind_mass():
     # mass and the reverse Prune carries probability 0.4 / (0.4 + 0.2).
     X = np.array([[0.0], [1.0]])
     grids = make_cutpoint_grids(X, 3)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
+    table = SplitTable(cutpoint_bins(X, grids))
     assert_allclose(grids[0], [0.25, 0.5, 0.75])
-    prop = propose_move(table.new_tree(), table, np.random.default_rng(0))
+    prop = propose_move(table.new_tree(), table, np.random.default_rng(0),
+                        PRIOR)
     assert prop.kind is MoveKind.GROW
     want = math.log(0.4) - math.log(0.4 + 0.2) + math.log(3.0)
     assert prop.log_transition_ratio == pytest.approx(want, rel=1e-12)
@@ -468,10 +476,10 @@ def test_grow_prune_antisymmetry_with_degenerate_children():
     # mass; the reverse Prune must reproduce both masses bit-for-bit
     X = np.array([[0.0], [1.0]])
     grids = make_cutpoint_grids(X, 3)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
+    table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
     rng = np.random.default_rng(1)
-    grow = propose_move(tree, table, rng)
+    grow = propose_move(tree, table, rng, PRIOR)
     assert grow.kind is MoveKind.GROW
     apply_move(tree, grow)
     prune = _propose_kind(tree, table, rng, MoveKind.PRUNE)
@@ -485,7 +493,7 @@ def test_change_prior_cancels_transition():
     X = rng.random((40, 2))
     grids = make_cutpoint_grids(X, 12)
     bins = cutpoint_bins(X, grids)
-    table = SplitTable(bins, grids)
+    table = SplitTable(bins)
     tree = table.new_tree()
     apply_move(tree, _propose_kind(tree, table, rng, MoveKind.GROW))
     for _ in range(20):
@@ -502,13 +510,13 @@ def test_change_clears_child_cutpoint_cache():
     rng = np.random.default_rng(8)
     X = rng.random((40, 2))
     grids = make_cutpoint_grids(X, 12)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
+    table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
     apply_move(tree, _propose_kind(tree, table, rng, MoveKind.GROW))
     change = _propose_kind(tree, table, rng, MoveKind.CHANGE)
     node = change.node
     # warm the caches, then apply the change
-    _ = propose_move(tree, table, rng)
+    _ = propose_move(tree, table, rng, PRIOR)
     assert node.left.rowset.splittable is not None
     assert node.right.rowset.splittable is not None
     apply_move(tree, change)
@@ -522,12 +530,15 @@ def test_change_clears_child_cutpoint_cache():
             assert_array_equal(child.rowset.cutinfo[0], want[0])
             assert_array_equal(child.rowset.cutinfo[1], want[1])
     # the next proposal fills both flags from the new row sets
-    _ = propose_move(tree, table, rng)
+    _ = propose_move(tree, table, rng, PRIOR)
     for child in (node.left, node.right):
         want = _cut_ranges(table.bins, child.rowset.rows)
         assert child.rowset.splittable == want[2]
     assert node.feature == change.rule.feature
-    assert node.cutpoint == change.rule.cutpoint
+    assert node.k == change.rule.k
+    cut = grids[node.feature][node.k]
+    assert np.all(X[node.left.rowset.rows, node.feature] <= cut)
+    assert np.all(X[node.right.rowset.rows, node.feature] > cut)
 
 
 def test_move_kind_frequencies():
@@ -536,13 +547,13 @@ def test_move_kind_frequencies():
     rng = np.random.default_rng(9)
     X = rng.random((80, 3))
     grids = make_cutpoint_grids(X, 20)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
+    table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
     apply_move(tree, _propose_kind(tree, table, rng, MoveKind.GROW))
     counts = {k: 0 for k in MoveKind}
     n = 10_000
     for _ in range(n):
-        prop = propose_move(tree, table, rng)
+        prop = propose_move(tree, table, rng, PRIOR)
         assert prop is not None
         counts[prop.kind] += 1
     for kind, p in zip(MoveKind, (0.4, 0.4, 0.2)):
@@ -554,11 +565,11 @@ def test_custom_move_probabilities_respected():
     rng = np.random.default_rng(10)
     X = rng.random((50, 2))
     grids = make_cutpoint_grids(X, 10)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
+    table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
     apply_move(tree, _propose_kind(tree, table, rng, MoveKind.GROW))
-    kinds = [propose_move(tree, table, rng,
-                          move_probs=(0.05, 0.05, 0.9)).kind
+    prior = ForestPrior(move_probabilities=(0.05, 0.05, 0.9))
+    kinds = [propose_move(tree, table, rng, prior).kind
              for _ in range(300)]
     frac_change = sum(k is MoveKind.CHANGE for k in kinds) / len(kinds)
     assert frac_change > 0.8
@@ -569,11 +580,11 @@ def test_leaves_partition_rows_under_random_walk():
     n = 80
     X = rng.random((n, 3))
     grids = make_cutpoint_grids(X, 20)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
+    table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
     applied = 0
     for _ in range(300):
-        prop = propose_move(tree, table, rng)
+        prop = propose_move(tree, table, rng, PRIOR)
         if prop is None:
             continue
         apply_move(tree, prop)
@@ -593,12 +604,13 @@ def test_leaves_partition_rows_under_random_walk():
         merged = np.sort(np.concatenate([node.left.rowset.rows,
                                          node.right.rowset.rows]))
         assert_array_equal(merged, np.sort(node.rowset.rows))
-        assert np.all(X[node.left.rowset.rows, node.feature] <= node.cutpoint)
-        assert np.all(X[node.right.rowset.rows, node.feature] > node.cutpoint)
+        cut = grids[node.feature][node.k]
+        assert np.all(X[node.left.rowset.rows, node.feature] <= cut)
+        assert np.all(X[node.right.rowset.rows, node.feature] > cut)
         stack.extend([node.left, node.right])
 
 
-def _leaf_regions(tree):
+def _leaf_regions(tree, grids):
     # every leaf with the list of (feature, cutpoint, goes_left) conditions
     # on its root path
     out = []
@@ -607,8 +619,9 @@ def _leaf_regions(tree):
         if node.is_leaf:
             out.append((node, conds))
             return
-        rec(node.left, conds + [(node.feature, node.cutpoint, True)])
-        rec(node.right, conds + [(node.feature, node.cutpoint, False)])
+        cut = grids[node.feature][node.k]
+        rec(node.left, conds + [(node.feature, cut, True)])
+        rec(node.right, conds + [(node.feature, cut, False)])
 
     rec(tree.root, [])
     return out
@@ -620,28 +633,28 @@ def test_routing_is_a_partition_of_feature_space():
     rng = np.random.default_rng(20)
     X = rng.random((60, 3))
     grids = make_cutpoint_grids(X, 15)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
+    table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
     for _ in range(200):
-        prop = propose_move(tree, table, rng)
+        prop = propose_move(tree, table, rng, PRIOR)
         if prop is not None and prop.kind is not MoveKind.PRUNE:
             apply_move(tree, prop)
     leaves = tree.leaves()
     assert len(leaves) > 3
-    regions = _leaf_regions(tree)
+    regions = _leaf_regions(tree, grids)
     assert len(regions) == len(leaves)
     for x in rng.random((1000, 3)):
         hits = [node for node, conds in regions
                 if all((x[f] <= c) == left for f, c, left in conds)]
         assert len(hits) == 1
-        assert _route(tree, x) is hits[0]
+        assert _route(tree, grids, x) is hits[0]
     # the sampler's leaf row sets partition the training rows the same way
     owner = np.full(len(X), -1)
     for i, leaf in enumerate(leaves):
         assert (owner[leaf.rowset.rows] == -1).all()
         owner[leaf.rowset.rows] = i
     assert (owner >= 0).all()
-    assert [leaves[i] for i in owner] == [_route(tree, x) for x in X]
+    assert [leaves[i] for i in owner] == [_route(tree, grids, x) for x in X]
 
 
 def test_constant_feature_never_selected():
@@ -651,11 +664,11 @@ def test_constant_feature_never_selected():
     n = 70
     X = np.column_stack([rng.random(n), np.full(n, 0.3), rng.random(n)])
     grids = make_cutpoint_grids(X, 12)
-    table = SplitTable(cutpoint_bins(X, grids), grids)
+    table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
     checked = 0
     for _ in range(10_000):
-        prop = propose_move(tree, table, rng)
+        prop = propose_move(tree, table, rng, PRIOR)
         if prop is None:
             continue
         if prop.rule is not None:
@@ -669,6 +682,6 @@ def test_constant_feature_never_selected():
 
 
 def test_split_rule_is_frozen():
-    rule = SplitRule(feature=1, cutpoint=0.3)
+    rule = SplitRule(feature=1, k=3)
     with pytest.raises(AttributeError):
         rule.feature = 2
