@@ -18,11 +18,6 @@ from .ranktests import (
     TestResult, TestReport, mann_whitney_u, kruskal_wallis, levene_family,
     fligner_policello, select_and_run,
 )
-from .trees import (
-    SplitRule, RowSet, Node, DecisionTree, MoveKind, MoveProposal,
-    SplitTable, depth_split_prob, make_cutpoint_grids, cutpoint_bins,
-    propose_move, apply_move,
-)
 from .bart import (
     HalfCauchy, HalfNormal, FixedScale, SigmaPrior, FixedSigma, ForestPrior,
     ChainConfig, BartPosterior, ForestSampler, fit_continuous,

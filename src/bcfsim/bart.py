@@ -36,7 +36,6 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import chi2
 
 from .trees import (
-    MoveKind,
     SplitTable,
     cutpoint_bins,
     depth_split_prob,
@@ -148,6 +147,10 @@ class ForestPrior:
         probs = self.move_probabilities
         if len(probs) != 3 or min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
             raise ValueError("move_probabilities must be 3 nonnegatives summing to 1")
+        if not (probs[0] > 0 and probs[1] > 0):
+            # a tree must be able to grow from the stump and shrink back
+            raise ValueError("move_probabilities (grow, prune, change) need "
+                             f"a positive grow and prune share, got {probs}")
         prior = self.leaf_scale_prior
         if not isinstance(prior, (HalfCauchy, HalfNormal, FixedScale)):
             raise ValueError("unknown leaf_scale_prior")
@@ -263,37 +266,39 @@ def _slice_sample(log_density, x0: float, rng, width: float = 1.0,
         f"after {_SLICE_SHRINK_CAP} shrink steps")
 
 
+def _pair_stats(pair, resid):
+    """``[(count, residual sum)]`` of each row set of a child pair."""
+    return [(len(w), float(resid[w].sum()))
+            for w in (pair[0].wrows, pair[1].wrows)]
+
+
+def _merged(stats):
+    """The ``(count, residual sum)`` of a pair's two leaves merged into one."""
+    (nl, sl), (nr, sr) = stats
+    return [(nl + nr, sl + sr)]
+
+
 def _log_like_ratio(prop, resid, sig2, ls2):
     """Marginal-likelihood log ratio of a proposal, with the child sums.
 
-    Returns ``(log_ratio, sums_new, sums_old)``: the residual sums of the
-    children the move creates (Grow, Change) and of the node's existing
-    children (Prune, Change), None where the move has none, for the leaf
-    redraw to reuse.
+    The leaves at the proposal's node after the move are its child pair, or
+    the node alone when it becomes a leaf; before the move they are the
+    node's current children, or the node alone when it is a leaf. The
+    ratio adds the after-side log marginals left to right, then subtracts
+    the before-side ones; a lone node takes the summed count and residual
+    sum of the pair on the other side. Returns ``(log_ratio, new, old)``
+    with the ``(count, residual sum)`` of each child after and before the
+    move, None for a lone node, for the leaf redraw to reuse.
     """
-    if prop.kind is MoveKind.GROW:
-        wl, wr = prop.left.wrows, prop.right.wrows
-        nl, sl = len(wl), float(resid[wl].sum())
-        nr, sr = len(wr), float(resid[wr].sum())
-        ratio = (_llm(nl, sl, sig2, ls2) + _llm(nr, sr, sig2, ls2)
-                 - _llm(nl + nr, sl + sr, sig2, ls2))
-        return ratio, (sl, sr), None
-    lw = prop.node.left.rowset.wrows
-    rw = prop.node.right.rowset.wrows
-    if prop.kind is MoveKind.PRUNE:
-        nl, sl = len(lw), float(resid[lw].sum())
-        nr, sr = len(rw), float(resid[rw].sum())
-        ratio = (_llm(nl + nr, sl + sr, sig2, ls2)
-                 - _llm(nl, sl, sig2, ls2) - _llm(nr, sr, sig2, ls2))
-        return ratio, None, (sl, sr)
-    # Change: same rows redistributed between the two leaf children
-    wl, wr = prop.left.wrows, prop.right.wrows
-    new = float(resid[wl].sum()), float(resid[wr].sum())
-    old = float(resid[lw].sum()), float(resid[rw].sum())
-    ratio = (_llm(len(wl), new[0], sig2, ls2)
-             + _llm(len(wr), new[1], sig2, ls2)
-             - _llm(len(lw), old[0], sig2, ls2)
-             - _llm(len(rw), old[1], sig2, ls2))
+    node = prop.node
+    new = None if prop.children is None else _pair_stats(prop.children, resid)
+    old = (None if node.is_leaf
+           else _pair_stats((node.left.rowset, node.right.rowset), resid))
+    ratio = 0.0
+    for n, s in new or _merged(old):
+        ratio += _llm(n, s, sig2, ls2)
+    for n, s in old or _merged(new):
+        ratio -= _llm(n, s, sig2, ls2)
     return ratio, new, old
 
 
@@ -317,10 +322,11 @@ class ForestSampler:
     root splits), each tree's ``leaf_list`` is edited by ``apply_move``
     instead of rewalked, and its leaf scan is cached until the tree
     changes. The leaf redraw reuses the child residual sums that the
-    likelihood ratio has just computed: the new children after an accepted
-    Grow or Change and the existing ones after a rejected Prune or Change.
-    The residual does not change in between and the sum gathers the same
-    rows in the same order, so each reused value is the same float.
+    likelihood ratio has just computed: those of the proposal's child pair
+    after an accept and of the node's current pair after a reject, none
+    when the node is a leaf after the step. The residual does not change
+    in between and the sum gathers the same rows in the same order, so
+    each reused value is the same float.
 
     ``weights`` (0/1 per unit, optional) multiply the forest inside the
     likelihood: rows with weight zero still route through the trees and
@@ -332,23 +338,22 @@ class ForestSampler:
 
     def __init__(self, X: np.ndarray, prior: ForestPrior, weights=None):
         prior.validate()
-        self.X = np.ascontiguousarray(np.asarray(X, dtype=float))
-        if self.X.ndim != 2 or self.X.shape[0] < 1:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError("X must be a nonempty 2-D array")
-        if not np.isfinite(self.X).all():
+        if not np.isfinite(X).all():
             raise ValueError("X must be finite (no NaN or inf)")
+        n = X.shape[0]
         self.prior = prior
-        self.weights = None
         if weights is not None:
-            w = np.asarray(weights)
-            if w.shape != (self.X.shape[0],):
+            weights = np.asarray(weights)
+            if weights.shape != (n,):
                 raise ValueError("weights must be one value per row")
-            self.weights = w.astype(bool)
-        self.grids = make_cutpoint_grids(self.X, prior.cutpoints_per_feature)
-        self.bins = cutpoint_bins(self.X, self.grids)
-        self.splits = SplitTable(self.bins, self.weights)
+            weights = weights.astype(bool)
+        grids = make_cutpoint_grids(X, prior.cutpoints_per_feature)
+        self.splits = SplitTable(cutpoint_bins(X, grids), weights)
         self.trees = [self.splits.new_tree() for _ in range(prior.num_trees)]
-        self.fits = np.zeros((prior.num_trees, self.X.shape[0]))
+        self.fits = np.zeros((prior.num_trees, n))
         self.forest_scale = float(prior.leaf_scale_prior.initial())
         self._scale_root = math.sqrt(prior.num_trees)
         self.proposals = 0
@@ -375,22 +380,22 @@ class ForestSampler:
             known = {}  # leaf -> residual sum the likelihood ratio computed
             if prop is not None:
                 if prior_only:
-                    log_like, sums_new, sums_old = 0.0, None, None
+                    log_like, new, old = 0.0, None, None
                 else:
-                    log_like, sums_new, sums_old = _log_like_ratio(
-                        prop, resid, sig2, ls2)
+                    log_like, new, old = _log_like_ratio(prop, resid, sig2,
+                                                         ls2)
                 log_alpha = (log_like + prop.log_tree_prior_ratio
                              + prop.log_transition_ratio)
                 u = rng.random()
                 if log_alpha >= 0.0 or (u > 0.0 and math.log(u) < log_alpha):
                     apply_move(tree, prop)
                     self.accepts += 1
-                    sums = sums_new
+                    stats = new
                 else:
-                    sums = sums_old
-                if sums is not None:
-                    known = {prop.node.left: sums[0],
-                             prop.node.right: sums[1]}
+                    stats = old
+                if stats is not None:
+                    known = {prop.node.left: stats[0][1],
+                             prop.node.right: stats[1][1]}
             leaves = tree.leaf_list
             noise = rng.standard_normal(len(leaves)).tolist()
             for leaf, eps in zip(leaves, noise):
@@ -434,7 +439,7 @@ class ForestSampler:
 
     def current_fit(self) -> np.ndarray:
         """Forest prediction at every training row, recomputed from leaves."""
-        out = np.zeros(self.X.shape[0])
+        out = np.zeros(self.fits.shape[1])
         for tree in self.trees:
             for leaf in tree.leaf_list:
                 out[leaf.rowset.rows] += leaf.value

@@ -6,10 +6,17 @@ left), per-feature cutpoint grids, and the Grow / Prune / Change proposal
 kernel in the style of Chipman, George & McCulloch (2010), with Grow 0.4,
 Prune 0.4, Change 0.2 and no Swap move.
 
-Proposals carry their own log transition-probability ratio and log
-tree-prior ratio; the sampler only adds the marginal-likelihood ratio. The
-move kind is drawn from the configured probabilities renormalized over the
-kinds the current tree structure allows (Grow needs a leaf with a valid
+A proposal states the node as the move would leave it: its split
+``feature``/``k`` (``feature`` None for a leaf, as on ``Node``) and the pair
+of child row sets it would have (None for a leaf), with its log
+transition-probability ratio and log tree-prior ratio kept apart. Only this
+module tells the move kinds apart: in the kind draw, and in ``apply_move``,
+which reads the kind off the structure (no child pair is a Prune, a leaf
+node a Grow, an internal one a Change). The sampler compares the node's
+leaves before and after the move and adds the marginal-likelihood ratio.
+
+The move kind is drawn from the configured probabilities renormalized over
+the kinds the current tree structure allows (Grow needs a leaf with a valid
 cutpoint, Prune and Change need an internal node), so a root-only tree with
 a splittable column always proposes Grow; the renormalizing mass is part of
 the transition ratios. The tree prior puts split probability
@@ -29,8 +36,8 @@ bin space: grids are sorted, so the grid points below ``x`` are the first
 valid cutpoints on a feature are the grid indices ``k`` with
 ``min(i) <= k < max(i)`` over its rows (some row goes left and some goes
 right), so the per-feature counts and offsets are an integer min and max
-over the node's bin columns, gathered feature by feature. Split rules and
-nodes keep the grid index ``k``; the float cutpoint is ``grids[f][k]``.
+over the node's bin columns, gathered feature by feature. Nodes and
+proposals keep the grid index ``k``; the float cutpoint is ``grids[f][k]``.
 
 Sampler state is kept incrementally rather than recomputed per proposal:
 
@@ -62,11 +69,10 @@ float is computed by the same operations in the same order.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import weakref
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,14 +86,6 @@ def depth_split_prob(depth: int, base: float, power: float) -> float:
     if power < 0:
         raise ValueError(f"power must be nonnegative, got {power}")
     return base * (1.0 + depth) ** -power
-
-
-@dataclass(frozen=True)
-class SplitRule:
-    """Rows with ``x[feature] <= grids[feature][k]`` go left."""
-
-    feature: int
-    k: int
 
 
 class RowSet:
@@ -111,8 +109,8 @@ class RowSet:
 
 
 class Node:
-    """One tree node; a leaf when ``feature`` is None, internal otherwise,
-    splitting on grid index ``k`` like a ``SplitRule``.
+    """One tree node; a leaf when ``feature`` is None, internal otherwise:
+    rows with ``x[feature] <= grids[feature][k]`` go left.
 
     ``rowset`` holds the training rows reaching the node and their caches
     (sampler bookkeeping, not part of the tree function itself).
@@ -268,29 +266,23 @@ def _shared(rowset: RowSet) -> RowSet:
     return rowset
 
 
-class MoveKind(enum.Enum):
-    GROW = "grow"
-    PRUNE = "prune"
-    CHANGE = "change"
+class Proposal(NamedTuple):
+    """A proposed tree mutation, stated as the node after the move.
 
-
-@dataclass
-class MoveProposal:
-    """A proposed tree mutation with its MH correction terms.
-
-    ``log_transition_ratio`` is log q(reverse)/q(forward) and
-    ``log_tree_prior_ratio`` is log p(T')/p(T) including the rule prior;
-    adding the marginal-likelihood log ratio gives the full acceptance
-    exponent. ``left``/``right`` are the row sets of the children the move
-    would create (Grow and Change only); ``apply_move`` hands them to the
-    children.
+    ``feature``/``k`` are the node's split after the move, ``feature`` None
+    when it becomes a leaf, as on ``Node``; ``children`` is the pair of
+    child row sets it will then have, None when it becomes a leaf. The move
+    kind follows from the structure: no children is a Prune, a leaf node is
+    a Grow and anything else a Change. ``log_transition_ratio`` is log
+    q(reverse)/q(forward) and ``log_tree_prior_ratio`` is log p(T')/p(T)
+    including the rule prior; adding the marginal-likelihood log ratio
+    gives the full acceptance exponent.
     """
 
-    kind: MoveKind
     node: Node
-    rule: SplitRule | None
-    left: RowSet | None
-    right: RowSet | None
+    feature: int | None
+    k: int
+    children: tuple[RowSet, RowSet] | None
     log_transition_ratio: float
     log_tree_prior_ratio: float
 
@@ -298,15 +290,13 @@ class MoveProposal:
 def _cut_ranges(bins, rows):
     """Valid-cutpoint counts and grid offsets per feature for a row set.
 
-    Returns ``(counts, starts, splittable)``: feature ``j`` admits the grid
-    indices ``starts[j] .. starts[j] + counts[j] - 1``, and ``splittable``
-    says whether any feature admits one. The rows are gathered from the
-    feature-major view of ``bins``, one contiguous column per feature.
+    Returns ``(counts, starts)``: feature ``j`` admits the grid indices
+    ``starts[j] .. starts[j] + counts[j] - 1``. The rows are gathered from
+    the feature-major view of ``bins``, one contiguous column per feature.
     """
     sub = bins.T.take(rows, axis=1)
     starts = sub.min(axis=1)
-    counts = sub.max(axis=1) - starts
-    return counts, starts, bool(counts.any())
+    return sub.max(axis=1) - starts, starts
 
 
 def _rowset_cutinfo(rowset, bins):
@@ -317,7 +307,7 @@ def _rowset_cutinfo(rowset, bins):
     """
     info = rowset.cutinfo
     if info is None:
-        counts, starts, _ = _cut_ranges(bins, rowset.rows)
+        counts, starts = _cut_ranges(bins, rowset.rows)
         info = rowset.cutinfo = (counts, starts, np.flatnonzero(counts))
     return info
 
@@ -383,7 +373,7 @@ def _scan(tree: DecisionTree, keys):
 
 
 def propose_move(tree: DecisionTree, table: SplitTable, rng,
-                 prior) -> MoveProposal | None:
+                 prior) -> Proposal | None:
     """Draw one Grow/Prune/Change proposal for a tree built by ``table``.
 
     ``prior`` is the forest's ``bart.ForestPrior``; its
@@ -404,33 +394,22 @@ def propose_move(tree: DecisionTree, table: SplitTable, rng,
         return None
     p_grow, p_prune, _ = move_probs
     u = rng.random() * mass
-    if not prunable:
-        kind = MoveKind.GROW
-    elif not n_split:
-        kind = MoveKind.PRUNE if u < p_prune else MoveKind.CHANGE
-    elif u < p_grow:
-        kind = MoveKind.GROW
-    elif u < p_grow + p_prune:
-        kind = MoveKind.PRUNE
-    else:
-        kind = MoveKind.CHANGE
-    if kind is MoveKind.GROW:
+    if not prunable or (n_split and u < p_grow):
         return _propose_grow(tree, table, rng, prior, singly, flags, n_split,
                              mass)
-    if kind is MoveKind.PRUNE:
+    if u < (p_grow + p_prune if n_split else p_prune):
         return _propose_prune(tree, table, rng, prior, singly, mass)
     return _propose_change(table, rng, singly)
 
 
 def _draw_rule(node, table, rng):
     """Draw a split rule at ``node`` from the rule prior: returns the
-    feature, grid index, valid-cutpoint count and the two child row sets."""
+    feature, grid index, valid-cutpoint count and the child row set pair."""
     counts, starts, features = _rowset_cutinfo(node.rowset, table.bins)
     feature = int(features[_pick(rng, features.size)])
     n_cut = int(counts[feature])
     k = int(starts[feature]) + _pick(rng, n_cut)
-    left, right = table.children(node.rowset, feature, k)
-    return feature, k, n_cut, left, right
+    return feature, k, n_cut, table.children(node.rowset, feature, k)
 
 
 def _propose_grow(tree, table, rng, prior, singly, flags, n_split, mass):
@@ -441,7 +420,7 @@ def _propose_grow(tree, table, rng, prior, singly, flags, n_split, mass):
         # the drawn leaf has no valid cutpoint on any feature: automatic
         # rejection (some other leaf is splittable, or Grow was never drawn)
         return None
-    feature, k, n_cut, left, right = _draw_rule(leaf, table, rng)
+    feature, k, n_cut, children = _draw_rule(leaf, table, rng)
     log_rule = math.log(leaf.rowset.cutinfo[2].size), math.log(n_cut)
     log_prior = (_depth_log_prior(leaf.depth, prior.base, prior.power)
                  - log_rule[0] - log_rule[1])
@@ -458,8 +437,8 @@ def _propose_grow(tree, table, rng, prior, singly, flags, n_split, mass):
     # if an untouched leaf is splittable or either new child is. The child
     # flags are computed only when the untouched leaves do not settle it.
     grow_ok_after = (n_split > 1
-                     or _rowset_splittable(left, table.keys)
-                     or _rowset_splittable(right, table.keys))
+                     or _rowset_splittable(children[0], table.keys)
+                     or _rowset_splittable(children[1], table.keys))
     move_probs = prior.move_probabilities
     mass_after = _kind_mass(move_probs, grow_ok_after, True)
     p_grow, p_prune, _ = move_probs
@@ -468,15 +447,8 @@ def _propose_grow(tree, table, rng, prior, singly, flags, n_split, mass):
     log_reverse = (math.log(p_prune) - math.log(mass_after)
                    - math.log(si_after))
 
-    return MoveProposal(
-        kind=MoveKind.GROW,
-        node=leaf,
-        rule=SplitRule(feature, k),
-        left=left,
-        right=right,
-        log_transition_ratio=log_reverse - log_forward,
-        log_tree_prior_ratio=log_prior,
-    )
+    return Proposal(leaf, feature, k, children, log_reverse - log_forward,
+                    log_prior)
 
 
 def _propose_prune(tree, table, rng, prior, singly, mass):
@@ -498,20 +470,13 @@ def _propose_prune(tree, table, rng, prior, singly, mass):
                    - math.log(n_leaves_after)
                    - log_rule[0] - log_rule[1])
 
-    return MoveProposal(
-        kind=MoveKind.PRUNE,
-        node=node,
-        rule=None,
-        left=None,
-        right=None,
-        log_transition_ratio=log_reverse - log_forward,
-        log_tree_prior_ratio=log_prior,
-    )
+    return Proposal(node, None, 0, None, log_reverse - log_forward,
+                    log_prior)
 
 
 def _propose_change(table, rng, singly):
     node = singly[_pick(rng, len(singly))]
-    feature, k, n_cut, left, right = _draw_rule(node, table, rng)
+    feature, k, n_cut, children = _draw_rule(node, table, rng)
 
     # Rule proposal matches the rule prior, so the two ratios are equal and
     # opposite: only the cutpoint-count asymmetry between old and new feature
@@ -525,43 +490,34 @@ def _propose_change(table, rng, singly):
     n_cut_old = int(node.rowset.cutinfo[0][node.feature])
     log_transition = math.log(n_cut) - math.log(n_cut_old)
 
-    return MoveProposal(
-        kind=MoveKind.CHANGE,
-        node=node,
-        rule=SplitRule(feature, k),
-        left=left,
-        right=right,
-        log_transition_ratio=log_transition,
-        log_tree_prior_ratio=-log_transition,
-    )
+    return Proposal(node, feature, k, children, log_transition,
+                    -log_transition)
 
 
-def apply_move(tree: DecisionTree, proposal: MoveProposal) -> None:
+def apply_move(tree: DecisionTree, proposal: Proposal) -> None:
     """Mutate the tree and its ``leaf_list`` per an accepted proposal.
 
-    New or re-partitioned children take the proposal's row sets, caches
-    and all; the tree's ``scan`` is cleared.
+    The node takes the proposal's split, and its children the proposal's
+    row sets, caches and all; the tree's ``scan`` is cleared.
     """
     node = proposal.node
+    children = proposal.children
     leaves = tree.leaf_list
     tree.scan = None
-    if proposal.kind is MoveKind.GROW:
-        node.feature = proposal.rule.feature
-        node.k = proposal.rule.k
-        node.left = Node(node.depth + 1, parent=node, rowset=proposal.left)
-        node.right = Node(node.depth + 1, parent=node, rowset=proposal.right)
-        i = leaves.index(node)
-        leaves[i:i + 1] = (node.left, node.right)
-    elif proposal.kind is MoveKind.PRUNE:
-        # both children are leaves, adjacent in depth-first order
+    if children is None:
+        # Prune: both children are leaves, adjacent in depth-first order
         i = leaves.index(node.left)
         leaves[i:i + 2] = (node,)
-        node.feature = None
         node.left = None
         node.right = None
+    elif node.is_leaf:
+        # Grow
+        node.left = Node(node.depth + 1, parent=node, rowset=children[0])
+        node.right = Node(node.depth + 1, parent=node, rowset=children[1])
+        i = leaves.index(node)
+        leaves[i:i + 1] = (node.left, node.right)
     else:
-        node.feature = proposal.rule.feature
-        node.k = proposal.rule.k
-        node.left.rowset = proposal.left
-        node.right.rowset = proposal.right
-
+        # Change
+        node.left.rowset, node.right.rowset = children
+    node.feature = proposal.feature
+    node.k = proposal.k

@@ -8,11 +8,14 @@ from scipy import integrate, stats as spstats
 
 from bcfsim.bart import (
     HALF_NORMAL_MEDIAN, ChainConfig, FixedScale, FixedSigma, ForestPrior,
-    ForestSampler, HalfCauchy, HalfNormal, SigmaPrior, _llm, _slice_sample,
-    fit_binary_probit, fit_continuous,
+    ForestSampler, HalfCauchy, HalfNormal, SigmaPrior, _llm, _log_like_ratio,
+    _slice_sample, fit_binary_probit, fit_continuous,
 )
 from bcfsim.bcf import BcfConfig
-from bcfsim.trees import _cut_ranges, _scan
+from bcfsim.trees import (
+    SplitTable, _cut_ranges, _scan, apply_move, cutpoint_bins,
+    make_cutpoint_grids, propose_move,
+)
 
 # one tree that can never split (tests pair this with constant X), with the
 # noise sd pinned
@@ -80,6 +83,49 @@ def test_leaf_log_marginal_split_ratio_is_ssr_free():
                     rtol=1e-12)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_log_like_ratio_matches_leaf_reference(weighted):
+    # for every move kind the ratio is the log marginal of the leaves the
+    # move creates less that of the leaves it removes, each leaf summed
+    # from scratch over its weighted rows; the child sums handed on to the
+    # leaf redraw are exactly those gathered sums
+    rng = np.random.default_rng(40 + weighted)
+    n = 60
+    X = rng.random((n, 3))
+    weights = rng.random(n) < 0.6 if weighted else None
+    table = SplitTable(cutpoint_bins(X, make_cutpoint_grids(X, 12)), weights)
+    tree = table.new_tree()
+    resid = rng.normal(size=n)
+    sig2, ls2 = 0.7**2, 0.4**2
+
+    def stats(rowset):
+        wrows = rowset.wrows
+        return len(wrows), float(resid[wrows].sum())
+
+    seen = {"grow": 0, "prune": 0, "change": 0}
+    for _ in range(600):
+        prop = propose_move(tree, table, rng, ForestPrior())
+        if prop is None:
+            continue
+        node = prop.node
+        before = ([node.rowset] if node.is_leaf
+                  else [node.left.rowset, node.right.rowset])
+        after = [node.rowset] if prop.children is None else prop.children
+        want = (sum(_llm(*stats(rs), sig2, ls2) for rs in after)
+                - sum(_llm(*stats(rs), sig2, ls2) for rs in before))
+        ratio, new, old = _log_like_ratio(prop, resid, sig2, ls2)
+        assert ratio == pytest.approx(want, rel=1e-12)
+        assert new == (None if prop.children is None
+                       else [stats(rs) for rs in after])
+        assert old == (None if node.is_leaf else [stats(rs) for rs in before])
+        kind = ("prune" if prop.children is None
+                else "grow" if node.is_leaf else "change")
+        seen[kind] += 1
+        if rng.random() < 0.5:
+            apply_move(tree, prop)
+    assert min(seen.values()) >= 30
+
+
 # ------------------------------------------------------------ configuration
 
 def test_config_validation():
@@ -97,6 +143,9 @@ def test_config_validation():
         ForestPrior(cutpoints_per_feature=0),
         ForestPrior(move_probabilities=(0.5, 0.5, 0.5)),
         ForestPrior(move_probabilities=(1.0, 0.0)),
+        ForestPrior(move_probabilities=(0.5, 0.0, 0.5)),
+        ForestPrior(move_probabilities=(1.0, 0.0, 0.0)),
+        ForestPrior(move_probabilities=(0.0, 0.5, 0.5)),
         ForestPrior(leaf_scale_prior=object()),
         BcfConfig(sigma_prior=FixedSigma(0.0)),
         BcfConfig(sigma_prior=FixedSigma(math.nan)),
@@ -126,6 +175,17 @@ def test_config_validation():
         fit_continuous(X, y, chain=ChainConfig(thin=0))
     with pytest.raises(ValueError):
         fit_binary_probit(X, y % 2, chain=ChainConfig(iterations=0))
+    # without a Grow or a Prune share the chain cannot reach or leave a
+    # grown tree, so the prior is refused by name; no Change share is fine
+    short = ChainConfig(iterations=20, burn_in=10)
+    for probs in [(0.5, 0.0, 0.5), (1.0, 0.0, 0.0), (0.0, 0.5, 0.5)]:
+        with pytest.raises(ValueError, match="positive grow and prune"):
+            fit_continuous(X, y, ForestPrior(move_probabilities=probs), short)
+    post = fit_continuous(
+        X, y, ForestPrior(num_trees=5, move_probabilities=(0.5, 0.5, 0.0)),
+        short)
+    assert np.isfinite(post.draws).all()
+    assert post.acceptance_rate > 0
 
 
 def test_config_retained_count():
@@ -288,9 +348,9 @@ def test_residual_bookkeeping_weighted():
 
 def _check_cached_ranges(rowset, bins):
     # a filled cache equals what a fresh pass over the rows computes
-    counts, starts, flag = _cut_ranges(bins, rowset.rows)
+    counts, starts = _cut_ranges(bins, rowset.rows)
     if rowset.splittable is not None:
-        assert rowset.splittable == flag
+        assert rowset.splittable == bool(counts.any())
     if rowset.cutinfo is not None:
         assert_array_equal(rowset.cutinfo[0], counts)
         assert_array_equal(rowset.cutinfo[1], starts)
@@ -300,10 +360,10 @@ def _check_cached_ranges(rowset, bins):
 def _check_incremental_state(sampler):
     # the kept per-tree state equals what a full rescan computes; returns
     # how many cached scans and table-built children it checked
-    n = sampler.X.shape[0]
-    weights = (np.ones(n, dtype=bool) if sampler.weights is None
-               else sampler.weights)
     table = sampler.splits
+    n = table.bins.shape[0]
+    weights = (np.ones(n, dtype=bool) if table.weights is None
+               else table.weights)
     shared = {id(rs) for pair in table.root_splits.values() for rs in pair}
     scans = from_table = 0
     for tree, fit in zip(sampler.trees, sampler.fits):
@@ -325,7 +385,7 @@ def _check_incremental_state(sampler):
             node = stack.pop()
             rowset = node.rowset
             assert_array_equal(rowset.wrows, rowset.rows[weights[rowset.rows]])
-            _check_cached_ranges(rowset, sampler.bins)
+            _check_cached_ranges(rowset, table.bins)
             if node.depth == 1 and id(rowset) in shared:
                 assert not rowset.rows.flags.writeable
                 from_table += 1

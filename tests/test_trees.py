@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from bcfsim.bart import ForestPrior, ForestSampler
 from bcfsim.trees import (
-    DecisionTree, MoveKind, Node, RowSet, SplitRule, SplitTable,
+    DecisionTree, Node, RowSet, SplitTable,
     _cut_ranges, _pick, _rowset_cutinfo, _rowset_splittable,
     apply_move, cutpoint_bins, depth_split_prob, make_cutpoint_grids,
     propose_move, row_signatures,
@@ -60,11 +60,22 @@ def _route(tree: DecisionTree, grids, x) -> Node:
     return node
 
 
+KINDS = ("grow", "prune", "change")
+
+
+def _kind(prop) -> str:
+    # the move kind a proposal makes, read off the structure as apply_move
+    # does; only meaningful before the proposal is applied
+    if prop.children is None:
+        return "prune"
+    return "grow" if prop.node.is_leaf else "change"
+
+
 def _propose_kind(tree, table, rng, kind):
     # public-path proposal of a specific kind, retrying the rng draw
     for _ in range(500):
         prop = propose_move(tree, table, rng, PRIOR)
-        if prop is not None and prop.kind is kind:
+        if prop is not None and _kind(prop) == kind:
             return prop
     raise AssertionError(f"no {kind} proposal in 500 attempts")
 
@@ -224,7 +235,7 @@ def test_signature_splittability_matches_cut_ranges(seed):
         if other.size:
             subsets.append(np.sort(np.append(members, other[0])))
     for rows in subsets:
-        want = _cut_ranges(bins, rows)[2]
+        want = bool(_cut_ranges(bins, rows)[0].any())
         assert _rowset_splittable(RowSet(rows), keys) == want
         assert want == (len(np.unique(bins[rows], axis=0)) > 1)
 
@@ -239,10 +250,11 @@ def test_wide_grid_bins_do_not_overflow():
     y = 3.0 * (X[:, 0] > 0.93) + rng.normal(0.0, 0.1, size=n)
     sampler = ForestSampler(X, ForestPrior(num_trees=10,
                                            cutpoints_per_feature=300))
-    bins = sampler.bins
+    bins = sampler.splits.bins
+    grids = make_cutpoint_grids(X, 300)
     assert bins.dtype == np.uint16
     assert bins.max() > 255
-    for j, grid in enumerate(sampler.grids):
+    for j, grid in enumerate(grids):
         for k, cut in enumerate(grid):
             assert_array_equal(bins[:, j] <= k, X[:, j] <= cut)
     resid = y - y.mean()
@@ -256,7 +268,7 @@ def test_wide_grid_bins_do_not_overflow():
             node = stack.pop()
             if node.is_leaf:
                 continue
-            cut = sampler.grids[node.feature][node.k]
+            cut = grids[node.feature][node.k]
             goes_left = X[node.rowset.rows, node.feature] <= cut
             rows = node.rowset.rows
             assert_array_equal(node.left.rowset.rows, rows[goes_left])
@@ -286,10 +298,10 @@ def test_root_split_table_matches_fresh_routing(seed, weighted):
                 apply_move(tree, prop)
     all_rows = np.arange(n)
     keep = np.ones(n, dtype=bool) if weights is None else weights
-    counts, starts, flag = _cut_ranges(bins, all_rows)
+    counts, starts = _cut_ranges(bins, all_rows)
     root = table.root
     assert_array_equal(root.rows, all_rows)
-    assert root.splittable == flag
+    assert root.splittable == bool(counts.any())
     assert_array_equal(root.cutinfo[0], counts)
     assert_array_equal(root.cutinfo[1], starts)
     assert table.root_splits
@@ -358,7 +370,7 @@ def test_splittable_stump_always_proposes_grow():
     for _ in range(200):
         prop = propose_move(tree, table, rng, PRIOR)
         assert prop is not None
-        assert prop.kind is MoveKind.GROW
+        assert _kind(prop) == "grow"
 
 
 def test_stump_on_constant_features_has_no_legal_move():
@@ -380,15 +392,15 @@ def test_kind_renormalizes_when_grow_is_unavailable():
     tree = table.new_tree()
     rng = np.random.default_rng(2)
     apply_move(tree, propose_move(tree, table, rng, PRIOR))
-    counts = {k: 0 for k in MoveKind}
+    counts = dict.fromkeys(KINDS, 0)
     n = 3000
     for _ in range(n):
         prop = propose_move(tree, table, rng, PRIOR)
         assert prop is not None
-        counts[prop.kind] += 1
-    assert counts[MoveKind.GROW] == 0
-    assert abs(counts[MoveKind.PRUNE] / n - 2 / 3) < 0.03
-    assert abs(counts[MoveKind.CHANGE] / n - 1 / 3) < 0.03
+        counts[_kind(prop)] += 1
+    assert counts["grow"] == 0
+    assert abs(counts["prune"] / n - 2 / 3) < 0.03
+    assert abs(counts["change"] / n - 1 / 3) < 0.03
 
 
 def test_grow_rows_match_rule():
@@ -398,12 +410,13 @@ def test_grow_rows_match_rule():
     bins = cutpoint_bins(X, grids)
     table = SplitTable(bins)
     tree = table.new_tree()
-    prop = _propose_kind(tree, table, rng, MoveKind.GROW)
-    f = prop.rule.feature
-    c = grids[f][prop.rule.k]
-    assert_array_equal(prop.left.rows, np.flatnonzero(X[:, f] <= c))
-    assert_array_equal(prop.right.rows, np.flatnonzero(X[:, f] > c))
-    assert prop.left.rows.size > 0 and prop.right.rows.size > 0
+    prop = _propose_kind(tree, table, rng, "grow")
+    f = prop.feature
+    c = grids[f][prop.k]
+    left, right = prop.children
+    assert_array_equal(left.rows, np.flatnonzero(X[:, f] <= c))
+    assert_array_equal(right.rows, np.flatnonzero(X[:, f] > c))
+    assert left.rows.size > 0 and right.rows.size > 0
 
 
 def test_grow_then_prune_restores_structure():
@@ -413,10 +426,10 @@ def test_grow_then_prune_restores_structure():
     bins = cutpoint_bins(X, grids)
     table = SplitTable(bins)
     tree = table.new_tree()
-    grow = _propose_kind(tree, table, rng, MoveKind.GROW)
+    grow = _propose_kind(tree, table, rng, "grow")
     apply_move(tree, grow)
     assert not tree.root.is_leaf
-    prune = _propose_kind(tree, table, rng, MoveKind.PRUNE)
+    prune = _propose_kind(tree, table, rng, "prune")
     assert prune.node is tree.root
     apply_move(tree, prune)
     assert tree.root.is_leaf
@@ -435,14 +448,14 @@ def test_grow_prune_ratios_are_antisymmetric():
         # random starting shape: a few accepted grows
         for _ in range(int(rng.integers(0, 3))):
             prop = propose_move(tree, table, rng, PRIOR)
-            if prop is not None and prop.kind is MoveKind.GROW:
+            if prop is not None and _kind(prop) == "grow":
                 apply_move(tree, prop)
-        grow = _propose_kind(tree, table, rng, MoveKind.GROW)
+        grow = _propose_kind(tree, table, rng, "grow")
         grown = grow.node
         apply_move(tree, grow)
         for _ in range(500):
             prune = propose_move(tree, table, rng, PRIOR)
-            if (prune is not None and prune.kind is MoveKind.PRUNE
+            if (prune is not None and _kind(prune) == "prune"
                     and prune.node is grown):
                 break
         else:
@@ -462,7 +475,7 @@ def test_stump_grow_ratio_uses_renormalized_kind_mass():
     assert_allclose(grids[0], [0.25, 0.5, 0.75])
     prop = propose_move(table.new_tree(), table, np.random.default_rng(0),
                         PRIOR)
-    assert prop.kind is MoveKind.GROW
+    assert _kind(prop) == "grow"
     want = math.log(0.4) - math.log(0.4 + 0.2) + math.log(3.0)
     assert prop.log_transition_ratio == pytest.approx(want, rel=1e-12)
     p0, p1 = 0.95, 0.95 / 4
@@ -480,9 +493,9 @@ def test_grow_prune_antisymmetry_with_degenerate_children():
     tree = table.new_tree()
     rng = np.random.default_rng(1)
     grow = propose_move(tree, table, rng, PRIOR)
-    assert grow.kind is MoveKind.GROW
+    assert _kind(grow) == "grow"
     apply_move(tree, grow)
-    prune = _propose_kind(tree, table, rng, MoveKind.PRUNE)
+    prune = _propose_kind(tree, table, rng, "prune")
     assert prune.node is tree.root
     assert prune.log_transition_ratio == -grow.log_transition_ratio
     assert prune.log_tree_prior_ratio == -grow.log_tree_prior_ratio
@@ -495,9 +508,9 @@ def test_change_prior_cancels_transition():
     bins = cutpoint_bins(X, grids)
     table = SplitTable(bins)
     tree = table.new_tree()
-    apply_move(tree, _propose_kind(tree, table, rng, MoveKind.GROW))
+    apply_move(tree, _propose_kind(tree, table, rng, "grow"))
     for _ in range(20):
-        prop = _propose_kind(tree, table, rng, MoveKind.CHANGE)
+        prop = _propose_kind(tree, table, rng, "change")
         assert prop.log_tree_prior_ratio == -prop.log_transition_ratio
         assert math.isfinite(prop.log_transition_ratio)
 
@@ -512,20 +525,20 @@ def test_change_clears_child_cutpoint_cache():
     grids = make_cutpoint_grids(X, 12)
     table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
-    apply_move(tree, _propose_kind(tree, table, rng, MoveKind.GROW))
-    change = _propose_kind(tree, table, rng, MoveKind.CHANGE)
+    apply_move(tree, _propose_kind(tree, table, rng, "grow"))
+    change = _propose_kind(tree, table, rng, "change")
     node = change.node
     # warm the caches, then apply the change
     _ = propose_move(tree, table, rng, PRIOR)
     assert node.left.rowset.splittable is not None
     assert node.right.rowset.splittable is not None
     apply_move(tree, change)
-    assert node.left.rowset is change.left
-    assert node.right.rowset is change.right
-    assert (change.left, change.right) in table.root_splits.values()
+    assert node.left.rowset is change.children[0]
+    assert node.right.rowset is change.children[1]
+    assert change.children in table.root_splits.values()
     for child in (node.left, node.right):
         want = _cut_ranges(table.bins, child.rowset.rows)
-        assert child.rowset.splittable in (None, want[2])
+        assert child.rowset.splittable in (None, bool(want[0].any()))
         if child.rowset.cutinfo is not None:
             assert_array_equal(child.rowset.cutinfo[0], want[0])
             assert_array_equal(child.rowset.cutinfo[1], want[1])
@@ -533,9 +546,9 @@ def test_change_clears_child_cutpoint_cache():
     _ = propose_move(tree, table, rng, PRIOR)
     for child in (node.left, node.right):
         want = _cut_ranges(table.bins, child.rowset.rows)
-        assert child.rowset.splittable == want[2]
-    assert node.feature == change.rule.feature
-    assert node.k == change.rule.k
+        assert child.rowset.splittable == bool(want[0].any())
+    assert node.feature == change.feature
+    assert node.k == change.k
     cut = grids[node.feature][node.k]
     assert np.all(X[node.left.rowset.rows, node.feature] <= cut)
     assert np.all(X[node.right.rowset.rows, node.feature] > cut)
@@ -549,14 +562,14 @@ def test_move_kind_frequencies():
     grids = make_cutpoint_grids(X, 20)
     table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
-    apply_move(tree, _propose_kind(tree, table, rng, MoveKind.GROW))
-    counts = {k: 0 for k in MoveKind}
+    apply_move(tree, _propose_kind(tree, table, rng, "grow"))
+    counts = dict.fromkeys(KINDS, 0)
     n = 10_000
     for _ in range(n):
         prop = propose_move(tree, table, rng, PRIOR)
         assert prop is not None
-        counts[prop.kind] += 1
-    for kind, p in zip(MoveKind, (0.4, 0.4, 0.2)):
+        counts[_kind(prop)] += 1
+    for kind, p in zip(KINDS, (0.4, 0.4, 0.2)):
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(counts[kind] / n - p) < 3.0 * se
 
@@ -567,11 +580,11 @@ def test_custom_move_probabilities_respected():
     grids = make_cutpoint_grids(X, 10)
     table = SplitTable(cutpoint_bins(X, grids))
     tree = table.new_tree()
-    apply_move(tree, _propose_kind(tree, table, rng, MoveKind.GROW))
+    apply_move(tree, _propose_kind(tree, table, rng, "grow"))
     prior = ForestPrior(move_probabilities=(0.05, 0.05, 0.9))
-    kinds = [propose_move(tree, table, rng, prior).kind
+    kinds = [_kind(propose_move(tree, table, rng, prior))
              for _ in range(300)]
-    frac_change = sum(k is MoveKind.CHANGE for k in kinds) / len(kinds)
+    frac_change = kinds.count("change") / len(kinds)
     assert frac_change > 0.8
 
 
@@ -637,7 +650,7 @@ def test_routing_is_a_partition_of_feature_space():
     tree = table.new_tree()
     for _ in range(200):
         prop = propose_move(tree, table, rng, PRIOR)
-        if prop is not None and prop.kind is not MoveKind.PRUNE:
+        if prop is not None and _kind(prop) != "prune":
             apply_move(tree, prop)
     leaves = tree.leaves()
     assert len(leaves) > 3
@@ -671,9 +684,9 @@ def test_constant_feature_never_selected():
         prop = propose_move(tree, table, rng, PRIOR)
         if prop is None:
             continue
-        if prop.rule is not None:
-            assert prop.rule.feature != 1
-            node_vals = X[prop.node.rowset.rows, prop.rule.feature]
+        if prop.feature is not None:
+            assert prop.feature != 1
+            node_vals = X[prop.node.rowset.rows, prop.feature]
             assert np.unique(node_vals).size > 1
             checked += 1
         if rng.random() < 0.5:
@@ -681,7 +694,12 @@ def test_constant_feature_never_selected():
     assert checked > 2000
 
 
-def test_split_rule_is_frozen():
-    rule = SplitRule(feature=1, k=3)
+def test_proposal_is_immutable():
+    # a proposal is read by the likelihood ratio and then applied, so
+    # nothing in between may edit it
+    X = np.random.default_rng(1).random((20, 2))
+    table = SplitTable(cutpoint_bins(X, make_cutpoint_grids(X, 10)))
+    prop = propose_move(table.new_tree(), table, np.random.default_rng(2),
+                        PRIOR)
     with pytest.raises(AttributeError):
-        rule.feature = 2
+        prop.feature = 2
