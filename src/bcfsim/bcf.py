@@ -106,19 +106,25 @@ class BcfFit:
     fit_seconds: float
 
 
+def _check_propensity(values, n: int, name: str) -> np.ndarray:
+    """``values`` as n finite probabilities; errors name them ``name``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"{name} must have one entry per row of X")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite (no NaN or inf)")
+    if values.min() < 0.0 or values.max() > 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return values
+
+
 def build_design(X: np.ndarray, pi_values: np.ndarray) -> np.ndarray:
     """Covariates with the propensity estimate appended as a final column."""
     X = np.asarray(X, dtype=float)
-    pi_values = np.asarray(pi_values, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
-    if pi_values.shape != (X.shape[0],):
-        raise ValueError("pi_values must have one entry per row of X")
-    if not np.isfinite(pi_values).all():
-        raise ValueError("pi_values must be finite (no NaN or inf)")
-    if pi_values.min() < 0.0 or pi_values.max() > 1.0:
-        raise ValueError("pi_values must lie in [0, 1]")
-    return np.column_stack([X, pi_values])
+    return np.column_stack(
+        [X, _check_propensity(pi_values, X.shape[0], "pi_values")])
 
 
 def fit_bcf(X, z, y, mode: PropensityMode | str,
@@ -152,13 +158,7 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     if mode is PropensityMode.TRUE_PROPENSITY:
         if pi_true is None:
             raise ValueError("pi_true is required for the true-propensity variant")
-        pi_used = np.asarray(pi_true, dtype=float).copy()
-        if pi_used.shape != (n,):
-            raise ValueError("pi_true must have one entry per unit")
-        if not np.isfinite(pi_used).all():
-            raise ValueError("pi_true must be finite (no NaN or inf)")
-        if pi_used.min() < 0.0 or pi_used.max() > 1.0:
-            raise ValueError("pi_true must lie in [0, 1]")
+        pi_used = _check_propensity(pi_true, n, "pi_true").copy()
     else:
         if pi_true is not None:
             raise ValueError("pi_true is only accepted by the true-propensity variant")

@@ -21,6 +21,10 @@ Artifacts written per run directory:
 Every CSV and markdown artifact is byte-identical across reruns of the same
 configuration; wall-clock measurements are confined to the files with
 "timing" in their name.
+
+Readers refuse what they do not recognise, naming the file: ``report_from``
+a run_config.json key that is not an ``ExperimentConfig`` field, and a
+resume a cell checkpoint with other columns, a bad cell or no fit time.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,8 +61,11 @@ __all__ = [
 MODEL_IDS = tuple(m.value for m in PropensityMode)
 
 _CSV_FIELDS = tuple(f for f in RECORD_FIELDS if f != "fit_seconds")
-_INT_FIELDS = {"replicate_index", "seed"}
-_STR_FIELDS = {"dgp_id", "model"}
+# (parse, format) of one CSV cell of a record field, by its declared type
+_CODECS = {str: (str, str), int: (int, str),
+           float: (float, lambda v: repr(float(v)))}
+_FIELD_CODECS = {name: _CODECS[hint]
+                 for name, hint in get_type_hints(ReplicateRecord).items()}
 
 # samples per selection strength in the propensity-vs-baseline scatter file
 _SCATTER_POINTS = 2000
@@ -94,9 +102,10 @@ class ExperimentConfig:
     CLI ``--out`` flag overrides.
     """
 
-    selections: tuple = (Selection.EXTREME, Selection.MODERATE, Selection.SLIGHT)
-    alphas: tuple = (1.0, 2.0, 4.0)
-    models: tuple = MODEL_IDS
+    selections: tuple[Selection, ...] = (
+        Selection.EXTREME, Selection.MODERATE, Selection.SLIGHT)
+    alphas: tuple[float, ...] = (1.0, 2.0, 4.0)
+    models: tuple[str, ...] = MODEL_IDS
     n: int = 250
     replicates: int = 100
     master_seed: int = 1729
@@ -138,19 +147,8 @@ class ExperimentConfig:
             iterations=self.iterations, burn_in=self.burn_in, thin=self.thin))
 
     def to_json_dict(self) -> dict:
-        return {
-            "selections": [s.value for s in self.selections],
-            "alphas": list(self.alphas),
-            "models": list(self.models),
-            "n": self.n,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "interval_level": self.interval_level,
-            "iterations": self.iterations,
-            "burn_in": self.burn_in,
-            "thin": self.thin,
-            "output_dir": self.output_dir,
-        }
+        """Every field by name, exactly as run_config.json reads back."""
+        return json.loads(json.dumps(dataclasses.asdict(self)))
 
 
 def apply_profile(config: ExperimentConfig, profile: str) -> ExperimentConfig:
@@ -168,29 +166,16 @@ def apply_profile(config: ExperimentConfig, profile: str) -> ExperimentConfig:
     raise ValueError(f"unknown profile {profile!r}; expected 'quick' or 'full'")
 
 
-_CONFIG_KEYS = {
-    "selections": ("tuple", str),
-    "alphas": ("tuple", float),
-    "models": ("tuple", str),
-    "n": ("scalar", int),
-    "replicates": ("scalar", int),
-    "master_seed": ("scalar", int),
-    "interval_level": ("scalar", float),
-    "iterations": ("scalar", int),
-    "burn_in": ("scalar", int),
-    "thin": ("scalar", int),
-    "output_dir": ("scalar", str),
-}
-
-
 def load_config_file(path) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file.
 
     Lines starting with ``#`` (or blank) are skipped and ``#`` starts a
-    trailing comment; list-valued keys take comma-separated entries. Unknown
-    keys are an error, not a warning, so typos cannot silently fall back to
-    defaults.
+    trailing comment. The keys are the ``ExperimentConfig`` fields: a
+    ``tuple[X, ...]`` field takes comma-separated X entries, any other field
+    one nonempty value. Unknown keys are an error, not a warning, so typos
+    cannot silently fall back to defaults.
     """
+    hints = get_type_hints(ExperimentConfig)
     kwargs = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -202,15 +187,18 @@ def load_config_file(path) -> ExperimentConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in hints:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            shape, cast = _CONFIG_KEYS[key]
+            # the X of tuple[X, ...] and of X | None, else the type itself
+            cast = (get_args(hints[key]) or (hints[key],))[0]
             try:
-                if shape == "tuple":
+                if get_origin(hints[key]) is tuple:
                     kwargs[key] = tuple(
                         cast(v.strip()) for v in value.split(",") if v.strip())
-                else:
+                elif value:
                     kwargs[key] = cast(value)
+                else:
+                    raise ValueError("empty value")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return ExperimentConfig(**kwargs)
@@ -256,21 +244,14 @@ def evaluate_fit(fit, dataset: Dataset, replicate_index: int, seed: int,
     )
 
 
-def _fmt(alpha: float) -> str:
-    return f"{alpha:g}"
+def _cell_key(dgp_id: str, alpha: float) -> str:
+    """A cell's name in checkpoint and report file names and timing keys."""
+    return f"{dgp_id}_{alpha:g}"
 
 
-def _cell_key(selection: Selection, alpha: float) -> str:
-    return f"{selection.value}_{_fmt(alpha)}"
-
-
-def _field_str(record: ReplicateRecord, name: str) -> str:
-    v = getattr(record, name)
-    if name in _STR_FIELDS:
-        return v
-    if name in _INT_FIELDS:
-        return str(v)
-    return repr(float(v))
+def _cells(record: ReplicateRecord, names) -> list[str]:
+    """The CSV cells of the named record fields."""
+    return [_FIELD_CODECS[name][1](getattr(record, name)) for name in names]
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -288,18 +269,34 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _parse_record_row(row: dict) -> dict:
-    """Typed record fields (all but ``fit_seconds``) of one CSV row."""
-    fields = {}
-    for name in _CSV_FIELDS:
-        raw = row[name]
-        if name in _STR_FIELDS:
-            fields[name] = raw
-        elif name in _INT_FIELDS:
-            fields[name] = int(raw)
-        else:
-            fields[name] = float(raw)
-    return fields
+def _read_records(path, extra=()) -> list:
+    """(record, extra cells) of every row of a records CSV.
+
+    The header must be the record fields but ``fit_seconds``, which comes
+    back as 0.0, followed by the ``extra`` columns; blank lines are skipped.
+    Any other header, a row of another length or a bad cell raises a
+    ValueError naming the file.
+    """
+    columns = _CSV_FIELDS + tuple(extra)
+    parsers = [_FIELD_CODECS[name][0] for name in _CSV_FIELDS]
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if tuple(header) != columns:
+            raise ValueError(f"{path}: unexpected columns {header}")
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(columns):
+                    raise ValueError(
+                        f"{len(row)} cells, expected {len(columns)}")
+                rec = ReplicateRecord(fit_seconds=0.0, **{
+                    name: parse(cell)
+                    for name, parse, cell in zip(_CSV_FIELDS, parsers, row)})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+            rows.append((rec, row[len(_CSV_FIELDS):]))
+    return rows
 
 
 def read_replicates_csv(path) -> list[ReplicateRecord]:
@@ -308,15 +305,7 @@ def read_replicates_csv(path) -> list[ReplicateRecord]:
     The CSV intentionally carries no wall-clock column, so ``fit_seconds``
     comes back as 0.0; timing lives in timing.json.
     """
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != _CSV_FIELDS:
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-        for row in reader:
-            records.append(
-                ReplicateRecord(fit_seconds=0.0, **_parse_record_row(row)))
-    return records
+    return [rec for rec, _ in _read_records(path)]
 
 
 def _run_cell(config: ExperimentConfig, selection: Selection, alpha: float,
@@ -346,42 +335,42 @@ def _run_cell(config: ExperimentConfig, selection: Selection, alpha: float,
                                       config.interval_level)
             except Exception as exc:
                 raise RuntimeError(
-                    f"fit failed in cell {_cell_key(selection, alpha)}, "
+                    f"fit failed in cell {_cell_key(selection.value, alpha)}, "
                     f"replicate {rep}, model {model}: "
                     f"{type(exc).__name__}: {exc}") from exc
             # hashed after the fit, so a fit that mutated its inputs would
             # break the within-replicate digest equality audit
             rows.append((record, dataset_digest(dataset)))
             if progress is not None:
-                progress(f"{_cell_key(selection, alpha)} "
+                progress(f"{_cell_key(selection.value, alpha)} "
                          f"rep {rep + 1}/{config.replicates} {model} "
                          f"({fit.fit_seconds:.1f}s)")
     return rows
 
 
+def _timing_key(record: ReplicateRecord) -> str:
+    return f"{record.replicate_index}:{record.model}"
+
+
 def _write_cell(cell_csv: Path, cell_timing: Path, rows) -> None:
     _write_text(cell_csv, _csv_text(
         _CSV_FIELDS + ("dataset_digest",),
-        ([_field_str(rec, f) for f in _CSV_FIELDS] + [digest]
-         for rec, digest in rows)))
-    timing = {
-        f"{rec.replicate_index}:{rec.model}": rec.fit_seconds
-        for rec, _ in rows
-    }
+        (_cells(rec, _CSV_FIELDS) + [digest] for rec, digest in rows)))
+    timing = {_timing_key(rec): rec.fit_seconds for rec, _ in rows}
     _write_text(cell_timing, json.dumps(timing, sort_keys=True, indent=1))
 
 
 def _read_cell(cell_csv: Path, cell_timing: Path):
-    timing = json.loads(cell_timing.read_text(encoding="utf-8"))
-    rows = []
-    with open(cell_csv, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            kwargs = _parse_record_row(row)
-            key = f"{kwargs['replicate_index']}:{kwargs['model']}"
-            rec = ReplicateRecord(fit_seconds=float(timing[key]), **kwargs)
-            rows.append((rec, row["dataset_digest"]))
-    return rows
+    """A checkpointed cell's (record, dataset digest) rows, fit times joined."""
+    rows = _read_records(cell_csv, ("dataset_digest",))
+    try:
+        timing = json.loads(cell_timing.read_text(encoding="utf-8"))
+        seconds = [float(timing[_timing_key(rec)]) for rec, _ in rows]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{cell_timing}: unreadable fit times "
+                         f"({type(exc).__name__}: {exc})") from exc
+    return [(dataclasses.replace(rec, fit_seconds=s), digest)
+            for (rec, (digest,)), s in zip(rows, seconds)]
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
@@ -427,7 +416,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
     all_rows = []
     for selection in config.selections:
         for alpha in config.alphas:
-            key = _cell_key(selection, alpha)
+            key = _cell_key(selection.value, alpha)
             cell_csv = cells_dir / f"cell_{key}.csv"
             cell_timing = cells_dir / f"cell_{key}_timing.json"
             if cell_csv.exists() and cell_timing.exists():
@@ -444,13 +433,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
 
     records = [rec for rec, _ in all_rows]
     _write_text(out / "replicates.csv", _csv_text(
-        _CSV_FIELDS,
-        ([_field_str(rec, f) for f in _CSV_FIELDS] for rec in records)))
+        _CSV_FIELDS, (_cells(rec, _CSV_FIELDS) for rec in records)))
+    digest_fields = ("dgp_id", "alpha", "replicate_index", "model", "seed")
     _write_text(out / "digests.csv", _csv_text(
-        ["dgp_id", "alpha", "replicate_index", "model", "seed",
-         "dataset_digest"],
-        ([rec.dgp_id, repr(rec.alpha), str(rec.replicate_index), rec.model,
-          str(rec.seed), digest] for rec, digest in all_rows)))
+        digest_fields + ("dataset_digest",),
+        (_cells(rec, digest_fields) + [digest] for rec, digest in all_rows)))
     _write_reports(config, out, records)
     _write_timing(out, records)
     return records
@@ -464,7 +451,7 @@ def _write_reports(config, out: Path, records) -> None:
         by_cell.setdefault((rec.dgp_id, rec.alpha), []).append(rec)
 
     for (dgp_id, alpha), cell_records in by_cell.items():
-        stem = f"{dgp_id}_{_fmt(alpha)}"
+        stem = _cell_key(dgp_id, alpha)
         _write_text(out / f"summary_{stem}.csv",
                     _summary_csv_text(table, dgp_id, alpha))
         _write_text(out / f"summary_{stem}.md",
@@ -554,7 +541,7 @@ def _summary_md_text(table: SummaryTable, dgp_id: str, alpha: float) -> str:
     cell = table.cells[(dgp_id, float(alpha))]
     models = [m for m in table.models if m in next(iter(cell.values()))]
     lines = [
-        f"# Summary: {dgp_id} selection, alpha={_fmt(alpha)}",
+        f"# Summary: {dgp_id} selection, alpha={alpha:g}",
         "",
         "Mean over replicates, sample sd in parentheses.",
         "",
@@ -679,7 +666,7 @@ def timing_report(records) -> dict:
     cell_overhead = {}
     for (dgp_id, alpha), times in sorted(by_cell.items()):
         if no in times and est in times:
-            cell_overhead[f"{dgp_id}_{_fmt(alpha)}"] = (
+            cell_overhead[_cell_key(dgp_id, alpha)] = (
                 float(np.mean(times[est])) / float(np.mean(times[no])) - 1.0)
     return {
         "mean_seconds_by_model": means,
@@ -689,10 +676,20 @@ def timing_report(records) -> dict:
     }
 
 
+def _read_run_config(path: Path) -> ExperimentConfig:
+    """The configuration a run_config.json records; unknown keys are refused."""
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    unknown = sorted(raw.keys() - get_type_hints(ExperimentConfig).keys())
+    if unknown:
+        raise ValueError(f"{path}: unknown configuration keys {unknown}")
+    return ExperimentConfig(**raw)
+
+
 def report_from(run_dir) -> list[ReplicateRecord]:
     """Regenerate every derived artifact from a run directory's raw records.
 
-    Reads replicates.csv and run_config.json and rewrites the summary,
+    Reads replicates.csv and run_config.json, refusing a key of the latter
+    that is not an ``ExperimentConfig`` field, and rewrites the summary,
     p-value, boxplot and scatter files (byte-identical to what the original
     run produced). Its inputs stay untouched, and so do digests.csv and
     timing.json, which need the datasets and the wall-clock data that the
@@ -705,8 +702,7 @@ def report_from(run_dir) -> list[ReplicateRecord]:
         raise FileNotFoundError(f"{csv_path} not found; is this a run directory?")
     if not config_path.exists():
         raise FileNotFoundError(f"{config_path} not found; cannot rebuild reports")
-    raw = json.loads(config_path.read_text(encoding="utf-8"))
-    config = ExperimentConfig(**raw)
+    config = _read_run_config(config_path)
     records = read_replicates_csv(csv_path)
     if not records:
         raise ValueError(f"{csv_path} holds no records")

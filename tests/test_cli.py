@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -162,6 +163,25 @@ def test_run_names_the_failing_fit(tmp_path, capsys, monkeypatch):
     assert not (out / "cells" / "cell_extreme_4.csv").exists()
 
 
+@pytest.mark.parametrize("name, old, new", [
+    ("cell_extreme_4.csv", "rmse_cate", "rmse_cat"),
+    ("cell_extreme_4_timing.json", "0:no_propensity", "0:no_pi"),
+])
+def test_resume_refuses_a_malformed_cell(tiny_run, tmp_path, capsys, name,
+                                         old, new):
+    cfg, out = tiny_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    cell = copy / "cells" / name
+    cell.write_text(cell.read_text().replace(old, new, 1))
+    code = main(["run", "--config", str(cfg), "--out", str(copy),
+                 "--resume"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert name in err
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -173,6 +193,18 @@ def test_report_rebuilds_summaries(tiny_run, capsys):
     assert main(["report", "--from", str(out)]) == 0
     assert "rebuilt reports for 1 records" in capsys.readouterr().out
     assert summary.read_bytes() == original
+
+
+def test_report_refuses_unknown_config_keys(tiny_run, tmp_path, capsys):
+    _, out = tiny_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / "run_config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "jobs": 2}))
+    assert main(["report", "--from", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert "run_config.json" in err
+    assert "'jobs'" in err
 
 
 def test_report_on_empty_directory_fails_cleanly(tmp_path, capsys):

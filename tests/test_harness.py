@@ -10,12 +10,14 @@ bytes.
 import dataclasses
 import json
 import os
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bcfsim import harness
 from bcfsim.bart import ChainConfig
 from bcfsim.bcf import PropensityMode
 from bcfsim.dgp import Dataset, DgpSpec, Selection, generate
@@ -186,12 +188,59 @@ def test_load_config_file_defaults_when_sparse(tmp_path):
     ("wibble = 3", "unknown config key"),
     ("n 80", "expected 'key = value'"),
     ("n = eighty", "bad value"),
+    ("n =", "bad value"),
+    # an empty path would be the current directory
+    ("output_dir =", "bad value"),
+    ("selections = extreme, strong", "bad value for selections"),
 ])
 def test_load_config_file_errors(tmp_path, line, message):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         load_config_file(path)
+
+
+# one valid non-default value per ExperimentConfig field
+OTHER_CONFIG = dict(
+    selections=(Selection.SLIGHT, Selection.EXTREME),
+    alphas=(3.0, 0.5),
+    models=("estimated_propensity", "no_propensity"),
+    n=40,
+    replicates=7,
+    master_seed=11,
+    interval_level=0.9,
+    iterations=3000,
+    burn_in=100,
+    thin=2,
+    output_dir="runs/other",
+)
+
+
+def test_config_walk_covers_every_field():
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert len(names) == 11
+    assert sorted(OTHER_CONFIG) == sorted(names)
+    for name, value in OTHER_CONFIG.items():
+        assert getattr(ExperimentConfig(), name) != value, name
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_CONFIG))
+def test_every_config_field_round_trips(tmp_path, name):
+    # no field may be dropped by run_config.json (and so by the resume
+    # check) or by the config file
+    value = OTHER_CONFIG[name]
+    config = ExperimentConfig(**{name: value})
+    config.validate()
+    path = tmp_path / "run_config.json"
+    path.write_text(json.dumps(config.to_json_dict(), sort_keys=True,
+                               indent=2), encoding="utf-8")
+    assert harness._read_run_config(path) == config
+
+    text = (", ".join(str(getattr(v, "value", v)) for v in value)
+            if isinstance(value, tuple) else str(value))
+    path = tmp_path / "study.cfg"
+    path.write_text(f"{name} = {text}\n", encoding="utf-8")
+    assert load_config_file(path) == config
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +479,20 @@ def test_replicates_csv_schema_and_roundtrip(mini_run):
     assert loaded == [dataclasses.replace(r, fit_seconds=0.0) for r in records]
 
 
+def test_every_record_field_round_trips_through_a_cell(tmp_path):
+    # distinct values that need every digit, so a dropped, swapped or
+    # rounded column shows; fit_seconds comes back through the timing JSON
+    values = dict(dgp_id="moderate", alpha=2.5, model="true_propensity",
+                  replicate_index=12, seed=2 ** 64 - 1)
+    metrics = [f for f in RECORD_FIELDS if f not in values]
+    values.update({name: (i + 1) / 29 for i, name in enumerate(metrics)})
+    assert sorted(values) == sorted(RECORD_FIELDS)
+    rec = ReplicateRecord(**values)
+    cell_csv, cell_timing = tmp_path / "cell.csv", tmp_path / "timing.json"
+    harness._write_cell(cell_csv, cell_timing, [(rec, "0123abcd")])
+    assert harness._read_cell(cell_csv, cell_timing) == [(rec, "0123abcd")]
+
+
 def test_read_replicates_csv_rejects_other_schemas(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -565,6 +628,39 @@ def test_resume_refuses_cells_of_another_configuration(tmp_path):
     run_experiment(moved, out_dir=tmp_path, resume=True)
 
 
+def _break_header(cells):
+    path = cells / "cell_extreme_4.csv"
+    path.write_text(path.read_text().replace("rmse_cate", "rmse_cat", 1))
+    return r"cell_extreme_4\.csv: unexpected columns"
+
+
+def _break_value(cells):
+    path = cells / "cell_extreme_4.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].replace("no_propensity,1,", "no_propensity,one,")
+    path.write_text("".join(lines))
+    return r"cell_extreme_4\.csv:4: invalid literal for int"
+
+
+def _break_timing(cells):
+    path = cells / "cell_extreme_4_timing.json"
+    timing = json.loads(path.read_text())
+    del timing["1:no_propensity"]
+    path.write_text(json.dumps(timing))
+    return r"cell_extreme_4_timing\.json: unreadable fit times"
+
+
+@pytest.mark.parametrize("corrupt", [_break_header, _break_value,
+                                     _break_timing])
+def test_resume_names_a_malformed_cell(mini_run, tmp_path, corrupt):
+    config, out, _ = mini_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    message = corrupt(copy / "cells")
+    with pytest.raises(ValueError, match=message):
+        run_experiment(config, out_dir=copy, resume=True)
+
+
 def test_run_experiment_requires_output_dir():
     with pytest.raises(ValueError, match="output directory"):
         run_experiment(ExperimentConfig(**MINI_CONFIG))
@@ -606,6 +702,17 @@ def test_report_from_leaves_its_inputs_untouched(mini_run):
         path = out / name
         assert (path.read_bytes(), path.stat().st_ino,
                 path.stat().st_mtime_ns) == before[name], name
+
+
+def test_report_from_refuses_unknown_config_keys(mini_run, tmp_path):
+    _, out, _ = mini_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / "run_config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "jobs": 2}))
+    with pytest.raises(ValueError, match=r"run_config\.json: unknown "
+                                         r"configuration keys \['jobs'\]"):
+        report_from(copy)
 
 
 def test_report_from_requires_run_artifacts(tmp_path):

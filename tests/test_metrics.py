@@ -152,6 +152,9 @@ def test_record_field_order_is_stable():
     )
     assert set(METRIC_FIELDS) < set(RECORD_FIELDS)
     assert "fit_seconds" not in METRIC_FIELDS
+    # the metrics are the fields between the five that name the fit and
+    # its wall-clock time
+    assert METRIC_FIELDS == RECORD_FIELDS[5:21]
 
 
 def test_record_validation():
