@@ -162,16 +162,11 @@ class ForestPrior:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Length and thinning of one chain, shared by every forest in it.
-
-    ``prior_only`` is a test hook: it disables the likelihood so the chain
-    samples the tree prior, with sigma at 1 unless a ``FixedSigma`` pins it.
-    """
+    """Length and thinning of one chain, shared by every forest in it."""
 
     iterations: int = 2000
     burn_in: int = 1000
     thin: int = 1
-    prior_only: bool = False
 
     def validate(self) -> None:
         if self.iterations < 1:
@@ -188,6 +183,12 @@ class ChainConfig:
 
 def _finite_positive(x) -> bool:
     return math.isfinite(x) and x > 0
+
+
+def _check_binary(values: np.ndarray, name: str) -> None:
+    """Raise a ValueError naming ``name`` unless every value is 0 or 1."""
+    if not np.all((values == 0) | (values == 1)):
+        raise ValueError(f"{name} must be binary: every value 0 or 1")
 
 
 @dataclass
@@ -333,7 +334,9 @@ class ForestSampler:
     receive predictions, but contribute nothing to leaf sufficient
     statistics and are untouched by the residual bookkeeping. This is what a
     treatment-moderated forest needs, with the treatment indicator as the
-    weight.
+    weight. With every weight zero no row informs the forest: every
+    likelihood ratio is exactly 0 and each leaf draw is N(0, leaf_sd**2) up
+    to rounding, so the sweeps sample the tree and leaf prior.
     """
 
     def __init__(self, X: np.ndarray, prior: ForestPrior, weights=None):
@@ -349,6 +352,7 @@ class ForestSampler:
             weights = np.asarray(weights)
             if weights.shape != (n,):
                 raise ValueError("weights must be one value per row")
+            _check_binary(weights, "weights")
             weights = weights.astype(bool)
         grids = make_cutpoint_grids(X, prior.cutpoints_per_feature)
         self.splits = SplitTable(cutpoint_bins(X, grids), weights)
@@ -363,10 +367,8 @@ class ForestSampler:
     def leaf_sd(self) -> float:
         return self.forest_scale / self._scale_root
 
-    def sweep(self, resid: np.ndarray, sigma: float, rng,
-              prior_only: bool = False) -> None:
-        """One backfitting pass over every tree, then the scale update;
-        ``prior_only`` drops the likelihood from moves and leaf draws."""
+    def sweep(self, resid: np.ndarray, sigma: float, rng) -> None:
+        """One backfitting pass over every tree, then the scale update."""
         prior = self.prior
         splits = self.splits
         leaf_sd = self.leaf_sd
@@ -379,13 +381,8 @@ class ForestSampler:
             self.proposals += 1
             known = {}  # leaf -> residual sum the likelihood ratio computed
             if prop is not None:
-                if prior_only:
-                    log_like, new, old = 0.0, None, None
-                else:
-                    log_like, new, old = _log_like_ratio(prop, resid, sig2,
-                                                         ls2)
-                log_alpha = (log_like + prop.log_tree_prior_ratio
-                             + prop.log_transition_ratio)
+                log_like, new, old = _log_like_ratio(prop, resid, sig2, ls2)
+                log_alpha = log_like + prop.log_ratio
                 u = rng.random()
                 if log_alpha >= 0.0 or (u > 0.0 and math.log(u) < log_alpha):
                     apply_move(tree, prop)
@@ -400,15 +397,12 @@ class ForestSampler:
             noise = rng.standard_normal(len(leaves)).tolist()
             for leaf, eps in zip(leaves, noise):
                 wrows = leaf.rowset.wrows
-                if prior_only:
-                    value = leaf_sd * eps
-                else:
-                    total = known.get(leaf)
-                    if total is None:
-                        total = float(resid[wrows].sum())
-                    var = 1.0 / (prec + len(wrows) / sig2)
-                    mean = var * total / sig2
-                    value = mean + math.sqrt(var) * eps
+                total = known.get(leaf)
+                if total is None:
+                    total = float(resid[wrows].sum())
+                var = 1.0 / (prec + len(wrows) / sig2)
+                mean = var * total / sig2
+                value = mean + math.sqrt(var) * eps
                 leaf.value = value
                 fit[wrows] = value
             resid -= fit
@@ -489,24 +483,22 @@ def _run_chain(samplers, resid: np.ndarray, chain: ChainConfig, sigma_prior,
 
     ``resid``, the working response minus every forest, is kept in place;
     ``latent(resid)`` may rewrite it before each iteration's sweeps. Sigma
-    stays at a ``FixedSigma``'s value, or at 1 under ``chain.prior_only``,
-    and is otherwise drawn under the ``SigmaPrior`` calibrated on the
-    starting ``resid``.
+    stays at a ``FixedSigma``'s value, and is otherwise drawn under the
+    ``SigmaPrior`` calibrated on the starting ``resid``.
     ``retain(k, resid, sigma)`` receives the k-th retained iteration.
     """
     n = resid.shape[0]
     fixed = isinstance(sigma_prior, FixedSigma)
-    sample_sigma = not fixed and not chain.prior_only
     sigma = sigma_prior.value if fixed else 1.0
-    if sample_sigma:
+    if not fixed:
         lam = _sigma_prior_scale(sigma_prior, float(resid.var()))
     k = 0
     for it in range(chain.iterations):
         if latent is not None:
             latent(resid)
         for sampler in samplers:
-            sampler.sweep(resid, sigma, rng, chain.prior_only)
-        if sample_sigma:
+            sampler.sweep(resid, sigma, rng)
+        if not fixed:
             ssr = float(resid @ resid)
             shape = 0.5 * (sigma_prior.nu + n)
             rate = 0.5 * (sigma_prior.nu * lam + ssr)
@@ -565,8 +557,7 @@ def fit_binary_probit(X, d, prior: ForestPrior = ForestPrior(),
     ``probability_draws`` are the normal CDF of the forest output.
     """
     X, d = _check_inputs(X, d, "d")
-    if not np.all((d == 0) | (d == 1)):
-        raise ValueError("d must be binary")
+    _check_binary(d, "d")
     if d.min() == d.max():
         raise ValueError("d must contain both classes")
     chain.validate()

@@ -39,6 +39,7 @@ from .bart import (
     HalfNormal,
     HALF_NORMAL_MEDIAN,
     SigmaPrior,
+    _check_binary,
     _check_inputs,
     _check_sigma_prior,
     _run_chain,
@@ -140,8 +141,7 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     X, y = _check_inputs(X, y)
     _, z = _check_inputs(X, z, "z")
     n = X.shape[0]
-    if not np.all((z == 0) | (z == 1)):
-        raise ValueError("z must be binary")
+    _check_binary(z, "z")
     if z.min() == z.max():
         raise ValueError("z must contain both treated and control units")
     mode = PropensityMode(mode)

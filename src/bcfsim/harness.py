@@ -22,9 +22,11 @@ Every CSV and markdown artifact is byte-identical across reruns of the same
 configuration; wall-clock measurements are confined to the files with
 "timing" in their name.
 
-Readers refuse what they do not recognise, naming the file: ``report_from``
-a run_config.json key that is not an ``ExperimentConfig`` field, and a
-resume a cell checkpoint with other columns, a bad cell or no fit time.
+Readers refuse what they do not recognise, naming the file: run_config.json
+unless it states a valid ``ExperimentConfig``, field by field, and a resume
+a cell checkpoint with other columns, a bad cell or no fit time.
+``report_from`` also refuses records whose selections, alphas or models
+differ from run_config.json.
 """
 
 from __future__ import annotations
@@ -402,12 +404,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
     config_path = out / "run_config.json"
     wanted = config.to_json_dict()
     if leftovers and config_path.exists():
-        found = json.loads(config_path.read_text(encoding="utf-8"))
-        differ = sorted(k for k in found.keys() | wanted.keys()
-                        if k != "output_dir" and found.get(k) != wanted.get(k))
+        found = _read_run_config(config_path).to_json_dict()
+        differ = [k for k in sorted(wanted)
+                  if k != "output_dir" and found[k] != wanted[k]]
         if differ:
-            detail = "; ".join(f"{k}: found {found.get(k)!r}, expected "
-                               f"{wanted.get(k)!r}" for k in differ)
+            detail = "; ".join(f"{k}: found {found[k]!r}, expected "
+                               f"{wanted[k]!r}" for k in differ)
             raise RuntimeError(
                 f"{config_path} records a different configuration ({detail}); "
                 "resume with that configuration or choose a fresh directory")
@@ -476,13 +478,7 @@ def _write_timing(out: Path, records) -> None:
         {"dgp_id": r.dgp_id, "alpha": r.alpha, "model": r.model,
          "replicate_index": r.replicate_index, "seconds": r.fit_seconds}
         for r in records
-    ]}
-    models = {r.model for r in records}
-    if (PropensityMode.NO_PROPENSITY.value in models
-            and PropensityMode.ESTIMATED_PROPENSITY.value in models):
-        timing.update(timing_report(records))
-    else:
-        timing["mean_seconds_by_model"] = _mean_fit_seconds(records)
+    ], **timing_report(records)}
     _write_text(out / "timing.json", json.dumps(timing, sort_keys=True, indent=1))
 
 
@@ -639,61 +635,65 @@ def _pvalues_csv_text(table: PValueTable) -> str:
     return _csv_text(header, rows)
 
 
-def _mean_fit_seconds(records) -> dict:
-    """Mean fit seconds per model, in order of first appearance."""
-    by_model = {}
-    for rec in records:
-        by_model.setdefault(rec.model, []).append(rec.fit_seconds)
-    return {m: float(np.mean(v)) for m, v in by_model.items()}
-
-
 def timing_report(records) -> dict:
-    """Mean fit seconds per model and the propensity-estimation overhead.
+    """Mean fit seconds per model, in order of first appearance, and the
+    propensity-estimation overhead when both variants have records.
 
     Overhead is mean(estimated_propensity) / mean(no_propensity) - 1,
-    pooled and per cell. Raises if either variant is absent.
+    pooled and per cell; without both variants its two keys are absent.
     """
     no = PropensityMode.NO_PROPENSITY.value
     est = PropensityMode.ESTIMATED_PROPENSITY.value
-    means = _mean_fit_seconds(records)
-    if no not in means or est not in means:
-        raise ValueError(
-            f"timing overhead needs both {no!r} and {est!r} records")
-    by_cell = {}
+    by_model, by_cell = {}, {}
     for rec in records:
+        by_model.setdefault(rec.model, []).append(rec.fit_seconds)
         by_cell.setdefault((rec.dgp_id, rec.alpha), {}).setdefault(
             rec.model, []).append(rec.fit_seconds)
-    cell_overhead = {}
-    for (dgp_id, alpha), times in sorted(by_cell.items()):
-        if no in times and est in times:
-            cell_overhead[_cell_key(dgp_id, alpha)] = (
-                float(np.mean(times[est])) / float(np.mean(times[no])) - 1.0)
-    return {
-        "mean_seconds_by_model": means,
-        "pooled_overhead_estimated_vs_no_propensity":
-            means[est] / means[no] - 1.0,
-        "cell_overhead_estimated_vs_no_propensity": cell_overhead,
-    }
+    means = {m: float(np.mean(v)) for m, v in by_model.items()}
+    report = {"mean_seconds_by_model": means}
+    if no in means and est in means:
+        report["pooled_overhead_estimated_vs_no_propensity"] = (
+            means[est] / means[no] - 1.0)
+        report["cell_overhead_estimated_vs_no_propensity"] = {
+            _cell_key(dgp_id, alpha):
+                float(np.mean(times[est])) / float(np.mean(times[no])) - 1.0
+            for (dgp_id, alpha), times in sorted(by_cell.items())
+            if no in times and est in times}
+    return report
 
 
 def _read_run_config(path: Path) -> ExperimentConfig:
-    """The configuration a run_config.json records; unknown keys are refused."""
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    unknown = sorted(raw.keys() - get_type_hints(ExperimentConfig).keys())
-    if unknown:
-        raise ValueError(f"{path}: unknown configuration keys {unknown}")
-    return ExperimentConfig(**raw)
+    """The valid configuration a run_config.json records, every
+    ``ExperimentConfig`` field and no other key; anything else raises a
+    ValueError naming the file."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError("expected a JSON object")
+        fields = get_type_hints(ExperimentConfig).keys()
+        unknown = sorted(raw.keys() - fields)
+        if unknown:
+            raise ValueError(f"unknown configuration keys {unknown}")
+        missing = sorted(fields - raw.keys())
+        if missing:
+            raise ValueError(f"missing configuration keys {missing}")
+        config = ExperimentConfig(**raw)
+        config.validate()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return config
 
 
 def report_from(run_dir) -> list[ReplicateRecord]:
     """Regenerate every derived artifact from a run directory's raw records.
 
-    Reads replicates.csv and run_config.json, refusing a key of the latter
-    that is not an ``ExperimentConfig`` field, and rewrites the summary,
-    p-value, boxplot and scatter files (byte-identical to what the original
-    run produced). Its inputs stay untouched, and so do digests.csv and
-    timing.json, which need the datasets and the wall-clock data that the
-    raw CSV does not carry. Returns the records.
+    Reads replicates.csv and run_config.json, refusing a configuration that
+    is malformed or invalid or whose selections, alphas or models differ
+    from the records', and rewrites the summary, p-value, boxplot and
+    scatter files (byte-identical to what the original run produced). Its
+    inputs stay untouched, and so do digests.csv and timing.json, which
+    need the datasets and the wall-clock data that the raw CSV does not
+    carry. Returns the records.
     """
     run = Path(run_dir)
     config_path = run / "run_config.json"
@@ -706,5 +706,14 @@ def report_from(run_dir) -> list[ReplicateRecord]:
     records = read_replicates_csv(csv_path)
     if not records:
         raise ValueError(f"{csv_path} holds no records")
+    for name, attr, wanted in (
+            ("selections", "dgp_id", {s.value for s in config.selections}),
+            ("alphas", "alpha", set(config.alphas)),
+            ("models", "model", set(config.models))):
+        found = {getattr(rec, attr) for rec in records}
+        if found != wanted:
+            raise ValueError(
+                f"{csv_path} holds {name} {sorted(found)} but {config_path} "
+                f"lists {sorted(wanted)}")
     _write_reports(config, run, records)
     return records

@@ -8,8 +8,8 @@ Prune 0.4, Change 0.2 and no Swap move.
 
 A proposal states the node as the move would leave it: its split
 ``feature``/``k`` (``feature`` None for a leaf, as on ``Node``) and the pair
-of child row sets it would have (None for a leaf), with its log
-transition-probability ratio and log tree-prior ratio kept apart. Only this
+of child row sets it would have (None for a leaf), with one log ratio
+log p(T')q(T|T') / p(T)q(T'|T) of tree prior and proposal. Only this
 module tells the move kinds apart: in the kind draw, and in ``apply_move``,
 which reads the kind off the structure (no child pair is a Prune, a leaf
 node a Grow, an internal one a Change). The sampler compares the node's
@@ -19,12 +19,16 @@ The move kind is drawn from the configured probabilities renormalized over
 the kinds the current tree structure allows (Grow needs a leaf with a valid
 cutpoint, Prune and Change need an internal node), so a root-only tree with
 a splittable column always proposes Grow; the renormalizing mass is part of
-the transition ratios. The tree prior puts split probability
+the ratio. The tree prior puts split probability
 ``base * (1 + depth) ** -power`` on each node and draws the split rule
 uniformly over features with at least one valid cutpoint, then uniformly
-over that feature's valid cutpoints. Grids are fixed per feature at fit
-start: equally spaced points strictly inside the observed min/max, so a
-constant column has an empty grid and can never be split on.
+over that feature's valid cutpoints. Grow and Change draw the rule from
+that same prior, so its probability enters p and q alike and cancels from
+the ratio (Chipman, George & McCulloch 2010): a Grow or Prune keeps the
+depth term and the kind, leaf and node picks, and a Change has ratio 0.
+Grids are fixed per feature at fit start: equally spaced points strictly
+inside the observed min/max, so a constant column has an empty grid and
+can never be split on.
 
 Proposals never compare floats against the grids. ``cutpoint_bins`` maps
 each (row, feature) once per fit to its bin index ``i``, the number of grid
@@ -57,9 +61,9 @@ Sampler state is kept incrementally rather than recomputed per proposal:
   the current structure; ``apply_move`` edits the first in place and
   clears the second, so a rejected or null proposal rescans nothing.
 - The depth part of the tree-prior ratio is cached per (depth, base,
-  power) and evaluated in the original left-to-right order, and a uniform
-  pick among one candidate draws nothing from the generator (numpy's
-  ``integers(1)`` leaves the bit generator state unchanged).
+  power), and a uniform pick among one candidate draws nothing from the
+  generator (numpy's ``integers(1)`` leaves the bit generator state
+  unchanged).
 
 None of this changes a draw: the flags and ranges are the same integers and
 booleans, the shared row arrays hold the same indices in the same order,
@@ -273,18 +277,18 @@ class Proposal(NamedTuple):
     when it becomes a leaf, as on ``Node``; ``children`` is the pair of
     child row sets it will then have, None when it becomes a leaf. The move
     kind follows from the structure: no children is a Prune, a leaf node is
-    a Grow and anything else a Change. ``log_transition_ratio`` is log
-    q(reverse)/q(forward) and ``log_tree_prior_ratio`` is log p(T')/p(T)
-    including the rule prior; adding the marginal-likelihood log ratio
-    gives the full acceptance exponent.
+    a Grow and anything else a Change. ``log_ratio`` is
+    log p(T')q(T|T') / p(T)q(T'|T): the tree prior ratio times the reverse
+    over the forward proposal probability. The split rule is proposed from
+    its prior, so its terms cancel and are left out. Adding the
+    marginal-likelihood log ratio gives the full acceptance exponent.
     """
 
     node: Node
     feature: int | None
     k: int
     children: tuple[RowSet, RowSet] | None
-    log_transition_ratio: float
-    log_tree_prior_ratio: float
+    log_ratio: float
 
 
 def _cut_ranges(bins, rows):
@@ -404,12 +408,11 @@ def propose_move(tree: DecisionTree, table: SplitTable, rng,
 
 def _draw_rule(node, table, rng):
     """Draw a split rule at ``node`` from the rule prior: returns the
-    feature, grid index, valid-cutpoint count and the child row set pair."""
+    feature, grid index and the child row set pair."""
     counts, starts, features = _rowset_cutinfo(node.rowset, table.bins)
     feature = int(features[_pick(rng, features.size)])
-    n_cut = int(counts[feature])
-    k = int(starts[feature]) + _pick(rng, n_cut)
-    return feature, k, n_cut, table.children(node.rowset, feature, k)
+    k = int(starts[feature]) + _pick(rng, int(counts[feature]))
+    return feature, k, table.children(node.rowset, feature, k)
 
 
 def _propose_grow(tree, table, rng, prior, singly, flags, n_split, mass):
@@ -420,10 +423,7 @@ def _propose_grow(tree, table, rng, prior, singly, flags, n_split, mass):
         # the drawn leaf has no valid cutpoint on any feature: automatic
         # rejection (some other leaf is splittable, or Grow was never drawn)
         return None
-    feature, k, n_cut, children = _draw_rule(leaf, table, rng)
-    log_rule = math.log(leaf.rowset.cutinfo[2].size), math.log(n_cut)
-    log_prior = (_depth_log_prior(leaf.depth, prior.base, prior.power)
-                 - log_rule[0] - log_rule[1])
+    feature, k, children = _draw_rule(leaf, table, rng)
 
     # Singly-internal count of the tree the grow would create: the leaf
     # becomes one, and its parent stops being one if the sibling is a leaf.
@@ -442,22 +442,16 @@ def _propose_grow(tree, table, rng, prior, singly, flags, n_split, mass):
     move_probs = prior.move_probabilities
     mass_after = _kind_mass(move_probs, grow_ok_after, True)
     p_grow, p_prune, _ = move_probs
-    log_forward = (math.log(p_grow) - math.log(mass) - math.log(len(leaves))
-                   - log_rule[0] - log_rule[1])
+    log_forward = math.log(p_grow) - math.log(mass) - math.log(len(leaves))
     log_reverse = (math.log(p_prune) - math.log(mass_after)
                    - math.log(si_after))
-
-    return Proposal(leaf, feature, k, children, log_reverse - log_forward,
-                    log_prior)
+    log_ratio = (_depth_log_prior(leaf.depth, prior.base, prior.power)
+                 + (log_reverse - log_forward))
+    return Proposal(leaf, feature, k, children, log_ratio)
 
 
 def _propose_prune(tree, table, rng, prior, singly, mass):
     node = singly[_pick(rng, len(singly))]
-    counts, _, features = _rowset_cutinfo(node.rowset, table.bins)
-    log_rule = math.log(features.size), math.log(counts[node.feature])
-    log_prior = -(_depth_log_prior(node.depth, prior.base, prior.power)
-                  - log_rule[0] - log_rule[1])
-
     n_leaves_after = len(tree.leaf_list) - 1
     # Kind mass of the pruned tree: the merged leaf straddles the removed
     # cutpoint, so that cutpoint stays valid and Grow remains possible;
@@ -465,33 +459,28 @@ def _propose_prune(tree, table, rng, prior, singly, mass):
     move_probs = prior.move_probabilities
     mass_after = _kind_mass(move_probs, True, node.parent is not None)
     p_grow, p_prune, _ = move_probs
+    # the same float sequences as the reverse Grow's, with forward and
+    # reverse swapped, so the two log ratios are exact negatives
     log_forward = math.log(p_prune) - math.log(mass) - math.log(len(singly))
     log_reverse = (math.log(p_grow) - math.log(mass_after)
-                   - math.log(n_leaves_after)
-                   - log_rule[0] - log_rule[1])
-
-    return Proposal(node, None, 0, None, log_reverse - log_forward,
-                    log_prior)
+                   - math.log(n_leaves_after))
+    log_ratio = (-_depth_log_prior(node.depth, prior.base, prior.power)
+                 + (log_reverse - log_forward))
+    return Proposal(node, None, 0, None, log_ratio)
 
 
 def _propose_change(table, rng, singly):
     node = singly[_pick(rng, len(singly))]
-    feature, k, n_cut, children = _draw_rule(node, table, rng)
-
-    # Rule proposal matches the rule prior, so the two ratios are equal and
-    # opposite: only the cutpoint-count asymmetry between old and new feature
-    # enters, and it cancels in the acceptance exponent. The kind mass drops
-    # out as well: a Change cannot alter whether the tree admits a Grow.
-    # When neither child is splittable, no grid point falls strictly inside
-    # either child's value range on any feature, so every valid rule at the
-    # node reproduces the same partition; and when a new rule does move rows,
-    # the child receiving rows from both sides of the old cutpoint is
-    # splittable at that old cutpoint.
-    n_cut_old = int(node.rowset.cutinfo[0][node.feature])
-    log_transition = math.log(n_cut) - math.log(n_cut_old)
-
-    return Proposal(node, feature, k, children, log_transition,
-                    -log_transition)
+    feature, k, children = _draw_rule(node, table, rng)
+    # The new rule is drawn from the rule prior, so its prior and proposal
+    # terms cancel, and so do the old rule's; the depth terms are unchanged.
+    # The kind mass drops out as well: a Change cannot alter whether the
+    # tree admits a Grow. When neither child is splittable, no grid point
+    # falls strictly inside either child's value range on any feature, so
+    # every valid rule at the node reproduces the same partition; and when
+    # a new rule does move rows, the child receiving rows from both sides
+    # of the old cutpoint is splittable at that old cutpoint.
+    return Proposal(node, feature, k, children, 0.0)
 
 
 def apply_move(tree: DecisionTree, proposal: Proposal) -> None:

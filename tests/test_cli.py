@@ -3,12 +3,16 @@
 import csv
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 from bcfsim import harness
 from bcfsim.cli import main
 from bcfsim.dgp import DgpSpec, generate
+
+# the acceptance grid's run directory, whose cells git tracks
+GRID_DIR = Path(__file__).resolve().parents[1] / ".acceptance_cache" / "grid_a4"
 
 TINY_CFG = (
     "selections = extreme\n"
@@ -205,6 +209,59 @@ def test_report_refuses_unknown_config_keys(tiny_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "run_config.json" in err
     assert "'jobs'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--from", "{run}"],
+    ["run", "--config", "{cfg}", "--out", "{run}", "--resume"],
+], ids=["report", "resume"])
+def test_malformed_run_config_is_named(tiny_run, tmp_path, capsys, argv):
+    cfg, out = tiny_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    (copy / "run_config.json").write_text("{")
+    assert main([a.format(cfg=cfg, run=copy) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{copy / 'run_config.json'}: Expecting property name" in err
+
+
+@pytest.fixture(scope="module")
+def grid_copy(tmp_path_factory):
+    """A run directory of the acceptance grid's 180 records, built from its
+    tracked cell checkpoints without fitting anything."""
+    run = tmp_path_factory.mktemp("grid_copy")
+    cells = sorted((GRID_DIR / "cells").glob("cell_*.csv"))
+    assert len(cells) == 3, cells
+    rows = []
+    for cell in cells:
+        with open(cell, newline="", encoding="utf-8") as fh:
+            header, *body = [row[:-1] for row in csv.reader(fh)]
+        rows += body
+    with open(run / "replicates.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header] + rows)
+    shutil.copy(GRID_DIR / "run_config.json", run)
+    assert main(["report", "--from", str(run)]) == 0
+    return run, json.loads((run / "run_config.json").read_text())
+
+
+@pytest.mark.parametrize("edit, names_csv", [
+    ({"models": [], "selections": ["extreme"]}, False),
+    ({"selections": ["extreme"]}, True),
+])
+def test_report_refuses_a_config_the_records_contradict(
+        grid_copy, tmp_path, capsys, edit, names_csv):
+    run, config = grid_copy
+    capsys.readouterr()
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    (copy / "run_config.json").write_text(json.dumps({**config, **edit}))
+    assert main(["report", "--from", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(copy / "run_config.json") in err
+    assert (str(copy / "replicates.csv") in err) is names_csv
 
 
 def test_report_on_empty_directory_fails_cleanly(tmp_path, capsys):

@@ -401,8 +401,9 @@ def test_timing_report_hand_example():
 
 
 def test_timing_report_needs_both_variants():
-    with pytest.raises(ValueError, match="overhead"):
-        timing_report([_record()])
+    # without both variants there is no overhead, only the mean fit times
+    report = timing_report([_record(fit_seconds=2.0)])
+    assert report == {"mean_seconds_by_model": {"no_propensity": 2.0}}
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +713,39 @@ def test_report_from_refuses_unknown_config_keys(mini_run, tmp_path):
     path.write_text(json.dumps({**json.loads(path.read_text()), "jobs": 2}))
     with pytest.raises(ValueError, match=r"run_config\.json: unknown "
                                          r"configuration keys \['jobs'\]"):
+        report_from(copy)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", r"run_config\.json: expected a JSON object"),
+    ('{"n": 50}', r"run_config\.json: missing configuration keys"),
+])
+def test_report_from_names_a_malformed_config(mini_run, tmp_path, text,
+                                              message):
+    _, out, _ = mini_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    (copy / "run_config.json").write_text(text)
+    with pytest.raises(ValueError, match=message):
+        report_from(copy)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("models", [], r"run_config\.json: models must be nonempty"),
+    ("alphas", [2.0], r"replicates\.csv holds alphas \[4\.0\] but "
+                      r".*run_config\.json lists \[2\.0\]"),
+    ("models", ["no_propensity"],
+     r"replicates\.csv holds models \['estimated_propensity', "
+     r"'no_propensity'\] but .*run_config\.json lists \['no_propensity'\]"),
+])
+def test_report_from_refuses_a_config_the_records_contradict(
+        mini_run, tmp_path, key, value, message):
+    _, out, _ = mini_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / "run_config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    with pytest.raises(ValueError, match=message):
         report_from(copy)
 
 

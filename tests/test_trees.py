@@ -460,8 +460,7 @@ def test_grow_prune_ratios_are_antisymmetric():
                 break
         else:
             raise AssertionError("no prune proposal hit the grown node")
-        assert prune.log_transition_ratio == -grow.log_transition_ratio
-        assert prune.log_tree_prior_ratio == -grow.log_tree_prior_ratio
+        assert prune.log_ratio == -grow.log_ratio
 
 
 def test_stump_grow_ratio_uses_renormalized_kind_mass():
@@ -477,11 +476,11 @@ def test_stump_grow_ratio_uses_renormalized_kind_mass():
                         PRIOR)
     assert _kind(prop) == "grow"
     want = math.log(0.4) - math.log(0.4 + 0.2) + math.log(3.0)
-    assert prop.log_transition_ratio == pytest.approx(want, rel=1e-12)
     p0, p1 = 0.95, 0.95 / 4
     want_prior = (math.log(p0) + 2.0 * math.log1p(-p1) - math.log1p(-p0)
                   - math.log(3.0))
-    assert prop.log_tree_prior_ratio == pytest.approx(want_prior, rel=1e-12)
+    # the rule terms, log 1 feature and log 3 cutpoints, cancel in the sum
+    assert prop.log_ratio == pytest.approx(want + want_prior, rel=1e-12)
 
 
 def test_grow_prune_antisymmetry_with_degenerate_children():
@@ -497,8 +496,7 @@ def test_grow_prune_antisymmetry_with_degenerate_children():
     apply_move(tree, grow)
     prune = _propose_kind(tree, table, rng, "prune")
     assert prune.node is tree.root
-    assert prune.log_transition_ratio == -grow.log_transition_ratio
-    assert prune.log_tree_prior_ratio == -grow.log_tree_prior_ratio
+    assert prune.log_ratio == -grow.log_ratio
 
 
 def test_change_prior_cancels_transition():
@@ -511,8 +509,7 @@ def test_change_prior_cancels_transition():
     apply_move(tree, _propose_kind(tree, table, rng, "grow"))
     for _ in range(20):
         prop = _propose_kind(tree, table, rng, "change")
-        assert prop.log_tree_prior_ratio == -prop.log_transition_ratio
-        assert math.isfinite(prop.log_transition_ratio)
+        assert prop.log_ratio == 0.0
 
 
 def test_change_clears_child_cutpoint_cache():
