@@ -32,8 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import chi2
+from scipy.special import gammaincinv, ndtr, ndtri
 
 from .trees import (
     SplitTable,
@@ -448,7 +447,9 @@ def _sigma_prior_scale(prior: SigmaPrior, var_y: float) -> float:
     """Scale lambda with P(sigma < sd(y)) = q under nu*lambda/sigma^2 ~ chi2_nu."""
     if var_y <= 0:
         var_y = 1.0
-    return float(chi2.ppf(1.0 - prior.q, prior.nu)) * var_y / prior.nu
+    # the chi2_nu quantile at 1 - q: twice the Gamma(nu / 2) quantile
+    quantile = 2.0 * gammaincinv(prior.nu / 2, 1.0 - prior.q)
+    return float(quantile) * var_y / prior.nu
 
 
 def _check_inputs(X, y, name: str = "y"):

@@ -35,6 +35,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -688,12 +689,15 @@ def report_from(run_dir) -> list[ReplicateRecord]:
     """Regenerate every derived artifact from a run directory's raw records.
 
     Reads replicates.csv and run_config.json, refusing a configuration that
-    is malformed or invalid or whose selections, alphas or models differ
-    from the records', and rewrites the summary, p-value, boxplot and
-    scatter files (byte-identical to what the original run produced). Its
-    inputs stay untouched, and so do digests.csv and timing.json, which
-    need the datasets and the wall-clock data that the raw CSV does not
-    carry. Returns the records.
+    is malformed or invalid, whose selections, alphas or models differ from
+    the records', whose ``replicates`` is not the replicate set
+    ``0..replicates-1`` of every (cell, model), or whose ``master_seed``
+    does not derive every record's ``seed``. ``n`` is not recorded in
+    replicates.csv, so it cannot be checked. Rewrites the summary, p-value,
+    boxplot and scatter files (byte-identical to what the original run
+    produced). Its inputs stay untouched, and so do digests.csv and
+    timing.json, which need the datasets and the wall-clock data that the
+    raw CSV does not carry. Returns the records.
     """
     run = Path(run_dir)
     config_path = run / "run_config.json"
@@ -715,5 +719,25 @@ def report_from(run_dir) -> list[ReplicateRecord]:
             raise ValueError(
                 f"{csv_path} holds {name} {sorted(found)} but {config_path} "
                 f"lists {sorted(wanted)}")
+    replicate_sets = {}
+    for rec in records:
+        replicate_sets.setdefault(
+            (rec.dgp_id, rec.alpha, rec.model), []).append(rec.replicate_index)
+        if rec.seed != derive_seed(config.master_seed, rec.dgp_id, rec.alpha,
+                                   rec.replicate_index):
+            raise ValueError(
+                f"{csv_path} holds seed {rec.seed} for cell "
+                f"{_cell_key(rec.dgp_id, rec.alpha)} replicate "
+                f"{rec.replicate_index}, which master_seed "
+                f"{config.master_seed} in {config_path} does not derive")
+    for selection, alpha, model in itertools.product(
+            config.selections, config.alphas, config.models):
+        reps = replicate_sets.get((selection.value, alpha, model), [])
+        if sorted(reps) != list(range(config.replicates)):
+            raise ValueError(
+                f"{csv_path} does not hold replicates 0..{config.replicates - 1}"
+                f" of cell {_cell_key(selection.value, alpha)} model {model} "
+                f"once each, as replicates {config.replicates} in "
+                f"{config_path} asks")
     _write_reports(config, run, records)
     return records

@@ -12,8 +12,8 @@ location test, otherwise report Mann-Whitney U plus Kruskal-Wallis. Exactly
 one of the two location branches is populated per metric.
 
 All tests are two-sided. The implementations follow Hollander & Wolfe,
-"Nonparametric Statistical Methods"; scipy is used only for distribution
-functions and ranking.
+"Nonparametric Statistical Methods"; scipy is used only for the normal,
+chi-square and F tails of ``scipy.special``, and ranks come from numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as spstats
+from scipy import special
 
 # Largest combined sample size for which Mann-Whitney U enumerates the exact
 # permutation distribution (only attempted when there are no ties).
@@ -56,6 +56,17 @@ def _as_sample(v, name: str) -> np.ndarray:
     return arr
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties given the mean of their ranks (exact halves)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def _tie_term(values: np.ndarray) -> float:
     """Sum of t^3 - t over tie groups of the pooled sample."""
     _, counts = np.unique(values, return_counts=True)
@@ -74,7 +85,7 @@ def mann_whitney_u(x, y) -> TestResult:
     y = _as_sample(y, "y")
     nx, ny = len(x), len(y)
     pooled = np.concatenate([x, y])
-    ranks = spstats.rankdata(pooled)
+    ranks = _average_ranks(pooled)
     r_x = float(ranks[:nx].sum())
     u_x = nx * ny + nx * (nx + 1) / 2.0 - r_x
     u_y = nx * ny - u_x
@@ -91,7 +102,7 @@ def mann_whitney_u(x, y) -> TestResult:
     if var_u <= 0:
         return TestResult(stat=u, p=1.0)
     z = (u - mean_u + 0.5) / np.sqrt(var_u)
-    return TestResult(stat=u, p=min(1.0, 2.0 * float(spstats.norm.cdf(z))))
+    return TestResult(stat=u, p=min(1.0, 2.0 * float(special.ndtr(z))))
 
 
 def _exact_mwu_p(nx: int, ny: int, u_x: float) -> float:
@@ -115,7 +126,7 @@ def kruskal_wallis(groups) -> TestResult:
         raise ValueError("kruskal_wallis needs at least 2 groups")
     pooled = np.concatenate(samples)
     n = len(pooled)
-    ranks = spstats.rankdata(pooled)
+    ranks = _average_ranks(pooled)
     h = 0.0
     start = 0
     for g in samples:
@@ -127,8 +138,9 @@ def kruskal_wallis(groups) -> TestResult:
     if correction <= 0:
         return TestResult(stat=0.0, p=1.0)
     h /= correction
-    df = len(samples) - 1
-    return TestResult(stat=float(h), p=float(spstats.chi2.sf(h, df)))
+    # rounding can leave H a hair below 0, where the chi-square tail is 1
+    p = 1.0 if h <= 0 else float(special.chdtrc(len(samples) - 1, h))
+    return TestResult(stat=float(h), p=p)
 
 
 def levene_family(x, y, center: str = "mean") -> TestResult:
@@ -159,7 +171,14 @@ def levene_family(x, y, center: str = "mean") -> TestResult:
             return TestResult(stat=0.0, p=1.0)
         return TestResult(stat=float("inf"), p=0.0)
     w = (between / df1) / (within / df2)
-    return TestResult(stat=float(w), p=float(spstats.f.sf(w, df1, df2)))
+    return TestResult(stat=float(w), p=float(special.fdtrc(df1, df2, w)))
+
+
+def _placements(others_sorted: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Count of the other sample below each value, ties counted half."""
+    below = np.searchsorted(others_sorted, values, side="left")
+    return below + 0.5 * (
+        np.searchsorted(others_sorted, values, side="right") - below)
 
 
 def fligner_policello(x, y) -> TestResult:
@@ -180,19 +199,9 @@ def fligner_policello(x, y) -> TestResult:
             UserWarning,
             stacklevel=2,
         )
-    x_sorted = np.sort(x)
-    y_sorted = np.sort(y)
     # placement of each x among the ys, and vice versa
-    p_x = (
-        np.searchsorted(y_sorted, x, side="left")
-        + 0.5 * (np.searchsorted(y_sorted, x, side="right")
-                 - np.searchsorted(y_sorted, x, side="left"))
-    )
-    q_y = (
-        np.searchsorted(x_sorted, y, side="left")
-        + 0.5 * (np.searchsorted(x_sorted, y, side="right")
-                 - np.searchsorted(x_sorted, y, side="left"))
-    )
+    p_x = _placements(np.sort(y), x)
+    q_y = _placements(np.sort(x), y)
     p_bar = float(p_x.mean())
     q_bar = float(q_y.mean())
     v_x = float(((p_x - p_bar) ** 2).sum())
@@ -204,7 +213,8 @@ def fligner_policello(x, y) -> TestResult:
             return TestResult(stat=0.0, p=1.0)
         return TestResult(stat=float(np.sign(num)) * float("inf"), p=0.0)
     u_hat = num / denom
-    return TestResult(stat=float(u_hat), p=float(2.0 * spstats.norm.sf(abs(u_hat))))
+    return TestResult(stat=float(u_hat),
+                      p=float(2.0 * special.ndtr(-abs(u_hat))))
 
 
 def select_and_run(x, y, metric_name: str) -> TestReport:

@@ -9,7 +9,7 @@ from scipy import integrate, stats as spstats
 from bcfsim.bart import (
     HALF_NORMAL_MEDIAN, ChainConfig, FixedScale, FixedSigma, ForestPrior,
     ForestSampler, HalfCauchy, HalfNormal, SigmaPrior, _llm, _log_like_ratio,
-    _slice_sample, fit_binary_probit, fit_continuous,
+    _sigma_prior_scale, _slice_sample, fit_binary_probit, fit_continuous,
 )
 from bcfsim.bcf import BcfConfig
 from bcfsim.trees import (
@@ -186,6 +186,18 @@ def test_config_validation():
         short)
     assert np.isfinite(post.draws).all()
     assert post.acceptance_rate > 0
+
+
+def test_sigma_prior_scale_is_the_scipy_stats_chi2_quantile():
+    # the scale takes the chi2_nu quantile from scipy.special.gammaincinv;
+    # every value must equal the scipy.stats.chi2.ppf expression it replaced
+    for nu in (0.5, 1.0, 2.0, 3.0, 4.5, 10.0, 30.0, 100.0, 1000.0):
+        for q in np.linspace(0.01, 0.99, 99):
+            prior = SigmaPrior(nu=nu, q=float(q))
+            for var_y in (0.37, 1.0, 25.0):
+                ref = (float(spstats.chi2.ppf(1.0 - prior.q, nu))
+                       * var_y / nu)
+                assert _sigma_prior_scale(prior, var_y) == ref, (nu, q)
 
 
 def test_config_retained_count():

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bcfsim
 from bcfsim import harness
 from bcfsim.cli import main
 from bcfsim.dgp import DgpSpec, generate
@@ -264,6 +268,29 @@ def test_report_refuses_a_config_the_records_contradict(
     assert (str(copy / "replicates.csv") in err) is names_csv
 
 
+@pytest.mark.parametrize("edit", [
+    {"master_seed": 4, "replicates": 7},
+    {"master_seed": 4},
+    {"replicates": 7},
+], ids=["seed_and_replicates", "seed", "replicates"])
+def test_report_refuses_a_seed_or_replicate_count_the_records_contradict(
+        tiny_run, tmp_path, capsys, edit):
+    # the records carry master seed 3's derived seeds for replicate 0 only
+    _, out = tiny_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / "run_config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    scatter = copy / "scatter_pi_vs_b_extreme.csv"
+    before = scatter.read_bytes()
+    assert main(["report", "--from", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(path) in err
+    assert str(copy / "replicates.csv") in err
+    assert scatter.read_bytes() == before
+
+
 def test_report_on_empty_directory_fails_cleanly(tmp_path, capsys):
     code = main(["report", "--from", str(tmp_path)])
     assert code == 1
@@ -283,3 +310,18 @@ def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half of the package's import time and memory;
+    # the package needs only scipy.special
+    src = Path(bcfsim.__file__).resolve().parents[1]
+    code = "import sys, bcfsim.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "False"

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from scipy import stats as spstats
 
 from bcfsim.ranktests import (
-    fligner_policello, kruskal_wallis, levene_family, mann_whitney_u,
-    select_and_run,
+    _average_ranks, fligner_policello, kruskal_wallis, levene_family,
+    mann_whitney_u, select_and_run,
 )
 
 
@@ -250,3 +250,72 @@ def test_pvalues_bounded_and_statistics_finite(xs, ys):
     for res in results:
         assert 0.0 <= res.p <= 1.0
         assert math.isfinite(res.stat)
+
+
+# ------------------------------------- exact agreement with scipy.stats
+# The tests take ranks from numpy and tails from scipy.special; these
+# compare both, with ==, against the scipy.stats calls they stand in for.
+
+_tied = st.lists(st.integers(0, 4), min_size=1, max_size=40).map(
+    lambda v: np.array(v, dtype=float))
+
+
+@given(_tied | st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0]),
+                        min_size=1, max_size=40).map(np.array))
+def test_average_ranks_equal_rankdata(values):
+    ranks = _average_ranks(values)
+    ref = spstats.rankdata(values)
+    assert ranks.dtype == ref.dtype
+    assert ranks.tolist() == ref.tolist()
+
+
+def _mwu_normal_p(x, y, u):
+    """Mann-Whitney's normal-approximation p through scipy.stats.norm."""
+    nx, ny = len(x), len(y)
+    n = nx + ny
+    _, counts = np.unique(np.concatenate([x, y]), return_counts=True)
+    tie = float(np.sum(counts.astype(float) ** 3 - counts))
+    var_u = nx * ny / 12.0 * ((n + 1) - tie / (n * (n - 1)))
+    z = (u - nx * ny / 2.0 + 0.5) / np.sqrt(var_u)
+    return min(1.0, 2.0 * float(spstats.norm.cdf(z)))
+
+
+_two_or_more = _tied.filter(lambda v: len(v) >= 2)
+
+
+@given(_two_or_more, _two_or_more)
+def test_pvalues_equal_the_scipy_stats_tails(x, y):
+    n = len(x) + len(y)
+    pooled = np.concatenate([x, y])
+    mw = mann_whitney_u(x, y)
+    exact = len(np.unique(pooled)) == n and n <= 16
+    if not exact and len(np.unique(pooled)) > 1:
+        assert mw.p == _mwu_normal_p(x, y, mw.stat)
+    kw = kruskal_wallis([x, y])
+    assert kw.p == float(spstats.chi2.sf(kw.stat, 1))
+    for center in ("mean", "median"):
+        lev = levene_family(x, y, center=center)
+        if math.isfinite(lev.stat):
+            assert lev.p == float(spstats.f.sf(lev.stat, 1, n - 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        fp = fligner_policello(x, y)
+    if math.isfinite(fp.stat):
+        assert fp.p == float(2.0 * spstats.norm.sf(abs(fp.stat)))
+
+
+def test_levene_zero_statistic_has_p_one():
+    # equal mean deviations, unequal spread within: W = 0 exactly
+    x, y = [0.0, 1.0, 3.0, 4.0], [10.0, 11.0, 13.0, 14.0]
+    res = levene_family(x, y)
+    assert res.stat == 0.0
+    assert res.p == 1.0 == float(spstats.f.sf(0.0, 1, 6))
+
+
+def test_kw_statistic_rounded_below_zero_has_p_one():
+    # two equal tied samples: H is 0 in exact arithmetic, -3e-14 in floats,
+    # where the chi-square tail of scipy.special is NaN
+    x = np.repeat([0.0, 1.0, 2.0, 3.0, 4.0], [6, 4, 8, 9, 6])
+    res = kruskal_wallis([x, x[::-1]])
+    assert res.stat < 0
+    assert res.p == 1.0 == float(spstats.chi2.sf(res.stat, 1))
