@@ -4,7 +4,8 @@ Runs the full grid of (selection strength x effect scale x model variant x
 replicate), with a paired design: within one cell, every model variant is
 fit to the identical synthetic draw, and each draw's seed is derived by
 hashing (master seed, cell, replicate), so any sub-grid of a run reproduces
-the exact datasets and fits of the full run.
+the exact datasets and fits of the full run. Every fit regenerates its own
+dataset, so digests.csv compares independently regenerated draws.
 
 Artifacts written per run directory:
 
@@ -24,9 +25,11 @@ configuration; wall-clock measurements are confined to the files with
 
 Readers refuse what they do not recognise, naming the file: run_config.json
 unless it states a valid ``ExperimentConfig``, field by field, and a resume
-a cell checkpoint with other columns, a bad cell or no fit time.
-``report_from`` also refuses records whose selections, alphas or models
-differ from run_config.json.
+a cell checkpoint with other columns, a bad cell or no fit time. A resume
+also refuses cells beside no run_config.json, and a checkpoint that does not
+hold its cell's fits in run order. ``report_from`` refuses records whose
+selections, alphas or models differ from run_config.json, or that do not
+hold each of its fits once.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ import hashlib
 import io
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
+from datetime import timedelta
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -62,8 +67,12 @@ __all__ = [
 ]
 
 MODEL_IDS = tuple(m.value for m in PropensityMode)
+_TRUE_PI = PropensityMode.TRUE_PROPENSITY.value
 
 _CSV_FIELDS = tuple(f for f in RECORD_FIELDS if f != "fit_seconds")
+# the record fields that name one fit, its key; digests.csv leads with them
+_KEY_FIELDS = ("dgp_id", "alpha", "replicate_index", "model", "seed")
+_fit_key = operator.attrgetter(*_KEY_FIELDS)
 # (parse, format) of one CSV cell of a record field, by its declared type
 _CODECS = {str: (str, str), int: (int, str),
            float: (float, lambda v: repr(float(v)))}
@@ -209,42 +218,29 @@ def load_config_file(path) -> ExperimentConfig:
 
 def evaluate_fit(fit, dataset: Dataset, replicate_index: int, seed: int,
                  interval_level: float = 0.95) -> ReplicateRecord:
-    """Score one fitted variant against the draw's ground truth."""
+    """Score one fitted variant against the draw's ground truth. A metric
+    is named ``<statistic>_<target>``; the record keeps those it declares."""
     ci = cate_intervals(fit, interval_level)
-    pw_cate = pointwise_errors(ci["mean"], dataset.cate_true)
-    iv_cate = interval_metrics(ci["lower"], ci["upper"], dataset.cate_true,
-                               interval_level)
     ate = ate_posterior(fit, interval_level)
     truth_ate = np.array([dataset.ate_true])
-    pw_ate = pointwise_errors(np.array([ate["mean"]]), truth_ate)
-    iv_ate = interval_metrics(np.array([ate["lower"]]),
-                              np.array([ate["upper"]]), truth_ate,
-                              interval_level)
-    pw_pi = pointwise_errors(fit.pi_used, dataset.pi_true)
+    by_target = {
+        "cate": {**pointwise_errors(ci["mean"], dataset.cate_true),
+                 **interval_metrics(ci["lower"], ci["upper"],
+                                    dataset.cate_true, interval_level)},
+        "ate": {**pointwise_errors(np.array([ate["mean"]]), truth_ate),
+                **interval_metrics(np.array([ate["lower"]]),
+                                   np.array([ate["upper"]]), truth_ate,
+                                   interval_level)},
+        "pi": pointwise_errors(fit.pi_used, dataset.pi_true),
+    }
+    metrics = {f"{stat}_{target}": value
+               for target, stats in by_target.items()
+               for stat, value in stats.items()}
     return ReplicateRecord(
-        dgp_id=dataset.spec.selection.value,
-        alpha=float(dataset.spec.alpha),
-        model=fit.mode.value,
-        replicate_index=replicate_index,
-        seed=seed,
-        rmse_cate=pw_cate["rmse"],
-        mae_cate=pw_cate["mae"],
-        mape_cate=pw_cate["mape"],
-        cover_cate=iv_cate["cover"],
-        len_cate=iv_cate["len"],
-        rmse_ate=pw_ate["rmse"],
-        mae_ate=pw_ate["mae"],
-        mape_ate=pw_ate["mape"],
-        cover_ate=iv_ate["cover"],
-        len_ate=iv_ate["len"],
-        rmse_pi=pw_pi["rmse"],
-        mae_pi=pw_pi["mae"],
-        se_cover_cate=iv_cate["se_cover"],
-        ae_cover_cate=iv_cate["ae_cover"],
-        se_cover_ate=iv_ate["se_cover"],
-        ae_cover_ate=iv_ate["ae_cover"],
+        dgp_id=dataset.spec.selection.value, alpha=float(dataset.spec.alpha),
+        model=fit.mode.value, replicate_index=replicate_index, seed=seed,
         fit_seconds=fit.fit_seconds,
-    )
+        **{name: metrics[name] for name in METRIC_FIELDS})
 
 
 def _cell_key(dgp_id: str, alpha: float) -> str:
@@ -311,44 +307,54 @@ def read_replicates_csv(path) -> list[ReplicateRecord]:
     return [rec for rec, _ in _read_records(path)]
 
 
-def _run_cell(config: ExperimentConfig, selection: Selection, alpha: float,
-              progress=None):
-    """Fit every model variant on every replicate of one grid cell.
+def _data_seed(config: ExperimentConfig, dgp_id: str, alpha: float,
+               rep: int) -> int:
+    """The seed of one replicate's dataset; its fits' seeds derive from it."""
+    return derive_seed(config.master_seed, dgp_id, float(alpha), rep)
 
-    Any error from a fit or its scoring is raised again as a RuntimeError
-    naming the cell, replicate and model, chained to the original.
-    """
-    bcf_config = config.bcf_config()
-    rows = []
-    for rep in range(config.replicates):
-        data_seed = derive_seed(config.master_seed, selection.value,
-                                float(alpha), rep)
-        dataset = generate(DgpSpec(selection, alpha, config.n), data_seed)
-        for model in config.models:
-            fit_seed = derive_seed(data_seed, model)
-            try:
-                fit = fit_bcf(
-                    dataset.X, dataset.D, dataset.Y, model,
-                    pi_true=(dataset.pi_true
-                             if model == PropensityMode.TRUE_PROPENSITY.value
-                             else None),
-                    config=bcf_config, seed=fit_seed,
-                )
-                record = evaluate_fit(fit, dataset, rep, data_seed,
-                                      config.interval_level)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"fit failed in cell {_cell_key(selection.value, alpha)}, "
-                    f"replicate {rep}, model {model}: "
-                    f"{type(exc).__name__}: {exc}") from exc
-            # hashed after the fit, so a fit that mutated its inputs would
-            # break the within-replicate digest equality audit
-            rows.append((record, dataset_digest(dataset)))
-            if progress is not None:
-                progress(f"{_cell_key(selection.value, alpha)} "
-                         f"rep {rep + 1}/{config.replicates} {model} "
-                         f"({fit.fit_seconds:.1f}s)")
-    return rows
+
+def _fit_keys(config: ExperimentConfig, selection: Selection,
+              alpha: float) -> list[tuple]:
+    """One grid cell's fits in run order, each as its ``_KEY_FIELDS``."""
+    return [(selection.value, float(alpha), rep, model,
+             _data_seed(config, selection.value, alpha, rep))
+            for rep in range(config.replicates) for model in config.models]
+
+
+def _key_mismatch(found, wanted) -> str | None:
+    """'i: found ..., expected ...' at the first (1-based) position where
+    two lists of fit keys differ, or None if they are equal."""
+    for i, pair in enumerate(itertools.zip_longest(found, wanted), 1):
+        if pair[0] != pair[1]:
+            got, want = ("nothing" if key is None else
+                         f"cell {_cell_key(*key[:2])} replicate {key[2]} "
+                         f"model {key[3]} seed {key[4]}" for key in pair)
+            return f"{i}: found {got}, expected {want}"
+    return None
+
+
+def _fit_one(config: ExperimentConfig, selection: Selection, alpha: float,
+             rep: int, model: str):
+    """(record, dataset digest) of one fit on its regenerated dataset. Any
+    error from the fit or its scoring is raised again as a RuntimeError
+    naming the cell, replicate and model, chained to the original."""
+    data_seed = _data_seed(config, selection.value, alpha, rep)
+    dataset = generate(DgpSpec(selection, alpha, config.n), data_seed)
+    try:
+        fit = fit_bcf(dataset.X, dataset.D, dataset.Y, model,
+                      pi_true=(dataset.pi_true if model == _TRUE_PI else None),
+                      config=config.bcf_config(),
+                      seed=derive_seed(data_seed, model))
+        record = evaluate_fit(fit, dataset, rep, data_seed,
+                              config.interval_level)
+    except Exception as exc:
+        raise RuntimeError(
+            f"fit failed in cell {_cell_key(selection.value, alpha)}, "
+            f"replicate {rep}, model {model}: "
+            f"{type(exc).__name__}: {exc}") from exc
+    # hashed after the fit, so a fit that mutated its inputs would break
+    # the within-replicate digest equality audit
+    return record, dataset_digest(dataset)
 
 
 def _timing_key(record: ReplicateRecord) -> str:
@@ -383,9 +389,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
     Completed cells are checkpointed under ``cells/``; ``resume=True`` loads
     them instead of refitting, while a fresh run into a directory holding
     cell artifacts is refused so two configurations cannot get mixed
-    together silently. For the same reason a resume is refused when the
-    directory's ``run_config.json`` differs from ``config`` in any key but
-    ``output_dir``. Returns the full record list.
+    together silently. For the same reason a resume, which then writes
+    nothing, is refused when the directory's ``run_config.json`` is missing
+    or differs from ``config`` in any key but ``output_dir``, or when a
+    checkpoint does not hold its cell's ``_fit_keys`` in order. ``progress``
+    gets a line per fit: its count among this call's fits and an ETA.
+    Returns the full record list.
     """
     config.validate()
     target = out_dir if out_dir is not None else config.output_dir
@@ -404,7 +413,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
 
     config_path = out / "run_config.json"
     wanted = config.to_json_dict()
-    if leftovers and config_path.exists():
+    if leftovers and not config_path.exists():
+        raise FileNotFoundError(f"{config_path} not found, so the cells in "
+                                f"{cells_dir} cannot be checked; choose a "
+                                "fresh directory")
+    if leftovers:
         found = _read_run_config(config_path).to_json_dict()
         differ = [k for k in sorted(wanted)
                   if k != "output_dir" and found[k] != wanted[k]]
@@ -414,33 +427,46 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
             raise RuntimeError(
                 f"{config_path} records a different configuration ({detail}); "
                 "resume with that configuration or choose a fresh directory")
+
+    paths, cell_rows = {}, {}
+    for cell in itertools.product(config.selections, config.alphas):
+        name = _cell_key(cell[0].value, cell[1])
+        paths[cell] = (cells_dir / f"cell_{name}.csv",
+                       cells_dir / f"cell_{name}_timing.json")
+        if all(path.exists() for path in paths[cell]):
+            rows = cell_rows[cell] = _read_cell(*paths[cell])
+            mismatch = _key_mismatch([_fit_key(rec) for rec, _ in rows],
+                                     _fit_keys(config, *cell))
+            if mismatch:
+                raise RuntimeError(f"{paths[cell][0]}: row {mismatch}; it came "
+                                   "from another cell or configuration")
     _write_text(config_path, json.dumps(wanted, sort_keys=True, indent=2))
 
-    all_rows = []
-    for selection in config.selections:
-        for alpha in config.alphas:
-            key = _cell_key(selection.value, alpha)
-            cell_csv = cells_dir / f"cell_{key}.csv"
-            cell_timing = cells_dir / f"cell_{key}_timing.json"
-            if cell_csv.exists() and cell_timing.exists():
-                rows = _read_cell(cell_csv, cell_timing)
-                expected = config.replicates * len(config.models)
-                if len(rows) != expected:
-                    raise RuntimeError(
-                        f"{cell_csv} holds {len(rows)} rows, expected "
-                        f"{expected}; it came from a different configuration")
-            else:
-                rows = _run_cell(config, selection, alpha, progress)
-                _write_cell(cell_csv, cell_timing, rows)
-            all_rows.extend(rows)
+    todo = [cell for cell in paths if cell not in cell_rows]
+    total = len(todo) * config.replicates * len(config.models)
+    fit_seconds = []
+    for cell in todo:
+        rows = cell_rows[cell] = []
+        for _, _, rep, model, _ in _fit_keys(config, *cell):
+            rows.append(_fit_one(config, *cell, rep, model))
+            fit_seconds.append(rows[-1][0].fit_seconds)
+            if progress is not None:
+                done = len(fit_seconds)
+                eta = sum(fit_seconds) / done * (total - done)
+                progress(f"fit {done}/{total}: "
+                         f"{_cell_key(cell[0].value, cell[1])} "
+                         f"rep {rep + 1}/{config.replicates} {model} "
+                         f"({fit_seconds[-1]:.1f}s, "
+                         f"ETA {timedelta(seconds=round(eta))})")
+        _write_cell(*paths[cell], rows)
 
+    all_rows = [row for cell in paths for row in cell_rows[cell]]
     records = [rec for rec, _ in all_rows]
     _write_text(out / "replicates.csv", _csv_text(
         _CSV_FIELDS, (_cells(rec, _CSV_FIELDS) for rec in records)))
-    digest_fields = ("dgp_id", "alpha", "replicate_index", "model", "seed")
     _write_text(out / "digests.csv", _csv_text(
-        digest_fields + ("dataset_digest",),
-        (_cells(rec, digest_fields) + [digest] for rec, digest in all_rows)))
+        _KEY_FIELDS + ("dataset_digest",),
+        (_cells(rec, _KEY_FIELDS) + [digest] for rec, digest in all_rows)))
     _write_reports(config, out, records)
     _write_timing(out, records)
     return records
@@ -461,13 +487,11 @@ def _write_reports(config, out: Path, records) -> None:
                     _summary_md_text(table, dgp_id, alpha))
         _write_text(out / f"boxplot_{stem}.csv",
                     _boxplot_csv_text(cell_records))
-        present = [m for m in config.models
-                   if any(r.model == m for r in cell_records)]
-        for i, model_a in enumerate(present):
-            for model_b in present[i + 1:]:
-                pair = compare_models(cell_records, model_a, model_b)
-                _write_text(out / f"pvalues_{stem}_{model_a}_vs_{model_b}.csv",
-                            _pvalues_csv_text(pair))
+        # a run and a checked report hold every model's fits in every cell
+        for model_a, model_b in itertools.combinations(config.models, 2):
+            pair = compare_models(cell_records, model_a, model_b)
+            _write_text(out / f"pvalues_{stem}_{model_a}_vs_{model_b}.csv",
+                        _pvalues_csv_text(pair))
 
     for selection in config.selections:
         _write_text(out / f"scatter_pi_vs_b_{selection.value}.csv",
@@ -690,9 +714,9 @@ def report_from(run_dir) -> list[ReplicateRecord]:
 
     Reads replicates.csv and run_config.json, refusing a configuration that
     is malformed or invalid, whose selections, alphas or models differ from
-    the records', whose ``replicates`` is not the replicate set
-    ``0..replicates-1`` of every (cell, model), or whose ``master_seed``
-    does not derive every record's ``seed``. ``n`` is not recorded in
+    the records', or whose fits (``_fit_keys``, which derive every seed
+    from ``master_seed`` for replicates ``0..replicates-1``) the records do
+    not hold once each, in any order. ``n`` is not recorded in
     replicates.csv, so it cannot be checked. Rewrites the summary, p-value,
     boxplot and scatter files (byte-identical to what the original run
     produced). Its inputs stay untouched, and so do digests.csv and
@@ -719,25 +743,15 @@ def report_from(run_dir) -> list[ReplicateRecord]:
             raise ValueError(
                 f"{csv_path} holds {name} {sorted(found)} but {config_path} "
                 f"lists {sorted(wanted)}")
-    replicate_sets = {}
-    for rec in records:
-        replicate_sets.setdefault(
-            (rec.dgp_id, rec.alpha, rec.model), []).append(rec.replicate_index)
-        if rec.seed != derive_seed(config.master_seed, rec.dgp_id, rec.alpha,
-                                   rec.replicate_index):
-            raise ValueError(
-                f"{csv_path} holds seed {rec.seed} for cell "
-                f"{_cell_key(rec.dgp_id, rec.alpha)} replicate "
-                f"{rec.replicate_index}, which master_seed "
-                f"{config.master_seed} in {config_path} does not derive")
-    for selection, alpha, model in itertools.product(
-            config.selections, config.alphas, config.models):
-        reps = replicate_sets.get((selection.value, alpha, model), [])
-        if sorted(reps) != list(range(config.replicates)):
-            raise ValueError(
-                f"{csv_path} does not hold replicates 0..{config.replicates - 1}"
-                f" of cell {_cell_key(selection.value, alpha)} model {model} "
-                f"once each, as replicates {config.replicates} in "
-                f"{config_path} asks")
+    mismatch = _key_mismatch(
+        sorted(map(_fit_key, records)),
+        sorted(key for cell in itertools.product(config.selections,
+                                                 config.alphas)
+               for key in _fit_keys(config, *cell)))
+    if mismatch:
+        raise ValueError(
+            f"{csv_path} does not hold each fit that {config_path} lists "
+            f"(master_seed {config.master_seed}, replicates "
+            f"{config.replicates}) once; in key order, fit {mismatch}")
     _write_reports(config, run, records)
     return records

@@ -190,6 +190,53 @@ def test_resume_refuses_a_malformed_cell(tiny_run, tmp_path, capsys, name,
     assert name in err
 
 
+def _files(run):
+    return {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+
+
+def test_resume_refuses_another_cells_checkpoint(tmp_path, capsys):
+    # moderate_4's checkpoint copied over extreme_4's has the right length
+    # and columns; only its fits' keys show that it belongs elsewhere
+    cfg = tmp_path / "two_cells.cfg"
+    cfg.write_text(TINY_CFG.replace("selections = extreme",
+                                    "selections = extreme, moderate"),
+                   encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    cells = out / "cells"
+    for suffix in (".csv", "_timing.json"):
+        shutil.copy(cells / f"cell_moderate_4{suffix}",
+                    cells / f"cell_extreme_4{suffix}")
+    before = _files(out)
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert (f"error: {cells / 'cell_extreme_4.csv'}: row 1: found cell "
+            "moderate_4 replicate 0 model no_propensity seed ") in err
+    assert "expected cell extreme_4 replicate 0 model no_propensity" in err
+    assert _files(out) == before
+
+
+def test_resume_refuses_cells_without_a_run_config(tiny_run, tmp_path,
+                                                   capsys):
+    # without run_config.json the cells cannot be checked, so a resume
+    # under another chain length and sample size must not reuse them
+    _, out = tiny_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    (copy / "run_config.json").unlink()
+    other = tmp_path / "other.cfg"
+    other.write_text(TINY_CFG.replace("iterations = 30", "iterations = 40")
+                     .replace("n = 40", "n = 80"), encoding="utf-8")
+    before = _files(copy)
+    assert main(["run", "--config", str(other), "--out", str(copy),
+                 "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {copy / 'run_config.json'} not found")
+    assert _files(copy) == before
+
+
 # ---------------------------------------------------------------------------
 # report
 

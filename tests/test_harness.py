@@ -586,6 +586,78 @@ def test_run_experiment_is_byte_deterministic(mini_run, tmp_path):
         assert (rerun / name).read_bytes() == (out / name).read_bytes(), name
 
 
+def test_fit_keys_list_a_cells_fits_in_run_order(mini_run):
+    config, _, records = mini_run
+    keys = harness._fit_keys(config, Selection.EXTREME, 4.0)
+    assert keys == [
+        ("extreme", 4.0, rep, model, derive_seed(99, "extreme", 4.0, rep))
+        for rep in range(2) for model in config.models]
+    # the run maps one fit over exactly these keys, in this order
+    assert [harness._fit_key(rec) for rec in records] == keys
+
+
+def test_a_sub_grid_reproduces_the_full_runs_fits(mini_run, tmp_path):
+    # a one-model run regenerates each replicate's draw on its own and must
+    # give the full run's rows of that model byte for byte
+    config, out, _ = mini_run
+    model = "estimated_propensity"
+    run_experiment(dataclasses.replace(config, models=(model,)),
+                   out_dir=tmp_path)
+    for name in ("replicates.csv", "digests.csv"):
+        header, *rows = (out / name).read_text().splitlines(keepends=True)
+        matching = [row for row in rows if f",{model}," in row]
+        assert len(matching) == 2
+        assert (tmp_path / name).read_bytes() == "".join(
+            [header] + matching).encode(), name
+
+
+def test_progress_counts_only_the_fits_this_call_runs(mini_run, tmp_path):
+    # a two-cell run whose extreme_4 cell is the mini run's checkpoint: the
+    # resume fits extreme_2 alone, and its fits are the only ones counted
+    config, out, _ = mini_run
+    both = dataclasses.replace(config, alphas=(2.0, 4.0))
+    run = tmp_path / "run"
+    shutil.copytree(out / "cells", run / "cells")
+    (run / "run_config.json").write_text(json.dumps(both.to_json_dict()))
+    lines = []
+    run_experiment(both, out_dir=run, resume=True, progress=lines.append)
+
+    timing = json.loads(
+        (run / "cells" / "cell_extreme_2_timing.json").read_text())
+    fits = [(rep, model) for rep in range(2) for model in config.models]
+    seconds = [timing[f"{rep}:{model}"] for rep, model in fits]
+    wanted = []
+    for i, (rep, model) in enumerate(fits, 1):
+        eta = round(sum(seconds[:i]) / i * (4 - i))
+        wanted.append(f"fit {i}/4: extreme_2 rep {rep + 1}/2 {model} "
+                      f"({seconds[i - 1]:.1f}s, ETA "
+                      f"{eta // 3600}:{eta // 60 % 60:02d}:{eta % 60:02d})")
+    assert lines == wanted
+    assert lines[-1].endswith(", ETA 0:00:00)")
+
+    # a resume that loads every cell runs, counts and prints no fit
+    lines.clear()
+    run_experiment(both, out_dir=run, resume=True, progress=lines.append)
+    assert lines == []
+
+
+def test_resume_refuses_a_checkpoint_out_of_run_order(mini_run, tmp_path):
+    config, out, _ = mini_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / "cells" / "cell_extreme_4.csv"
+    header, first, second, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([header, second, first] + rest))
+    before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+    with pytest.raises(RuntimeError,
+                       match=r"cell_extreme_4\.csv: row 1: found cell "
+                             r"extreme_4 replicate 0 model "
+                             r"estimated_propensity seed \d+, expected cell "
+                             r"extreme_4 replicate 0 model no_propensity"):
+        run_experiment(config, out_dir=copy, resume=True)
+    assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+
+
 def test_resume_reuses_checkpointed_cells(mini_run):
     config, out, records = mini_run
     # touching nothing: the resumed run must load the cached cell, keep the
@@ -746,6 +818,37 @@ def test_report_from_refuses_a_config_the_records_contradict(
     path = copy / "run_config.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
     with pytest.raises(ValueError, match=message):
+        report_from(copy)
+
+
+def _duplicate_a_fit(rows):
+    # replicate 1's no_propensity row becomes a second replicate 0 row
+    rows[2] = rows[0]
+    return (r"fit 3: found cell extreme_4 replicate 0 model no_propensity "
+            r"seed \d+, expected cell extreme_4 replicate 1 model "
+            r"estimated_propensity seed \d+")
+
+
+def _drop_a_fit(rows):
+    del rows[2]
+    return (r"fit 4: found nothing, expected cell extreme_4 replicate 1 "
+            r"model no_propensity seed \d+")
+
+
+@pytest.mark.parametrize("edit", [_duplicate_a_fit, _drop_a_fit])
+def test_report_from_refuses_records_without_each_fit_once(
+        mini_run, tmp_path, edit):
+    _, out, _ = mini_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / "replicates.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    message = edit(rows)
+    path.write_text("".join([header] + rows))
+    with pytest.raises(ValueError,
+                       match=r"replicates\.csv does not hold each fit that "
+                             r".*run_config\.json lists \(master_seed 99, "
+                             r"replicates 2\) once; in key order, " + message):
         report_from(copy)
 
 
