@@ -125,14 +125,14 @@ def _check_sigma_prior(prior) -> None:
 @dataclass(frozen=True)
 class ForestPrior:
     """One forest's size, tree prior, leaf-scale prior and proposal grid;
-    ``base``/``power`` set the depth-split prior base*(1+d)^-power."""
+    ``base``/``power`` set the depth-split prior base*(1+d)^-power. The
+    Grow/Prune/Change move mix is fixed in ``trees``."""
 
     num_trees: int = 200
     base: float = 0.95
     power: float = 2.0
     leaf_scale_prior: object = FixedScale(1.5)
     cutpoints_per_feature: int = 100
-    move_probabilities: tuple = (0.4, 0.4, 0.2)
 
     def validate(self) -> None:
         if self.num_trees < 1:
@@ -143,13 +143,6 @@ class ForestPrior:
             raise ValueError("power must be nonnegative")
         if self.cutpoints_per_feature < 1:
             raise ValueError("cutpoints_per_feature must be positive")
-        probs = self.move_probabilities
-        if len(probs) != 3 or min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError("move_probabilities must be 3 nonnegatives summing to 1")
-        if not (probs[0] > 0 and probs[1] > 0):
-            # a tree must be able to grow from the stump and shrink back
-            raise ValueError("move_probabilities (grow, prune, change) need "
-                             f"a positive grow and prune share, got {probs}")
         prior = self.leaf_scale_prior
         if not isinstance(prior, (HalfCauchy, HalfNormal, FixedScale)):
             raise ValueError("unknown leaf_scale_prior")
@@ -161,23 +154,21 @@ class ForestPrior:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Length and thinning of one chain, shared by every forest in it."""
+    """Length of one chain, shared by every forest in it; every iteration
+    from ``burn_in`` on is retained."""
 
     iterations: int = 2000
     burn_in: int = 1000
-    thin: int = 1
 
     def validate(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
-        if self.thin < 1:
-            raise ValueError("thin must be positive")
 
     @property
     def n_retained(self) -> int:
-        return len(range(self.burn_in, self.iterations, self.thin))
+        return self.iterations - self.burn_in
 
 
 def _finite_positive(x) -> bool:
@@ -493,7 +484,6 @@ def _run_chain(samplers, resid: np.ndarray, chain: ChainConfig, sigma_prior,
     sigma = sigma_prior.value if fixed else 1.0
     if not fixed:
         lam = _sigma_prior_scale(sigma_prior, float(resid.var()))
-    k = 0
     for it in range(chain.iterations):
         if latent is not None:
             latent(resid)
@@ -504,9 +494,8 @@ def _run_chain(samplers, resid: np.ndarray, chain: ChainConfig, sigma_prior,
             shape = 0.5 * (sigma_prior.nu + n)
             rate = 0.5 * (sigma_prior.nu * lam + ssr)
             sigma = math.sqrt(rate / rng.gamma(shape))
-        if it >= chain.burn_in and (it - chain.burn_in) % chain.thin == 0:
-            retain(k, resid, sigma)
-            k += 1
+        if it >= chain.burn_in:
+            retain(it - chain.burn_in, resid, sigma)
 
 
 def fit_continuous(X, y, prior: ForestPrior = ForestPrior(),

@@ -29,8 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--profile", choices=("quick", "full"),
                        help="quick: 20 replicates, 500 retained draws; "
                             "full: leave the configuration as-is")
-    run_p.add_argument("--out", metavar="DIR",
-                       help="output directory (overrides the config file)")
+    run_p.add_argument("--out", required=True, metavar="DIR",
+                       help="output directory")
     run_p.add_argument("--seed", type=int, metavar="N",
                        help="master seed (overrides the config file)")
     run_p.add_argument("--resume", action="store_true",
@@ -64,17 +64,13 @@ def _cmd_run(args) -> int:
         config = apply_profile(config, args.profile)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    out_dir = args.out if args.out is not None else config.output_dir
-    if out_dir is None:
-        raise ValueError("no output directory: pass --out or set output_dir "
-                         "in the config file")
 
     def progress(msg: str) -> None:
         print(msg, file=sys.stderr, flush=True)
 
-    records = run_experiment(config, out_dir, resume=args.resume,
+    records = run_experiment(config, args.out, resume=args.resume,
                              progress=progress)
-    print(f"wrote {len(records)} replicate records and reports to {out_dir}")
+    print(f"wrote {len(records)} replicate records and reports to {args.out}")
     return 0
 
 

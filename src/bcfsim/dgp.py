@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +42,9 @@ class DgpSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "selection", Selection(self.selection))
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(
+                f"alpha must be finite and positive, got {self.alpha}")
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
 

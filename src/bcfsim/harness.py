@@ -40,6 +40,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from datetime import timedelta
@@ -82,6 +83,11 @@ _FIELD_CODECS = {name: _CODECS[hint]
 # samples per selection strength in the propensity-vs-baseline scatter file
 _SCATTER_POINTS = 2000
 
+# the nominal level of every scored posterior interval: the cover_* fields
+# are the coverage of intervals at this level, and se_cover_*/ae_cover_*
+# their squared and absolute distance from it
+_INTERVAL_LEVEL = 0.95
+
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit seed from the stringified parts.
@@ -108,10 +114,9 @@ def dataset_digest(dataset: Dataset) -> str:
 class ExperimentConfig:
     """The study grid plus chain controls shared by every fit.
 
-    ``iterations``/``burn_in``/``thin`` apply to all three forests (the two
-    outcome forests and the internal propensity probit). ``output_dir`` is a
-    default destination that an explicit ``run_experiment`` argument or the
-    CLI ``--out`` flag overrides.
+    ``iterations``/``burn_in`` apply to all three forests (the two outcome
+    forests and the internal propensity probit). Where a run is written is
+    not part of its configuration: ``run_experiment`` takes the directory.
     """
 
     selections: tuple[Selection, ...] = (
@@ -121,11 +126,8 @@ class ExperimentConfig:
     n: int = 250
     replicates: int = 100
     master_seed: int = 1729
-    interval_level: float = 0.95
     iterations: int = 2000
     burn_in: int = 1000
-    thin: int = 1
-    output_dir: str | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -144,19 +146,27 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(vals)) != len(vals):
                 raise ValueError(f"{name} contains duplicates")
-        if any(a <= 0 for a in self.alphas):
-            raise ValueError("alphas must be positive")
+        bad = [a for a in self.alphas if not (math.isfinite(a) and a > 0)]
+        if bad:
+            raise ValueError(f"alphas must be finite and positive, got {bad}")
+        # a cell's name keys its checkpoint and report files
+        cells = {}
+        for selection, alpha in itertools.product(self.selections,
+                                                  self.alphas):
+            name = _cell_key(selection.value, alpha)
+            other = cells.setdefault(name, alpha)
+            if other != alpha:
+                raise ValueError(f"alphas {other!r} and {alpha!r} both name "
+                                 f"the cell {name}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        if not 0.0 < self.interval_level < 1.0:
-            raise ValueError("interval_level must be in (0, 1)")
         self.bcf_config().validate()
 
     def bcf_config(self) -> BcfConfig:
         return BcfConfig(chain=ChainConfig(
-            iterations=self.iterations, burn_in=self.burn_in, thin=self.thin))
+            iterations=self.iterations, burn_in=self.burn_in))
 
     def to_json_dict(self) -> dict:
         """Every field by name, exactly as run_config.json reads back."""
@@ -172,7 +182,7 @@ def apply_profile(config: ExperimentConfig, profile: str) -> ExperimentConfig:
     """
     if profile == "quick":
         return dataclasses.replace(
-            config, replicates=20, iterations=1000, burn_in=500, thin=1)
+            config, replicates=20, iterations=1000, burn_in=500)
     if profile == "full":
         return config
     raise ValueError(f"unknown profile {profile!r}; expected 'quick' or 'full'")
@@ -201,36 +211,35 @@ def load_config_file(path) -> ExperimentConfig:
             value = value.strip()
             if key not in hints:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            # the X of tuple[X, ...] and of X | None, else the type itself
-            cast = (get_args(hints[key]) or (hints[key],))[0]
+            hint = hints[key]
             try:
-                if get_origin(hints[key]) is tuple:
-                    kwargs[key] = tuple(
-                        cast(v.strip()) for v in value.split(",") if v.strip())
-                elif value:
-                    kwargs[key] = cast(value)
+                if get_origin(hint) is tuple:
+                    kwargs[key] = tuple(get_args(hint)[0](v.strip())
+                                        for v in value.split(",")
+                                        if v.strip())
                 else:
-                    raise ValueError("empty value")
+                    kwargs[key] = hint(value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return ExperimentConfig(**kwargs)
 
 
-def evaluate_fit(fit, dataset: Dataset, replicate_index: int, seed: int,
-                 interval_level: float = 0.95) -> ReplicateRecord:
-    """Score one fitted variant against the draw's ground truth. A metric
-    is named ``<statistic>_<target>``; the record keeps those it declares."""
-    ci = cate_intervals(fit, interval_level)
-    ate = ate_posterior(fit, interval_level)
+def evaluate_fit(fit, dataset: Dataset, replicate_index: int,
+                 seed: int) -> ReplicateRecord:
+    """Score one fitted variant against the draw's ground truth, intervals
+    at ``_INTERVAL_LEVEL``. A metric is named ``<statistic>_<target>``; the
+    record keeps those it declares."""
+    ci = cate_intervals(fit, _INTERVAL_LEVEL)
+    ate = ate_posterior(fit, _INTERVAL_LEVEL)
     truth_ate = np.array([dataset.ate_true])
     by_target = {
         "cate": {**pointwise_errors(ci["mean"], dataset.cate_true),
                  **interval_metrics(ci["lower"], ci["upper"],
-                                    dataset.cate_true, interval_level)},
+                                    dataset.cate_true, _INTERVAL_LEVEL)},
         "ate": {**pointwise_errors(np.array([ate["mean"]]), truth_ate),
                 **interval_metrics(np.array([ate["lower"]]),
                                    np.array([ate["upper"]]), truth_ate,
-                                   interval_level)},
+                                   _INTERVAL_LEVEL)},
         "pi": pointwise_errors(fit.pi_used, dataset.pi_true),
     }
     metrics = {f"{stat}_{target}": value
@@ -345,8 +354,7 @@ def _fit_one(config: ExperimentConfig, selection: Selection, alpha: float,
                       pi_true=(dataset.pi_true if model == _TRUE_PI else None),
                       config=config.bcf_config(),
                       seed=derive_seed(data_seed, model))
-        record = evaluate_fit(fit, dataset, rep, data_seed,
-                              config.interval_level)
+        record = evaluate_fit(fit, dataset, rep, data_seed)
     except Exception as exc:
         raise RuntimeError(
             f"fit failed in cell {_cell_key(selection.value, alpha)}, "
@@ -382,7 +390,7 @@ def _read_cell(cell_csv: Path, cell_timing: Path):
             for (rec, (digest,)), s in zip(rows, seconds)]
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
+def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
                    progress=None) -> list[ReplicateRecord]:
     """Run the whole grid and write every artifact to the run directory.
 
@@ -391,16 +399,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
     cell artifacts is refused so two configurations cannot get mixed
     together silently. For the same reason a resume, which then writes
     nothing, is refused when the directory's ``run_config.json`` is missing
-    or differs from ``config`` in any key but ``output_dir``, or when a
-    checkpoint does not hold its cell's ``_fit_keys`` in order. ``progress``
-    gets a line per fit: its count among this call's fits and an ETA.
-    Returns the full record list.
+    or differs from ``config`` in any key, or when a checkpoint does not
+    hold its cell's ``_fit_keys`` in order. ``progress`` gets a line per
+    fit: its count among this call's fits and an ETA. Returns the full
+    record list.
     """
     config.validate()
-    target = out_dir if out_dir is not None else config.output_dir
-    if target is None:
-        raise ValueError("no output directory: pass out_dir or set output_dir")
-    out = Path(target)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells_dir = out / "cells"
     cells_dir.mkdir(exist_ok=True)
@@ -419,8 +424,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, resume: bool = False,
                                 "fresh directory")
     if leftovers:
         found = _read_run_config(config_path).to_json_dict()
-        differ = [k for k in sorted(wanted)
-                  if k != "output_dir" and found[k] != wanted[k]]
+        differ = [k for k in sorted(wanted) if found[k] != wanted[k]]
         if differ:
             detail = "; ".join(f"{k}: found {found[k]!r}, expected "
                                f"{wanted[k]!r}" for k in differ)

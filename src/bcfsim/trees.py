@@ -4,7 +4,7 @@ The tree machinery shared by every forest in the package: node and tree
 structures, routing (a feature value less than or equal to the cutpoint goes
 left), per-feature cutpoint grids, and the Grow / Prune / Change proposal
 kernel in the style of Chipman, George & McCulloch (2010), with Grow 0.4,
-Prune 0.4, Change 0.2 and no Swap move.
+Prune 0.4, Change 0.2 in every forest and no Swap move.
 
 A proposal states the node as the move would leave it: its split
 ``feature``/``k`` (``feature`` None for a leaf, as on ``Node``) and the pair
@@ -15,7 +15,7 @@ which reads the kind off the structure (no child pair is a Prune, a leaf
 node a Grow, an internal one a Change). The sampler compares the node's
 leaves before and after the move and adds the marginal-likelihood ratio.
 
-The move kind is drawn from the configured probabilities renormalized over
+The move kind is drawn from those probabilities renormalized over
 the kinds the current tree structure allows (Grow needs a leaf with a valid
 cutpoint, Prune and Change need an internal node), so a root-only tree with
 a splittable column always proposes Grow; the renormalizing mass is part of
@@ -79,6 +79,9 @@ import weakref
 from typing import NamedTuple
 
 import numpy as np
+
+# the Grow / Prune / Change move mix of every forest
+_P_GROW, _P_PRUNE, _P_CHANGE = 0.4, 0.4, 0.2
 
 
 def depth_split_prob(depth: int, base: float, power: float) -> float:
@@ -347,19 +350,18 @@ def _depth_log_prior(depth: int, base: float, power: float) -> float:
     return math.log(p_d) + 2.0 * _log1m(p_d1) - _log1m(p_d)
 
 
-def _kind_mass(move_probs, grow_ok: bool, prunable: bool) -> float:
+def _kind_mass(grow_ok: bool, prunable: bool) -> float:
     """Total probability mass of the structurally possible move kinds.
 
     Every call site shares this one arithmetic path so the forward and
     reverse masses of the same tree state come out bit-identical, keeping
     paired Grow/Prune correction terms exact negatives of each other.
     """
-    p_grow, p_prune, p_change = move_probs
     mass = 0.0
     if grow_ok:
-        mass += p_grow
+        mass += _P_GROW
     if prunable:
-        mass += p_prune + p_change
+        mass += _P_PRUNE + _P_CHANGE
     return mass
 
 
@@ -380,9 +382,9 @@ def propose_move(tree: DecisionTree, table: SplitTable, rng,
                  prior) -> Proposal | None:
     """Draw one Grow/Prune/Change proposal for a tree built by ``table``.
 
-    ``prior`` is the forest's ``bart.ForestPrior``; its
-    ``move_probabilities``, ``base`` and ``power`` are read here. The kind
-    is drawn from the move probabilities restricted to the kinds the
+    ``prior`` is the forest's ``bart.ForestPrior``; its ``base`` and
+    ``power`` are read here. The kind is drawn from the move mix
+    ``_P_GROW``/``_P_PRUNE``/``_P_CHANGE`` restricted to the kinds the
     current structure allows: Grow needs a leaf with at least one valid
     cutpoint, Prune and Change need an internal node. A root-only tree on
     splittable columns therefore always proposes Grow. Returns None when no
@@ -390,18 +392,16 @@ def propose_move(tree: DecisionTree, table: SplitTable, rng,
     the Grow leaf draw lands on a leaf none of whose features admit a valid
     cutpoint; the sampler treats either as a rejected step.
     """
-    move_probs = prior.move_probabilities
     singly, flags, n_split = _scan(tree, table.keys)
     prunable = bool(singly)
-    mass = _kind_mass(move_probs, n_split > 0, prunable)
+    mass = _kind_mass(n_split > 0, prunable)
     if mass == 0.0:
         return None
-    p_grow, p_prune, _ = move_probs
     u = rng.random() * mass
-    if not prunable or (n_split and u < p_grow):
+    if not prunable or (n_split and u < _P_GROW):
         return _propose_grow(tree, table, rng, prior, singly, flags, n_split,
                              mass)
-    if u < (p_grow + p_prune if n_split else p_prune):
+    if u < (_P_GROW + _P_PRUNE if n_split else _P_PRUNE):
         return _propose_prune(tree, table, rng, prior, singly, mass)
     return _propose_change(table, rng, singly)
 
@@ -439,11 +439,9 @@ def _propose_grow(tree, table, rng, prior, singly, flags, n_split, mass):
     grow_ok_after = (n_split > 1
                      or _rowset_splittable(children[0], table.keys)
                      or _rowset_splittable(children[1], table.keys))
-    move_probs = prior.move_probabilities
-    mass_after = _kind_mass(move_probs, grow_ok_after, True)
-    p_grow, p_prune, _ = move_probs
-    log_forward = math.log(p_grow) - math.log(mass) - math.log(len(leaves))
-    log_reverse = (math.log(p_prune) - math.log(mass_after)
+    mass_after = _kind_mass(grow_ok_after, True)
+    log_forward = math.log(_P_GROW) - math.log(mass) - math.log(len(leaves))
+    log_reverse = (math.log(_P_PRUNE) - math.log(mass_after)
                    - math.log(si_after))
     log_ratio = (_depth_log_prior(leaf.depth, prior.base, prior.power)
                  + (log_reverse - log_forward))
@@ -456,13 +454,11 @@ def _propose_prune(tree, table, rng, prior, singly, mass):
     # Kind mass of the pruned tree: the merged leaf straddles the removed
     # cutpoint, so that cutpoint stays valid and Grow remains possible;
     # Prune and Change survive unless the node was the root.
-    move_probs = prior.move_probabilities
-    mass_after = _kind_mass(move_probs, True, node.parent is not None)
-    p_grow, p_prune, _ = move_probs
+    mass_after = _kind_mass(True, node.parent is not None)
     # the same float sequences as the reverse Grow's, with forward and
     # reverse swapped, so the two log ratios are exact negatives
-    log_forward = math.log(p_prune) - math.log(mass) - math.log(len(singly))
-    log_reverse = (math.log(p_grow) - math.log(mass_after)
+    log_forward = math.log(_P_PRUNE) - math.log(mass) - math.log(len(singly))
+    log_reverse = (math.log(_P_GROW) - math.log(mass_after)
                    - math.log(n_leaves_after))
     log_ratio = (-_depth_log_prior(node.depth, prior.base, prior.power)
                  + (log_reverse - log_forward))

@@ -139,13 +139,8 @@ def test_config_validation():
         ForestPrior(power=-1.0),
         ChainConfig(iterations=0),
         ChainConfig(burn_in=50, iterations=50),
-        ChainConfig(thin=0),
+        ChainConfig(burn_in=-1),
         ForestPrior(cutpoints_per_feature=0),
-        ForestPrior(move_probabilities=(0.5, 0.5, 0.5)),
-        ForestPrior(move_probabilities=(1.0, 0.0)),
-        ForestPrior(move_probabilities=(0.5, 0.0, 0.5)),
-        ForestPrior(move_probabilities=(1.0, 0.0, 0.0)),
-        ForestPrior(move_probabilities=(0.0, 0.5, 0.5)),
         ForestPrior(leaf_scale_prior=object()),
         BcfConfig(sigma_prior=FixedSigma(0.0)),
         BcfConfig(sigma_prior=FixedSigma(math.nan)),
@@ -172,20 +167,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         fit_continuous(X, y, sigma_prior=FixedSigma(-1.0))
     with pytest.raises(ValueError):
-        fit_continuous(X, y, chain=ChainConfig(thin=0))
+        fit_continuous(X, y, chain=ChainConfig(burn_in=-1))
     with pytest.raises(ValueError):
         fit_binary_probit(X, y % 2, chain=ChainConfig(iterations=0))
-    # without a Grow or a Prune share the chain cannot reach or leave a
-    # grown tree, so the prior is refused by name; no Change share is fine
-    short = ChainConfig(iterations=20, burn_in=10)
-    for probs in [(0.5, 0.0, 0.5), (1.0, 0.0, 0.0), (0.0, 0.5, 0.5)]:
-        with pytest.raises(ValueError, match="positive grow and prune"):
-            fit_continuous(X, y, ForestPrior(move_probabilities=probs), short)
-    post = fit_continuous(
-        X, y, ForestPrior(num_trees=5, move_probabilities=(0.5, 0.5, 0.0)),
-        short)
-    assert np.isfinite(post.draws).all()
-    assert post.acceptance_rate > 0
 
 
 def test_sigma_prior_scale_is_the_scipy_stats_chi2_quantile():
@@ -201,7 +185,8 @@ def test_sigma_prior_scale_is_the_scipy_stats_chi2_quantile():
 
 
 def test_config_retained_count():
-    assert ChainConfig(iterations=10, burn_in=4, thin=2).n_retained == 3
+    assert ChainConfig(iterations=10, burn_in=4).n_retained == 6
+    assert ChainConfig(iterations=1, burn_in=0).n_retained == 1
     assert ChainConfig(iterations=2000, burn_in=1000).n_retained == 1000
 
 
@@ -469,12 +454,12 @@ def test_fit_continuous_shapes_and_determinism():
     X = rng.random((30, 2))
     y = rng.normal(size=30)
     prior = ForestPrior(num_trees=3)
-    chain = ChainConfig(iterations=10, burn_in=4, thin=2)
+    chain = ChainConfig(iterations=10, burn_in=4)
     a = fit_continuous(X, y, prior, chain, seed=11)
     b = fit_continuous(X, y, prior, chain, seed=11)
     c = fit_continuous(X, y, prior, chain, seed=12)
-    assert a.draws.shape == (3, 30)
-    assert a.sigma_draws.shape == (3,)
+    assert a.draws.shape == (6, 30)
+    assert a.sigma_draws.shape == (6,)
     assert a.probability_draws is None
     assert_array_equal(a.draws, b.draws)
     assert_array_equal(a.sigma_draws, b.sigma_draws)

@@ -129,9 +129,10 @@ def test_run_full_profile_keeps_config(tiny_run, tmp_path):
 def test_run_requires_an_output_directory(tmp_path, capsys):
     cfg = tmp_path / "no_out.cfg"
     cfg.write_text("replicates = 1\n", encoding="utf-8")
-    code = main(["run", "--config", str(cfg)])
-    assert code == 1
-    assert "output directory" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_run_reports_config_file_typos(tmp_path, capsys):
@@ -169,6 +170,29 @@ def test_run_names_the_failing_fit(tmp_path, capsys, monkeypatch):
     assert "FloatingPointError: slice sampler diverged" in err
     assert (out / "cells" / "cell_extreme_2.csv").exists()
     assert not (out / "cells" / "cell_extreme_4.csv").exists()
+
+
+@pytest.mark.parametrize("alphas, named", [
+    ("inf", "got [inf]"),
+    ("nan", "got [nan]"),
+    # "1.0000001" formats as "1" too, so both cells would be extreme_1
+    ("1, 1.0000001", "alphas 1.0 and 1.0000001 both name the cell extreme_1"),
+])
+def test_run_refuses_bad_alphas_before_any_fit(tmp_path, capsys, monkeypatch,
+                                               alphas, named):
+    cfg = tmp_path / "bad_alpha.cfg"
+    cfg.write_text(TINY_CFG.replace("alphas = 4", f"alphas = {alphas}"),
+                   encoding="utf-8")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(harness, "fit_bcf", no_fit)
+    out = tmp_path / "run"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, old, new", [
@@ -372,3 +396,16 @@ def test_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert done.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# package metadata
+
+
+def test_pyproject_version_is_the_package_version():
+    # the installed distribution and bcfsim.__version__ must name one release
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(path, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == bcfsim.__version__

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -161,6 +162,10 @@ def test_constant_half_rmse_constants():
 def test_spec_validation():
     with pytest.raises(ValueError):
         DgpSpec("extreme", 0.0)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"finite and positive, "
+                                             f"got {alpha}"):
+            DgpSpec("extreme", alpha)
     with pytest.raises(ValueError):
         DgpSpec("extreme", 1.0, n=1)
     spec = DgpSpec("moderate", 2, n=10)

@@ -38,6 +38,7 @@ from bcfsim.harness import (
 from bcfsim.metrics import METRIC_FIELDS, RECORD_FIELDS, ReplicateRecord
 
 CSV_FIELDS = tuple(f for f in RECORD_FIELDS if f != "fit_seconds")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +107,11 @@ def test_experiment_config_rejects_unknown_names():
     dict(models=()),
     dict(alphas=(4, 4.0)),          # duplicates after normalization
     dict(alphas=(-1.0,)),
+    dict(alphas=(float("inf"),)),
+    dict(alphas=(float("nan"),)),
+    dict(alphas=(1.0, 1.0000001)),  # both cells would be named extreme_1
     dict(n=1),
     dict(replicates=0),
-    dict(interval_level=1.0),
-    dict(interval_level=0.0),
     dict(iterations=0),             # caught by the chain config check
     dict(burn_in=2000, iterations=2000),
 ])
@@ -119,9 +121,9 @@ def test_experiment_config_validation(kwargs):
 
 
 def test_bcf_config_propagates_chain_controls():
-    config = ExperimentConfig(iterations=300, burn_in=100, thin=2)
+    config = ExperimentConfig(iterations=300, burn_in=100)
     bcf = config.bcf_config()
-    assert bcf.chain == ChainConfig(iterations=300, burn_in=100, thin=2)
+    assert bcf.chain == ChainConfig(iterations=300, burn_in=100)
     # grid controls must not disturb the forest priors
     assert bcf.mu.num_trees == 200
     assert bcf.tau.num_trees == 50
@@ -134,7 +136,6 @@ def test_apply_profile():
     assert quick.replicates == 20
     assert quick.iterations == 1000
     assert quick.burn_in == 500
-    assert quick.thin == 1
     assert quick.n == base.n
     assert apply_profile(base, "full") == base
     with pytest.raises(ValueError, match="profile"):
@@ -152,11 +153,8 @@ def test_load_config_file(tmp_path):
         "n = 80\n"
         "replicates = 3\n"
         "master_seed = 7\n"
-        "interval_level = 0.9\n"
         "iterations = 120\n"
-        "burn_in = 60\n"
-        "thin = 2\n"
-        "output_dir = runs/demo\n",
+        "burn_in = 60\n",
         encoding="utf-8",
     )
     config = load_config_file(path)
@@ -167,11 +165,8 @@ def test_load_config_file(tmp_path):
         n=80,
         replicates=3,
         master_seed=7,
-        interval_level=0.9,
         iterations=120,
         burn_in=60,
-        thin=2,
-        output_dir="runs/demo",
     )
 
 
@@ -189,8 +184,8 @@ def test_load_config_file_defaults_when_sparse(tmp_path):
     ("n 80", "expected 'key = value'"),
     ("n = eighty", "bad value"),
     ("n =", "bad value"),
-    # an empty path would be the current directory
-    ("output_dir =", "bad value"),
+    # a retired key is refused, not ignored
+    ("output_dir = runs/demo", "unknown config key"),
     ("selections = extreme, strong", "bad value for selections"),
 ])
 def test_load_config_file_errors(tmp_path, line, message):
@@ -208,17 +203,14 @@ OTHER_CONFIG = dict(
     n=40,
     replicates=7,
     master_seed=11,
-    interval_level=0.9,
     iterations=3000,
     burn_in=100,
-    thin=2,
-    output_dir="runs/other",
 )
 
 
 def test_config_walk_covers_every_field():
     names = [f.name for f in dataclasses.fields(ExperimentConfig)]
-    assert len(names) == 11
+    assert len(names) == 8
     assert sorted(OTHER_CONFIG) == sorted(names)
     for name, value in OTHER_CONFIG.items():
         assert getattr(ExperimentConfig(), name) != value, name
@@ -243,6 +235,29 @@ def test_every_config_field_round_trips(tmp_path, name):
     assert load_config_file(path) == config
 
 
+def test_readme_lists_every_config_key_with_its_default(tmp_path):
+    # the documented key list is a config file of the defaults
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    assert load_config_file(path) == ExperimentConfig()
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
+            if line.split("#", 1)[0].strip()]
+    assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+def test_committed_acceptance_run_config_is_current():
+    # the tracked grid_a4/run_config.json must read back as the acceptance
+    # grid's configuration and be exactly what a run would write for it,
+    # or a resume from the committed cells would refuse them or dirty git
+    path = ROOT / ".acceptance_cache" / "grid_a4" / "run_config.json"
+    config = apply_profile(ExperimentConfig(alphas=(4.0,)), "quick")
+    assert harness._read_run_config(path) == config
+    assert path.read_bytes() == json.dumps(
+        config.to_json_dict(), sort_keys=True, indent=2).encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # evaluate_fit: metric plumbing against hand-computed values
 
@@ -265,8 +280,7 @@ def test_evaluate_fit_hand_example():
         mode=PropensityMode.NO_PROPENSITY,
         fit_seconds=1.5,
     )
-    rec = evaluate_fit(fit, dataset, replicate_index=7, seed=123,
-                       interval_level=0.95)
+    rec = evaluate_fit(fit, dataset, replicate_index=7, seed=123)
 
     assert rec.dgp_id == "extreme"
     assert rec.alpha == 4.0
@@ -695,10 +709,6 @@ def test_resume_refuses_cells_of_another_configuration(tmp_path):
                              r"master_seed: found 1729, expected 7"):
         run_experiment(other, out_dir=tmp_path, resume=True)
     assert (tmp_path / "run_config.json").read_bytes() == before
-    # output_dir is only a default destination, so it may differ
-    moved = ExperimentConfig(**small, master_seed=1729, iterations=6,
-                             output_dir="elsewhere")
-    run_experiment(moved, out_dir=tmp_path, resume=True)
 
 
 def _break_header(cells):
@@ -732,11 +742,6 @@ def test_resume_names_a_malformed_cell(mini_run, tmp_path, corrupt):
     message = corrupt(copy / "cells")
     with pytest.raises(ValueError, match=message):
         run_experiment(config, out_dir=copy, resume=True)
-
-
-def test_run_experiment_requires_output_dir():
-    with pytest.raises(ValueError, match="output directory"):
-        run_experiment(ExperimentConfig(**MINI_CONFIG))
 
 
 def test_report_from_regenerates_derived_artifacts(mini_run):

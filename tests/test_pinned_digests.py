@@ -6,8 +6,10 @@ searches in ``trees``, and that change had to reproduce them bit for bit.
 
 The digests hold for Python 3.11, numpy 2.4.6 and scipy 1.17.1. Another
 numpy or scipy may move the last bits of a draw: the library-dependent bits
-are scipy.special's ``ndtri`` (normal quantiles) and ``gammaincinv`` (the
-sigma prior's chi2 quantile), plus numpy's summation order. A mismatch
+are scipy.special's ``ndtri`` (normal quantiles), ``gammaincinv`` (the
+sigma prior's chi2 quantile) and ``ndtr`` (the normal cdf of the probit
+latent draw, in the probit and estimated-propensity fits), plus numpy's
+summation order. A mismatch
 there first calls for the fit to be checked against the environment named
 here, not for a new digest.
 

@@ -571,20 +571,6 @@ def test_move_kind_frequencies():
         assert abs(counts[kind] / n - p) < 3.0 * se
 
 
-def test_custom_move_probabilities_respected():
-    rng = np.random.default_rng(10)
-    X = rng.random((50, 2))
-    grids = make_cutpoint_grids(X, 10)
-    table = SplitTable(cutpoint_bins(X, grids))
-    tree = table.new_tree()
-    apply_move(tree, _propose_kind(tree, table, rng, "grow"))
-    prior = ForestPrior(move_probabilities=(0.05, 0.05, 0.9))
-    kinds = [_kind(propose_move(tree, table, rng, prior))
-             for _ in range(300)]
-    frac_change = kinds.count("change") / len(kinds)
-    assert frac_change > 0.8
-
-
 def test_leaves_partition_rows_under_random_walk():
     rng = np.random.default_rng(11)
     n = 80
