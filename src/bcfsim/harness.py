@@ -61,10 +61,11 @@ from .metrics import (
 from .ranktests import TestReport, select_and_run
 
 __all__ = [
-    "ExperimentConfig", "SummaryTable", "PValueTable", "derive_seed",
-    "dataset_digest", "evaluate_fit", "run_experiment", "summarize",
-    "compare_models", "timing_report", "report_from", "apply_profile",
-    "load_config_file", "read_replicates_csv",
+    "ExperimentConfig", "CellValues", "SummaryTable", "PValueTable",
+    "derive_seed", "dataset_digest", "evaluate_fit", "run_experiment",
+    "cell_values", "summarize", "compare_models", "timing_report",
+    "report_from", "apply_profile", "load_config_file",
+    "read_replicates_csv",
 ]
 
 MODEL_IDS = tuple(m.value for m in PropensityMode)
@@ -162,6 +163,10 @@ class ExperimentConfig:
             raise ValueError("n must be at least 2")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        # the rank tests between models need two replicates per model
+        if self.replicates < 2 and len(self.models) > 1:
+            raise ValueError("replicates must be at least 2 to compare "
+                             f"{len(self.models)} models")
         self.bcf_config().validate()
 
     def bcf_config(self) -> BcfConfig:
@@ -194,11 +199,12 @@ def load_config_file(path) -> ExperimentConfig:
     Lines starting with ``#`` (or blank) are skipped and ``#`` starts a
     trailing comment. The keys are the ``ExperimentConfig`` fields: a
     ``tuple[X, ...]`` field takes comma-separated X entries, any other field
-    one nonempty value. Unknown keys are an error, not a warning, so typos
-    cannot silently fall back to defaults.
+    one nonempty value. Unknown keys and keys set twice are errors, not
+    warnings, so typos cannot silently fall back to defaults.
     """
     hints = get_type_hints(ExperimentConfig)
     kwargs = {}
+    set_on = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -211,6 +217,10 @@ def load_config_file(path) -> ExperimentConfig:
             value = value.strip()
             if key not in hints:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            first = set_on.setdefault(key, lineno)
+            if first != lineno:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is "
+                                 f"already set on line {first}")
             hint = hints[key]
             try:
                 if get_origin(hint) is tuple:
@@ -478,22 +488,18 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
 
 def _write_reports(config, out: Path, records) -> None:
     """Summary, p-value, boxplot and scatter files derived from records."""
-    table = summarize(records)
-    by_cell = {}
-    for rec in records:
-        by_cell.setdefault((rec.dgp_id, rec.alpha), []).append(rec)
-
-    for (dgp_id, alpha), cell_records in by_cell.items():
-        stem = _cell_key(dgp_id, alpha)
+    cells = cell_values(records)
+    table = summarize(cells)
+    for cell in cells:
+        stem = _cell_key(cell.dgp_id, cell.alpha)
         _write_text(out / f"summary_{stem}.csv",
-                    _summary_csv_text(table, dgp_id, alpha))
+                    _summary_csv_text(table, cell.dgp_id, cell.alpha))
         _write_text(out / f"summary_{stem}.md",
-                    _summary_md_text(table, dgp_id, alpha))
-        _write_text(out / f"boxplot_{stem}.csv",
-                    _boxplot_csv_text(cell_records))
+                    _summary_md_text(table, cell.dgp_id, cell.alpha))
+        _write_text(out / f"boxplot_{stem}.csv", _boxplot_csv_text(cell))
         # a run and a checked report hold every model's fits in every cell
         for model_a, model_b in itertools.combinations(config.models, 2):
-            pair = compare_models(cell_records, model_a, model_b)
+            pair = compare_models(cell, model_a, model_b)
             _write_text(out / f"pvalues_{stem}_{model_a}_vs_{model_b}.csv",
                         _pvalues_csv_text(pair))
 
@@ -509,6 +515,49 @@ def _write_timing(out: Path, records) -> None:
         for r in records
     ], **timing_report(records)}
     _write_text(out / "timing.json", json.dumps(timing, sort_keys=True, indent=1))
+
+
+@dataclass(frozen=True)
+class CellValues:
+    """One grid cell's metric values, column-wise.
+
+    ``values[model]`` is a float matrix with one row per ``METRIC_FIELDS``
+    metric, in that order, and one column per entry of ``replicates``, the
+    ascending replicate indices that every model of the cell shares. Models
+    keep the order in which the cell's records first name them.
+    """
+
+    dgp_id: str
+    alpha: float
+    replicates: tuple
+    values: dict
+
+
+_metric_values = operator.attrgetter(*METRIC_FIELDS)
+
+
+def cell_values(records) -> list[CellValues]:
+    """Each cell of the records, in order of first appearance, as its
+    ``CellValues``. A cell whose models cover different replicate sets
+    raises a ValueError: the tests between them pair replicates."""
+    by_cell = {}
+    for rec in records:
+        by_cell.setdefault((rec.dgp_id, rec.alpha), {}).setdefault(
+            rec.model, []).append(rec)
+    cells = []
+    for (dgp_id, alpha), by_model in by_cell.items():
+        replicates, values = None, {}
+        for model, recs in by_model.items():
+            recs.sort(key=operator.attrgetter("replicate_index"))
+            reps = tuple(rec.replicate_index for rec in recs)
+            if replicates is not None and reps != replicates:
+                raise ValueError(f"models cover different replicate sets in "
+                                 f"cell {_cell_key(dgp_id, alpha)}")
+            replicates = reps
+            values[model] = np.array(
+                [_metric_values(rec) for rec in recs]).T.copy()
+        cells.append(CellValues(dgp_id, alpha, replicates, values))
+    return cells
 
 
 @dataclass
@@ -527,22 +576,22 @@ class SummaryTable:
         return self.cells[(dgp_id, float(alpha))][metric][model]
 
 
-def summarize(records) -> SummaryTable:
-    """Aggregate replicate records into per-cell mean/sd tables."""
-    if not records:
+def summarize(cells) -> SummaryTable:
+    """Per-cell mean/sd tables of ``cell_values``, row by row."""
+    if not cells:
         raise ValueError("no records to summarize")
-    models = tuple(dict.fromkeys(r.model for r in records))
-    table = SummaryTable(models=models)
-    grouped = {}
-    for rec in records:
-        grouped.setdefault((rec.dgp_id, rec.alpha, rec.model), []).append(rec)
-    for (dgp_id, alpha, model), recs in grouped.items():
-        cell = table.cells.setdefault((dgp_id, alpha), {})
-        for metric in METRIC_FIELDS:
-            vals = np.array([getattr(r, metric) for r in recs])
-            sd = float(vals.std(ddof=1)) if len(vals) > 1 else None
-            cell.setdefault(metric, {})[model] = (float(vals.mean()), sd,
-                                                  len(vals))
+    table = SummaryTable(
+        models=tuple(dict.fromkeys(m for cell in cells for m in cell.values)))
+    for cell in cells:
+        count = len(cell.replicates)
+        by_metric = {metric: {} for metric in METRIC_FIELDS}
+        for model, matrix in cell.values.items():
+            sds = (matrix.std(axis=1, ddof=1).tolist() if count > 1
+                   else [None] * len(METRIC_FIELDS))
+            for metric, mean, sd in zip(METRIC_FIELDS,
+                                        matrix.mean(axis=1).tolist(), sds):
+                by_metric[metric][model] = (mean, sd, count)
+        table.cells[(cell.dgp_id, cell.alpha)] = by_metric
     return table
 
 
@@ -584,12 +633,19 @@ def _summary_md_text(table: SummaryTable, dgp_id: str, alpha: float) -> str:
     return "\n".join(lines)
 
 
-def _boxplot_csv_text(cell_records) -> str:
-    return _csv_text(
-        ["metric", "model", "replicate_index", "value"],
-        ([metric, rec.model, str(rec.replicate_index),
-          repr(float(getattr(rec, metric)))]
-         for metric in METRIC_FIELDS for rec in cell_records))
+def _boxplot_csv_text(cell: CellValues) -> str:
+    """One line per (metric, replicate, model), in that nesting order,
+    built a model's column at a time and joined a metric at a time. No cell
+    holds anything csv would quote: names, an int and a float repr."""
+    chunks = ["metric,model,replicate_index,value\n"]
+    reps = list(map(str, cell.replicates))
+    rows = {model: matrix.tolist() for model, matrix in cell.values.items()}
+    for i, metric in enumerate(METRIC_FIELDS):
+        columns = [[f"{metric},{model},{rep},{value!r}\n"
+                    for rep, value in zip(reps, by_metric[i])]
+                   for model, by_metric in rows.items()]
+        chunks.append("".join(itertools.chain.from_iterable(zip(*columns))))
+    return "".join(chunks)
 
 
 def _scatter_csv_text(master_seed: int, selection: Selection) -> str:
@@ -613,31 +669,18 @@ class PValueTable:
     reports: dict  # metric name -> TestReport
 
 
-def compare_models(records, model_a: str, model_b: str) -> PValueTable:
-    """Dispersion-gated rank tests between two variants, metric by metric.
-
-    The records must all belong to one (dgp, alpha) cell, and thanks to the
-    paired design both variants must cover the identical replicate set.
-    """
-    cells = {(r.dgp_id, r.alpha) for r in records}
-    if len(cells) != 1:
-        raise ValueError(f"records span {len(cells)} cells; pass exactly one")
-    a_recs = sorted((r for r in records if r.model == model_a),
-                    key=lambda r: r.replicate_index)
-    b_recs = sorted((r for r in records if r.model == model_b),
-                    key=lambda r: r.replicate_index)
-    if not a_recs or not b_recs:
+def compare_models(cell: CellValues, model_a: str,
+                   model_b: str) -> PValueTable:
+    """Dispersion-gated rank tests between two variants of one cell: one
+    ``select_and_run`` over their metric matrices, which pair replicates
+    column by column (the paired design)."""
+    if model_a not in cell.values or model_b not in cell.values:
         raise ValueError(f"both models need records: {model_a}, {model_b}")
-    if [r.replicate_index for r in a_recs] != [r.replicate_index for r in b_recs]:
-        raise ValueError("models cover different replicate sets")
-    (dgp_id, alpha), = cells
-    reports = {}
-    for metric in METRIC_FIELDS:
-        x = np.array([getattr(r, metric) for r in a_recs])
-        y = np.array([getattr(r, metric) for r in b_recs])
-        reports[metric] = select_and_run(x, y, metric)
-    return PValueTable(dgp_id=dgp_id, alpha=alpha, model_a=model_a,
-                       model_b=model_b, reports=reports)
+    reports = select_and_run(cell.values[model_a], cell.values[model_b],
+                             METRIC_FIELDS)
+    return PValueTable(dgp_id=cell.dgp_id, alpha=cell.alpha, model_a=model_a,
+                       model_b=model_b,
+                       reports=dict(zip(METRIC_FIELDS, reports)))
 
 
 _PVALUE_COLUMNS = ("levene", "brown_forsythe", "fligner_policello",

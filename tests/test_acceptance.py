@@ -28,6 +28,7 @@ from bcfsim.dgp import DgpSpec, Selection, beta_cdf_2_4, generate, signal_ratio
 from bcfsim.harness import (
     ExperimentConfig,
     apply_profile,
+    cell_values,
     compare_models,
     derive_seed,
     run_experiment,
@@ -96,7 +97,8 @@ _LOCATION_ATTR = {
 
 
 def _selected_pvalues(records, selection, metric):
-    table = compare_models(_cell(records, selection), NO_PI, EST_PI)
+    table = compare_models(*cell_values(_cell(records, selection)), NO_PI,
+                           EST_PI)
     report = table.reports[metric]
     return [getattr(report, _LOCATION_ATTR[name]).p for name in report.selected]
 

@@ -195,6 +195,27 @@ def test_run_refuses_bad_alphas_before_any_fit(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_run_refuses_one_replicate_of_several_models(tmp_path, capsys,
+                                                    monkeypatch):
+    # the rank tests between models need two replicates per model, so the
+    # configuration is refused before the first fit, not after the last
+    cfg = tmp_path / "one_rep.cfg"
+    cfg.write_text(TINY_CFG.replace("models = no_propensity",
+                                    "models = no_propensity, true_propensity"),
+                   encoding="utf-8")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(harness, "fit_bcf", no_fit)
+    out = tmp_path / "run"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert "replicates must be at least 2 to compare 2 models" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, old, new", [
     ("cell_extreme_4.csv", "rmse_cate", "rmse_cat"),
     ("cell_extreme_4_timing.json", "0:no_propensity", "0:no_pi"),

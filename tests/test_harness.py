@@ -24,6 +24,7 @@ from bcfsim.dgp import Dataset, DgpSpec, Selection, generate
 from bcfsim.harness import (
     ExperimentConfig,
     apply_profile,
+    cell_values,
     compare_models,
     dataset_digest,
     derive_seed,
@@ -120,6 +121,13 @@ def test_experiment_config_validation(kwargs):
         ExperimentConfig(**kwargs).validate()
 
 
+def test_one_replicate_needs_a_single_model():
+    with pytest.raises(ValueError, match="at least 2 to compare 2 models"):
+        ExperimentConfig(models=("no_propensity", "true_propensity"),
+                         replicates=1).validate()
+    ExperimentConfig(models=("no_propensity",), replicates=1).validate()
+
+
 def test_bcf_config_propagates_chain_controls():
     config = ExperimentConfig(iterations=300, burn_in=100)
     bcf = config.bcf_config()
@@ -192,6 +200,14 @@ def test_load_config_file_errors(tmp_path, line, message):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=message):
+        load_config_file(path)
+
+
+def test_load_config_file_refuses_a_key_set_twice(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("n = 80\nreplicates = 3\n\nn = 90\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"twice.cfg:4: config key 'n' is "
+                                         r"already set on line 1"):
         load_config_file(path)
 
 
@@ -331,7 +347,7 @@ def test_summarize_hand_example():
         _record(replicate_index=0, rmse_cate=0.1),
         _record(replicate_index=1, rmse_cate=0.2),
     ]
-    table = summarize(records)
+    table = summarize(cell_values(records))
     mean, sd, count = table.cell("extreme", 4.0, "rmse_cate", "no_propensity")
     assert mean == pytest.approx(0.15)
     assert sd == pytest.approx(0.07071067811865475)
@@ -339,7 +355,7 @@ def test_summarize_hand_example():
 
 
 def test_summarize_single_replicate_has_no_sd():
-    table = summarize([_record()])
+    table = summarize(cell_values([_record()]))
     mean, sd, count = table.cell("extreme", 4.0, "len_ate", "no_propensity")
     assert mean == 0.5
     assert sd is None
@@ -348,7 +364,7 @@ def test_summarize_single_replicate_has_no_sd():
 
 def test_summarize_rejects_empty():
     with pytest.raises(ValueError):
-        summarize([])
+        summarize(cell_values([]))
 
 
 def test_compare_models_identical_values_are_not_significant():
@@ -358,7 +374,8 @@ def test_compare_models_identical_values_are_not_significant():
         records.append(_record(replicate_index=rep, rmse_cate=value))
         records.append(_record(replicate_index=rep, rmse_cate=value,
                                model="true_propensity"))
-    table = compare_models(records, "no_propensity", "true_propensity")
+    table = compare_models(*cell_values(records), "no_propensity",
+                           "true_propensity")
     assert table.model_a == "no_propensity"
     assert table.reports["rmse_cate"].mann_whitney.p >= 0.99
     assert table.reports["rmse_cate"].kruskal_wallis.p >= 0.99
@@ -370,16 +387,25 @@ def test_compare_models_detects_separation():
         records.append(_record(replicate_index=rep, rmse_pi=0.4 + 0.001 * rep))
         records.append(_record(replicate_index=rep, rmse_pi=0.05 + 0.001 * rep,
                                model="estimated_propensity"))
-    table = compare_models(records, "no_propensity", "estimated_propensity")
+    table = compare_models(*cell_values(records), "no_propensity",
+                           "estimated_propensity")
     report = table.reports["rmse_pi"]
     chosen = getattr(report, report.selected[0].replace("_u", ""))
     assert chosen.p < 1e-4
 
 
-def test_compare_models_rejects_multiple_cells():
-    records = [_record(), _record(dgp_id="slight")]
-    with pytest.raises(ValueError, match="cells"):
-        compare_models(records, "no_propensity", "no_propensity")
+def test_cell_values_split_records_by_cell():
+    records = [_record(), _record(dgp_id="slight", rmse_cate=0.25),
+               _record(replicate_index=1, rmse_cate=0.75)]
+    extreme, slight = cell_values(records)
+    assert (extreme.dgp_id, extreme.alpha, extreme.replicates) == (
+        "extreme", 4.0, (0, 1))
+    assert (slight.dgp_id, slight.replicates) == ("slight", (0,))
+    matrix = extreme.values["no_propensity"]
+    assert matrix.shape == (len(METRIC_FIELDS), 2)
+    assert matrix.flags.c_contiguous
+    assert matrix[METRIC_FIELDS.index("rmse_cate")].tolist() == [0.5, 0.75]
+    assert slight.values["no_propensity"][0].tolist() == [0.25]
 
 
 def test_compare_models_rejects_mismatched_replicates():
@@ -390,12 +416,14 @@ def test_compare_models_rejects_mismatched_replicates():
         _record(replicate_index=2, model="true_propensity"),
     ]
     with pytest.raises(ValueError, match="replicate"):
-        compare_models(records, "no_propensity", "true_propensity")
+        compare_models(*cell_values(records), "no_propensity",
+                       "true_propensity")
 
 
 def test_compare_models_rejects_missing_model():
     with pytest.raises(ValueError, match="both models"):
-        compare_models([_record()], "no_propensity", "estimated_propensity")
+        compare_models(*cell_values([_record()]), "no_propensity",
+                       "estimated_propensity")
 
 
 def test_timing_report_hand_example():
@@ -533,7 +561,7 @@ def test_paired_design_shares_datasets_across_models(mini_run):
 
 def test_run_summary_matches_records(mini_run):
     _, out, records = mini_run
-    table = summarize(records)
+    table = summarize(cell_values(records))
     want = np.mean([r.rmse_pi for r in records
                     if r.model == "estimated_propensity"])
     mean, _, count = table.cell("extreme", 4.0, "rmse_pi",
@@ -764,6 +792,27 @@ def test_report_from_regenerates_derived_artifacts(mini_run):
         assert (out / name).read_bytes() == originals[name], name
     # no wall-clock data in the CSV, so timing must be left alone
     assert (out / "timing.json").read_bytes() == timing_before
+
+
+def test_report_from_reads_replicates_in_replicate_order(mini_run,
+                                                         tmp_path):
+    # the last replicate's rows first: the reports follow replicate order,
+    # not row order, so they equal the run's
+    _, out, _ = mini_run
+    copy = tmp_path / "reordered"
+    copy.mkdir()
+    shutil.copy(out / "run_config.json", copy / "run_config.json")
+    header, *rows = (out / "replicates.csv").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    rows.sort(key=lambda row: -int(row.split(",")[3]))
+    assert rows[0].split(",")[3] == "1"
+    (copy / "replicates.csv").write_text(header + "".join(rows),
+                                         encoding="utf-8")
+    report_from(copy)
+    for path in copy.iterdir():
+        if path.name.startswith(("summary_", "pvalues_", "boxplot_")):
+            assert path.read_bytes() == (out / path.name).read_bytes(), (
+                path.name)
 
 
 def test_report_from_leaves_its_inputs_untouched(mini_run):

@@ -263,10 +263,12 @@ _tied = st.lists(st.integers(0, 4), min_size=1, max_size=40).map(
 @given(_tied | st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0]),
                         min_size=1, max_size=40).map(np.array))
 def test_average_ranks_equal_rankdata(values):
-    ranks = _average_ranks(values)
+    ranks, tie = _average_ranks(values)
     ref = spstats.rankdata(values)
     assert ranks.dtype == ref.dtype
     assert ranks.tolist() == ref.tolist()
+    _, counts = np.unique(values, return_counts=True)
+    assert tie == float(np.sum(counts.astype(float) ** 3 - counts))
 
 
 def _mwu_normal_p(x, y, u):
@@ -319,3 +321,108 @@ def test_kw_statistic_rounded_below_zero_has_p_one():
     res = kruskal_wallis([x, x[::-1]])
     assert res.stat < 0
     assert res.p == 1.0 == float(spstats.chi2.sf(res.stat, 1))
+
+
+# ------------------------------------------------ rows: one call, k samples
+# A k-row call must give, bit for bit, what the k one-row calls give. Rows
+# are drawn by kind, so one matrix can mix the degenerate branches.
+
+def _row_kinds(n, offset):
+    """Strategies for one row of n values, by the branch they reach; rows
+    of distinct values made with other offsets share no value."""
+    even = n - n % 2
+    return [
+        # ties
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+            lambda v: [float(a) for a in v]),
+        # distinct values: Mann-Whitney's exact path when both sizes allow
+        st.permutations(range(n)).map(
+            lambda v: [0.5 * a + offset for a in v]),
+        # constant
+        st.floats(0.0, 4.0).map(lambda c: [c] * n),
+        # two equally frequent values (an odd n adds their midpoint): zero
+        # deviation spread, so Levene is 0/0 or inf by the other row
+        st.sampled_from([0.25, 0.5, 1.0, 2.0]).map(
+            lambda d: [0.0, 2 * d] * (even // 2) + [d] * (n % 2)),
+        # spread out and shifted up: separated from the tied rows
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n,
+                 max_size=n).map(lambda v: [10.0 + abs(a) for a in v]),
+    ]
+
+
+@st.composite
+def _paired_rows(draw):
+    nx = draw(st.integers(2, 12))
+    ny = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 5))
+    x = [draw(st.one_of(_row_kinds(nx, 0.25))) for _ in range(k)]
+    y = [draw(st.one_of(_row_kinds(ny, 0.375))) for _ in range(k)]
+    return np.array(x), np.array(y)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+_ROW_TESTS = (
+    mann_whitney_u,
+    lambda x, y: kruskal_wallis([x, y]),
+    lambda x, y: levene_family(x, y, center="mean"),
+    lambda x, y: levene_family(x, y, center="median"),
+    fligner_policello,
+)
+
+
+@given(_paired_rows())
+def test_k_rows_equal_k_one_row_calls(pair):
+    x, y = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for test in _ROW_TESTS:
+            rows = test(x, y)
+            assert rows.stat.shape == rows.p.shape == (len(x),)
+            ones = [test(a, b) for a, b in zip(x, y)]
+            assert all(isinstance(r.stat, float) for r in ones)
+            assert _bits(rows.stat) == _bits([r.stat for r in ones])
+            assert _bits(rows.p) == _bits([r.p for r in ones])
+        names = [f"metric_{i}" for i in range(len(x))]
+        reports = select_and_run(x, y, names)
+        assert [repr(r) for r in reports] == [
+            repr(select_and_run(a, b, name))
+            for a, b, name in zip(x, y, names)]
+
+
+def test_k_rows_reach_every_branch():
+    # one matrix whose rows take each degenerate branch, checked row by row
+    x = np.array([[1.0, 2.0, 3.0, 4.0],      # exact Mann-Whitney
+                  [5.0, 5.0, 5.0, 5.0],      # constant: Levene 0/0
+                  [0.0, 2.0, 0.0, 2.0],      # constant deviations ...
+                  [1.0, 2.0, 3.0, 4.0]])     # fully separated
+    y = np.array([[5.0, 6.0, 7.0, 8.5],
+                  [5.0, 5.0, 5.0, 5.0],
+                  [0.0, 10.0, 0.0, 10.0],    # ... of another size: inf
+                  [10.0, 20.0, 30.0, 40.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        levene = levene_family(x, y)
+        fp = fligner_policello(x, y)
+        reports = select_and_run(x, y, ["a", "b", "c", "d"])
+    assert levene.stat.tolist()[1:3] == [0.0, math.inf]
+    assert levene.p.tolist()[1:3] == [1.0, 0.0]
+    assert fp.stat[3] == math.inf and fp.p[3] == 0.0
+    assert mann_whitney_u(x, y).p[0] == 2 / 70
+    assert kruskal_wallis([x, y]).p[1] == 1.0
+    assert [r.selected for r in reports] == [
+        ("mann_whitney_u", "kruskal_wallis"),
+        ("mann_whitney_u", "kruskal_wallis"),
+        ("fligner_policello",),
+        ("fligner_policello",)]
+
+
+def test_row_inputs_are_checked():
+    with pytest.raises(ValueError, match="as many rows"):
+        mann_whitney_u(np.ones((2, 3)), np.ones((3, 3)))
+    with pytest.raises(ValueError, match="one per row"):
+        levene_family(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="2 metric names for 1 rows"):
+        select_and_run([1.0, 2.0], [3.0, 4.0], ["a", "b"])
