@@ -37,7 +37,6 @@ from scipy.special import gammaincinv, ndtr, ndtri
 from .trees import (
     SplitTable,
     cutpoint_bins,
-    depth_split_prob,
     make_cutpoint_grids,
     propose_move,
     apply_move,
@@ -46,7 +45,7 @@ from .trees import (
 __all__ = [
     "HalfCauchy", "HalfNormal", "FixedScale", "SigmaPrior", "FixedSigma",
     "ForestPrior", "ChainConfig", "BartPosterior", "ForestSampler",
-    "depth_split_prob", "fit_continuous", "fit_binary_probit",
+    "fit_continuous", "fit_binary_probit",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -106,7 +105,8 @@ class SigmaPrior:
 @dataclass(frozen=True)
 class FixedSigma:
     """Degenerate noise prior: sigma stays at ``value`` on the raw outcome
-    scale, with no standardization or Gibbs step (a test hook)."""
+    scale, with no standardization or Gibbs step. ``fit_binary_probit``
+    pins its latent noise at 1 with it; tests use it for a known sigma."""
 
     value: float
 
@@ -218,10 +218,12 @@ def _llm(n, s, sig2, ls2):
 # steps. The cap is met only when no point of the bracket, x0 included,
 # clears the threshold.
 _SLICE_SHRINK_CAP = 10_000
+# the slice sampler's initial bracket width and its step-out limit per side
+_SLICE_WIDTH = 1.0
+_SLICE_STEP_OUT = 50
 
 
-def _slice_sample(log_density, x0: float, rng, width: float = 1.0,
-                  max_steps: int = 50) -> float:
+def _slice_sample(log_density, x0: float, rng) -> float:
     """One stepping-out / shrinkage slice-sampling update (Neal 2003).
 
     Raises FloatingPointError when the log density at ``x0`` is not finite
@@ -234,16 +236,16 @@ def _slice_sample(log_density, x0: float, rng, width: float = 1.0,
         raise FloatingPointError(
             f"slice sampler: log density at the start point is {start}")
     threshold = start + (math.log(u) if u > 0 else -math.inf)
-    lo = x0 - width * rng.random()
-    hi = lo + width
-    for _ in range(max_steps):
+    lo = x0 - _SLICE_WIDTH * rng.random()
+    hi = lo + _SLICE_WIDTH
+    for _ in range(_SLICE_STEP_OUT):
         if log_density(lo) <= threshold:
             break
-        lo -= width
-    for _ in range(max_steps):
+        lo -= _SLICE_WIDTH
+    for _ in range(_SLICE_STEP_OUT):
         if log_density(hi) <= threshold:
             break
-        hi += width
+        hi += _SLICE_WIDTH
     for _ in range(_SLICE_SHRINK_CAP):
         x1 = lo + (hi - lo) * rng.random()
         if log_density(x1) > threshold:

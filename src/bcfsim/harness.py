@@ -23,13 +23,19 @@ Every CSV and markdown artifact is byte-identical across reruns of the same
 configuration; wall-clock measurements are confined to the files with
 "timing" in their name.
 
+A ``ReplicateRecord`` is one replicates.csv row; a fit's wall-clock seconds
+travel beside it, to the cell's timing checkpoint and timing.json. The
+reports lay the records out on the grid of run_config.json: cells in
+selections x alphas order, models in ``models`` order and replicate r in
+column r, whatever the row order of replicates.csv.
+
 Readers refuse what they do not recognise, naming the file: run_config.json
-unless it states a valid ``ExperimentConfig``, field by field, and a resume
-a cell checkpoint with other columns, a bad cell or no fit time. A resume
-also refuses cells beside no run_config.json, and a checkpoint that does not
-hold its cell's fits in run order. ``report_from`` refuses records whose
-selections, alphas or models differ from run_config.json, or that do not
-hold each of its fits once.
+unless it states a valid ``ExperimentConfig``, field by field and each value
+of its field's JSON type, and a resume a cell checkpoint with other columns,
+a bad cell or no fit time. A resume also refuses cells beside no
+run_config.json, and a checkpoint that does not hold its cell's fits in run
+order. ``report_from`` refuses records whose selections, alphas or models
+differ from run_config.json, or that do not hold each of its fits once.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -61,17 +67,15 @@ from .metrics import (
 from .ranktests import TestReport, select_and_run
 
 __all__ = [
-    "ExperimentConfig", "CellValues", "SummaryTable", "PValueTable",
-    "derive_seed", "dataset_digest", "evaluate_fit", "run_experiment",
-    "cell_values", "summarize", "compare_models", "timing_report",
-    "report_from", "apply_profile", "load_config_file",
-    "read_replicates_csv",
+    "ExperimentConfig", "CellValues", "derive_seed", "dataset_digest",
+    "evaluate_fit", "run_experiment", "cell_values", "summarize",
+    "compare_models", "timing_report", "report_from", "apply_profile",
+    "load_config_file", "read_replicates_csv",
 ]
 
 MODEL_IDS = tuple(m.value for m in PropensityMode)
 _TRUE_PI = PropensityMode.TRUE_PROPENSITY.value
 
-_CSV_FIELDS = tuple(f for f in RECORD_FIELDS if f != "fit_seconds")
 # the record fields that name one fit, its key; digests.csv leads with them
 _KEY_FIELDS = ("dgp_id", "alpha", "replicate_index", "model", "seed")
 _fit_key = operator.attrgetter(*_KEY_FIELDS)
@@ -258,7 +262,6 @@ def evaluate_fit(fit, dataset: Dataset, replicate_index: int,
     return ReplicateRecord(
         dgp_id=dataset.spec.selection.value, alpha=float(dataset.spec.alpha),
         model=fit.mode.value, replicate_index=replicate_index, seed=seed,
-        fit_seconds=fit.fit_seconds,
         **{name: metrics[name] for name in METRIC_FIELDS})
 
 
@@ -290,13 +293,12 @@ def _csv_text(header, rows) -> str:
 def _read_records(path, extra=()) -> list:
     """(record, extra cells) of every row of a records CSV.
 
-    The header must be the record fields but ``fit_seconds``, which comes
-    back as 0.0, followed by the ``extra`` columns; blank lines are skipped.
-    Any other header, a row of another length or a bad cell raises a
-    ValueError naming the file.
+    The header must be the record fields followed by the ``extra`` columns;
+    blank lines are skipped. Any other header, a row of another length or a
+    bad cell raises a ValueError naming the file.
     """
-    columns = _CSV_FIELDS + tuple(extra)
-    parsers = [_FIELD_CODECS[name][0] for name in _CSV_FIELDS]
+    columns = RECORD_FIELDS + tuple(extra)
+    parsers = [_FIELD_CODECS[name][0] for name in RECORD_FIELDS]
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -308,21 +310,17 @@ def _read_records(path, extra=()) -> list:
                 if len(row) != len(columns):
                     raise ValueError(
                         f"{len(row)} cells, expected {len(columns)}")
-                rec = ReplicateRecord(fit_seconds=0.0, **{
+                rec = ReplicateRecord(**{
                     name: parse(cell)
-                    for name, parse, cell in zip(_CSV_FIELDS, parsers, row)})
+                    for name, parse, cell in zip(RECORD_FIELDS, parsers, row)})
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-            rows.append((rec, row[len(_CSV_FIELDS):]))
+            rows.append((rec, row[len(RECORD_FIELDS):]))
     return rows
 
 
 def read_replicates_csv(path) -> list[ReplicateRecord]:
-    """Load harness records back from ``replicates.csv``.
-
-    The CSV intentionally carries no wall-clock column, so ``fit_seconds``
-    comes back as 0.0; timing lives in timing.json.
-    """
+    """The records of ``replicates.csv``, one per row, in row order."""
     return [rec for rec, _ in _read_records(path)]
 
 
@@ -354,9 +352,10 @@ def _key_mismatch(found, wanted) -> str | None:
 
 def _fit_one(config: ExperimentConfig, selection: Selection, alpha: float,
              rep: int, model: str):
-    """(record, dataset digest) of one fit on its regenerated dataset. Any
-    error from the fit or its scoring is raised again as a RuntimeError
-    naming the cell, replicate and model, chained to the original."""
+    """(record, dataset digest, fit seconds) of one fit on its regenerated
+    dataset. Any error from the fit or its scoring is raised again as a
+    RuntimeError naming the cell, replicate and model, chained to the
+    original."""
     data_seed = _data_seed(config, selection.value, alpha, rep)
     dataset = generate(DgpSpec(selection, alpha, config.n), data_seed)
     try:
@@ -372,7 +371,7 @@ def _fit_one(config: ExperimentConfig, selection: Selection, alpha: float,
             f"{type(exc).__name__}: {exc}") from exc
     # hashed after the fit, so a fit that mutated its inputs would break
     # the within-replicate digest equality audit
-    return record, dataset_digest(dataset)
+    return record, dataset_digest(dataset), fit.fit_seconds
 
 
 def _timing_key(record: ReplicateRecord) -> str:
@@ -381,23 +380,22 @@ def _timing_key(record: ReplicateRecord) -> str:
 
 def _write_cell(cell_csv: Path, cell_timing: Path, rows) -> None:
     _write_text(cell_csv, _csv_text(
-        _CSV_FIELDS + ("dataset_digest",),
-        (_cells(rec, _CSV_FIELDS) + [digest] for rec, digest in rows)))
-    timing = {_timing_key(rec): rec.fit_seconds for rec, _ in rows}
+        RECORD_FIELDS + ("dataset_digest",),
+        (_cells(rec, RECORD_FIELDS) + [digest] for rec, digest, _ in rows)))
+    timing = {_timing_key(rec): seconds for rec, _, seconds in rows}
     _write_text(cell_timing, json.dumps(timing, sort_keys=True, indent=1))
 
 
 def _read_cell(cell_csv: Path, cell_timing: Path):
-    """A checkpointed cell's (record, dataset digest) rows, fit times joined."""
+    """A checkpointed cell's (record, dataset digest, fit seconds) rows."""
     rows = _read_records(cell_csv, ("dataset_digest",))
     try:
         timing = json.loads(cell_timing.read_text(encoding="utf-8"))
-        seconds = [float(timing[_timing_key(rec)]) for rec, _ in rows]
+        return [(rec, digest, float(timing[_timing_key(rec)]))
+                for rec, (digest,) in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{cell_timing}: unreadable fit times "
                          f"({type(exc).__name__}: {exc})") from exc
-    return [(dataclasses.replace(rec, fit_seconds=s), digest)
-            for (rec, (digest,)), s in zip(rows, seconds)]
 
 
 def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
@@ -449,7 +447,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
                        cells_dir / f"cell_{name}_timing.json")
         if all(path.exists() for path in paths[cell]):
             rows = cell_rows[cell] = _read_cell(*paths[cell])
-            mismatch = _key_mismatch([_fit_key(rec) for rec, _ in rows],
+            mismatch = _key_mismatch([_fit_key(row[0]) for row in rows],
                                      _fit_keys(config, *cell))
             if mismatch:
                 raise RuntimeError(f"{paths[cell][0]}: row {mismatch}; it came "
@@ -463,7 +461,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
         rows = cell_rows[cell] = []
         for _, _, rep, model, _ in _fit_keys(config, *cell):
             rows.append(_fit_one(config, *cell, rep, model))
-            fit_seconds.append(rows[-1][0].fit_seconds)
+            fit_seconds.append(rows[-1][2])
             if progress is not None:
                 done = len(fit_seconds)
                 eta = sum(fit_seconds) / done * (total - done)
@@ -475,45 +473,43 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
         _write_cell(*paths[cell], rows)
 
     all_rows = [row for cell in paths for row in cell_rows[cell]]
-    records = [rec for rec, _ in all_rows]
+    records = [row[0] for row in all_rows]
     _write_text(out / "replicates.csv", _csv_text(
-        _CSV_FIELDS, (_cells(rec, _CSV_FIELDS) for rec in records)))
+        RECORD_FIELDS, (_cells(rec, RECORD_FIELDS) for rec in records)))
     _write_text(out / "digests.csv", _csv_text(
         _KEY_FIELDS + ("dataset_digest",),
-        (_cells(rec, _KEY_FIELDS) + [digest] for rec, digest in all_rows)))
+        (_cells(rec, _KEY_FIELDS) + [digest] for rec, digest, _ in all_rows)))
     _write_reports(config, out, records)
-    _write_timing(out, records)
+    _write_timing(out, all_rows)
     return records
 
 
 def _write_reports(config, out: Path, records) -> None:
     """Summary, p-value, boxplot and scatter files derived from records."""
-    cells = cell_values(records)
-    table = summarize(cells)
-    for cell in cells:
+    for cell in cell_values(config, records):
         stem = _cell_key(cell.dgp_id, cell.alpha)
-        _write_text(out / f"summary_{stem}.csv",
-                    _summary_csv_text(table, cell.dgp_id, cell.alpha))
+        summary = summarize(cell)
+        _write_text(out / f"summary_{stem}.csv", _summary_csv_text(summary))
         _write_text(out / f"summary_{stem}.md",
-                    _summary_md_text(table, cell.dgp_id, cell.alpha))
+                    _summary_md_text(cell, summary))
         _write_text(out / f"boxplot_{stem}.csv", _boxplot_csv_text(cell))
-        # a run and a checked report hold every model's fits in every cell
         for model_a, model_b in itertools.combinations(config.models, 2):
-            pair = compare_models(cell, model_a, model_b)
+            reports = compare_models(cell, model_a, model_b)
             _write_text(out / f"pvalues_{stem}_{model_a}_vs_{model_b}.csv",
-                        _pvalues_csv_text(pair))
+                        _pvalues_csv_text(reports))
 
     for selection in config.selections:
         _write_text(out / f"scatter_pi_vs_b_{selection.value}.csv",
                     _scatter_csv_text(config.master_seed, selection))
 
 
-def _write_timing(out: Path, records) -> None:
-    timing = {"rows": [
-        {"dgp_id": r.dgp_id, "alpha": r.alpha, "model": r.model,
-         "replicate_index": r.replicate_index, "seconds": r.fit_seconds}
-        for r in records
-    ], **timing_report(records)}
+def _write_timing(out: Path, rows) -> None:
+    """timing.json: the seconds of each (record, digest, seconds) fit row,
+    in run order, and their ``timing_report``."""
+    fits = [{"dgp_id": rec.dgp_id, "alpha": rec.alpha, "model": rec.model,
+             "replicate_index": rec.replicate_index, "seconds": seconds}
+            for rec, _, seconds in rows]
+    timing = {"rows": fits, **timing_report(fits)}
     _write_text(out / "timing.json", json.dumps(timing, sort_keys=True, indent=1))
 
 
@@ -522,112 +518,84 @@ class CellValues:
     """One grid cell's metric values, column-wise.
 
     ``values[model]`` is a float matrix with one row per ``METRIC_FIELDS``
-    metric, in that order, and one column per entry of ``replicates``, the
-    ascending replicate indices that every model of the cell shares. Models
-    keep the order in which the cell's records first name them.
+    metric, in that order, and one column per replicate: column r holds
+    replicate r. Models follow the configuration's ``models``.
     """
 
     dgp_id: str
     alpha: float
-    replicates: tuple
     values: dict
 
 
 _metric_values = operator.attrgetter(*METRIC_FIELDS)
+_block_key = operator.attrgetter("dgp_id", "alpha", "model")
+_replicate_index = operator.attrgetter("replicate_index")
 
 
-def cell_values(records) -> list[CellValues]:
-    """Each cell of the records, in order of first appearance, as its
-    ``CellValues``. A cell whose models cover different replicate sets
-    raises a ValueError: the tests between them pair replicates."""
-    by_cell = {}
-    for rec in records:
-        by_cell.setdefault((rec.dgp_id, rec.alpha), {}).setdefault(
-            rec.model, []).append(rec)
-    cells = []
-    for (dgp_id, alpha), by_model in by_cell.items():
-        replicates, values = None, {}
-        for model, recs in by_model.items():
-            recs.sort(key=operator.attrgetter("replicate_index"))
-            reps = tuple(rec.replicate_index for rec in recs)
-            if replicates is not None and reps != replicates:
-                raise ValueError(f"models cover different replicate sets in "
-                                 f"cell {_cell_key(dgp_id, alpha)}")
-            replicates = reps
-            values[model] = np.array(
-                [_metric_values(rec) for rec in recs]).T.copy()
-        cells.append(CellValues(dgp_id, alpha, replicates, values))
-    return cells
+def cell_values(config: ExperimentConfig, records) -> list[CellValues]:
+    """The records laid out on ``config``'s grid: a ``CellValues`` per cell,
+    in selections x alphas order. Records that do not hold each fit of the
+    grid once raise a ValueError, so no matrix has a hole."""
+    names = [selection.value for selection in config.selections]
+    cells = list(itertools.product(names, config.alphas))
+    # one (metric x replicate) block per (cell, model), so each model's
+    # matrix is C-contiguous
+    blocks = {key: i for i, key in enumerate(
+        itertools.product(names, config.alphas, config.models))}
+    reps, count = config.replicates, len(records)
+    block = np.fromiter(map(blocks.get, map(_block_key, records),
+                            itertools.repeat(-1)), np.intp, count)
+    rep = np.fromiter(map(_replicate_index, records), np.intp, count)
+    slot = np.where((block >= 0) & (rep >= 0) & (rep < reps),
+                    block * reps + rep, -1)
+    if not np.array_equal(np.sort(slot), np.arange(len(blocks) * reps)):
+        raise ValueError(f"{count} records do not hold each of the grid's "
+                         f"{len(blocks) * reps} fits once")
+    values = np.fromiter(
+        itertools.chain.from_iterable(map(_metric_values, records)), float,
+        count * len(METRIC_FIELDS)).reshape(count, -1)
+    grid = np.empty((len(cells), len(config.models), len(METRIC_FIELDS), reps))
+    grid.reshape(len(blocks), len(METRIC_FIELDS), reps)[block, :, rep] = values
+    return [CellValues(dgp_id, alpha, dict(zip(config.models, by_model)))
+            for (dgp_id, alpha), by_model in zip(cells, grid)]
 
 
-@dataclass
-class SummaryTable:
-    """Per-cell metric means (and sds) by model.
-
-    ``cells`` maps (dgp_id, alpha) to {metric: {model: (mean, sd, count)}};
-    ``sd`` is the ddof-1 sample standard deviation, or None for a single
-    replicate.
-    """
-
-    models: tuple
-    cells: dict = field(default_factory=dict)
-
-    def cell(self, dgp_id: str, alpha: float, metric: str, model: str):
-        return self.cells[(dgp_id, float(alpha))][metric][model]
+def summarize(cell: CellValues) -> dict:
+    """Each model's (means, sds) over the cell's replicates, a float per
+    ``METRIC_FIELDS`` metric; sds are ddof-1 sample standard deviations, or
+    None for a single replicate."""
+    return {model: (matrix.mean(axis=1).tolist(),
+                    matrix.std(axis=1, ddof=1).tolist()
+                    if matrix.shape[1] > 1 else None)
+            for model, matrix in cell.values.items()}
 
 
-def summarize(cells) -> SummaryTable:
-    """Per-cell mean/sd tables of ``cell_values``, row by row."""
-    if not cells:
-        raise ValueError("no records to summarize")
-    table = SummaryTable(
-        models=tuple(dict.fromkeys(m for cell in cells for m in cell.values)))
-    for cell in cells:
-        count = len(cell.replicates)
-        by_metric = {metric: {} for metric in METRIC_FIELDS}
-        for model, matrix in cell.values.items():
-            sds = (matrix.std(axis=1, ddof=1).tolist() if count > 1
-                   else [None] * len(METRIC_FIELDS))
-            for metric, mean, sd in zip(METRIC_FIELDS,
-                                        matrix.mean(axis=1).tolist(), sds):
-                by_metric[metric][model] = (mean, sd, count)
-        table.cells[(cell.dgp_id, cell.alpha)] = by_metric
-    return table
-
-
-def _summary_csv_text(table: SummaryTable, dgp_id: str, alpha: float) -> str:
-    cell = table.cells[(dgp_id, float(alpha))]
-    models = [m for m in table.models if m in next(iter(cell.values()))]
+def _summary_csv_text(summary: dict) -> str:
     header = ["metric"]
-    for m in models:
-        header += [f"mean_{m}", f"sd_{m}"]
+    for model in summary:
+        header += [f"mean_{model}", f"sd_{model}"]
     rows = []
-    for metric in METRIC_FIELDS:
+    for i, metric in enumerate(METRIC_FIELDS):
         row = [metric]
-        for m in models:
-            mean, sd, _ = cell[metric][m]
-            row += [repr(mean), "" if sd is None else repr(sd)]
+        for means, sds in summary.values():
+            row += [repr(means[i]), "" if sds is None else repr(sds[i])]
         rows.append(row)
     return _csv_text(header, rows)
 
 
-def _summary_md_text(table: SummaryTable, dgp_id: str, alpha: float) -> str:
-    cell = table.cells[(dgp_id, float(alpha))]
-    models = [m for m in table.models if m in next(iter(cell.values()))]
+def _summary_md_text(cell: CellValues, summary: dict) -> str:
     lines = [
-        f"# Summary: {dgp_id} selection, alpha={alpha:g}",
+        f"# Summary: {cell.dgp_id} selection, alpha={cell.alpha:g}",
         "",
         "Mean over replicates, sample sd in parentheses.",
         "",
-        "| metric | " + " | ".join(models) + " |",
-        "|" + "---|" * (len(models) + 1),
+        "| metric | " + " | ".join(summary) + " |",
+        "|" + "---|" * (len(summary) + 1),
     ]
-    for metric in METRIC_FIELDS:
-        entries = []
-        for m in models:
-            mean, sd, _ = cell[metric][m]
-            entries.append(f"{mean:.4g}" if sd is None
-                           else f"{mean:.4g} ({sd:.3g})")
+    for i, metric in enumerate(METRIC_FIELDS):
+        entries = [f"{means[i]:.4g}" if sds is None
+                   else f"{means[i]:.4g} ({sds[i]:.3g})"
+                   for means, sds in summary.values()]
         lines.append(f"| {metric} | " + " | ".join(entries) + " |")
     lines.append("")
     return "\n".join(lines)
@@ -638,8 +606,8 @@ def _boxplot_csv_text(cell: CellValues) -> str:
     built a model's column at a time and joined a metric at a time. No cell
     holds anything csv would quote: names, an int and a float repr."""
     chunks = ["metric,model,replicate_index,value\n"]
-    reps = list(map(str, cell.replicates))
     rows = {model: matrix.tolist() for model, matrix in cell.values.items()}
+    reps = list(map(str, range(next(iter(cell.values.values())).shape[1])))
     for i, metric in enumerate(METRIC_FIELDS):
         columns = [[f"{metric},{model},{rep},{value!r}\n"
                     for rep, value in zip(reps, by_metric[i])]
@@ -658,43 +626,27 @@ def _scatter_csv_text(master_seed: int, selection: Selection) -> str:
                                    for i in range(_SCATTER_POINTS)))
 
 
-@dataclass
-class PValueTable:
-    """Rank-test reports for every metric of one model pair in one cell."""
-
-    dgp_id: str
-    alpha: float
-    model_a: str
-    model_b: str
-    reports: dict  # metric name -> TestReport
-
-
 def compare_models(cell: CellValues, model_a: str,
-                   model_b: str) -> PValueTable:
-    """Dispersion-gated rank tests between two variants of one cell: one
-    ``select_and_run`` over their metric matrices, which pair replicates
-    column by column (the paired design)."""
-    if model_a not in cell.values or model_b not in cell.values:
-        raise ValueError(f"both models need records: {model_a}, {model_b}")
-    reports = select_and_run(cell.values[model_a], cell.values[model_b],
-                             METRIC_FIELDS)
-    return PValueTable(dgp_id=cell.dgp_id, alpha=cell.alpha, model_a=model_a,
-                       model_b=model_b,
-                       reports=dict(zip(METRIC_FIELDS, reports)))
+                   model_b: str) -> list[TestReport]:
+    """Dispersion-gated rank tests between two variants of one cell, a
+    ``TestReport`` per ``METRIC_FIELDS`` metric: one ``select_and_run`` over
+    their metric matrices, which pair replicates column by column (the
+    paired design)."""
+    return select_and_run(cell.values[model_a], cell.values[model_b],
+                          METRIC_FIELDS)
 
 
 _PVALUE_COLUMNS = ("levene", "brown_forsythe", "fligner_policello",
                    "mann_whitney", "kruskal_wallis")
 
 
-def _pvalues_csv_text(table: PValueTable) -> str:
+def _pvalues_csv_text(reports) -> str:
     header = ["metric"]
     for name in _PVALUE_COLUMNS:
         header += [f"{name}_stat", f"{name}_p"]
     header.append("selected")
     rows = []
-    for metric in METRIC_FIELDS:
-        report: TestReport = table.reports[metric]
+    for metric, report in zip(METRIC_FIELDS, reports):
         row = [metric]
         for name in _PVALUE_COLUMNS:
             result = getattr(report, name)
@@ -707,9 +659,11 @@ def _pvalues_csv_text(table: PValueTable) -> str:
     return _csv_text(header, rows)
 
 
-def timing_report(records) -> dict:
+def timing_report(rows) -> dict:
     """Mean fit seconds per model, in order of first appearance, and the
-    propensity-estimation overhead when both variants have records.
+    propensity-estimation overhead when both variants have fits, from
+    timing.json's rows (each with ``dgp_id``, ``alpha``, ``model`` and
+    ``seconds``).
 
     Overhead is mean(estimated_propensity) / mean(no_propensity) - 1,
     pooled and per cell; without both variants its two keys are absent.
@@ -717,10 +671,10 @@ def timing_report(records) -> dict:
     no = PropensityMode.NO_PROPENSITY.value
     est = PropensityMode.ESTIMATED_PROPENSITY.value
     by_model, by_cell = {}, {}
-    for rec in records:
-        by_model.setdefault(rec.model, []).append(rec.fit_seconds)
-        by_cell.setdefault((rec.dgp_id, rec.alpha), {}).setdefault(
-            rec.model, []).append(rec.fit_seconds)
+    for row in rows:
+        by_model.setdefault(row["model"], []).append(row["seconds"])
+        by_cell.setdefault((row["dgp_id"], row["alpha"]), {}).setdefault(
+            row["model"], []).append(row["seconds"])
     means = {m: float(np.mean(v)) for m, v in by_model.items()}
     report = {"mean_seconds_by_model": means}
     if no in means and est in means:
@@ -734,21 +688,43 @@ def timing_report(records) -> dict:
     return report
 
 
+# the JSON types that hold a run_config.json value of each declared type,
+# and their description
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               str: (str, "a string"), Selection: (str, "a string")}
+
+
+def _check_json_type(key: str, value, hint) -> None:
+    """Raise a ValueError naming ``key`` unless the parsed JSON ``value``
+    holds its declared type: a list for a tuple field, then per item an
+    integer (never true or false) for an int, any number for a float and a
+    string for a name."""
+    many = get_origin(hint) is tuple
+    types, kind = _JSON_TYPES[get_args(hint)[0] if many else hint]
+    items = value if many and isinstance(value, list) else [value]
+    if (many and not isinstance(value, list)) or not all(
+            isinstance(v, types) and not isinstance(v, bool) for v in items):
+        raise ValueError(f"{key} must be {'a list, each ' if many else ''}"
+                         f"{kind}, got {json.dumps(value)}")
+
+
 def _read_run_config(path: Path) -> ExperimentConfig:
     """The valid configuration a run_config.json records, every
-    ``ExperimentConfig`` field and no other key; anything else raises a
-    ValueError naming the file."""
+    ``ExperimentConfig`` field, each of its declared type, and no other
+    key; anything else raises a ValueError naming the file."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError("expected a JSON object")
-        fields = get_type_hints(ExperimentConfig).keys()
-        unknown = sorted(raw.keys() - fields)
+        hints = get_type_hints(ExperimentConfig)
+        unknown = sorted(raw.keys() - hints.keys())
         if unknown:
             raise ValueError(f"unknown configuration keys {unknown}")
-        missing = sorted(fields - raw.keys())
+        missing = sorted(hints.keys() - raw.keys())
         if missing:
             raise ValueError(f"missing configuration keys {missing}")
+        for key, hint in hints.items():
+            _check_json_type(key, raw[key], hint)
         config = ExperimentConfig(**raw)
         config.validate()
     except (TypeError, ValueError) as exc:
@@ -768,7 +744,8 @@ def report_from(run_dir) -> list[ReplicateRecord]:
     boxplot and scatter files (byte-identical to what the original run
     produced). Its inputs stay untouched, and so do digests.csv and
     timing.json, which need the datasets and the wall-clock data that the
-    raw CSV does not carry. Returns the records.
+    raw CSV does not carry. Returns the records as replicates.csv holds
+    them, in row order.
     """
     run = Path(run_dir)
     config_path = run / "run_config.json"

@@ -3,8 +3,9 @@
 Pointwise error metrics (RMSE, MAE, MAPE) compare an estimate vector against
 ground truth; interval metrics score equal-tailed credible intervals by
 empirical coverage and mean length, plus squared and absolute deviation of
-coverage from its nominal level. One ``ReplicateRecord`` gathers everything a
-single (dgp, alpha, model, replicate) cell produces.
+coverage from its nominal level. One ``ReplicateRecord`` is one row of
+replicates.csv: the key of one (dgp, alpha, model, replicate) fit and every
+metric that scores it.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ class ReplicateRecord:
     ae_cover_cate: float
     se_cover_ate: float
     ae_cover_ate: float
-    fit_seconds: float
 
     def __post_init__(self):
         # written so that NaN fails every check: comparisons with NaN are
@@ -119,11 +119,10 @@ class ReplicateRecord:
                     f"{name} must be finite and nonnegative, got {v}")
 
 
-# Field order is the contract for replicates.csv (fit_seconds is excluded
-# there; wall-clock timing goes to timing.json so reruns stay byte-identical).
+# Field order is the contract for replicates.csv, one column per field
+# (wall-clock timing goes to timing.json so reruns stay byte-identical).
 RECORD_FIELDS = tuple(f.name for f in fields(ReplicateRecord))
 
 # The per-replicate metric columns the summary and p-value tables report:
-# every field after the five that name the fit, but its wall-clock time.
-METRIC_FIELDS = RECORD_FIELDS[RECORD_FIELDS.index("seed") + 1:
-                              RECORD_FIELDS.index("fit_seconds")]
+# every field after the five that name the fit.
+METRIC_FIELDS = RECORD_FIELDS[RECORD_FIELDS.index("seed") + 1:]

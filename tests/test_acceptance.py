@@ -13,6 +13,7 @@ refits 180 models, which takes on the order of an hour.
 """
 
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -32,8 +33,8 @@ from bcfsim.harness import (
     compare_models,
     derive_seed,
     run_experiment,
-    timing_report,
 )
+from bcfsim.metrics import METRIC_FIELDS
 from bcfsim.ranktests import (
     fligner_policello,
     kruskal_wallis,
@@ -97,9 +98,9 @@ _LOCATION_ATTR = {
 
 
 def _selected_pvalues(records, selection, metric):
-    table = compare_models(*cell_values(_cell(records, selection)), NO_PI,
-                           EST_PI)
-    report = table.reports[metric]
+    cell, = [cell for cell in cell_values(_grid_config(), records)
+             if cell.dgp_id == selection]
+    report = compare_models(cell, NO_PI, EST_PI)[METRIC_FIELDS.index(metric)]
     return [getattr(report, _LOCATION_ATTR[name]).p for name in report.selected]
 
 
@@ -178,8 +179,9 @@ def test_criterion_5_propensity_estimate_changes_nothing_but_pi(capsys,
 
 
 def test_criterion_6_propensity_estimation_costs_time(capsys, grid_records):
-    overhead = timing_report(grid_records)[
-        "pooled_overhead_estimated_vs_no_propensity"]
+    # the fit times live beside the records, in the run's timing.json
+    timing = json.loads((GRID_DIR / "timing.json").read_text(encoding="utf-8"))
+    overhead = timing["pooled_overhead_estimated_vs_no_propensity"]
     ok = overhead > 0.05
     _verdict(capsys, 6, ok,
              f"pooled fit-time overhead of estimating the propensity: "

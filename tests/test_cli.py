@@ -322,6 +322,20 @@ def test_malformed_run_config_is_named(tiny_run, tmp_path, capsys, argv):
     assert f"{copy / 'run_config.json'}: Expecting property name" in err
 
 
+def test_report_names_a_config_value_of_another_type(tiny_run, tmp_path,
+                                                     capsys):
+    # a float replicate count would fail deep in the grid walk instead
+    _, out = tiny_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / "run_config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()),
+                                "replicates": 1.0}))
+    assert main(["report", "--from", str(copy)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: replicates must be an integer, got 1.0\n")
+
+
 @pytest.fixture(scope="module")
 def grid_copy(tmp_path_factory):
     """A run directory of the acceptance grid's 180 records, built from its

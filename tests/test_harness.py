@@ -38,7 +38,6 @@ from bcfsim.harness import (
 )
 from bcfsim.metrics import METRIC_FIELDS, RECORD_FIELDS, ReplicateRecord
 
-CSV_FIELDS = tuple(f for f in RECORD_FIELDS if f != "fit_seconds")
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -294,7 +293,6 @@ def test_evaluate_fit_hand_example():
                             [3.0, 3.0, 3.0, 3.0]]),
         pi_used=np.full(4, 0.5),
         mode=PropensityMode.NO_PROPENSITY,
-        fit_seconds=1.5,
     )
     rec = evaluate_fit(fit, dataset, replicate_index=7, seed=123)
 
@@ -303,7 +301,6 @@ def test_evaluate_fit_hand_example():
     assert rec.model == "no_propensity"
     assert rec.replicate_index == 7
     assert rec.seed == 123
-    assert rec.fit_seconds == 1.5
 
     # posterior mean CATE is 2 everywhere; truth is (2, 2, 2, 1)
     assert rec.rmse_cate == pytest.approx(0.5)
@@ -330,16 +327,23 @@ def test_evaluate_fit_hand_example():
 
 
 # ---------------------------------------------------------------------------
-# summarize / compare_models / timing_report on synthetic records
+# cell_values / summarize / compare_models / timing_report on synthetic data
 
 def _record(**overrides):
     kwargs = dict(
         dgp_id="extreme", alpha=4.0, model="no_propensity",
-        replicate_index=0, seed=1, fit_seconds=1.0,
+        replicate_index=0, seed=1,
     )
     kwargs.update({name: 0.5 for name in METRIC_FIELDS})
     kwargs.update(overrides)
     return ReplicateRecord(**kwargs)
+
+
+def _config(**overrides):
+    """A one-cell, one-model, one-replicate grid, ``overrides`` applied."""
+    return ExperimentConfig(**{
+        "selections": ("extreme",), "alphas": (4.0,),
+        "models": ("no_propensity",), "replicates": 1, **overrides})
 
 
 def test_summarize_hand_example():
@@ -347,24 +351,18 @@ def test_summarize_hand_example():
         _record(replicate_index=0, rmse_cate=0.1),
         _record(replicate_index=1, rmse_cate=0.2),
     ]
-    table = summarize(cell_values(records))
-    mean, sd, count = table.cell("extreme", 4.0, "rmse_cate", "no_propensity")
-    assert mean == pytest.approx(0.15)
-    assert sd == pytest.approx(0.07071067811865475)
-    assert count == 2
+    cell, = cell_values(_config(replicates=2), records)
+    means, sds = summarize(cell)["no_propensity"]
+    row = METRIC_FIELDS.index("rmse_cate")
+    assert means[row] == pytest.approx(0.15)
+    assert sds[row] == pytest.approx(0.07071067811865475)
 
 
 def test_summarize_single_replicate_has_no_sd():
-    table = summarize(cell_values([_record()]))
-    mean, sd, count = table.cell("extreme", 4.0, "len_ate", "no_propensity")
-    assert mean == 0.5
-    assert sd is None
-    assert count == 1
-
-
-def test_summarize_rejects_empty():
-    with pytest.raises(ValueError):
-        summarize(cell_values([]))
+    cell, = cell_values(_config(), [_record()])
+    means, sds = summarize(cell)["no_propensity"]
+    assert means[METRIC_FIELDS.index("len_ate")] == 0.5
+    assert sds is None
 
 
 def test_compare_models_identical_values_are_not_significant():
@@ -374,11 +372,13 @@ def test_compare_models_identical_values_are_not_significant():
         records.append(_record(replicate_index=rep, rmse_cate=value))
         records.append(_record(replicate_index=rep, rmse_cate=value,
                                model="true_propensity"))
-    table = compare_models(*cell_values(records), "no_propensity",
-                           "true_propensity")
-    assert table.model_a == "no_propensity"
-    assert table.reports["rmse_cate"].mann_whitney.p >= 0.99
-    assert table.reports["rmse_cate"].kruskal_wallis.p >= 0.99
+    cell, = cell_values(_config(models=("no_propensity", "true_propensity"),
+                                replicates=6), records)
+    reports = compare_models(cell, "no_propensity", "true_propensity")
+    assert len(reports) == len(METRIC_FIELDS)
+    report = reports[METRIC_FIELDS.index("rmse_cate")]
+    assert report.mann_whitney.p >= 0.99
+    assert report.kruskal_wallis.p >= 0.99
 
 
 def test_compare_models_detects_separation():
@@ -387,54 +387,79 @@ def test_compare_models_detects_separation():
         records.append(_record(replicate_index=rep, rmse_pi=0.4 + 0.001 * rep))
         records.append(_record(replicate_index=rep, rmse_pi=0.05 + 0.001 * rep,
                                model="estimated_propensity"))
-    table = compare_models(*cell_values(records), "no_propensity",
-                           "estimated_propensity")
-    report = table.reports["rmse_pi"]
+    cell, = cell_values(_config(models=("no_propensity",
+                                        "estimated_propensity"),
+                                replicates=13), records)
+    reports = compare_models(cell, "no_propensity", "estimated_propensity")
+    report = reports[METRIC_FIELDS.index("rmse_pi")]
     chosen = getattr(report, report.selected[0].replace("_u", ""))
     assert chosen.p < 1e-4
 
 
 def test_cell_values_split_records_by_cell():
-    records = [_record(), _record(dgp_id="slight", rmse_cate=0.25),
-               _record(replicate_index=1, rmse_cate=0.75)]
-    extreme, slight = cell_values(records)
-    assert (extreme.dgp_id, extreme.alpha, extreme.replicates) == (
-        "extreme", 4.0, (0, 1))
-    assert (slight.dgp_id, slight.replicates) == ("slight", (0,))
-    matrix = extreme.values["no_propensity"]
-    assert matrix.shape == (len(METRIC_FIELDS), 2)
-    assert matrix.flags.c_contiguous
-    assert matrix[METRIC_FIELDS.index("rmse_cate")].tolist() == [0.5, 0.75]
-    assert slight.values["no_propensity"][0].tolist() == [0.25]
+    # cells, models and replicate columns follow the configuration, not
+    # the order in which the records come
+    config = _config(selections=("slight", "extreme"),
+                     models=("true_propensity", "no_propensity"),
+                     replicates=2)
+
+    def value(dgp_id, model, rep):
+        return (0.1 * rep + 0.01 * config.models.index(model)
+                + 0.001 * (dgp_id == "slight"))
+
+    records = [_record(dgp_id=dgp_id, model=model, replicate_index=rep,
+                       rmse_cate=value(dgp_id, model, rep))
+               for rep in (1, 0) for model in ("no_propensity",
+                                               "true_propensity")
+               for dgp_id in ("extreme", "slight")]
+    slight, extreme = cell_values(config, records)
+    assert (slight.dgp_id, slight.alpha) == ("slight", 4.0)
+    assert (extreme.dgp_id, extreme.alpha) == ("extreme", 4.0)
+    row = METRIC_FIELDS.index("rmse_cate")
+    for cell in (slight, extreme):
+        assert list(cell.values) == ["true_propensity", "no_propensity"]
+        for model, matrix in cell.values.items():
+            assert matrix.shape == (len(METRIC_FIELDS), 2)
+            assert matrix.flags.c_contiguous
+            assert matrix[row].tolist() == [
+                value(cell.dgp_id, model, rep) for rep in range(2)]
 
 
-def test_compare_models_rejects_mismatched_replicates():
-    records = [
-        _record(replicate_index=0),
-        _record(replicate_index=1),
-        _record(replicate_index=0, model="true_propensity"),
-        _record(replicate_index=2, model="true_propensity"),
-    ]
-    with pytest.raises(ValueError, match="replicate"):
-        compare_models(*cell_values(records), "no_propensity",
-                       "true_propensity")
+@pytest.mark.parametrize("fits, message", [
+    pytest.param([], r"0 records do not hold each of the grid's 4 fits once",
+                 id="empty"),
+    pytest.param([("no_propensity", 0), ("no_propensity", 1)],
+                 r"2 records do not hold each", id="missing_model"),
+    pytest.param([("no_propensity", 0), ("no_propensity", 0),
+                  ("true_propensity", 0), ("true_propensity", 1)],
+                 r"4 records do not hold each", id="duplicate"),
+    pytest.param([("no_propensity", 0), ("no_propensity", 1),
+                  ("true_propensity", 0), ("true_propensity", 2)],
+                 r"4 records do not hold each", id="other_replicate"),
+])
+def test_cell_values_refuse_records_without_each_fit_once(fits, message):
+    # a matrix never has a hole: every fit of the grid is there once
+    config = _config(models=("no_propensity", "true_propensity"),
+                     replicates=2)
+    with pytest.raises(ValueError, match=message):
+        cell_values(config, [_record(model=model, replicate_index=rep)
+                             for model, rep in fits])
 
 
-def test_compare_models_rejects_missing_model():
-    with pytest.raises(ValueError, match="both models"):
-        compare_models(*cell_values([_record()]), "no_propensity",
-                       "estimated_propensity")
+def _timing_row(**overrides):
+    return {"dgp_id": "extreme", "alpha": 4.0, "model": "no_propensity",
+            "replicate_index": 0, "seconds": 1.0, **overrides}
 
 
 def test_timing_report_hand_example():
-    records = [
-        _record(fit_seconds=1.0),
-        _record(replicate_index=1, fit_seconds=1.0),
-        _record(model="estimated_propensity", fit_seconds=1.2),
-        _record(model="estimated_propensity", replicate_index=1,
-                fit_seconds=1.22),
+    rows = [
+        _timing_row(seconds=1.0),
+        _timing_row(replicate_index=1, seconds=1.0),
+        _timing_row(model="estimated_propensity", seconds=1.2),
+        _timing_row(model="estimated_propensity", replicate_index=1,
+                    seconds=1.22),
     ]
-    report = timing_report(records)
+    report = timing_report(rows)
     assert report["mean_seconds_by_model"]["no_propensity"] == 1.0
     assert report["pooled_overhead_estimated_vs_no_propensity"] == (
         pytest.approx(0.21))
@@ -444,7 +469,7 @@ def test_timing_report_hand_example():
 
 def test_timing_report_needs_both_variants():
     # without both variants there is no overhead, only the mean fit times
-    report = timing_report([_record(fit_seconds=2.0)])
+    report = timing_report([_timing_row(seconds=2.0)])
     assert report == {"mean_seconds_by_model": {"no_propensity": 2.0}}
 
 
@@ -481,7 +506,6 @@ def test_run_experiment_record_grid(mini_run):
     }
     for rec in records:
         assert rec.seed == derive_seed(99, "extreme", 4.0, rec.replicate_index)
-        assert rec.fit_seconds > 0
         assert np.isfinite(rec.rmse_cate)
 
 
@@ -509,22 +533,22 @@ def test_replicates_csv_schema_and_roundtrip(mini_run):
     lines = (out / "replicates.csv").read_text().splitlines()
     # the column list is a published file contract; reordering the record
     # dataclass must show up here as a deliberate schema change
-    assert CSV_FIELDS == (
+    assert RECORD_FIELDS == (
         "dgp_id", "alpha", "model", "replicate_index", "seed",
         "rmse_cate", "mae_cate", "mape_cate", "cover_cate", "len_cate",
         "rmse_ate", "mae_ate", "mape_ate", "cover_ate", "len_ate",
         "rmse_pi", "mae_pi",
         "se_cover_cate", "ae_cover_cate", "se_cover_ate", "ae_cover_ate",
     )
-    assert lines[0] == ",".join(CSV_FIELDS)
+    assert lines[0] == ",".join(RECORD_FIELDS)
     assert len(lines) == 1 + len(records)
-    loaded = read_replicates_csv(out / "replicates.csv")
-    assert loaded == [dataclasses.replace(r, fit_seconds=0.0) for r in records]
+    assert read_replicates_csv(out / "replicates.csv") == records
 
 
 def test_every_record_field_round_trips_through_a_cell(tmp_path):
     # distinct values that need every digit, so a dropped, swapped or
-    # rounded column shows; fit_seconds comes back through the timing JSON
+    # rounded column shows; the fit's seconds come back through the timing
+    # JSON
     values = dict(dgp_id="moderate", alpha=2.5, model="true_propensity",
                   replicate_index=12, seed=2 ** 64 - 1)
     metrics = [f for f in RECORD_FIELDS if f not in values]
@@ -532,8 +556,9 @@ def test_every_record_field_round_trips_through_a_cell(tmp_path):
     assert sorted(values) == sorted(RECORD_FIELDS)
     rec = ReplicateRecord(**values)
     cell_csv, cell_timing = tmp_path / "cell.csv", tmp_path / "timing.json"
-    harness._write_cell(cell_csv, cell_timing, [(rec, "0123abcd")])
-    assert harness._read_cell(cell_csv, cell_timing) == [(rec, "0123abcd")]
+    harness._write_cell(cell_csv, cell_timing, [(rec, "0123abcd", 1.5)])
+    assert harness._read_cell(cell_csv, cell_timing) == [
+        (rec, "0123abcd", 1.5)]
 
 
 def test_read_replicates_csv_rejects_other_schemas(tmp_path):
@@ -560,14 +585,14 @@ def test_paired_design_shares_datasets_across_models(mini_run):
 
 
 def test_run_summary_matches_records(mini_run):
-    _, out, records = mini_run
-    table = summarize(cell_values(records))
+    config, out, records = mini_run
+    cell, = cell_values(config, records)
     want = np.mean([r.rmse_pi for r in records
                     if r.model == "estimated_propensity"])
-    mean, _, count = table.cell("extreme", 4.0, "rmse_pi",
-                                "estimated_propensity")
+    means, _ = summarize(cell)["estimated_propensity"]
+    mean = means[METRIC_FIELDS.index("rmse_pi")]
     assert mean == pytest.approx(want)
-    assert count == 2
+    assert cell.values["estimated_propensity"].shape[1] == 2
     text = (out / "summary_extreme_4.csv").read_text()
     assert repr(float(mean)) in text
 
@@ -598,6 +623,7 @@ def test_timing_json_reports_probit_overhead(mini_run):
     _, out, _ = mini_run
     timing = json.loads((out / "timing.json").read_text())
     assert len(timing["rows"]) == 4
+    assert all(row["seconds"] > 0 for row in timing["rows"])
     means = timing["mean_seconds_by_model"]
     assert means["no_propensity"] > 0
     assert means["estimated_propensity"] > 0
@@ -785,9 +811,7 @@ def test_report_from_regenerates_derived_artifacts(mini_run):
     for name in derived:
         (out / name).unlink()
 
-    reloaded = report_from(out)
-    assert reloaded == [dataclasses.replace(r, fit_seconds=0.0)
-                        for r in records]
+    assert report_from(out) == records
     for name in derived:
         assert (out / name).read_bytes() == originals[name], name
     # no wall-clock data in the CSV, so timing must be left alone
@@ -796,23 +820,26 @@ def test_report_from_regenerates_derived_artifacts(mini_run):
 
 def test_report_from_reads_replicates_in_replicate_order(mini_run,
                                                          tmp_path):
-    # the last replicate's rows first: the reports follow replicate order,
-    # not row order, so they equal the run's
+    # the reports follow run_config.json's grid, not the row order, so
+    # they equal the run's for the last replicate's rows first and for
+    # every row reversed, which also names the models in the other order
     _, out, _ = mini_run
-    copy = tmp_path / "reordered"
-    copy.mkdir()
-    shutil.copy(out / "run_config.json", copy / "run_config.json")
     header, *rows = (out / "replicates.csv").read_text(
         encoding="utf-8").splitlines(keepends=True)
-    rows.sort(key=lambda row: -int(row.split(",")[3]))
-    assert rows[0].split(",")[3] == "1"
-    (copy / "replicates.csv").write_text(header + "".join(rows),
-                                         encoding="utf-8")
-    report_from(copy)
-    for path in copy.iterdir():
-        if path.name.startswith(("summary_", "pvalues_", "boxplot_")):
-            assert path.read_bytes() == (out / path.name).read_bytes(), (
-                path.name)
+    by_replicate = sorted(rows, key=lambda row: -int(row.split(",")[3]))
+    assert by_replicate[0].split(",")[2:4] == ["no_propensity", "1"]
+    for name, reordered in (("by_replicate", by_replicate),
+                            ("reversed", rows[::-1])):
+        copy = tmp_path / name
+        copy.mkdir()
+        shutil.copy(out / "run_config.json", copy / "run_config.json")
+        (copy / "replicates.csv").write_text(header + "".join(reordered),
+                                             encoding="utf-8")
+        report_from(copy)
+        for path in copy.iterdir():
+            if path.name.startswith(("summary_", "pvalues_", "boxplot_")):
+                assert path.read_bytes() == (out / path.name).read_bytes(), (
+                    name, path.name)
 
 
 def test_report_from_leaves_its_inputs_untouched(mini_run):
@@ -842,9 +869,26 @@ def test_report_from_refuses_unknown_config_keys(mini_run, tmp_path):
         report_from(copy)
 
 
+_MINI_JSON = ExperimentConfig(**MINI_CONFIG).to_json_dict()
+
+
 @pytest.mark.parametrize("text, message", [
     ("[]", r"run_config\.json: expected a JSON object"),
     ('{"n": 50}', r"run_config\.json: missing configuration keys"),
+] + [
+    pytest.param(json.dumps({**_MINI_JSON, key: value}),
+                 r"run_config\.json: " + message, id=key + "_" + name)
+    for key, value, name, message in [
+        ("replicates", 2.0, "float",
+         r"replicates must be an integer, got 2\.0"),
+        ("n", "50", "string", r'n must be an integer, got "50"'),
+        ("burn_in", True, "bool", r"burn_in must be an integer, got true"),
+        ("alphas", 4.0, "scalar",
+         r"alphas must be a list, each a number, got 4\.0"),
+        ("models", ["no_propensity", 1], "item",
+         r"models must be a list, each a string, got "
+         r'\["no_propensity", 1\]'),
+    ]
 ])
 def test_report_from_names_a_malformed_config(mini_run, tmp_path, text,
                                               message):
@@ -854,6 +898,13 @@ def test_report_from_names_a_malformed_config(mini_run, tmp_path, text,
     (copy / "run_config.json").write_text(text)
     with pytest.raises(ValueError, match=message):
         report_from(copy)
+
+
+def test_run_config_takes_an_integer_for_a_float(tmp_path):
+    path = tmp_path / "run_config.json"
+    path.write_text(json.dumps({**ExperimentConfig().to_json_dict(),
+                                "alphas": [1, 2, 4]}))
+    assert harness._read_run_config(path) == ExperimentConfig()
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -910,6 +961,6 @@ def test_report_from_requires_run_artifacts(tmp_path):
     with pytest.raises(FileNotFoundError, match="replicates.csv"):
         report_from(tmp_path)
     (tmp_path / "replicates.csv").write_text(
-        ",".join(CSV_FIELDS) + "\n", encoding="utf-8")
+        ",".join(RECORD_FIELDS) + "\n", encoding="utf-8")
     with pytest.raises(FileNotFoundError, match="run_config.json"):
         report_from(tmp_path)

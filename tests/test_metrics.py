@@ -134,7 +134,7 @@ def _record(**overrides):
         len_cate=0.4, rmse_ate=0.05, mae_ate=0.05, mape_ate=0.3,
         cover_ate=1.0, len_ate=0.3, rmse_pi=0.4, mae_pi=0.35,
         se_cover_cate=0.0, ae_cover_cate=0.0, se_cover_ate=0.0025,
-        ae_cover_ate=0.05, fit_seconds=1.5,
+        ae_cover_ate=0.05,
     )
     base.update(overrides)
     return ReplicateRecord(**base)
@@ -148,13 +148,9 @@ def test_record_field_order_is_stable():
         "rmse_ate", "mae_ate", "mape_ate", "cover_ate", "len_ate",
         "rmse_pi", "mae_pi",
         "se_cover_cate", "ae_cover_cate", "se_cover_ate", "ae_cover_ate",
-        "fit_seconds",
     )
-    assert set(METRIC_FIELDS) < set(RECORD_FIELDS)
-    assert "fit_seconds" not in METRIC_FIELDS
-    # the metrics are the fields between the five that name the fit and
-    # its wall-clock time
-    assert METRIC_FIELDS == RECORD_FIELDS[5:21]
+    # the metrics are the fields after the five that name the fit
+    assert METRIC_FIELDS == RECORD_FIELDS[5:]
 
 
 def test_record_validation():
