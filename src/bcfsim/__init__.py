@@ -24,8 +24,8 @@ from .bart import (
     fit_binary_probit,
 )
 from .bcf import (
-    PropensityMode, BcfConfig, BcfFit, build_design, fit_bcf,
-    cate_intervals, ate_posterior,
+    PropensityMode, BcfConfig, BcfFit, fit_bcf, cate_intervals,
+    ate_posterior,
 )
 from .harness import (
     ExperimentConfig, CellValues, derive_seed, dataset_digest, evaluate_fit,

@@ -10,7 +10,9 @@ Albert-Chib latent-variable scheme with the noise scale pinned to 1.
 
 Each setting lives where it is read: a ``ForestPrior`` per forest sampler,
 a ``ChainConfig`` per chain, and a noise prior (``SigmaPrior`` or a pinned
-``FixedSigma``) for the chain's sigma step.
+``FixedSigma``) for the chain's sigma step. Each refuses a bad value when it
+is built, so no consumer checks it again; only the noise prior's type, which
+no build can check, is checked by the fit before any sampling.
 
 Every chain runs through one driver, ``_run_chain``: per iteration an
 optional latent step rewrites the working residual, each forest sweeps in
@@ -90,6 +92,14 @@ class FixedScale:
         return self.value
 
 
+def _finite_positive(x) -> bool:
+    return math.isfinite(x) and x > 0
+
+
+_SIGMA_PRIOR_RULE = ("sigma prior needs a finite positive FixedSigma value "
+                     "or a finite nu > 0 and 0 < q < 1")
+
+
 @dataclass(frozen=True)
 class SigmaPrior:
     """Scaled-inverse-chi-squared prior on the noise variance.
@@ -101,6 +111,10 @@ class SigmaPrior:
     nu: float = 3.0
     q: float = 0.90
 
+    def __post_init__(self):
+        if not (_finite_positive(self.nu) and 0 < self.q < 1):
+            raise ValueError(f"{_SIGMA_PRIOR_RULE}: {self!r}")
+
 
 @dataclass(frozen=True)
 class FixedSigma:
@@ -110,16 +124,9 @@ class FixedSigma:
 
     value: float
 
-
-def _check_sigma_prior(prior) -> None:
-    if isinstance(prior, FixedSigma):
-        ok = _finite_positive(prior.value)
-    else:
-        ok = (isinstance(prior, SigmaPrior) and _finite_positive(prior.nu)
-              and 0 < prior.q < 1)
-    if not ok:
-        raise ValueError("sigma prior needs a finite positive FixedSigma "
-                         f"value or a finite nu > 0 and 0 < q < 1: {prior!r}")
+    def __post_init__(self):
+        if not _finite_positive(self.value):
+            raise ValueError(f"{_SIGMA_PRIOR_RULE}: {self!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,7 @@ class ForestPrior:
     leaf_scale_prior: object = FixedScale(1.5)
     cutpoints_per_feature: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.num_trees < 1:
             raise ValueError("num_trees must be positive")
         if not 0 < self.base <= 1:
@@ -160,7 +167,7 @@ class ChainConfig:
     iterations: int = 2000
     burn_in: int = 1000
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if not 0 <= self.burn_in < self.iterations:
@@ -169,10 +176,6 @@ class ChainConfig:
     @property
     def n_retained(self) -> int:
         return self.iterations - self.burn_in
-
-
-def _finite_positive(x) -> bool:
-    return math.isfinite(x) and x > 0
 
 
 def _check_binary(values: np.ndarray, name: str) -> None:
@@ -332,7 +335,6 @@ class ForestSampler:
     """
 
     def __init__(self, X: np.ndarray, prior: ForestPrior, weights=None):
-        prior.validate()
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError("X must be a nonempty 2-D array")
@@ -461,9 +463,12 @@ def _check_inputs(X, y, name: str = "y"):
 
 def _standardize(y: np.ndarray, sigma_prior):
     """``(y_work, center, scale)``: y at mean 0 and sd 1, or as given
-    (center 0, scale 1) when a ``FixedSigma`` pins sigma on the raw scale."""
+    (center 0, scale 1) when a ``FixedSigma`` pins sigma on the raw scale.
+    Refuses a noise prior of any other type; fits call it before sampling."""
     if isinstance(sigma_prior, FixedSigma):
         center, scale = 0.0, 1.0
+    elif not isinstance(sigma_prior, SigmaPrior):
+        raise ValueError(f"{_SIGMA_PRIOR_RULE}: {sigma_prior!r}")
     else:
         center = float(y.mean())
         sd = float(y.std())
@@ -515,10 +520,8 @@ def fit_continuous(X, y, prior: ForestPrior = ForestPrior(),
     n = y.shape[0]
     if n < 2:
         raise ValueError("need at least 2 observations")
-    chain.validate()
-    _check_sigma_prior(sigma_prior)
-    rng = np.random.default_rng(seed)
     y_work, center, scale = _standardize(y, sigma_prior)
+    rng = np.random.default_rng(seed)
     sampler = ForestSampler(X, prior)
 
     keep = chain.n_retained
@@ -552,7 +555,6 @@ def fit_binary_probit(X, d, prior: ForestPrior = ForestPrior(),
     _check_binary(d, "d")
     if d.min() == d.max():
         raise ValueError("d must contain both classes")
-    chain.validate()
     rng = np.random.default_rng(seed)
 
     n = d.shape[0]

@@ -41,15 +41,14 @@ from .bart import (
     SigmaPrior,
     _check_binary,
     _check_inputs,
-    _check_sigma_prior,
     _run_chain,
     _standardize,
     fit_binary_probit,
 )
 
 __all__ = [
-    "PropensityMode", "BcfConfig", "BcfFit", "build_design", "fit_bcf",
-    "cate_intervals", "ate_posterior",
+    "PropensityMode", "BcfConfig", "BcfFit", "fit_bcf", "cate_intervals",
+    "ate_posterior",
 ]
 
 
@@ -70,7 +69,9 @@ class BcfConfig:
     (used only by the estimated-propensity variant). ``chain`` sets the
     length of both the outcome chain and the probit stage's chain.
     ``sigma_prior`` is the outcome noise prior; the probit stage pins its
-    noise sd at 1.
+    noise sd at 1. Each part refuses a bad value when it is built; the fit
+    checks only that ``sigma_prior`` is one of the two noise priors, before
+    the probit stage or any other sampling.
     """
 
     mu: ForestPrior = ForestPrior(num_trees=200, base=0.95, power=2.0,
@@ -81,13 +82,6 @@ class BcfConfig:
     propensity: ForestPrior = ForestPrior()
     chain: ChainConfig = ChainConfig()
     sigma_prior: SigmaPrior | FixedSigma = SigmaPrior()
-
-    def validate(self) -> None:
-        self.mu.validate()
-        self.tau.validate()
-        self.propensity.validate()
-        self.chain.validate()
-        _check_sigma_prior(self.sigma_prior)
 
 
 @dataclass
@@ -105,27 +99,6 @@ class BcfFit:
     pi_used: np.ndarray
     mode: PropensityMode
     fit_seconds: float
-
-
-def _check_propensity(values, n: int, name: str) -> np.ndarray:
-    """``values`` as n finite probabilities; errors name them ``name``."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (n,):
-        raise ValueError(f"{name} must have one entry per row of X")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite (no NaN or inf)")
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return values
-
-
-def build_design(X: np.ndarray, pi_values: np.ndarray) -> np.ndarray:
-    """Covariates with the propensity estimate appended as a final column."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    return np.column_stack(
-        [X, _check_propensity(pi_values, X.shape[0], "pi_values")])
 
 
 def fit_bcf(X, z, y, mode: PropensityMode | str,
@@ -147,7 +120,7 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     mode = PropensityMode(mode)
     if config is None:
         config = BcfConfig()
-    config.validate()
+    y_work, center, scale = _standardize(y, config.sigma_prior)
 
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
@@ -158,7 +131,13 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     if mode is PropensityMode.TRUE_PROPENSITY:
         if pi_true is None:
             raise ValueError("pi_true is required for the true-propensity variant")
-        pi_used = _check_propensity(pi_true, n, "pi_true").copy()
+        pi_used = np.array(pi_true, dtype=float)
+        if pi_used.shape != (n,):
+            raise ValueError("pi_true must have one entry per row of X")
+        if not np.isfinite(pi_used).all():
+            raise ValueError("pi_true must be finite (no NaN or inf)")
+        if pi_used.min() < 0.0 or pi_used.max() > 1.0:
+            raise ValueError("pi_true must lie in [0, 1]")
     else:
         if pi_true is not None:
             raise ValueError("pi_true is only accepted by the true-propensity variant")
@@ -169,10 +148,9 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
                                        seed=ss_propensity)
             pi_used = probit.probability_draws.mean(axis=0)
 
-    design = build_design(X, pi_used)
+    design = np.column_stack((X, pi_used))
     zmask = z.astype(bool)
 
-    y_work, center, scale = _standardize(y, config.sigma_prior)
     rng = np.random.default_rng(ss_outcome)
     mu_sampler = ForestSampler(design, config.mu)
     tau_sampler = ForestSampler(X, config.tau, weights=z)

@@ -29,13 +29,16 @@ reports lay the records out on the grid of run_config.json: cells in
 selections x alphas order, models in ``models`` order and replicate r in
 column r, whatever the row order of replicates.csv.
 
-Readers refuse what they do not recognise, naming the file: run_config.json
-unless it states a valid ``ExperimentConfig``, field by field and each value
-of its field's JSON type, and a resume a cell checkpoint with other columns,
-a bad cell or no fit time. A resume also refuses cells beside no
-run_config.json, and a checkpoint that does not hold its cell's fits in run
-order. ``report_from`` refuses records whose selections, alphas or models
-differ from run_config.json, or that do not hold each of its fits once.
+Each input is checked once, where it enters. An ``ExperimentConfig`` is
+valid once built, and ``run_experiment`` refuses a grid with a dataset of
+one treatment arm before it writes anything. Readers refuse what they do not
+recognise, naming the file: run_config.json unless it states a valid
+``ExperimentConfig``, field by field and each value of its field's JSON
+type, and a resume a cell checkpoint with other columns, a bad cell or no
+fit time. A resume also refuses cells beside no run_config.json, and a
+checkpoint that does not hold its cell's fits in run order. Records meet
+the grid in ``cell_values``, which refuses them unless they hold each of
+its fits once; ``report_from`` names both files in that refusal.
 """
 
 from __future__ import annotations
@@ -122,6 +125,7 @@ class ExperimentConfig:
     ``iterations``/``burn_in`` apply to all three forests (the two outcome
     forests and the internal propensity probit). Where a run is written is
     not part of its configuration: ``run_experiment`` takes the directory.
+    A config is valid once built: a bad value raises a ValueError.
     """
 
     selections: tuple[Selection, ...] = (
@@ -143,8 +147,6 @@ class ExperimentConfig:
         object.__setattr__(
             self, "models",
             tuple(PropensityMode(m).value for m in self.models))
-
-    def validate(self) -> None:
         for name in ("selections", "alphas", "models"):
             vals = getattr(self, name)
             if not vals:
@@ -171,7 +173,7 @@ class ExperimentConfig:
         if self.replicates < 2 and len(self.models) > 1:
             raise ValueError("replicates must be at least 2 to compare "
                              f"{len(self.models)} models")
-        self.bcf_config().validate()
+        ChainConfig(self.iterations, self.burn_in)  # refuses a bad chain
 
     def bcf_config(self) -> BcfConfig:
         return BcfConfig(chain=ChainConfig(
@@ -204,7 +206,9 @@ def load_config_file(path) -> ExperimentConfig:
     trailing comment. The keys are the ``ExperimentConfig`` fields: a
     ``tuple[X, ...]`` field takes comma-separated X entries, any other field
     one nonempty value. Unknown keys and keys set twice are errors, not
-    warnings, so typos cannot silently fall back to defaults.
+    warnings, so typos cannot silently fall back to defaults. The file must
+    state a valid ``ExperimentConfig`` on its own, before any profile or
+    seed override applies.
     """
     hints = get_type_hints(ExperimentConfig)
     kwargs = {}
@@ -235,7 +239,10 @@ def load_config_file(path) -> ExperimentConfig:
                     kwargs[key] = hint(value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}")
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def evaluate_fit(fit, dataset: Dataset, replicate_index: int,
@@ -333,9 +340,10 @@ def _data_seed(config: ExperimentConfig, dgp_id: str, alpha: float,
 def _fit_keys(config: ExperimentConfig, selection: Selection,
               alpha: float) -> list[tuple]:
     """One grid cell's fits in run order, each as its ``_KEY_FIELDS``."""
-    return [(selection.value, float(alpha), rep, model,
-             _data_seed(config, selection.value, alpha, rep))
-            for rep in range(config.replicates) for model in config.models]
+    return [(selection.value, float(alpha), rep, model, seed)
+            for rep in range(config.replicates)
+            for seed in [_data_seed(config, selection.value, alpha, rep)]
+            for model in config.models]
 
 
 def _key_mismatch(found, wanted) -> str | None:
@@ -398,21 +406,40 @@ def _read_cell(cell_csv: Path, cell_timing: Path):
                          f"({type(exc).__name__}: {exc})") from exc
 
 
+def _check_arms(config: ExperimentConfig) -> None:
+    """Draw every (cell, replicate) dataset of the grid and refuse one with
+    no treated or no control unit: no variant can fit it, and a resume
+    would draw it again."""
+    for selection, alpha in itertools.product(config.selections,
+                                              config.alphas):
+        spec = DgpSpec(selection, alpha, config.n)
+        for rep in range(config.replicates):
+            treated = int(generate(spec, _data_seed(
+                config, selection.value, alpha, rep)).D.sum())
+            if treated in (0, config.n):
+                raise ValueError(
+                    f"cell {_cell_key(selection.value, alpha)}, replicate "
+                    f"{rep} draws no {'control' if treated else 'treated'} "
+                    f"unit among n = {config.n}; choose another master_seed "
+                    "or a larger n")
+
+
 def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
                    progress=None) -> list[ReplicateRecord]:
     """Run the whole grid and write every artifact to the run directory.
 
-    Completed cells are checkpointed under ``cells/``; ``resume=True`` loads
-    them instead of refitting, while a fresh run into a directory holding
-    cell artifacts is refused so two configurations cannot get mixed
-    together silently. For the same reason a resume, which then writes
+    A grid with a dataset of one treatment arm is refused before anything
+    is written (``_check_arms``). Completed cells are checkpointed under
+    ``cells/``; ``resume=True`` loads them instead of refitting, while a
+    fresh run into a directory holding cell artifacts is refused so two
+    configurations cannot get mixed together silently. For the same reason a resume, which then writes
     nothing, is refused when the directory's ``run_config.json`` is missing
     or differs from ``config`` in any key, or when a checkpoint does not
     hold its cell's ``_fit_keys`` in order. ``progress`` gets a line per
     fit: its count among this call's fits and an ETA. Returns the full
     record list.
     """
-    config.validate()
+    _check_arms(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells_dir = out / "cells"
@@ -479,14 +506,14 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
     _write_text(out / "digests.csv", _csv_text(
         _KEY_FIELDS + ("dataset_digest",),
         (_cells(rec, _KEY_FIELDS) + [digest] for rec, digest, _ in all_rows)))
-    _write_reports(config, out, records)
+    _write_reports(config, out, cell_values(config, records))
     _write_timing(out, all_rows)
     return records
 
 
-def _write_reports(config, out: Path, records) -> None:
-    """Summary, p-value, boxplot and scatter files derived from records."""
-    for cell in cell_values(config, records):
+def _write_reports(config, out: Path, cells) -> None:
+    """Summary, p-value, boxplot and scatter files of the grid's cells."""
+    for cell in cells:
         stem = _cell_key(cell.dgp_id, cell.alpha)
         summary = summarize(cell)
         _write_text(out / f"summary_{stem}.csv", _summary_csv_text(summary))
@@ -534,30 +561,37 @@ _replicate_index = operator.attrgetter("replicate_index")
 
 def cell_values(config: ExperimentConfig, records) -> list[CellValues]:
     """The records laid out on ``config``'s grid: a ``CellValues`` per cell,
-    in selections x alphas order. Records that do not hold each fit of the
-    grid once raise a ValueError, so no matrix has a hole."""
-    names = [selection.value for selection in config.selections]
-    cells = list(itertools.product(names, config.alphas))
+    in selections x alphas order. Records must hold each of the grid's fits
+    (``_fit_keys``, whose seeds derive from ``master_seed`` for replicates
+    ``0..replicates-1``) once, in any order, so no matrix has a hole;
+    otherwise a ValueError names the first fit, in key order, that
+    differs."""
+    cells = list(itertools.product(config.selections, config.alphas))
+    wanted = sorted(itertools.chain.from_iterable(
+        _fit_keys(config, *cell) for cell in cells))
+    mismatch = _key_mismatch(sorted(map(_fit_key, records)), wanted)
+    if mismatch:
+        raise ValueError(
+            f"{len(records)} records do not hold each of the grid's "
+            f"{len(wanted)} fits once (master_seed {config.master_seed}, "
+            f"replicates {config.replicates}); in key order, fit {mismatch}")
     # one (metric x replicate) block per (cell, model), so each model's
     # matrix is C-contiguous
+    names = [selection.value for selection in config.selections]
     blocks = {key: i for i, key in enumerate(
         itertools.product(names, config.alphas, config.models))}
     reps, count = config.replicates, len(records)
-    block = np.fromiter(map(blocks.get, map(_block_key, records),
-                            itertools.repeat(-1)), np.intp, count)
+    block = np.fromiter(map(blocks.__getitem__, map(_block_key, records)),
+                        np.intp, count)
     rep = np.fromiter(map(_replicate_index, records), np.intp, count)
-    slot = np.where((block >= 0) & (rep >= 0) & (rep < reps),
-                    block * reps + rep, -1)
-    if not np.array_equal(np.sort(slot), np.arange(len(blocks) * reps)):
-        raise ValueError(f"{count} records do not hold each of the grid's "
-                         f"{len(blocks) * reps} fits once")
     values = np.fromiter(
         itertools.chain.from_iterable(map(_metric_values, records)), float,
         count * len(METRIC_FIELDS)).reshape(count, -1)
     grid = np.empty((len(cells), len(config.models), len(METRIC_FIELDS), reps))
     grid.reshape(len(blocks), len(METRIC_FIELDS), reps)[block, :, rep] = values
-    return [CellValues(dgp_id, alpha, dict(zip(config.models, by_model)))
-            for (dgp_id, alpha), by_model in zip(cells, grid)]
+    return [CellValues(selection.value, alpha,
+                       dict(zip(config.models, by_model)))
+            for (selection, alpha), by_model in zip(cells, grid)]
 
 
 def summarize(cell: CellValues) -> dict:
@@ -726,7 +760,6 @@ def _read_run_config(path: Path) -> ExperimentConfig:
         for key, hint in hints.items():
             _check_json_type(key, raw[key], hint)
         config = ExperimentConfig(**raw)
-        config.validate()
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return config
@@ -736,16 +769,13 @@ def report_from(run_dir) -> list[ReplicateRecord]:
     """Regenerate every derived artifact from a run directory's raw records.
 
     Reads replicates.csv and run_config.json, refusing a configuration that
-    is malformed or invalid, whose selections, alphas or models differ from
-    the records', or whose fits (``_fit_keys``, which derive every seed
-    from ``master_seed`` for replicates ``0..replicates-1``) the records do
-    not hold once each, in any order. ``n`` is not recorded in
-    replicates.csv, so it cannot be checked. Rewrites the summary, p-value,
-    boxplot and scatter files (byte-identical to what the original run
-    produced). Its inputs stay untouched, and so do digests.csv and
-    timing.json, which need the datasets and the wall-clock data that the
-    raw CSV does not carry. Returns the records as replicates.csv holds
-    them, in row order.
+    is malformed or invalid, or whose fits the records do not hold once
+    each (``cell_values``). ``n`` is not recorded in replicates.csv, so it
+    cannot be checked. Rewrites the summary, p-value, boxplot and scatter
+    files (byte-identical to what the original run produced). Its inputs
+    stay untouched, and so do digests.csv and timing.json, which need the
+    datasets and the wall-clock data that the raw CSV does not carry.
+    Returns the records as replicates.csv holds them, in row order.
     """
     run = Path(run_dir)
     config_path = run / "run_config.json"
@@ -756,26 +786,10 @@ def report_from(run_dir) -> list[ReplicateRecord]:
         raise FileNotFoundError(f"{config_path} not found; cannot rebuild reports")
     config = _read_run_config(config_path)
     records = read_replicates_csv(csv_path)
-    if not records:
-        raise ValueError(f"{csv_path} holds no records")
-    for name, attr, wanted in (
-            ("selections", "dgp_id", {s.value for s in config.selections}),
-            ("alphas", "alpha", set(config.alphas)),
-            ("models", "model", set(config.models))):
-        found = {getattr(rec, attr) for rec in records}
-        if found != wanted:
-            raise ValueError(
-                f"{csv_path} holds {name} {sorted(found)} but {config_path} "
-                f"lists {sorted(wanted)}")
-    mismatch = _key_mismatch(
-        sorted(map(_fit_key, records)),
-        sorted(key for cell in itertools.product(config.selections,
-                                                 config.alphas)
-               for key in _fit_keys(config, *cell)))
-    if mismatch:
-        raise ValueError(
-            f"{csv_path} does not hold each fit that {config_path} lists "
-            f"(master_seed {config.master_seed}, replicates "
-            f"{config.replicates}) once; in key order, fit {mismatch}")
-    _write_reports(config, run, records)
+    try:
+        cells = cell_values(config, records)
+    except ValueError as exc:
+        raise ValueError(f"{csv_path} does not match {config_path}: "
+                         f"{exc}") from exc
+    _write_reports(config, run, cells)
     return records

@@ -129,47 +129,47 @@ def test_log_like_ratio_matches_leaf_reference(weighted):
 # ------------------------------------------------------------ configuration
 
 def test_config_validation():
-    ForestPrior().validate()
-    ChainConfig().validate()
-    BcfConfig(sigma_prior=FixedSigma(0.5)).validate()
+    # every setting refuses a bad value when it is built
+    ForestPrior()
+    ChainConfig()
+    BcfConfig(sigma_prior=FixedSigma(0.5))
     bad = [
-        ForestPrior(num_trees=0),
-        ForestPrior(base=0.0),
-        ForestPrior(base=1.2),
-        ForestPrior(power=-1.0),
-        ChainConfig(iterations=0),
-        ChainConfig(burn_in=50, iterations=50),
-        ChainConfig(burn_in=-1),
-        ForestPrior(cutpoints_per_feature=0),
-        ForestPrior(leaf_scale_prior=object()),
-        BcfConfig(sigma_prior=FixedSigma(0.0)),
-        BcfConfig(sigma_prior=FixedSigma(math.nan)),
-        BcfConfig(sigma_prior=FixedSigma(math.inf)),
-        BcfConfig(sigma_prior=SigmaPrior(q=1.5)),
-        BcfConfig(sigma_prior=SigmaPrior(q=0.0)),
-        BcfConfig(sigma_prior=SigmaPrior(q=math.nan)),
-        BcfConfig(sigma_prior=SigmaPrior(nu=-1.0)),
-        BcfConfig(sigma_prior=SigmaPrior(nu=0.0)),
-        BcfConfig(sigma_prior=SigmaPrior(nu=math.inf)),
-        BcfConfig(sigma_prior=SigmaPrior(nu=math.nan)),
-        BcfConfig(sigma_prior=1.0),
-        ForestPrior(leaf_scale_prior=FixedScale(math.nan)),
-        ForestPrior(leaf_scale_prior=FixedScale(-1.0)),
-        ForestPrior(leaf_scale_prior=HalfCauchy(0.0)),
-        ForestPrior(leaf_scale_prior=HalfCauchy(math.inf)),
-        ForestPrior(leaf_scale_prior=HalfNormal(-1.0)),
+        lambda: ForestPrior(num_trees=0),
+        lambda: ForestPrior(base=0.0),
+        lambda: ForestPrior(base=1.2),
+        lambda: ForestPrior(power=-1.0),
+        lambda: ChainConfig(iterations=0),
+        lambda: ChainConfig(burn_in=50, iterations=50),
+        lambda: ChainConfig(burn_in=-1),
+        lambda: ForestPrior(cutpoints_per_feature=0),
+        lambda: ForestPrior(leaf_scale_prior=object()),
+        lambda: BcfConfig(sigma_prior=FixedSigma(0.0)),
+        lambda: BcfConfig(sigma_prior=FixedSigma(math.nan)),
+        lambda: BcfConfig(sigma_prior=FixedSigma(math.inf)),
+        lambda: BcfConfig(sigma_prior=SigmaPrior(q=1.5)),
+        lambda: BcfConfig(sigma_prior=SigmaPrior(q=0.0)),
+        lambda: BcfConfig(sigma_prior=SigmaPrior(q=math.nan)),
+        lambda: BcfConfig(sigma_prior=SigmaPrior(nu=-1.0)),
+        lambda: BcfConfig(sigma_prior=SigmaPrior(nu=0.0)),
+        lambda: BcfConfig(sigma_prior=SigmaPrior(nu=math.inf)),
+        lambda: BcfConfig(sigma_prior=SigmaPrior(nu=math.nan)),
+        lambda: ForestPrior(leaf_scale_prior=FixedScale(math.nan)),
+        lambda: ForestPrior(leaf_scale_prior=FixedScale(-1.0)),
+        lambda: ForestPrior(leaf_scale_prior=HalfCauchy(0.0)),
+        lambda: ForestPrior(leaf_scale_prior=HalfCauchy(math.inf)),
+        lambda: ForestPrior(leaf_scale_prior=HalfNormal(-1.0)),
     ]
-    for config in bad:
+    for build in bad:
         with pytest.raises(ValueError):
-            config.validate()
-    # the entry points check what they are given before any work
+            build()
+    with pytest.raises(ValueError, match=r"0 < q < 1: FixedSigma\(value=-1"):
+        FixedSigma(-1.0)
+    # a noise prior of another type is built, so the fit refuses it before
+    # any sampling, with the message a bad value gets
     X, y = np.random.default_rng(0).random((6, 1)), np.arange(6.0)
-    with pytest.raises(ValueError):
-        fit_continuous(X, y, sigma_prior=FixedSigma(-1.0))
-    with pytest.raises(ValueError):
-        fit_continuous(X, y, chain=ChainConfig(burn_in=-1))
-    with pytest.raises(ValueError):
-        fit_binary_probit(X, y % 2, chain=ChainConfig(iterations=0))
+    with pytest.raises(ValueError, match=r"sigma prior needs a finite "
+                                         r"positive FixedSigma value .*: 1\.0"):
+        fit_continuous(X, y, sigma_prior=1.0)
 
 
 def test_sigma_prior_scale_is_the_scipy_stats_chi2_quantile():

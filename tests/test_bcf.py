@@ -11,9 +11,9 @@ from bcfsim.bart import (
     ChainConfig, FixedScale, FixedSigma, ForestPrior, HalfCauchy, HalfNormal,
     SigmaPrior,
 )
+from bcfsim import bcf
 from bcfsim.bcf import (
-    BcfConfig, BcfFit, PropensityMode, ate_posterior, build_design,
-    cate_intervals, fit_bcf,
+    BcfConfig, BcfFit, PropensityMode, ate_posterior, cate_intervals, fit_bcf,
 )
 
 
@@ -46,27 +46,6 @@ def _fake_fit(tau_draws, mode=PropensityMode.NO_PROPENSITY):
         mode=mode,
         fit_seconds=0.0,
     )
-
-
-# ------------------------------------------------------------------- design
-
-def test_build_design_appends_column():
-    X = np.arange(6.0).reshape(3, 2)
-    pi = np.array([0.2, 0.5, 0.8])
-    design = build_design(X, pi)
-    assert design.shape == (3, 3)
-    assert_array_equal(design[:, :2], X)
-    assert_array_equal(design[:, 2], pi)
-
-
-def test_build_design_validation():
-    X = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        build_design(X, np.array([0.1, 0.2]))
-    with pytest.raises(ValueError):
-        build_design(X, np.array([0.1, 0.2, 1.2]))
-    with pytest.raises(ValueError):
-        build_design(np.zeros(3), np.array([0.1, 0.2, 0.3]))
 
 
 # ------------------------------------------------------------- config rules
@@ -141,7 +120,6 @@ def test_every_setting_reaches_the_fit(path):
     # another valid value changes the draws
     value = dict(_settings(_WALK_CONFIG))[path]
     config = _with(_WALK_CONFIG, path, _other(value))
-    config.validate()
     assert _walk_digest(config) != _walk_digest(_WALK_CONFIG)
 
 
@@ -164,6 +142,37 @@ def test_pi_used_per_mode():
     assert np.all((est.pi_used > 0) & (est.pi_used < 1))
     # the estimate is a posterior mean, not a copy of anything supplied
     assert not np.array_equal(est.pi_used, pi)
+
+
+def test_true_propensity_column_is_what_mu_sees():
+    # the variants differ only in the prognostic forest's extra column: a
+    # true propensity of 0.5 everywhere is the no-propensity fit, draw for
+    # draw, and any other values move the draws
+    X, z, y = _toy_data()
+    cfg = _small_config(iterations=10, burn_in=5)
+    no = fit_bcf(X, z, y, "no_propensity", config=cfg, seed=1)
+    half = fit_bcf(X, z, y, "true_propensity", pi_true=np.full(len(y), 0.5),
+                   config=cfg, seed=1)
+    assert_array_equal(half.mu_draws, no.mu_draws)
+    assert_array_equal(half.tau_draws, no.tau_draws)
+    assert_array_equal(half.sigma_draws, no.sigma_draws)
+    other = fit_bcf(X, z, y, "true_propensity",
+                    pi_true=np.clip(0.3 + 0.4 * X[:, 0], 0.0, 1.0),
+                    config=cfg, seed=1)
+    assert not np.array_equal(other.mu_draws, no.mu_draws)
+
+
+def test_sigma_prior_type_is_refused_before_the_probit_stage(monkeypatch):
+    # every setting but the noise prior's type is checked when built; that
+    # one the fit checks before any sampling, the probit stage included
+    def no_probit(*args, **kwargs):
+        raise AssertionError("the probit stage ran")
+
+    monkeypatch.setattr(bcf, "fit_binary_probit", no_probit)
+    X, z, y = _toy_data()
+    cfg = replace(_small_config(iterations=10, burn_in=5), sigma_prior=1.0)
+    with pytest.raises(ValueError, match="sigma prior needs a finite"):
+        fit_bcf(X, z, y, "estimated_propensity", config=cfg)
 
 
 def test_pi_true_argument_is_gated():
@@ -222,8 +231,6 @@ def test_non_finite_propensities_rejected(bad):
     cfg = _small_config(iterations=10, burn_in=5)
     pi = np.full(len(y), 0.4)
     pi[3] = bad
-    with pytest.raises(ValueError, match="pi_values must be finite"):
-        build_design(X, pi)
     with pytest.raises(ValueError, match="pi_true must be finite"):
         fit_bcf(X, z, y, "true_propensity", pi_true=pi, config=cfg, seed=0)
 

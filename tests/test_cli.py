@@ -216,6 +216,46 @@ def test_run_refuses_one_replicate_of_several_models(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_run_refuses_a_dataset_of_one_arm_before_any_fit(tmp_path, capsys,
+                                                        monkeypatch):
+    # extreme_4's replicate 0 treats all 40 units; no variant could fit it,
+    # and a resume would draw it again, so the run is refused at once
+    cfg = tmp_path / "one_arm.cfg"
+    cfg.write_text("selections = extreme, slight\nalphas = 1, 4\nn = 40\n"
+                   "replicates = 3\nmaster_seed = 5\niterations = 20\n"
+                   "burn_in = 10\n", encoding="utf-8")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(harness, "fit_bcf", no_fit)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: cell extreme_4, replicate 0 draws no control unit among "
+        "n = 40; choose another master_seed or a larger n\n")
+    assert not out.exists()
+
+
+def test_quick_profile_does_not_rescue_an_invalid_config_file(tmp_path, capsys,
+                                                             monkeypatch):
+    # a config file is checked on its own: 500 iterations under the default
+    # burn-in of 1000 is refused, though --profile quick would reset both
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("iterations = 500\n", encoding="utf-8")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(harness, "fit_bcf", no_fit)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--profile", "quick",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: burn_in must satisfy 0 <= burn_in < iterations\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, old, new", [
     ("cell_extreme_4.csv", "rmse_cate", "rmse_cat"),
     ("cell_extreme_4_timing.json", "0:no_propensity", "0:no_pi"),

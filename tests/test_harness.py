@@ -117,14 +117,14 @@ def test_experiment_config_rejects_unknown_names():
 ])
 def test_experiment_config_validation(kwargs):
     with pytest.raises(ValueError):
-        ExperimentConfig(**kwargs).validate()
+        ExperimentConfig(**kwargs)
 
 
 def test_one_replicate_needs_a_single_model():
     with pytest.raises(ValueError, match="at least 2 to compare 2 models"):
         ExperimentConfig(models=("no_propensity", "true_propensity"),
-                         replicates=1).validate()
-    ExperimentConfig(models=("no_propensity",), replicates=1).validate()
+                         replicates=1)
+    ExperimentConfig(models=("no_propensity",), replicates=1)
 
 
 def test_bcf_config_propagates_chain_controls():
@@ -237,7 +237,6 @@ def test_every_config_field_round_trips(tmp_path, name):
     # check) or by the config file
     value = OTHER_CONFIG[name]
     config = ExperimentConfig(**{name: value})
-    config.validate()
     path = tmp_path / "run_config.json"
     path.write_text(json.dumps(config.to_json_dict(), sort_keys=True,
                                indent=2), encoding="utf-8")
@@ -330,12 +329,14 @@ def test_evaluate_fit_hand_example():
 # cell_values / summarize / compare_models / timing_report on synthetic data
 
 def _record(**overrides):
-    kwargs = dict(
-        dgp_id="extreme", alpha=4.0, model="no_propensity",
-        replicate_index=0, seed=1,
-    )
+    kwargs = dict(dgp_id="extreme", alpha=4.0, model="no_propensity",
+                  replicate_index=0)
     kwargs.update({name: 0.5 for name in METRIC_FIELDS})
     kwargs.update(overrides)
+    # the seed that ``_config``'s master seed derives for the replicate
+    kwargs.setdefault("seed", derive_seed(
+        ExperimentConfig.master_seed, kwargs["dgp_id"], kwargs["alpha"],
+        kwargs["replicate_index"]))
     return ReplicateRecord(**kwargs)
 
 
@@ -709,6 +710,33 @@ def test_progress_counts_only_the_fits_this_call_runs(mini_run, tmp_path):
     assert lines == []
 
 
+def test_resume_refits_a_cell_whose_timing_checkpoint_is_missing(mini_run,
+                                                                tmp_path):
+    # a crash between a cell's two checkpoint writes leaves its CSV without
+    # its timing file: the resume refits that cell alone, and every file
+    # but the wall-clock ones equals the uninterrupted run's
+    config, _, _ = mini_run
+    two = dataclasses.replace(config, alphas=(2.0, 4.0),
+                              models=("no_propensity",))
+    whole, crashed = tmp_path / "whole", tmp_path / "crashed"
+    run_experiment(two, out_dir=whole)
+    shutil.copytree(whole, crashed)
+    (crashed / "cells" / "cell_extreme_2_timing.json").unlink()
+    lines = []
+    run_experiment(two, out_dir=crashed, resume=True, progress=lines.append)
+    assert [line.split(" (")[0] for line in lines] == [
+        "fit 1/2: extreme_2 rep 1/2 no_propensity",
+        "fit 2/2: extreme_2 rep 2/2 no_propensity"]
+
+    def untimed(run):
+        return {p.relative_to(run): p.read_bytes() for p in run.rglob("*")
+                if p.is_file() and "timing" not in p.name}
+
+    assert untimed(crashed) == untimed(whole)
+    assert sorted(p.name for p in crashed.rglob("*timing*")) == sorted(
+        p.name for p in whole.rglob("*timing*"))
+
+
 def test_resume_refuses_a_checkpoint_out_of_run_order(mini_run, tmp_path):
     config, out, _ = mini_run
     copy = tmp_path / "run"
@@ -909,11 +937,19 @@ def test_run_config_takes_an_integer_for_a_float(tmp_path):
 
 @pytest.mark.parametrize("key, value, message", [
     ("models", [], r"run_config\.json: models must be nonempty"),
-    ("alphas", [2.0], r"replicates\.csv holds alphas \[4\.0\] but "
-                      r".*run_config\.json lists \[2\.0\]"),
-    ("models", ["no_propensity"],
-     r"replicates\.csv holds models \['estimated_propensity', "
-     r"'no_propensity'\] but .*run_config\.json lists \['no_propensity'\]"),
+    pytest.param("alphas", [2.0],
+                 r"replicates\.csv does not match .*run_config\.json: 4 "
+                 r"records do not hold each of the grid's 4 fits once "
+                 r"\(master_seed 99, replicates 2\); in key order, fit 1: "
+                 r"found cell extreme_4 .*, expected cell extreme_2 ",
+                 id="alphas"),
+    pytest.param("models", ["no_propensity"],
+                 r"replicates\.csv does not match .*run_config\.json: 4 "
+                 r"records do not hold each of the grid's 2 fits once "
+                 r"\(master_seed 99, replicates 2\); in key order, fit 1: "
+                 r"found cell extreme_4 replicate 0 model "
+                 r"estimated_propensity .*, expected cell extreme_4 "
+                 r"replicate 0 model no_propensity ", id="models_subset"),
 ])
 def test_report_from_refuses_a_config_the_records_contradict(
         mini_run, tmp_path, key, value, message):
@@ -951,9 +987,10 @@ def test_report_from_refuses_records_without_each_fit_once(
     message = edit(rows)
     path.write_text("".join([header] + rows))
     with pytest.raises(ValueError,
-                       match=r"replicates\.csv does not hold each fit that "
-                             r".*run_config\.json lists \(master_seed 99, "
-                             r"replicates 2\) once; in key order, " + message):
+                       match=r"replicates\.csv does not match "
+                             r".*run_config\.json: \d records do not hold "
+                             r"each of the grid's 4 fits once \(master_seed "
+                             r"99, replicates 2\); in key order, " + message):
         report_from(copy)
 
 
