@@ -38,6 +38,7 @@ from scipy.special import gammaincinv, ndtr, ndtri
 
 from .trees import (
     SplitTable,
+    _scan,
     cutpoint_bins,
     make_cutpoint_grids,
     propose_move,
@@ -315,14 +316,15 @@ class ForestSampler:
     The rest of the per-tree state is kept incrementally too (see the
     ``trees`` module docstring): ``splits`` is the sampler's ``SplitTable``
     (bins, row signatures, the shared root row set and the table of routed
-    root splits), each tree's ``leaf_list`` is edited by ``apply_move``
-    instead of rewalked, and its leaf scan is cached until the tree
-    changes. The leaf redraw reuses the child residual sums that the
-    likelihood ratio has just computed: those of the proposal's child pair
-    after an accept and of the node's current pair after a reject, none
-    when the node is a leaf after the step. The residual does not change
-    in between and the sum gathers the same rows in the same order, so
-    each reused value is the same float.
+    root splits), and each tree's scan (its leaves, singly-internal nodes
+    and leaf split flags, from one walk) is cached until the tree changes,
+    so the leaf redraw after a rejected or null step walks nothing. The
+    leaf redraw reuses the child residual sums that the likelihood ratio
+    has just computed: those of the proposal's child pair after an accept
+    and of the node's current pair after a reject, none when the node is a
+    leaf after the step. The residual does not change in between and the
+    sum gathers the same rows in the same order, so each reused value is
+    the same float.
 
     ``weights`` (0/1 per unit, optional) multiply the forest inside the
     likelihood: rows with weight zero still route through the trees and
@@ -387,7 +389,7 @@ class ForestSampler:
                 if stats is not None:
                     known = {prop.node.left: stats[0][1],
                              prop.node.right: stats[1][1]}
-            leaves = tree.leaf_list
+            leaves = _scan(tree, splits.keys)[0]
             noise = rng.standard_normal(len(leaves)).tolist()
             for leaf, eps in zip(leaves, noise):
                 wrows = leaf.rowset.wrows
@@ -407,7 +409,7 @@ class ForestSampler:
         if isinstance(prior, FixedScale):
             return
         values = np.array([leaf.value for tree in self.trees
-                           for leaf in tree.leaf_list])
+                           for leaf in _scan(tree, self.splits.keys)[0]])
         n_leaves = len(values)
         ssq = float(values @ values)
         root_m = self._scale_root
@@ -429,7 +431,7 @@ class ForestSampler:
         """Forest prediction at every training row, recomputed from leaves."""
         out = np.zeros(self.fits.shape[1])
         for tree in self.trees:
-            for leaf in tree.leaf_list:
+            for leaf in _scan(tree, self.splits.keys)[0]:
                 out[leaf.rowset.rows] += leaf.value
         return out
 

@@ -56,10 +56,11 @@ Sampler state is kept incrementally rather than recomputed per proposal:
   ``(feature, k)`` is routed once per sampler: its pair of child row sets
   is kept in a table (at most one entry per valid root cutpoint) and shared
   by every tree that proposes or holds that split.
-- ``DecisionTree.leaf_list`` holds the leaves in ``leaves()`` order, and
-  ``DecisionTree.scan`` the singly-internal nodes and leaf split flags of
-  the current structure; ``apply_move`` edits the first in place and
-  clears the second, so a rejected or null proposal rescans nothing.
+- A tree is its nodes. Everything the kernel reads from its shape (the
+  leaves left to right, the singly-internal nodes, the leaf split flags
+  and their count) comes from one walk, cached in ``DecisionTree.scan``
+  until ``apply_move`` clears it, so a rejected or null proposal rescans
+  nothing and an accepted one rescans once.
 - The depth part of the tree-prior ratio is cached per (depth, base,
   power), and a uniform pick among one candidate draws nothing from the
   generator (numpy's ``integers(1)`` leaves the bit generator state
@@ -67,15 +68,15 @@ Sampler state is kept incrementally rather than recomputed per proposal:
 
 None of this changes a draw: the flags and ranges are the same integers and
 booleans, the shared row arrays hold the same indices in the same order,
-the leaf list is the same sequence of nodes the rng indexes into, and every
-float is computed by the same operations in the same order.
+the scan lists the leaves left to right and the singly-internal nodes in
+the order of their left leaves, and every float is computed by the same
+operations in the same order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -85,13 +86,10 @@ _P_GROW, _P_PRUNE, _P_CHANGE = 0.4, 0.4, 0.2
 
 
 def depth_split_prob(depth: int, base: float, power: float) -> float:
-    """Prior probability that a node at ``depth`` is split: base*(1+d)^-power."""
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
-    if not 0 < base <= 1:
-        raise ValueError(f"base must be in (0, 1], got {base}")
-    if power < 0:
-        raise ValueError(f"power must be nonnegative, got {power}")
+    """Prior probability that a node at ``depth`` is split: base*(1+d)^-power.
+
+    ``ForestPrior`` has already checked ``base`` and ``power``.
+    """
     return base * (1.0 + depth) ** -power
 
 
@@ -120,19 +118,14 @@ class Node:
     rows with ``x[feature] <= grids[feature][k]`` go left.
 
     ``rowset`` holds the training rows reaching the node and their caches
-    (sampler bookkeeping, not part of the tree function itself).
-
-    The parent is held through a weak reference, so a tree has no reference
-    cycle and is freed as soon as it is dropped instead of waiting, rows
-    and all, for a full garbage collection.
+    (sampler bookkeeping, not part of the tree function itself). A node
+    links only to its children, so a tree holds no reference cycle.
     """
 
-    __slots__ = ("depth", "_parent", "feature", "k", "value",
-                 "left", "right", "rowset", "__weakref__")
+    __slots__ = ("depth", "feature", "k", "value", "left", "right", "rowset")
 
-    def __init__(self, depth=0, parent=None, value=0.0, rowset=None):
+    def __init__(self, depth=0, value=0.0, rowset=None):
         self.depth = depth
-        self._parent = None if parent is None else weakref.ref(parent)
         self.feature = None
         self.k = 0
         self.value = value
@@ -141,39 +134,26 @@ class Node:
         self.rowset = rowset
 
     @property
-    def parent(self):
-        """The parent node; None at the root."""
-        ref = self._parent
-        return None if ref is None else ref()
-
-    @property
     def is_leaf(self) -> bool:
         return self.feature is None
 
 
 class DecisionTree:
-    """A binary tree; ``leaf_list`` is ``leaves()``, kept by ``apply_move``.
+    """A binary tree of ``Node``s.
 
-    ``scan`` caches ``propose_move``'s pass over the leaves (the
-    singly-internal nodes, the leaf split flags and their count) until
+    ``scan`` caches ``_scan``'s walk of the tree (the leaves left to right,
+    the singly-internal nodes, the leaf split flags and their count) until
     ``apply_move`` changes the structure.
     """
 
     def __init__(self, root: Node | None = None):
         self.root = root if root is not None else Node()
-        self.leaf_list = self.leaves()
         self.scan = None
 
     def leaves(self) -> list[Node]:
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+        """The leaves left to right: the cached scan's, else a fresh walk."""
+        scan = self.scan
+        return _walk(self.root)[0] if scan is None else scan[0]
 
 
 def make_cutpoint_grids(X: np.ndarray, count: int) -> list[np.ndarray]:
@@ -365,16 +345,32 @@ def _kind_mass(grow_ok: bool, prunable: bool) -> float:
     return mass
 
 
+def _walk(root: Node):
+    """``(leaves, singly)`` below ``root``: the leaves left to right and the
+    singly-internal nodes (both children leaves) in preorder, which is the
+    order of their left leaves, as no two of them nest."""
+    leaves, singly = [], []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaves.append(node)
+        else:
+            if node.left.is_leaf and node.right.is_leaf:
+                singly.append(node)
+            stack.append(node.right)
+            stack.append(node.left)
+    return leaves, singly
+
+
 def _scan(tree: DecisionTree, keys):
-    """``(singly, flags, n_split)`` of the tree, cached until it changes."""
+    """``(leaves, singly, flags, n_split)`` of the tree from one walk, with
+    each leaf's split flag; cached until ``apply_move`` changes the tree."""
     scan = tree.scan
     if scan is None:
-        leaves = tree.leaf_list
-        singly = [p for lf in leaves
-                  if (p := lf.parent) is not None and p.left is lf
-                  and p.right.is_leaf]
+        leaves, singly = _walk(tree.root)
         flags = [_rowset_splittable(leaf.rowset, keys) for leaf in leaves]
-        scan = tree.scan = (singly, flags, flags.count(True))
+        scan = tree.scan = (leaves, singly, flags, flags.count(True))
     return scan
 
 
@@ -392,17 +388,17 @@ def propose_move(tree: DecisionTree, table: SplitTable, rng,
     the Grow leaf draw lands on a leaf none of whose features admit a valid
     cutpoint; the sampler treats either as a rejected step.
     """
-    singly, flags, n_split = _scan(tree, table.keys)
+    leaves, singly, flags, n_split = _scan(tree, table.keys)
     prunable = bool(singly)
     mass = _kind_mass(n_split > 0, prunable)
     if mass == 0.0:
         return None
     u = rng.random() * mass
     if not prunable or (n_split and u < _P_GROW):
-        return _propose_grow(tree, table, rng, prior, singly, flags, n_split,
-                             mass)
+        return _propose_grow(table, rng, prior, leaves, singly, flags,
+                             n_split, mass)
     if u < (_P_GROW + _P_PRUNE if n_split else _P_PRUNE):
-        return _propose_prune(tree, table, rng, prior, singly, mass)
+        return _propose_prune(tree, rng, prior, len(leaves), singly, mass)
     return _propose_change(table, rng, singly)
 
 
@@ -415,8 +411,7 @@ def _draw_rule(node, table, rng):
     return feature, k, table.children(node.rowset, feature, k)
 
 
-def _propose_grow(tree, table, rng, prior, singly, flags, n_split, mass):
-    leaves = tree.leaf_list
+def _propose_grow(table, rng, prior, leaves, singly, flags, n_split, mass):
     idx = _pick(rng, len(leaves))
     leaf = leaves[idx]
     if not flags[idx]:
@@ -426,13 +421,10 @@ def _propose_grow(tree, table, rng, prior, singly, flags, n_split, mass):
     feature, k, children = _draw_rule(leaf, table, rng)
 
     # Singly-internal count of the tree the grow would create: the leaf
-    # becomes one, and its parent stops being one if the sibling is a leaf.
+    # becomes one, and its parent stops being one if it is one now.
     si_after = len(singly) + 1
-    parent = leaf.parent
-    if parent is not None:
-        sibling = parent.right if parent.left is leaf else parent.left
-        if sibling.is_leaf:
-            si_after -= 1
+    if any(node.left is leaf or node.right is leaf for node in singly):
+        si_after -= 1
     # Kind mass of the grown tree: it can always prune, and can grow again
     # if an untouched leaf is splittable or either new child is. The child
     # flags are computed only when the untouched leaves do not settle it.
@@ -448,13 +440,13 @@ def _propose_grow(tree, table, rng, prior, singly, flags, n_split, mass):
     return Proposal(leaf, feature, k, children, log_ratio)
 
 
-def _propose_prune(tree, table, rng, prior, singly, mass):
+def _propose_prune(tree, rng, prior, n_leaves, singly, mass):
     node = singly[_pick(rng, len(singly))]
-    n_leaves_after = len(tree.leaf_list) - 1
+    n_leaves_after = n_leaves - 1
     # Kind mass of the pruned tree: the merged leaf straddles the removed
     # cutpoint, so that cutpoint stays valid and Grow remains possible;
     # Prune and Change survive unless the node was the root.
-    mass_after = _kind_mass(True, node.parent is not None)
+    mass_after = _kind_mass(True, node is not tree.root)
     # the same float sequences as the reverse Grow's, with forward and
     # reverse swapped, so the two log ratios are exact negatives
     log_forward = math.log(_P_PRUNE) - math.log(mass) - math.log(len(singly))
@@ -480,27 +472,22 @@ def _propose_change(table, rng, singly):
 
 
 def apply_move(tree: DecisionTree, proposal: Proposal) -> None:
-    """Mutate the tree and its ``leaf_list`` per an accepted proposal.
+    """Relink the proposal's node per an accepted proposal.
 
     The node takes the proposal's split, and its children the proposal's
     row sets, caches and all; the tree's ``scan`` is cleared.
     """
     node = proposal.node
     children = proposal.children
-    leaves = tree.leaf_list
     tree.scan = None
     if children is None:
-        # Prune: both children are leaves, adjacent in depth-first order
-        i = leaves.index(node.left)
-        leaves[i:i + 2] = (node,)
+        # Prune
         node.left = None
         node.right = None
     elif node.is_leaf:
         # Grow
-        node.left = Node(node.depth + 1, parent=node, rowset=children[0])
-        node.right = Node(node.depth + 1, parent=node, rowset=children[1])
-        i = leaves.index(node)
-        leaves[i:i + 1] = (node.left, node.right)
+        node.left = Node(node.depth + 1, rowset=children[0])
+        node.right = Node(node.depth + 1, rowset=children[1])
     else:
         # Change
         node.left.rowset, node.right.rowset = children

@@ -12,13 +12,16 @@ fits to the same cells of a full run; the fits are cached under
 refits 180 models, which takes on the order of an hour.
 """
 
+import csv
 import dataclasses
 import json
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy import integrate
 
 from bcfsim.bart import (
@@ -43,6 +46,11 @@ from bcfsim.ranktests import (
 )
 
 GRID_DIR = Path(__file__).resolve().parents[1] / ".acceptance_cache" / "grid_a4"
+# the environment the committed cells were fitted in (README, "Determinism
+# contract")
+PINNED_ENV = "Python 3.11, numpy 2.4.6 and scipy 1.17.1"
+# the columns that name one fit in replicates.csv, digests.csv and the cells
+_FIT_KEY = ("dgp_id", "alpha", "replicate_index", "model", "seed")
 
 MODELS = tuple(m.value for m in PropensityMode)
 NO_PI = PropensityMode.NO_PROPENSITY.value
@@ -270,7 +278,9 @@ def test_criterion_10_reruns_are_byte_identical(capsys, tmp_path):
     The configuration is the quick profile cut to one cell and two
     replicates so the check stays affordable; per-(cell, replicate) seed
     derivation makes these fits bit-identical to the same rows of the full
-    grid, so the determinism property transfers.
+    grid, so the determinism property transfers. The rows must also equal
+    the first rows of the committed extreme_4 cell, which binds criteria 3
+    to 6 to the sampler as it is.
     """
     config = dataclasses.replace(
         apply_profile(ExperimentConfig(selections=("extreme",),
@@ -286,3 +296,27 @@ def test_criterion_10_reruns_are_byte_identical(capsys, tmp_path):
              f"identical configuration twice: replicates.csv "
              f"{'matches byte for byte' if ok else 'DIFFERS'} "
              f"({len(first)} bytes)")
+
+    # the same fits are the first rows of the committed extreme_4 cell, whose
+    # last column, dataset_digest, is digests.csv's in the run
+    cell = GRID_DIR / "cells" / "cell_extreme_4.csv"
+    lines = cell.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    column = header.index("dataset_digest")
+    cached = [line.split(",") for line in lines[1:7]]
+    key = [header.index(name) for name in _FIT_KEY]
+    cached_digests = {tuple(row[i] for i in key): row.pop(column)
+                      for row in cached}
+    with (tmp_path / "first" / "digests.csv").open(
+            newline="", encoding="utf-8") as f:
+        run_digests = {tuple(row[name] for name in _FIT_KEY):
+                       row["dataset_digest"] for row in csv.DictReader(f)}
+    refit = (f"differ from the first rows of the committed {cell.name}, "
+             f"which hold for {PINNED_ENV} (README, 'Determinism "
+             f"contract'); this is Python {platform.python_version()}, "
+             f"numpy {np.__version__} and scipy {scipy.__version__}")
+    run_rows = first.decode("utf-8").splitlines()[1:]
+    assert len(run_rows) == 6
+    assert run_rows == [",".join(row) for row in cached], (
+        f"replicates.csv rows {refit}")
+    assert run_digests == cached_digests, f"digests.csv digests {refit}"

@@ -372,17 +372,15 @@ def _check_incremental_state(sampler):
     shared = {id(rs) for pair in table.root_splits.values() for rs in pair}
     scans = from_table = 0
     for tree, fit in zip(sampler.trees, sampler.fits):
-        walked = tree.leaves()
-        assert len(tree.leaf_list) == len(walked)
-        assert all(a is b for a, b in zip(tree.leaf_list, walked))
         assert tree.root.rowset is table.root
         cached = tree.scan
         if cached is not None:
             tree.scan = None
-            singly, flags, n_split = _scan(tree, table.keys)
-            assert len(cached[0]) == len(singly)
-            assert all(a is b for a, b in zip(cached[0], singly))
-            assert cached[1:] == (flags, n_split)
+            leaves, singly, flags, n_split = _scan(tree, table.keys)
+            for kept, walked in ((cached[0], leaves), (cached[1], singly)):
+                assert len(kept) == len(walked)
+                assert all(a is b for a, b in zip(kept, walked))
+            assert cached[2:] == (flags, n_split)
             scans += 1
         dense = np.zeros(n)
         stack = [tree.root]

@@ -94,17 +94,6 @@ def test_depth_split_prob_monotone_in_depth():
     assert all(a > b for a, b in zip(probs, probs[1:]))
 
 
-def test_depth_split_prob_validation():
-    with pytest.raises(ValueError):
-        depth_split_prob(-1, 0.5, 2.0)
-    with pytest.raises(ValueError):
-        depth_split_prob(0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        depth_split_prob(0, 1.5, 2.0)
-    with pytest.raises(ValueError):
-        depth_split_prob(0, 0.5, -0.1)
-
-
 # ------------------------------------------------------------------- grids
 
 def test_make_cutpoint_grids_interior_points():
