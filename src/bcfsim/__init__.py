@@ -28,9 +28,10 @@ from .bcf import (
     ate_posterior,
 )
 from .harness import (
-    ExperimentConfig, CellValues, derive_seed, dataset_digest, evaluate_fit,
-    run_experiment, cell_values, summarize, compare_models, timing_report,
-    report_from, apply_profile, load_config_file, read_replicates_csv,
+    ExperimentConfig, CellValues, RecordTable, derive_seed, dataset_digest,
+    evaluate_fit, run_experiment, cell_values, summarize, compare_models,
+    timing_report, report_from, apply_profile, load_config_file,
+    read_replicates_csv,
 )
 
 __version__ = "0.1.0"

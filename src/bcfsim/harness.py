@@ -24,21 +24,24 @@ configuration; wall-clock measurements are confined to the files with
 "timing" in their name.
 
 A ``ReplicateRecord`` is one replicates.csv row; a fit's wall-clock seconds
-travel beside it, to the cell's timing checkpoint and timing.json. The
-reports lay the records out on the grid of run_config.json: cells in
-selections x alphas order, models in ``models`` order and replicate r in
-column r, whatever the row order of replicates.csv.
+travel beside it, to the cell's timing checkpoint and timing.json. One
+reader parses replicates.csv and the checkpoints into a ``RecordTable``.
+A run's reports are ``report_from``'s: they lay the table out on the grid
+of run_config.json (cells in selections x alphas order, models in
+``models`` order and replicate r in column r, whatever the row order of
+replicates.csv) and rank-test all model pairs of a cell in one call.
 
 Each input is checked once, where it enters. An ``ExperimentConfig`` is
 valid once built, and ``run_experiment`` refuses a grid with a dataset of
 one treatment arm before it writes anything. Readers refuse what they do not
 recognise, naming the file: run_config.json unless it states a valid
 ``ExperimentConfig``, field by field and each value of its field's JSON
-type, and a resume a cell checkpoint with other columns, a bad cell or no
-fit time. A resume also refuses cells beside no run_config.json, and a
-checkpoint that does not hold its cell's fits in run order. Records meet
-the grid in ``cell_values``, which refuses them unless they hold each of
-its fits once; ``report_from`` names both files in that refusal.
+type; replicates.csv or a cell checkpoint with other columns, or a row with
+a bad cell or a metric out of range, naming its line; and a checkpoint
+with no fit time. A resume also refuses cells beside no run_config.json,
+and a checkpoint that does not hold its cell's fits in run order. Records
+meet the grid in ``cell_values``, which refuses them unless they hold each
+of its fits once; ``report_from`` names both files in that refusal.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import itertools
 import json
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
@@ -65,15 +69,15 @@ from .bcf import (
 from .dgp import Dataset, DgpSpec, Selection, baseline, generate, propensity
 from .metrics import (
     METRIC_FIELDS, RECORD_FIELDS, ReplicateRecord, interval_metrics,
-    pointwise_errors,
+    out_of_range, pointwise_errors,
 )
-from .ranktests import TestReport, select_and_run
+from .ranktests import select_and_run
 
 __all__ = [
-    "ExperimentConfig", "CellValues", "derive_seed", "dataset_digest",
-    "evaluate_fit", "run_experiment", "cell_values", "summarize",
-    "compare_models", "timing_report", "report_from", "apply_profile",
-    "load_config_file", "read_replicates_csv",
+    "ExperimentConfig", "CellValues", "RecordTable", "derive_seed",
+    "dataset_digest", "evaluate_fit", "run_experiment", "cell_values",
+    "summarize", "compare_models", "timing_report", "report_from",
+    "apply_profile", "load_config_file", "read_replicates_csv",
 ]
 
 MODEL_IDS = tuple(m.value for m in PropensityMode)
@@ -82,11 +86,10 @@ _TRUE_PI = PropensityMode.TRUE_PROPENSITY.value
 # the record fields that name one fit, its key; digests.csv leads with them
 _KEY_FIELDS = ("dgp_id", "alpha", "replicate_index", "model", "seed")
 _fit_key = operator.attrgetter(*_KEY_FIELDS)
-# (parse, format) of one CSV cell of a record field, by its declared type
-_CODECS = {str: (str, str), int: (int, str),
-           float: (float, lambda v: repr(float(v)))}
-_FIELD_CODECS = {name: _CODECS[hint]
-                 for name, hint in get_type_hints(ReplicateRecord).items()}
+# how a record field's value is written in a CSV cell, by its declared type
+_FORMATS = {str: str, int: str, float: lambda v: repr(float(v))}
+_FIELD_FORMATS = {name: _FORMATS[hint]
+                  for name, hint in get_type_hints(ReplicateRecord).items()}
 
 # samples per selection strength in the propensity-vs-baseline scatter file
 _SCATTER_POINTS = 2000
@@ -279,7 +282,7 @@ def _cell_key(dgp_id: str, alpha: float) -> str:
 
 def _cells(record: ReplicateRecord, names) -> list[str]:
     """The CSV cells of the named record fields."""
-    return [_FIELD_CODECS[name][1](getattr(record, name)) for name in names]
+    return [_FIELD_FORMATS[name](getattr(record, name)) for name in names]
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -297,16 +300,43 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _read_records(path, extra=()) -> list:
-    """(record, extra cells) of every row of a records CSV.
+@dataclass(frozen=True)
+class RecordTable:
+    """The rows of a records CSV, in row order: each row's ``_KEY_FIELDS``
+    tuple, a float matrix with a row per ``METRIC_FIELDS`` metric and a
+    column per CSV row, and a list of cells per extra column."""
+
+    keys: list
+    metrics: np.ndarray
+    extra: tuple
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def records(self) -> list[ReplicateRecord]:
+        """A ``ReplicateRecord`` per row, in row order."""
+        return [ReplicateRecord(dgp_id=dgp_id, alpha=alpha, model=model,
+                                replicate_index=rep, seed=seed,
+                                **dict(zip(METRIC_FIELDS, values)))
+                for (dgp_id, alpha, rep, model, seed), values
+                in zip(self.keys, self.metrics.T.tolist())]
+
+
+def read_replicates_csv(path, extra=()) -> RecordTable:
+    """The rows of replicates.csv or, with ``extra`` columns after the
+    record fields, of a cell checkpoint.
 
     The header must be the record fields followed by the ``extra`` columns;
-    blank lines are skipped. Any other header, a row of another length or a
-    bad cell raises a ValueError naming the file.
+    blank lines are skipped. Any other header raises a ValueError naming
+    the file, and so does the first row of another length, with a cell that
+    does not parse as its field's type or with a metric out of range
+    (``metrics.out_of_range``), naming its line too.
     """
     columns = RECORD_FIELDS + tuple(extra)
-    parsers = [_FIELD_CODECS[name][0] for name in RECORD_FIELDS]
-    rows = []
+    width = len(METRIC_FIELDS)
+    keys, lines, values = [], array("q"), array("d")
+    extras = tuple([] for _ in extra)
+    failure = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -317,18 +347,28 @@ def _read_records(path, extra=()) -> list:
                 if len(row) != len(columns):
                     raise ValueError(
                         f"{len(row)} cells, expected {len(columns)}")
-                rec = ReplicateRecord(**{
-                    name: parse(cell)
-                    for name, parse, cell in zip(RECORD_FIELDS, parsers, row)})
+                # a row leads with dgp_id, alpha, model, replicate_index and
+                # seed; its cells parse in that order, so the first bad cell
+                # is the one named
+                key = (row[0], float(row[1]), int(row[3]), row[2],
+                       int(row[4]))
+                values.extend(map(float, row[5:5 + width]))
             except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-            rows.append((rec, row[len(RECORD_FIELDS):]))
-    return rows
-
-
-def read_replicates_csv(path) -> list[ReplicateRecord]:
-    """The records of ``replicates.csv``, one per row, in row order."""
-    return [rec for rec, _ in _read_records(path)]
+                failure = (reader.line_num, exc)
+                del values[len(keys) * width:]
+                break
+            keys.append(key)
+            lines.append(reader.line_num)
+            for column, cell in zip(extras, row[5 + width:]):
+                column.append(cell)
+    table = RecordTable(keys, np.asarray(values).reshape(-1, width).T, extras)
+    # every row that parsed comes before the one that did not
+    broken = out_of_range(table.metrics)
+    if broken is not None:
+        raise ValueError(f"{path}:{lines[broken[0]]}: {broken[1]}")
+    if failure is not None:
+        raise ValueError(f"{path}:{failure[0]}: {failure[1]}") from failure[1]
+    return table
 
 
 def _data_seed(config: ExperimentConfig, dgp_id: str, alpha: float,
@@ -396,11 +436,11 @@ def _write_cell(cell_csv: Path, cell_timing: Path, rows) -> None:
 
 def _read_cell(cell_csv: Path, cell_timing: Path):
     """A checkpointed cell's (record, dataset digest, fit seconds) rows."""
-    rows = _read_records(cell_csv, ("dataset_digest",))
+    table = read_replicates_csv(cell_csv, ("dataset_digest",))
     try:
         timing = json.loads(cell_timing.read_text(encoding="utf-8"))
         return [(rec, digest, float(timing[_timing_key(rec)]))
-                for rec, (digest,) in rows]
+                for rec, digest in zip(table.records(), table.extra[0])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{cell_timing}: unreadable fit times "
                          f"({type(exc).__name__}: {exc})") from exc
@@ -432,12 +472,14 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
     is written (``_check_arms``). Completed cells are checkpointed under
     ``cells/``; ``resume=True`` loads them instead of refitting, while a
     fresh run into a directory holding cell artifacts is refused so two
-    configurations cannot get mixed together silently. For the same reason a resume, which then writes
-    nothing, is refused when the directory's ``run_config.json`` is missing
-    or differs from ``config`` in any key, or when a checkpoint does not
-    hold its cell's ``_fit_keys`` in order. ``progress`` gets a line per
-    fit: its count among this call's fits and an ETA. Returns the full
-    record list.
+    configurations cannot get mixed together silently. For the same
+    reason a resume, which then writes nothing, is refused when the
+    directory's ``run_config.json`` is missing or differs from ``config``
+    in any key, or when a checkpoint does not hold its cell's
+    ``_fit_keys`` in order. ``progress`` gets a line per fit: its count
+    among this call's fits and an ETA. The reports are ``report_from``'s,
+    built from the replicates.csv just written. Returns the full record
+    list.
     """
     _check_arms(config)
     out = Path(out_dir)
@@ -506,28 +548,25 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
     _write_text(out / "digests.csv", _csv_text(
         _KEY_FIELDS + ("dataset_digest",),
         (_cells(rec, _KEY_FIELDS) + [digest] for rec, digest, _ in all_rows)))
-    _write_reports(config, out, cell_values(config, records))
+    report_from(out)
+    _write_scatter(config, out)
     _write_timing(out, all_rows)
     return records
 
 
-def _write_reports(config, out: Path, cells) -> None:
-    """Summary, p-value, boxplot and scatter files of the grid's cells."""
-    for cell in cells:
-        stem = _cell_key(cell.dgp_id, cell.alpha)
-        summary = summarize(cell)
-        _write_text(out / f"summary_{stem}.csv", _summary_csv_text(summary))
-        _write_text(out / f"summary_{stem}.md",
-                    _summary_md_text(cell, summary))
-        _write_text(out / f"boxplot_{stem}.csv", _boxplot_csv_text(cell))
-        for model_a, model_b in itertools.combinations(config.models, 2):
-            reports = compare_models(cell, model_a, model_b)
-            _write_text(out / f"pvalues_{stem}_{model_a}_vs_{model_b}.csv",
-                        _pvalues_csv_text(reports))
-
+def _write_scatter(config: ExperimentConfig, out: Path) -> None:
+    """scatter_pi_vs_b_<dgp>.csv: the propensity against the prognostic
+    level at ``_SCATTER_POINTS`` uniform covariate draws per selection
+    strength. They depend on ``master_seed`` alone, so a run writes them
+    and a report leaves them."""
     for selection in config.selections:
+        rng = np.random.default_rng(
+            derive_seed(config.master_seed, "scatter", selection.value))
+        X = rng.random((_SCATTER_POINTS, 5))
         _write_text(out / f"scatter_pi_vs_b_{selection.value}.csv",
-                    _scatter_csv_text(config.master_seed, selection))
+                    _csv_text(["b", "pi"], zip(
+                        map(repr, baseline(X).tolist()),
+                        map(repr, propensity(X, selection).tolist()))))
 
 
 def _write_timing(out: Path, rows) -> None:
@@ -554,25 +593,21 @@ class CellValues:
     values: dict
 
 
-_metric_values = operator.attrgetter(*METRIC_FIELDS)
-_block_key = operator.attrgetter("dgp_id", "alpha", "model")
-_replicate_index = operator.attrgetter("replicate_index")
-
-
-def cell_values(config: ExperimentConfig, records) -> list[CellValues]:
-    """The records laid out on ``config``'s grid: a ``CellValues`` per cell,
-    in selections x alphas order. Records must hold each of the grid's fits
-    (``_fit_keys``, whose seeds derive from ``master_seed`` for replicates
-    ``0..replicates-1``) once, in any order, so no matrix has a hole;
-    otherwise a ValueError names the first fit, in key order, that
+def cell_values(config: ExperimentConfig,
+                table: RecordTable) -> list[CellValues]:
+    """The table's rows laid out on ``config``'s grid: a ``CellValues`` per
+    cell, in selections x alphas order. The rows must hold each of the
+    grid's fits (``_fit_keys``, whose seeds derive from ``master_seed`` for
+    replicates ``0..replicates-1``) once, in any order, so no matrix has a
+    hole; otherwise a ValueError names the first fit, in key order, that
     differs."""
     cells = list(itertools.product(config.selections, config.alphas))
     wanted = sorted(itertools.chain.from_iterable(
         _fit_keys(config, *cell) for cell in cells))
-    mismatch = _key_mismatch(sorted(map(_fit_key, records)), wanted)
+    mismatch = _key_mismatch(sorted(table.keys), wanted)
     if mismatch:
         raise ValueError(
-            f"{len(records)} records do not hold each of the grid's "
+            f"{len(table)} records do not hold each of the grid's "
             f"{len(wanted)} fits once (master_seed {config.master_seed}, "
             f"replicates {config.replicates}); in key order, fit {mismatch}")
     # one (metric x replicate) block per (cell, model), so each model's
@@ -580,15 +615,14 @@ def cell_values(config: ExperimentConfig, records) -> list[CellValues]:
     names = [selection.value for selection in config.selections]
     blocks = {key: i for i, key in enumerate(
         itertools.product(names, config.alphas, config.models))}
-    reps, count = config.replicates, len(records)
-    block = np.fromiter(map(blocks.__getitem__, map(_block_key, records)),
+    reps, count = config.replicates, len(table)
+    block = np.fromiter((blocks[dgp_id, alpha, model]
+                         for dgp_id, alpha, _, model, _ in table.keys),
                         np.intp, count)
-    rep = np.fromiter(map(_replicate_index, records), np.intp, count)
-    values = np.fromiter(
-        itertools.chain.from_iterable(map(_metric_values, records)), float,
-        count * len(METRIC_FIELDS)).reshape(count, -1)
+    rep = np.fromiter((key[2] for key in table.keys), np.intp, count)
     grid = np.empty((len(cells), len(config.models), len(METRIC_FIELDS), reps))
-    grid.reshape(len(blocks), len(METRIC_FIELDS), reps)[block, :, rep] = values
+    grid.reshape(len(blocks), len(METRIC_FIELDS), reps)[block, :, rep] = (
+        table.metrics.T)
     return [CellValues(selection.value, alpha,
                        dict(zip(config.models, by_model)))
             for (selection, alpha), by_model in zip(cells, grid)]
@@ -650,24 +684,22 @@ def _boxplot_csv_text(cell: CellValues) -> str:
     return "".join(chunks)
 
 
-def _scatter_csv_text(master_seed: int, selection: Selection) -> str:
-    rng = np.random.default_rng(
-        derive_seed(master_seed, "scatter", selection.value))
-    X = rng.random((_SCATTER_POINTS, 5))
-    b = baseline(X)
-    pi = propensity(X, selection)
-    return _csv_text(["b", "pi"], ([repr(float(b[i])), repr(float(pi[i]))]
-                                   for i in range(_SCATTER_POINTS)))
-
-
-def compare_models(cell: CellValues, model_a: str,
-                   model_b: str) -> list[TestReport]:
-    """Dispersion-gated rank tests between two variants of one cell, a
-    ``TestReport`` per ``METRIC_FIELDS`` metric: one ``select_and_run`` over
-    their metric matrices, which pair replicates column by column (the
-    paired design)."""
-    return select_and_run(cell.values[model_a], cell.values[model_b],
-                          METRIC_FIELDS)
+def compare_models(cell: CellValues) -> dict:
+    """Dispersion-gated rank tests between each pair of the cell's models,
+    in ``models`` order: for each (model_a, model_b) a list of
+    ``TestReport``, one per ``METRIC_FIELDS`` metric. One ``select_and_run``
+    tests every pair, the pairs' metric matrices stacked as rows; a pair's
+    matrices pair replicates column by column (the paired design)."""
+    pairs = list(itertools.combinations(cell.values, 2))
+    if not pairs:
+        return {}
+    reports = select_and_run(
+        np.concatenate([cell.values[model_a] for model_a, _ in pairs]),
+        np.concatenate([cell.values[model_b] for _, model_b in pairs]),
+        METRIC_FIELDS * len(pairs))
+    width = len(METRIC_FIELDS)
+    return {pair: reports[i * width:(i + 1) * width]
+            for i, pair in enumerate(pairs)}
 
 
 _PVALUE_COLUMNS = ("levene", "brown_forsythe", "fligner_policello",
@@ -765,17 +797,19 @@ def _read_run_config(path: Path) -> ExperimentConfig:
     return config
 
 
-def report_from(run_dir) -> list[ReplicateRecord]:
-    """Regenerate every derived artifact from a run directory's raw records.
+def report_from(run_dir) -> RecordTable:
+    """Rebuild the reports of a run directory from its raw records.
 
-    Reads replicates.csv and run_config.json, refusing a configuration that
-    is malformed or invalid, or whose fits the records do not hold once
-    each (``cell_values``). ``n`` is not recorded in replicates.csv, so it
-    cannot be checked. Rewrites the summary, p-value, boxplot and scatter
-    files (byte-identical to what the original run produced). Its inputs
-    stay untouched, and so do digests.csv and timing.json, which need the
-    datasets and the wall-clock data that the raw CSV does not carry.
-    Returns the records as replicates.csv holds them, in row order.
+    Reads replicates.csv (``read_replicates_csv``) and run_config.json,
+    refusing a configuration that is malformed or invalid, or whose fits
+    the records do not hold once each (``cell_values``). ``n`` is not
+    recorded in replicates.csv, so it cannot be checked. Rewrites the
+    summary, p-value and boxplot files, byte-identical to what the
+    original run produced, along the run's own path from rows to report
+    bytes. Its inputs stay untouched, and so do the scatter files, which
+    depend on ``master_seed`` alone, digests.csv and timing.json, which
+    need the datasets and the wall-clock data that the raw CSV does not
+    carry. Returns the table of replicates.csv, a row per record.
     """
     run = Path(run_dir)
     config_path = run / "run_config.json"
@@ -785,11 +819,20 @@ def report_from(run_dir) -> list[ReplicateRecord]:
     if not config_path.exists():
         raise FileNotFoundError(f"{config_path} not found; cannot rebuild reports")
     config = _read_run_config(config_path)
-    records = read_replicates_csv(csv_path)
+    table = read_replicates_csv(csv_path)
     try:
-        cells = cell_values(config, records)
+        cells = cell_values(config, table)
     except ValueError as exc:
         raise ValueError(f"{csv_path} does not match {config_path}: "
                          f"{exc}") from exc
-    _write_reports(config, run, cells)
-    return records
+    for cell in cells:
+        stem = _cell_key(cell.dgp_id, cell.alpha)
+        summary = summarize(cell)
+        _write_text(run / f"summary_{stem}.csv", _summary_csv_text(summary))
+        _write_text(run / f"summary_{stem}.md",
+                    _summary_md_text(cell, summary))
+        _write_text(run / f"boxplot_{stem}.csv", _boxplot_csv_text(cell))
+        for (model_a, model_b), reports in compare_models(cell).items():
+            _write_text(run / f"pvalues_{stem}_{model_a}_vs_{model_b}.csv",
+                        _pvalues_csv_text(reports))
+    return table

@@ -10,7 +10,6 @@ metric that scores it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -106,17 +105,10 @@ class ReplicateRecord:
     ae_cover_ate: float
 
     def __post_init__(self):
-        # written so that NaN fails every check: comparisons with NaN are
-        # False
-        for name in ("cover_cate", "cover_ate"):
-            v = getattr(self, name)
-            if not 0 <= v <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name in METRIC_FIELDS:
-            v = getattr(self, name)
-            if not 0 <= v < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and nonnegative, got {v}")
+        broken = out_of_range(
+            np.array([[getattr(self, name)] for name in METRIC_FIELDS]))
+        if broken is not None:
+            raise ValueError(broken[1])
 
 
 # Field order is the contract for replicates.csv, one column per field
@@ -126,3 +118,27 @@ RECORD_FIELDS = tuple(f.name for f in fields(ReplicateRecord))
 # The per-replicate metric columns the summary and p-value tables report:
 # every field after the five that name the fit.
 METRIC_FIELDS = RECORD_FIELDS[RECORD_FIELDS.index("seed") + 1:]
+
+# The metrics' range rule as its checks, in the order made: (metric, upper
+# bound, message), each also requiring at least 0. The largest float bounds
+# a finite value, and NaN fails every check.
+_RANGE_CHECKS = (
+    [(name, 1.0, "must be in [0, 1]") for name in ("cover_cate", "cover_ate")]
+    + [(name, np.finfo(float).max, "must be finite and nonnegative")
+       for name in METRIC_FIELDS])
+_CHECKED_ROWS = [METRIC_FIELDS.index(name) for name, _, _ in _RANGE_CHECKS]
+_UPPER = np.array([[upper] for _, upper, _ in _RANGE_CHECKS])
+
+
+def out_of_range(values: np.ndarray) -> tuple[int, str] | None:
+    """(column, message) of the first column of a (metric x record) matrix,
+    rows in ``METRIC_FIELDS`` order, that breaks the range rule, naming its
+    first failed check; None if every column keeps the rule."""
+    checked = values[_CHECKED_ROWS]
+    failed = ~((checked >= 0) & (checked <= _UPPER))
+    if not failed.any():
+        return None
+    column = int(failed.any(axis=0).argmax())
+    check = int(failed[:, column].argmax())
+    name, _, message = _RANGE_CHECKS[check]
+    return column, f"{name} {message}, got {float(checked[check, column])}"

@@ -340,6 +340,16 @@ def _record(**overrides):
     return ReplicateRecord(**kwargs)
 
 
+def _table(records):
+    """The records as the table that ``read_replicates_csv`` reads."""
+    return harness.RecordTable(
+        keys=[harness._fit_key(rec) for rec in records],
+        metrics=np.array([[getattr(rec, name) for rec in records]
+                          for name in METRIC_FIELDS]).reshape(
+                              len(METRIC_FIELDS), len(records)),
+        extra=())
+
+
 def _config(**overrides):
     """A one-cell, one-model, one-replicate grid, ``overrides`` applied."""
     return ExperimentConfig(**{
@@ -352,7 +362,7 @@ def test_summarize_hand_example():
         _record(replicate_index=0, rmse_cate=0.1),
         _record(replicate_index=1, rmse_cate=0.2),
     ]
-    cell, = cell_values(_config(replicates=2), records)
+    cell, = cell_values(_config(replicates=2), _table(records))
     means, sds = summarize(cell)["no_propensity"]
     row = METRIC_FIELDS.index("rmse_cate")
     assert means[row] == pytest.approx(0.15)
@@ -360,7 +370,7 @@ def test_summarize_hand_example():
 
 
 def test_summarize_single_replicate_has_no_sd():
-    cell, = cell_values(_config(), [_record()])
+    cell, = cell_values(_config(), _table([_record()]))
     means, sds = summarize(cell)["no_propensity"]
     assert means[METRIC_FIELDS.index("len_ate")] == 0.5
     assert sds is None
@@ -374,8 +384,8 @@ def test_compare_models_identical_values_are_not_significant():
         records.append(_record(replicate_index=rep, rmse_cate=value,
                                model="true_propensity"))
     cell, = cell_values(_config(models=("no_propensity", "true_propensity"),
-                                replicates=6), records)
-    reports = compare_models(cell, "no_propensity", "true_propensity")
+                                replicates=6), _table(records))
+    reports = compare_models(cell)["no_propensity", "true_propensity"]
     assert len(reports) == len(METRIC_FIELDS)
     report = reports[METRIC_FIELDS.index("rmse_cate")]
     assert report.mann_whitney.p >= 0.99
@@ -390,8 +400,8 @@ def test_compare_models_detects_separation():
                                model="estimated_propensity"))
     cell, = cell_values(_config(models=("no_propensity",
                                         "estimated_propensity"),
-                                replicates=13), records)
-    reports = compare_models(cell, "no_propensity", "estimated_propensity")
+                                replicates=13), _table(records))
+    reports = compare_models(cell)["no_propensity", "estimated_propensity"]
     report = reports[METRIC_FIELDS.index("rmse_pi")]
     chosen = getattr(report, report.selected[0].replace("_u", ""))
     assert chosen.p < 1e-4
@@ -413,7 +423,7 @@ def test_cell_values_split_records_by_cell():
                for rep in (1, 0) for model in ("no_propensity",
                                                "true_propensity")
                for dgp_id in ("extreme", "slight")]
-    slight, extreme = cell_values(config, records)
+    slight, extreme = cell_values(config, _table(records))
     assert (slight.dgp_id, slight.alpha) == ("slight", 4.0)
     assert (extreme.dgp_id, extreme.alpha) == ("extreme", 4.0)
     row = METRIC_FIELDS.index("rmse_cate")
@@ -443,8 +453,8 @@ def test_cell_values_refuse_records_without_each_fit_once(fits, message):
     config = _config(models=("no_propensity", "true_propensity"),
                      replicates=2)
     with pytest.raises(ValueError, match=message):
-        cell_values(config, [_record(model=model, replicate_index=rep)
-                             for model, rep in fits])
+        cell_values(config, _table([_record(model=model, replicate_index=rep)
+                                    for model, rep in fits]))
 
 
 def _timing_row(**overrides):
@@ -543,7 +553,7 @@ def test_replicates_csv_schema_and_roundtrip(mini_run):
     )
     assert lines[0] == ",".join(RECORD_FIELDS)
     assert len(lines) == 1 + len(records)
-    assert read_replicates_csv(out / "replicates.csv") == records
+    assert read_replicates_csv(out / "replicates.csv").records() == records
 
 
 def test_every_record_field_round_trips_through_a_cell(tmp_path):
@@ -569,6 +579,53 @@ def test_read_replicates_csv_rejects_other_schemas(tmp_path):
         read_replicates_csv(path)
 
 
+def _set(field, value):
+    """An edit of one row's cells that sets ``field``."""
+    def edit(cells):
+        cells[RECORD_FIELDS.index(field)] = value
+        return cells
+    return edit
+
+
+@pytest.mark.parametrize("edits, message", [
+    pytest.param({2: _set("rmse_cate", "nan")},
+                 "rmse_cate must be finite and nonnegative, got nan",
+                 id="nan"),
+    pytest.param({2: _set("len_ate", "-0.25")},
+                 "len_ate must be finite and nonnegative, got -0.25",
+                 id="negative"),
+    pytest.param({2: _set("cover_ate", "1.5")},
+                 "cover_ate must be in [0, 1], got 1.5", id="coverage"),
+    pytest.param({2: _set("mae_pi", "0.1x")},
+                 "could not convert string to float: '0.1x'",
+                 id="not_a_float"),
+    pytest.param({2: _set("replicate_index", "one")},
+                 "invalid literal for int() with base 10: 'one'",
+                 id="not_an_int"),
+    pytest.param({2: lambda cells: cells[:-1]}, "20 cells, expected 21",
+                 id="short_row"),
+    pytest.param({2: _set("cover_cate", "-0.5"), 3: _set("rmse_pi", "x")},
+                 "cover_cate must be in [0, 1], got -0.5",
+                 id="range_before_parse"),
+])
+def test_report_from_names_the_first_bad_row(mini_run, tmp_path, edits,
+                                             message):
+    # a blank line before the bad row: the reported line counts the
+    # file's lines, so the third record, on line 5, is named
+    _, out, _ = mini_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / "replicates.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    for index, edit in edits.items():
+        rows[index] = ",".join(edit(rows[index].split(",")))
+    rows.insert(2, "")
+    path.write_text("\n".join([header, *rows, ""]), encoding="utf-8")
+    with pytest.raises(ValueError) as refused:
+        report_from(copy)
+    assert str(refused.value) == f"{path}:5: {message}"
+
+
 def test_paired_design_shares_datasets_across_models(mini_run):
     _, out, _ = mini_run
     import csv as csvmod
@@ -587,7 +644,7 @@ def test_paired_design_shares_datasets_across_models(mini_run):
 
 def test_run_summary_matches_records(mini_run):
     config, out, records = mini_run
-    cell, = cell_values(config, records)
+    cell, = cell_values(config, _table(records))
     want = np.mean([r.rmse_pi for r in records
                     if r.model == "estimated_propensity"])
     means, _ = summarize(cell)["estimated_propensity"]
@@ -832,18 +889,22 @@ def test_report_from_regenerates_derived_artifacts(mini_run):
         "summary_extreme_4.csv", "summary_extreme_4.md",
         "boxplot_extreme_4.csv",
         "pvalues_extreme_4_no_propensity_vs_estimated_propensity.csv",
-        "scatter_pi_vs_b_extreme.csv",
     ]
     originals = {name: (out / name).read_bytes() for name in derived}
     timing_before = (out / "timing.json").read_bytes()
+    # the scatter file depends on the master seed alone: the run wrote it
+    # and a report leaves it be
+    scatter = out / "scatter_pi_vs_b_extreme.csv"
+    scatter_before = (scatter.read_bytes(), scatter.stat().st_ino)
     for name in derived:
         (out / name).unlink()
 
-    assert report_from(out) == records
+    assert report_from(out).records() == records
     for name in derived:
         assert (out / name).read_bytes() == originals[name], name
     # no wall-clock data in the CSV, so timing must be left alone
     assert (out / "timing.json").read_bytes() == timing_before
+    assert (scatter.read_bytes(), scatter.stat().st_ino) == scatter_before
 
 
 def test_report_from_reads_replicates_in_replicate_order(mini_run,

@@ -1,7 +1,8 @@
 """Pinned report bytes: ``report_from`` must keep every derived file.
 
 Two run directories are rebuilt from raw records alone and every summary,
-p-value, boxplot and scatter file is hashed with BLAKE2b:
+p-value and boxplot file is hashed with BLAKE2b, together with the scatter
+files that a run writes beside them (``report_from`` leaves those alone):
 
 * the committed acceptance cells (three cells, 20 replicates, three
   models), whose pairs take both branches of the Levene gate and include
@@ -23,12 +24,12 @@ from pathlib import Path
 
 import pytest
 
+from bcfsim import harness
 from bcfsim.harness import ExperimentConfig, derive_seed, report_from
 from bcfsim.metrics import METRIC_FIELDS, RECORD_FIELDS
 
 GRID_DIR = Path(__file__).resolve().parents[1] / ".acceptance_cache" / "grid_a4"
 
-_CSV_FIELDS = [f for f in RECORD_FIELDS if f != "fit_seconds"]
 _REPORT_PREFIXES = ("summary_", "pvalues_", "boxplot_", "scatter_")
 
 
@@ -87,13 +88,15 @@ def test_report_of_the_acceptance_cells_is_pinned(tmp_path):
     with open(tmp_path / "replicates.csv", "w", newline="",
               encoding="utf-8") as out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_CSV_FIELDS)
+        writer.writerow(RECORD_FIELDS)
         for cell in sorted((GRID_DIR / "cells").glob("cell_*.csv")):
             with open(cell, newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
-                assert next(reader) == _CSV_FIELDS + ["dataset_digest"]
+                assert next(reader) == [*RECORD_FIELDS, "dataset_digest"]
                 writer.writerows(row[:-1] for row in reader)
     shutil.copy(GRID_DIR / "run_config.json", tmp_path / "run_config.json")
+    harness._write_scatter(
+        harness._read_run_config(tmp_path / "run_config.json"), tmp_path)
 
     records = report_from(tmp_path)
 
@@ -143,7 +146,7 @@ def test_report_of_a_small_study_is_pinned(tmp_path):
     with open(tmp_path / "replicates.csv", "w", newline="",
               encoding="utf-8") as out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_CSV_FIELDS)
+        writer.writerow(RECORD_FIELDS)
         for r in range(config.replicates):
             for m, model in enumerate(config.models):
                 writer.writerow(
@@ -154,6 +157,7 @@ def test_report_of_a_small_study_is_pinned(tmp_path):
     (tmp_path / "run_config.json").write_text(
         json.dumps(config.to_json_dict(), sort_keys=True, indent=2),
         encoding="utf-8")
+    harness._write_scatter(config, tmp_path)
 
     with pytest.warns(UserWarning, match="fligner_policello"):
         report_from(tmp_path)
