@@ -17,15 +17,15 @@ Artifacts written per run directory:
     boxplot_<dgp>_<alpha>.csv           long-format per-replicate metric values
     scatter_pi_vs_b_<dgp>.csv           propensity vs prognostic level sample
     timing.json                         wall-clock times and probit overhead
-    cells/                              per-cell scratch enabling --resume
+    cells/cell_<dgp>_<alpha>.csv        per-cell checkpoint enabling --resume
 
-Every CSV and markdown artifact is byte-identical across reruns of the same
-configuration; wall-clock measurements are confined to the files with
-"timing" in their name.
+Wall-clock seconds live only in timing.json and the cells/ checkpoints;
+every other file is byte-identical across reruns of the same configuration.
 
-A ``ReplicateRecord`` is one replicates.csv row; a fit's wall-clock seconds
-travel beside it, to the cell's timing checkpoint and timing.json. One
-reader parses replicates.csv and the checkpoints into a ``RecordTable``.
+A ``ReplicateRecord`` is one replicates.csv row. A cell's checkpoint is one
+CSV, written at once: per fit, the record fields, the dataset digest and the
+seconds. One reader parses replicates.csv and the checkpoints into a
+``RecordTable``.
 A run's reports are ``report_from``'s: they lay the table out on the grid
 of run_config.json (cells in selections x alphas order, models in
 ``models`` order and replicate r in column r, whatever the row order of
@@ -38,10 +38,11 @@ recognise, naming the file: run_config.json unless it states a valid
 ``ExperimentConfig``, field by field and each value of its field's JSON
 type; replicates.csv or a cell checkpoint with other columns, or a row with
 a bad cell or a metric out of range, naming its line; and a checkpoint
-with no fit time. A resume also refuses cells beside no run_config.json,
-and a checkpoint that does not hold its cell's fits in run order. Records
-meet the grid in ``cell_values``, which refuses them unless they hold each
-of its fits once; ``report_from`` names both files in that refusal.
+with unreadable fit seconds. A resume also refuses cells beside no
+run_config.json, and a checkpoint that does not hold its cell's fits in run
+order. Records meet the grid in ``cell_values``, which refuses them unless
+they hold each of its fits once; ``report_from`` names both files in that
+refusal.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ _fit_key = operator.attrgetter(*_KEY_FIELDS)
 _FORMATS = {str: str, int: str, float: lambda v: repr(float(v))}
 _FIELD_FORMATS = {name: _FORMATS[hint]
                   for name, hint in get_type_hints(ReplicateRecord).items()}
+# a cell checkpoint's columns after the record fields
+_CELL_EXTRA = ("dataset_digest", "seconds")
 
 # samples per selection strength in the propensity-vs-baseline scatter file
 _SCATTER_POINTS = 2000
@@ -422,28 +425,24 @@ def _fit_one(config: ExperimentConfig, selection: Selection, alpha: float,
     return record, dataset_digest(dataset), fit.fit_seconds
 
 
-def _timing_key(record: ReplicateRecord) -> str:
-    return f"{record.replicate_index}:{record.model}"
+def _write_cell(path: Path, rows) -> None:
+    """A cell's checkpoint, written at once: the record fields, the dataset
+    digest and the seconds of each (record, digest, seconds) fit row."""
+    _write_text(path, _csv_text(
+        RECORD_FIELDS + _CELL_EXTRA,
+        (_cells(rec, RECORD_FIELDS) + [digest, _FORMATS[float](seconds)]
+         for rec, digest, seconds in rows)))
 
 
-def _write_cell(cell_csv: Path, cell_timing: Path, rows) -> None:
-    _write_text(cell_csv, _csv_text(
-        RECORD_FIELDS + ("dataset_digest",),
-        (_cells(rec, RECORD_FIELDS) + [digest] for rec, digest, _ in rows)))
-    timing = {_timing_key(rec): seconds for rec, _, seconds in rows}
-    _write_text(cell_timing, json.dumps(timing, sort_keys=True, indent=1))
-
-
-def _read_cell(cell_csv: Path, cell_timing: Path):
+def _read_cell(path: Path):
     """A checkpointed cell's (record, dataset digest, fit seconds) rows."""
-    table = read_replicates_csv(cell_csv, ("dataset_digest",))
+    table = read_replicates_csv(path, _CELL_EXTRA)
+    digests, seconds = table.extra
     try:
-        timing = json.loads(cell_timing.read_text(encoding="utf-8"))
-        return [(rec, digest, float(timing[_timing_key(rec)]))
-                for rec, digest in zip(table.records(), table.extra[0])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{cell_timing}: unreadable fit times "
-                         f"({type(exc).__name__}: {exc})") from exc
+        seconds = list(map(float, seconds))
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable fit seconds ({exc})") from exc
+    return list(zip(table.records(), digests, seconds))
 
 
 def _check_arms(config: ExperimentConfig) -> None:
@@ -469,8 +468,8 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
     """Run the whole grid and write every artifact to the run directory.
 
     A grid with a dataset of one treatment arm is refused before anything
-    is written (``_check_arms``). Completed cells are checkpointed under
-    ``cells/``; ``resume=True`` loads them instead of refitting, while a
+    is written (``_check_arms``). Each completed cell is checkpointed as
+    one file under ``cells/``; ``resume=True`` loads them instead of refitting, while a
     fresh run into a directory holding cell artifacts is refused so two
     configurations cannot get mixed together silently. For the same
     reason a resume, which then writes nothing, is refused when the
@@ -512,14 +511,13 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
     paths, cell_rows = {}, {}
     for cell in itertools.product(config.selections, config.alphas):
         name = _cell_key(cell[0].value, cell[1])
-        paths[cell] = (cells_dir / f"cell_{name}.csv",
-                       cells_dir / f"cell_{name}_timing.json")
-        if all(path.exists() for path in paths[cell]):
-            rows = cell_rows[cell] = _read_cell(*paths[cell])
+        path = paths[cell] = cells_dir / f"cell_{name}.csv"
+        if path.exists():
+            rows = cell_rows[cell] = _read_cell(path)
             mismatch = _key_mismatch([_fit_key(row[0]) for row in rows],
                                      _fit_keys(config, *cell))
             if mismatch:
-                raise RuntimeError(f"{paths[cell][0]}: row {mismatch}; it came "
+                raise RuntimeError(f"{path}: row {mismatch}; it came "
                                    "from another cell or configuration")
     _write_text(config_path, json.dumps(wanted, sort_keys=True, indent=2))
 
@@ -539,7 +537,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
                          f"rep {rep + 1}/{config.replicates} {model} "
                          f"({fit_seconds[-1]:.1f}s, "
                          f"ETA {timedelta(seconds=round(eta))})")
-        _write_cell(*paths[cell], rows)
+        _write_cell(paths[cell], rows)
 
     all_rows = [row for cell in paths for row in cell_rows[cell]]
     records = [row[0] for row in all_rows]

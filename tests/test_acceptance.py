@@ -302,15 +302,16 @@ def test_criterion_10_reruns_are_byte_identical(capsys, tmp_path):
              f"({len(first)} bytes)")
 
     # the same fits are the first rows of the committed extreme_4 cell, whose
-    # last column, dataset_digest, is digests.csv's in the run
+    # last two columns are dataset_digest, digests.csv's in the run, and the
+    # fit's wall-clock seconds
     cell = GRID_DIR / "cells" / "cell_extreme_4.csv"
     lines = cell.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
-    column = header.index("dataset_digest")
+    assert header[-2:] == ["dataset_digest", "seconds"]
     cached = [line.split(",") for line in lines[1:7]]
     key = [header.index(name) for name in _FIT_KEY]
-    cached_digests = {tuple(row[i] for i in key): row.pop(column)
-                      for row in cached}
+    cached_digests = {tuple(row[i] for i in key): row[-2] for row in cached}
+    cached = [row[:-2] for row in cached]
     with (tmp_path / "first" / "digests.csv").open(
             newline="", encoding="utf-8") as f:
         run_digests = {tuple(row[name] for name in _FIT_KEY):

@@ -7,6 +7,7 @@ determinism test refits the same grid into a second directory and compares
 bytes.
 """
 
+import csv
 import dataclasses
 import json
 import os
@@ -536,7 +537,7 @@ def test_run_experiment_writes_all_artifacts(mini_run):
     for name in expected:
         assert (out / name).exists(), name
     assert sorted(p.name for p in (out / "cells").iterdir()) == [
-        "cell_extreme_4.csv", "cell_extreme_4_timing.json"]
+        "cell_extreme_4.csv"]
 
 
 def test_replicates_csv_schema_and_roundtrip(mini_run):
@@ -558,18 +559,16 @@ def test_replicates_csv_schema_and_roundtrip(mini_run):
 
 def test_every_record_field_round_trips_through_a_cell(tmp_path):
     # distinct values that need every digit, so a dropped, swapped or
-    # rounded column shows; the fit's seconds come back through the timing
-    # JSON
+    # rounded column shows, the fit's seconds too
     values = dict(dgp_id="moderate", alpha=2.5, model="true_propensity",
                   replicate_index=12, seed=2 ** 64 - 1)
     metrics = [f for f in RECORD_FIELDS if f not in values]
     values.update({name: (i + 1) / 29 for i, name in enumerate(metrics)})
     assert sorted(values) == sorted(RECORD_FIELDS)
     rec = ReplicateRecord(**values)
-    cell_csv, cell_timing = tmp_path / "cell.csv", tmp_path / "timing.json"
-    harness._write_cell(cell_csv, cell_timing, [(rec, "0123abcd", 1.5)])
-    assert harness._read_cell(cell_csv, cell_timing) == [
-        (rec, "0123abcd", 1.5)]
+    path = tmp_path / "cell.csv"
+    harness._write_cell(path, [(rec, "0123abcd", 30 / 7)])
+    assert harness._read_cell(path) == [(rec, "0123abcd", 30 / 7)]
 
 
 def test_read_replicates_csv_rejects_other_schemas(tmp_path):
@@ -748,10 +747,9 @@ def test_progress_counts_only_the_fits_this_call_runs(mini_run, tmp_path):
     lines = []
     run_experiment(both, out_dir=run, resume=True, progress=lines.append)
 
-    timing = json.loads(
-        (run / "cells" / "cell_extreme_2_timing.json").read_text())
+    with open(run / "cells" / "cell_extreme_2.csv", newline="") as fh:
+        seconds = [float(row["seconds"]) for row in csv.DictReader(fh)]
     fits = [(rep, model) for rep in range(2) for model in config.models]
-    seconds = [timing[f"{rep}:{model}"] for rep, model in fits]
     wanted = []
     for i, (rep, model) in enumerate(fits, 1):
         eta = round(sum(seconds[:i]) / i * (4 - i))
@@ -767,31 +765,62 @@ def test_progress_counts_only_the_fits_this_call_runs(mini_run, tmp_path):
     assert lines == []
 
 
-def test_resume_refits_a_cell_whose_timing_checkpoint_is_missing(mini_run,
-                                                                tmp_path):
-    # a crash between a cell's two checkpoint writes leaves its CSV without
-    # its timing file: the resume refits that cell alone, and every file
-    # but the wall-clock ones equals the uninterrupted run's
+def _without_seconds(run):
+    """Every file of a run but timing.json, the cell checkpoints without
+    their last column, the fits' seconds."""
+    files = {}
+    for p in sorted(run.rglob("*")):
+        if p.is_file() and p.name != "timing.json":
+            files[p.relative_to(run)] = (
+                [line.rsplit(",", 1)[0] for line in p.read_text().splitlines()]
+                if p.parent.name == "cells" else p.read_bytes())
+    return files
+
+
+def test_resume_refits_a_cell_whose_checkpoint_write_crashed(mini_run,
+                                                            tmp_path):
+    # a crash inside a cell's one checkpoint write leaves a partial temp
+    # file and no checkpoint: the resume refits that cell alone, and every
+    # file but the wall-clock seconds equals the uninterrupted run's
     config, _, _ = mini_run
     two = dataclasses.replace(config, alphas=(2.0, 4.0),
                               models=("no_propensity",))
     whole, crashed = tmp_path / "whole", tmp_path / "crashed"
     run_experiment(two, out_dir=whole)
     shutil.copytree(whole, crashed)
-    (crashed / "cells" / "cell_extreme_2_timing.json").unlink()
+    cell = crashed / "cells" / "cell_extreme_2.csv"
+    text = cell.read_text()
+    cell.with_name(cell.name + ".tmp").write_text(text[:len(text) // 2])
+    cell.unlink()
     lines = []
     run_experiment(two, out_dir=crashed, resume=True, progress=lines.append)
     assert [line.split(" (")[0] for line in lines] == [
         "fit 1/2: extreme_2 rep 1/2 no_propensity",
         "fit 2/2: extreme_2 rep 2/2 no_propensity"]
+    assert _without_seconds(crashed) == _without_seconds(whole)
+    assert sorted(p.name for p in (crashed / "cells").iterdir()) == [
+        "cell_extreme_2.csv", "cell_extreme_4.csv"]
 
-    def untimed(run):
-        return {p.relative_to(run): p.read_bytes() for p in run.rglob("*")
-                if p.is_file() and "timing" not in p.name}
 
-    assert untimed(crashed) == untimed(whole)
-    assert sorted(p.name for p in crashed.rglob("*timing*")) == sorted(
-        p.name for p in whole.rglob("*timing*"))
+def test_resume_refuses_a_checkpoint_with_a_timing_file(mini_run, tmp_path):
+    # a cell checkpointed as a CSV without seconds beside a JSON of its fit
+    # times is refused by its CSV's columns, and nothing is written
+    config, out, _ = mini_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    cell = copy / "cells" / "cell_extreme_4.csv"
+    with open(cell, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cell.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                            for line in cell.read_text().splitlines()))
+    (copy / "cells" / "cell_extreme_4_timing.json").write_text(json.dumps(
+        {f"{row['replicate_index']}:{row['model']}": float(row["seconds"])
+         for row in rows}, sort_keys=True, indent=1))
+    before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+    with pytest.raises(ValueError,
+                       match=r"cell_extreme_4\.csv: unexpected columns"):
+        run_experiment(config, out_dir=copy, resume=True)
+    assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
 
 
 def test_resume_refuses_a_checkpoint_out_of_run_order(mini_run, tmp_path):
@@ -865,11 +894,12 @@ def _break_value(cells):
 
 
 def _break_timing(cells):
-    path = cells / "cell_extreme_4_timing.json"
-    timing = json.loads(path.read_text())
-    del timing["1:no_propensity"]
-    path.write_text(json.dumps(timing))
-    return r"cell_extreme_4_timing\.json: unreadable fit times"
+    path = cells / "cell_extreme_4.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",soon\n"
+    path.write_text("".join(lines))
+    return (r"cell_extreme_4\.csv: unreadable fit seconds \(could not "
+            r"convert string to float: 'soon'\)")
 
 
 @pytest.mark.parametrize("corrupt", [_break_header, _break_value,

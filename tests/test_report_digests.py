@@ -92,8 +92,9 @@ def test_report_of_the_acceptance_cells_is_pinned(tmp_path):
         for cell in sorted((GRID_DIR / "cells").glob("cell_*.csv")):
             with open(cell, newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
-                assert next(reader) == [*RECORD_FIELDS, "dataset_digest"]
-                writer.writerows(row[:-1] for row in reader)
+                assert next(reader) == [*RECORD_FIELDS, "dataset_digest",
+                                        "seconds"]
+                writer.writerows(row[:-2] for row in reader)
     shutil.copy(GRID_DIR / "run_config.json", tmp_path / "run_config.json")
     harness._write_scatter(
         harness._read_run_config(tmp_path / "run_config.json"), tmp_path)
