@@ -38,13 +38,13 @@ print(f"  fligner-policello p={fligner_policello(x, y).p:.4f}")
 # select_and_run packages the decision rule used for the study tables:
 # if the spreads differ (Levene p < 0.05), only the Fligner-Policello
 # result is reported; otherwise Mann-Whitney and Kruskal-Wallis are.
-report = select_and_run(x, y, "demo_metric")
+report = select_and_run(x, y)
 print(f"gate for equal-median/unequal-spread data: "
       f"selected={'+'.join(report.selected)}")
 
 x = rng.normal(0.0, 1.0, 40)
 y = rng.normal(0.4, 1.0, 40)
-report = select_and_run(x, y, "demo_metric")
+report = select_and_run(x, y)
 print(f"gate for shifted/equal-spread data:        "
       f"selected={'+'.join(report.selected)}")
 

@@ -38,7 +38,6 @@ from scipy.special import gammaincinv, ndtr, ndtri
 
 from .trees import (
     SplitTable,
-    _scan,
     cutpoint_bins,
     make_cutpoint_grids,
     propose_move,
@@ -85,12 +84,12 @@ class HalfNormal:
 
 @dataclass(frozen=True)
 class FixedScale:
-    """Degenerate prior: the forest scale stays at ``value``."""
+    """Degenerate prior: the forest scale stays at ``scale``."""
 
-    value: float
+    scale: float
 
     def initial(self) -> float:
-        return self.value
+        return self.scale
 
 
 def _finite_positive(x) -> bool:
@@ -154,8 +153,7 @@ class ForestPrior:
         prior = self.leaf_scale_prior
         if not isinstance(prior, (HalfCauchy, HalfNormal, FixedScale)):
             raise ValueError("unknown leaf_scale_prior")
-        if not _finite_positive(
-                prior.value if isinstance(prior, FixedScale) else prior.scale):
+        if not _finite_positive(prior.scale):
             raise ValueError(
                 f"leaf_scale_prior needs a finite positive parameter: {prior}")
 
@@ -389,7 +387,7 @@ class ForestSampler:
                 if stats is not None:
                     known = {prop.node.left: stats[0][1],
                              prop.node.right: stats[1][1]}
-            leaves = _scan(tree, splits.keys)[0]
+            leaves = tree.leaves()
             noise = rng.standard_normal(len(leaves)).tolist()
             for leaf, eps in zip(leaves, noise):
                 wrows = leaf.rowset.wrows
@@ -409,7 +407,7 @@ class ForestSampler:
         if isinstance(prior, FixedScale):
             return
         values = np.array([leaf.value for tree in self.trees
-                           for leaf in _scan(tree, self.splits.keys)[0]])
+                           for leaf in tree.leaves()])
         n_leaves = len(values)
         ssq = float(values @ values)
         root_m = self._scale_root
@@ -431,7 +429,7 @@ class ForestSampler:
         """Forest prediction at every training row, recomputed from leaves."""
         out = np.zeros(self.fits.shape[1])
         for tree in self.trees:
-            for leaf in _scan(tree, self.splits.keys)[0]:
+            for leaf in tree.leaves():
                 out[leaf.rowset.rows] += leaf.value
         return out
 

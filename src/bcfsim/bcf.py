@@ -131,11 +131,7 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     if mode is PropensityMode.TRUE_PROPENSITY:
         if pi_true is None:
             raise ValueError("pi_true is required for the true-propensity variant")
-        pi_used = np.array(pi_true, dtype=float)
-        if pi_used.shape != (n,):
-            raise ValueError("pi_true must have one entry per row of X")
-        if not np.isfinite(pi_used).all():
-            raise ValueError("pi_true must be finite (no NaN or inf)")
+        _, pi_used = _check_inputs(X, pi_true, "pi_true")
         if pi_used.min() < 0.0 or pi_used.max() > 1.0:
             raise ValueError("pi_true must lie in [0, 1]")
     else:
@@ -181,19 +177,22 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     )
 
 
-def cate_intervals(fit: BcfFit, level: float = 0.95) -> dict:
-    """Posterior mean and equal-tailed interval of tau(x) per unit."""
+def _mean_and_interval(draws: np.ndarray, level: float):
+    """``(mean, lower, upper)`` of ``draws`` along axis 0: the posterior
+    mean and the equal-tailed ``level`` interval."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    draws = fit.tau_draws
     if draws.size == 0:
         raise ValueError("fit has no retained draws")
     tail = 0.5 * (1.0 - level)
-    return {
-        "mean": draws.mean(axis=0),
-        "lower": np.quantile(draws, tail, axis=0),
-        "upper": np.quantile(draws, 1.0 - tail, axis=0),
-    }
+    lower, upper = np.quantile(draws, [tail, 1.0 - tail], axis=0)
+    return draws.mean(axis=0), lower, upper
+
+
+def cate_intervals(fit: BcfFit, level: float = 0.95) -> dict:
+    """Posterior mean and equal-tailed interval of tau(x) per unit."""
+    mean, lower, upper = _mean_and_interval(fit.tau_draws, level)
+    return {"mean": mean, "lower": lower, "upper": upper}
 
 
 def ate_posterior(fit: BcfFit, level: float = 0.95) -> dict:
@@ -202,15 +201,7 @@ def ate_posterior(fit: BcfFit, level: float = 0.95) -> dict:
     Each retained draw contributes the average of tau over the sample, so
     the returned draws carry full posterior uncertainty about the ATE.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    if fit.tau_draws.size == 0:
-        raise ValueError("fit has no retained draws")
     draws = fit.tau_draws.mean(axis=1)
-    tail = 0.5 * (1.0 - level)
-    return {
-        "draws": draws,
-        "mean": float(draws.mean()),
-        "lower": float(np.quantile(draws, tail)),
-        "upper": float(np.quantile(draws, 1.0 - tail)),
-    }
+    mean, lower, upper = _mean_and_interval(draws, level)
+    return {"draws": draws, "mean": float(mean), "lower": float(lower),
+            "upper": float(upper)}

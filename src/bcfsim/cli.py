@@ -6,7 +6,7 @@ import argparse
 import dataclasses
 import sys
 
-from .dgp import DgpSpec, generate
+from .dgp import DgpSpec, Selection, generate
 from .harness import (
     ExperimentConfig, apply_profile, load_config_file, report_from,
     run_experiment,
@@ -44,10 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p = sub.add_parser(
         "generate", help="write one synthetic dataset as CSV")
     gen_p.add_argument("--dgp", required=True,
-                       choices=("extreme", "moderate", "slight"),
+                       choices=[s.value for s in Selection],
                        help="selection strength")
     gen_p.add_argument("--alpha", required=True, type=float,
-                       choices=(1.0, 2.0, 4.0), help="effect scale divisor")
+                       help="effect scale divisor")
     gen_p.add_argument("--n", type=int, default=250, help="sample size")
     gen_p.add_argument("--seed", required=True, type=int, help="RNG seed")
     gen_p.add_argument("--out", required=True, metavar="FILE",

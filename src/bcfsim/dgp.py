@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,9 +67,14 @@ class Dataset:
         self.ate_true = float(self.cate_true.mean())
 
     def to_csv(self, path) -> None:
-        """Dump the draw as CSV with columns x1..x5, pi_true, d, y, cate_true."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+        """Dump the draw as CSV with columns x1..x5, pi_true, d, y, cate_true.
+
+        Lines end in "\\n". The rows go to ``<path>.tmp``, which then
+        replaces ``path``, so ``path`` never holds a partial file.
+        """
+        tmp = f"{os.fspath(path)}.tmp"
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
                 ["x1", "x2", "x3", "x4", "x5", "pi_true", "d", "y", "cate_true"]
             )
@@ -78,6 +84,7 @@ class Dataset:
                     + [repr(float(self.pi_true[i])), int(self.D[i]),
                        repr(float(self.Y[i])), repr(float(self.cate_true[i]))]
                 )
+        os.replace(tmp, path)
 
 
 def beta_cdf_2_4(u):

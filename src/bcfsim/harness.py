@@ -53,7 +53,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import operator
 from array import array
 from dataclasses import dataclass
@@ -159,20 +158,16 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(vals)) != len(vals):
                 raise ValueError(f"{name} contains duplicates")
-        bad = [a for a in self.alphas if not (math.isfinite(a) and a > 0)]
-        if bad:
-            raise ValueError(f"alphas must be finite and positive, got {bad}")
         # a cell's name keys its checkpoint and report files
         cells = {}
         for selection, alpha in itertools.product(self.selections,
                                                   self.alphas):
+            DgpSpec(selection, alpha, self.n)  # refuses a bad alpha or n
             name = _cell_key(selection.value, alpha)
             other = cells.setdefault(name, alpha)
             if other != alpha:
                 raise ValueError(f"alphas {other!r} and {alpha!r} both name "
                                  f"the cell {name}")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
         # the rank tests between models need two replicates per model
@@ -693,8 +688,7 @@ def compare_models(cell: CellValues) -> dict:
         return {}
     reports = select_and_run(
         np.concatenate([cell.values[model_a] for model_a, _ in pairs]),
-        np.concatenate([cell.values[model_b] for _, model_b in pairs]),
-        METRIC_FIELDS * len(pairs))
+        np.concatenate([cell.values[model_b] for _, model_b in pairs]))
     width = len(METRIC_FIELDS)
     return {pair: reports[i * width:(i + 1) * width]
             for i, pair in enumerate(pairs)}

@@ -9,15 +9,15 @@ and the Levene / Brown-Forsythe pair to decide which situation applies
 ``select_and_run`` codifies the decision rule: run both dispersion tests,
 and if Levene rejects at the 5% level report Fligner-Policello as the
 location test, otherwise report Mann-Whitney U plus Kruskal-Wallis. Exactly
-one of the two location branches is populated per metric.
+one of the two location branches is populated per sample pair.
 
 Every test runs row-wise. A sample is a 1-D array, and a matrix holds one
 sample per row; the tests reduce along the last axis and pair row i of one
 argument with row i of the other, so all rows of an argument share its
 sample size. A 1-D call is the one-row case of the same code and returns
 floats; a k-row call returns (k,) arrays that equal the k one-row calls bit
-for bit. The harness passes one row per metric, so one call per model pair
-tests every metric.
+for bit. The harness passes one row per metric and model pair, so one call
+per cell tests every metric of every pair; it names the rows itself.
 
 All tests are two-sided. The implementations follow Hollander & Wolfe,
 "Nonparametric Statistical Methods"; scipy is used only for the normal,
@@ -49,9 +49,8 @@ class TestResult:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Which tests ran for one metric, and what they said."""
+    """Which tests ran for one sample pair, and what they said."""
 
-    metric_name: str
     levene: TestResult
     brown_forsythe: TestResult
     fligner_policello: TestResult | None
@@ -246,20 +245,17 @@ def fligner_policello(x, y) -> TestResult:
     return _result(stat, p, one_row)
 
 
-def select_and_run(x, y, metric_name):
+def select_and_run(x, y):
     """Run the dispersion tests, then the location test they select.
 
     Levene p < 0.05 signals unequal variances, in which case the
     Fligner-Policello test carries the location comparison and the
     Mann-Whitney / Kruskal-Wallis pair is marked not applicable; otherwise
-    the reverse. One sample pair and one name give one ``TestReport``;
-    k-row matrices and a sequence of k names give a list of k reports, in
-    row order, from one call of each test over the rows that need it.
+    the reverse. One sample pair gives one ``TestReport``; k-row matrices
+    give a list of k reports, in row order, from one call of each test over
+    the rows that need it.
     """
-    (x, y), _ = _as_rows((x, y), ("x", "y"))
-    names = [metric_name] if isinstance(metric_name, str) else list(metric_name)
-    if len(names) != x.shape[0]:
-        raise ValueError(f"{len(names)} metric names for {x.shape[0]} rows")
+    (x, y), one_row = _as_rows((x, y), ("x", "y"))
     levene = levene_family(x, y, center="mean")
     brown_forsythe = levene_family(x, y, center="median")
     unequal = levene.p < 0.05
@@ -274,13 +270,12 @@ def select_and_run(x, y, metric_name):
         location["kruskal_wallis"] = _rows_of(
             kruskal_wallis([x[same], y[same]]))
     reports = []
-    for name, lev, bf, gated in zip(names, _rows_of(levene),
-                                    _rows_of(brown_forsythe), unequal):
+    for lev, bf, gated in zip(_rows_of(levene), _rows_of(brown_forsythe),
+                              unequal):
         chosen = (("fligner_policello",) if gated
                   else ("mann_whitney_u", "kruskal_wallis"))
         found = {test: next(location[test]) for test in chosen}
         reports.append(TestReport(
-            metric_name=name,
             levene=lev,
             brown_forsythe=bf,
             fligner_policello=found.get("fligner_policello"),
@@ -288,7 +283,7 @@ def select_and_run(x, y, metric_name):
             kruskal_wallis=found.get("kruskal_wallis"),
             selected=chosen,
         ))
-    return reports[0] if isinstance(metric_name, str) else reports
+    return reports[0] if one_row else reports
 
 
 def _rows_of(result: TestResult):

@@ -56,11 +56,13 @@ Sampler state is kept incrementally rather than recomputed per proposal:
   ``(feature, k)`` is routed once per sampler: its pair of child row sets
   is kept in a table (at most one entry per valid root cutpoint) and shared
   by every tree that proposes or holds that split.
-- A tree is its nodes. Everything the kernel reads from its shape (the
-  leaves left to right, the singly-internal nodes, the leaf split flags
-  and their count) comes from one walk, cached in ``DecisionTree.scan``
-  until ``apply_move`` clears it, so a rejected or null proposal rescans
-  nothing and an accepted one rescans once.
+- A tree is its nodes and its table's row signatures. Everything the
+  kernel reads from its shape (the leaves left to right, the
+  singly-internal nodes, the leaf split flags and their count) comes from
+  one walk, cached in ``DecisionTree.scan`` until ``apply_move`` clears it,
+  so a rejected or null proposal rescans nothing and an accepted one
+  rescans once. The sampler reads the leaves through
+  ``DecisionTree.leaves``, from the same cache.
 - The depth part of the tree-prior ratio is cached per (depth, base,
   power), and a uniform pick among one candidate draws nothing from the
   generator (numpy's ``integers(1)`` leaves the bit generator state
@@ -139,21 +141,22 @@ class Node:
 
 
 class DecisionTree:
-    """A binary tree of ``Node``s.
+    """A binary tree of ``Node``s over the rows of one ``SplitTable``.
 
-    ``scan`` caches ``_scan``'s walk of the tree (the leaves left to right,
-    the singly-internal nodes, the leaf split flags and their count) until
-    ``apply_move`` changes the structure.
+    ``keys`` are the table's row signatures, which the leaf split flags are
+    read from. ``scan`` caches ``_scan``'s walk of the tree (the leaves left
+    to right, the singly-internal nodes, the leaf split flags and their
+    count) until ``apply_move`` changes the structure.
     """
 
-    def __init__(self, root: Node | None = None):
-        self.root = root if root is not None else Node()
+    def __init__(self, root: Node, keys: np.ndarray):
+        self.root = root
+        self.keys = keys
         self.scan = None
 
     def leaves(self) -> list[Node]:
-        """The leaves left to right: the cached scan's, else a fresh walk."""
-        scan = self.scan
-        return _walk(self.root)[0] if scan is None else scan[0]
+        """The leaves left to right, from the cached scan."""
+        return _scan(self)[0]
 
 
 def make_cutpoint_grids(X: np.ndarray, count: int) -> list[np.ndarray]:
@@ -227,7 +230,7 @@ class SplitTable:
 
     def new_tree(self) -> DecisionTree:
         """A root-only tree on the shared root row set."""
-        return DecisionTree(Node(rowset=self.root))
+        return DecisionTree(Node(rowset=self.root), self.keys)
 
     def children(self, rowset: RowSet, feature: int, k: int):
         """Row sets of the rows at or below and above grid index ``k``."""
@@ -363,13 +366,14 @@ def _walk(root: Node):
     return leaves, singly
 
 
-def _scan(tree: DecisionTree, keys):
+def _scan(tree: DecisionTree):
     """``(leaves, singly, flags, n_split)`` of the tree from one walk, with
     each leaf's split flag; cached until ``apply_move`` changes the tree."""
     scan = tree.scan
     if scan is None:
         leaves, singly = _walk(tree.root)
-        flags = [_rowset_splittable(leaf.rowset, keys) for leaf in leaves]
+        flags = [_rowset_splittable(leaf.rowset, tree.keys)
+                 for leaf in leaves]
         scan = tree.scan = (leaves, singly, flags, flags.count(True))
     return scan
 
@@ -388,7 +392,7 @@ def propose_move(tree: DecisionTree, table: SplitTable, rng,
     the Grow leaf draw lands on a leaf none of whose features admit a valid
     cutpoint; the sampler treats either as a rejected step.
     """
-    leaves, singly, flags, n_split = _scan(tree, table.keys)
+    leaves, singly, flags, n_split = _scan(tree)
     prunable = bool(singly)
     mass = _kind_mass(n_split > 0, prunable)
     if mass == 0.0:

@@ -13,7 +13,7 @@ from bcfsim.bart import (
 )
 from bcfsim.bcf import BcfConfig
 from bcfsim.trees import (
-    SplitTable, _cut_ranges, _scan, apply_move, cutpoint_bins,
+    SplitTable, _cut_ranges, _scan, _walk, apply_move, cutpoint_bins,
     make_cutpoint_grids, propose_move,
 )
 
@@ -363,8 +363,9 @@ def _check_cached_ranges(rowset, bins):
 
 
 def _check_incremental_state(sampler):
-    # the kept per-tree state equals what a full rescan computes; returns
-    # how many cached scans and table-built children it checked
+    # the kept per-tree state equals what a full rescan computes, and the
+    # leaves the sampler reads equal a fresh walk's; returns how many cached
+    # scans and table-built children it checked
     table = sampler.splits
     n = table.bins.shape[0]
     weights = (np.ones(n, dtype=bool) if table.weights is None
@@ -373,10 +374,13 @@ def _check_incremental_state(sampler):
     scans = from_table = 0
     for tree, fit in zip(sampler.trees, sampler.fits):
         assert tree.root.rowset is table.root
+        read, walked = tree.leaves(), _walk(tree.root)[0]
+        assert len(read) == len(walked)
+        assert all(a is b for a, b in zip(read, walked))
         cached = tree.scan
         if cached is not None:
             tree.scan = None
-            leaves, singly, flags, n_split = _scan(tree, table.keys)
+            leaves, singly, flags, n_split = _scan(tree)
             for kept, walked in ((cached[0], leaves), (cached[1], singly)):
                 assert len(kept) == len(walked)
                 assert all(a is b for a, b in zip(kept, walked))

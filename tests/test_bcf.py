@@ -88,10 +88,8 @@ def _other(value):
         return value + 1
     if isinstance(value, float):
         return 0.5 * value
-    if isinstance(value, (HalfCauchy, HalfNormal)):
+    if isinstance(value, (HalfCauchy, HalfNormal, FixedScale)):
         return replace(value, scale=2.0 * value.scale)
-    if isinstance(value, FixedScale):
-        return FixedScale(2.0 * value.value)
     if isinstance(value, SigmaPrior):
         return FixedSigma(0.5)
     raise TypeError(f"no perturbation for {value!r}")

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -59,17 +60,43 @@ def test_generate_writes_dataset(tmp_path, capsys):
                        "pi_true", "d", "y", "cate_true"]
     assert len(rows) == 41
 
-    # the CLI is a thin wrapper: bytes must match the library call
+    # the CLI is a thin wrapper: bytes must match the library call; lines
+    # end in "\n" as in every file a run writes, and no temp file is left
     twin = tmp_path / "twin.csv"
     generate(DgpSpec("moderate", 2.0, 40), 5).to_csv(twin)
     assert dest.read_bytes() == twin.read_bytes()
+    assert b"\r" not in dest.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["draw.csv",
+                                                          "twin.csv"]
 
 
-def test_generate_rejects_unsupported_alpha(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["generate", "--dgp", "moderate", "--alpha", "3",
-              "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
+def test_generate_takes_any_finite_positive_alpha(tmp_path):
+    dest = tmp_path / "draw.csv"
+    code = main(["generate", "--dgp", "moderate", "--alpha", "3",
+                 "--n", "10", "--seed", "1", "--out", str(dest)])
+    assert code == 0
+    twin = tmp_path / "twin.csv"
+    generate(DgpSpec("moderate", 3.0, 10), 1).to_csv(twin)
+    assert dest.read_bytes() == twin.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "0", "alpha must be finite and positive, got 0.0"),
+    ("--alpha", "nan", "alpha must be finite and positive, got nan"),
+    ("--n", "1", "n must be at least 2, got 1"),
+])
+def test_generate_refuses_a_bad_spec(tmp_path, capsys, flag, value, message):
+    # DgpSpec states the rule; the CLI reports it and writes nothing
+    args = {"--dgp": "moderate", "--alpha": "3", "--n": "10", "--seed": "1",
+            "--out": str(tmp_path / "x.csv")}
+    args[flag] = value
+    code = main(["generate"] + [part for item in args.items()
+                                for part in item])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_unwritable_destination_is_a_clean_error(tmp_path, capsys):
@@ -174,8 +201,8 @@ def test_run_names_the_failing_fit(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("alphas, named", [
-    ("inf", "got [inf]"),
-    ("nan", "got [nan]"),
+    ("inf", "alpha must be finite and positive, got inf"),
+    ("nan", "alpha must be finite and positive, got nan"),
     # "1.0000001" formats as "1" too, so both cells would be extreme_1
     ("1, 1.0000001", "alphas 1.0 and 1.0000001 both name the cell extreme_1"),
 ])
@@ -481,9 +508,13 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_pyproject_version_is_the_package_version():
-    # the installed distribution and bcfsim.__version__ must name one release
-    tomllib = pytest.importorskip("tomllib")
+    # pyproject.toml takes the distribution's version from
+    # bcfsim.__version__; resolved as the build resolves it, offline, the
+    # two name one release
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     path = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with open(path, "rb") as fh:
-        project = tomllib.load(fh)["project"]
+    with warnings.catch_warnings():
+        # some setuptools versions call [tool.setuptools] a beta feature
+        warnings.simplefilter("ignore", UserWarning)
+        project = pyprojecttoml.read_configuration(path)["project"]
     assert project["version"] == bcfsim.__version__

@@ -188,8 +188,7 @@ def test_select_equal_variances_takes_rank_pair():
     rng = np.random.default_rng(10)
     x = rng.normal(0, 1, size=40)
     y = rng.normal(0.2, 1, size=40)
-    report = select_and_run(x, y, "rmse_cate")
-    assert report.metric_name == "rmse_cate"
+    report = select_and_run(x, y)
     assert report.selected == ("mann_whitney_u", "kruskal_wallis")
     assert report.fligner_policello is None
     assert report.mann_whitney is not None
@@ -201,7 +200,7 @@ def test_select_unequal_variances_takes_fligner_policello():
     rng = np.random.default_rng(11)
     x = rng.normal(0, 0.05, size=40)
     y = rng.normal(0, 2.0, size=40)
-    report = select_and_run(x, y, "rmse_pi")
+    report = select_and_run(x, y)
     assert report.selected == ("fligner_policello",)
     assert report.levene.p < 0.05
     assert report.mann_whitney is None
@@ -212,7 +211,7 @@ def test_select_unequal_variances_takes_fligner_policello():
 def test_select_self_comparison_is_null():
     rng = np.random.default_rng(12)
     x = rng.normal(size=30)
-    report = select_and_run(x, x.copy(), "mae_cate")
+    report = select_and_run(x, x.copy())
     # identical samples: dispersion gate passes, location tests see nothing
     assert report.selected == ("mann_whitney_u", "kruskal_wallis")
     assert report.mann_whitney.p >= 0.99
@@ -224,7 +223,7 @@ def test_location_power_smoke():
     rng = np.random.default_rng(13)
     x = rng.normal(0.0, 1.0, size=50)
     y = rng.normal(1.5, 1.0, size=50)
-    report = select_and_run(x, y, "rmse_ate")
+    report = select_and_run(x, y)
     ps = [getattr(report, name if name != "mann_whitney_u" else "mann_whitney").p
           for name in report.selected]
     assert max(ps) < 0.001
@@ -385,11 +384,9 @@ def test_k_rows_equal_k_one_row_calls(pair):
             assert all(isinstance(r.stat, float) for r in ones)
             assert _bits(rows.stat) == _bits([r.stat for r in ones])
             assert _bits(rows.p) == _bits([r.p for r in ones])
-        names = [f"metric_{i}" for i in range(len(x))]
-        reports = select_and_run(x, y, names)
+        reports = select_and_run(x, y)
         assert [repr(r) for r in reports] == [
-            repr(select_and_run(a, b, name))
-            for a, b, name in zip(x, y, names)]
+            repr(select_and_run(a, b)) for a, b in zip(x, y)]
 
 
 def test_k_rows_reach_every_branch():
@@ -406,7 +403,7 @@ def test_k_rows_reach_every_branch():
         warnings.simplefilter("ignore", UserWarning)
         levene = levene_family(x, y)
         fp = fligner_policello(x, y)
-        reports = select_and_run(x, y, ["a", "b", "c", "d"])
+        reports = select_and_run(x, y)
     assert levene.stat.tolist()[1:3] == [0.0, math.inf]
     assert levene.p.tolist()[1:3] == [1.0, 0.0]
     assert fp.stat[3] == math.inf and fp.p[3] == 0.0
@@ -424,5 +421,3 @@ def test_row_inputs_are_checked():
         mann_whitney_u(np.ones((2, 3)), np.ones((3, 3)))
     with pytest.raises(ValueError, match="one per row"):
         levene_family(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
-    with pytest.raises(ValueError, match="2 metric names for 1 rows"):
-        select_and_run([1.0, 2.0], [3.0, 4.0], ["a", "b"])

@@ -36,7 +36,7 @@ def valid_cutpoints(column, membership, grid) -> np.ndarray:
 
 
 def _root_tree(n_rows: int) -> DecisionTree:
-    return DecisionTree(Node(rowset=RowSet(np.arange(n_rows))))
+    return SplitTable(np.zeros((n_rows, 1), dtype=np.uint8)).new_tree()
 
 
 def _structure(tree: DecisionTree):
