@@ -29,7 +29,11 @@ seconds. One reader parses replicates.csv and the checkpoints into a
 A run's reports are ``report_from``'s: they lay the table out on the grid
 of run_config.json (cells in selections x alphas order, models in
 ``models`` order and replicate r in column r, whatever the row order of
-replicates.csv) and rank-test all model pairs of a cell in one call.
+replicates.csv), placing each row by one lookup, and rank-test all model
+pairs of a cell in one call. Summaries and p-values come from the parsed
+floats; a boxplot's value column is the replicates.csv cell text, which
+the run wrote with ``repr``, so no value is formatted twice and every file
+a report rebuilds is byte-identical to the run's.
 
 Each input is checked once, where it enters. An ``ExperimentConfig`` is
 valid once built, and ``run_experiment`` refuses a grid with a dataset of
@@ -302,10 +306,13 @@ def _csv_text(header, rows) -> str:
 class RecordTable:
     """The rows of a records CSV, in row order: each row's ``_KEY_FIELDS``
     tuple, a float matrix with a row per ``METRIC_FIELDS`` metric and a
-    column per CSV row, and a list of cells per extra column."""
+    column per CSV row, each row's metric cells as the CSV spells them,
+    joined by commas into one string (the boxplot's values), and a list of
+    cells per extra column."""
 
     keys: list
     metrics: np.ndarray
+    metric_text: list
     extra: tuple
 
     def __len__(self) -> int:
@@ -322,7 +329,8 @@ class RecordTable:
 
 def read_replicates_csv(path, extra=()) -> RecordTable:
     """The rows of replicates.csv or, with ``extra`` columns after the
-    record fields, of a cell checkpoint.
+    record fields, of a cell checkpoint: a ``RecordTable``, which keeps
+    each row's metric cells both parsed and as text.
 
     The header must be the record fields followed by the ``extra`` columns;
     blank lines are skipped. Any other header raises a ValueError naming
@@ -332,7 +340,7 @@ def read_replicates_csv(path, extra=()) -> RecordTable:
     """
     columns = RECORD_FIELDS + tuple(extra)
     width = len(METRIC_FIELDS)
-    keys, lines, values = [], array("q"), array("d")
+    keys, lines, values, texts = [], array("q"), array("d"), []
     extras = tuple([] for _ in extra)
     failure = None
     with open(path, newline="", encoding="utf-8") as fh:
@@ -350,16 +358,19 @@ def read_replicates_csv(path, extra=()) -> RecordTable:
                 # is the one named
                 key = (row[0], float(row[1]), int(row[3]), row[2],
                        int(row[4]))
-                values.extend(map(float, row[5:5 + width]))
+                metric_cells = row[5:5 + width]
+                values.extend(map(float, metric_cells))
             except ValueError as exc:
                 failure = (reader.line_num, exc)
                 del values[len(keys) * width:]
                 break
             keys.append(key)
             lines.append(reader.line_num)
+            texts.append(",".join(metric_cells))
             for column, cell in zip(extras, row[5 + width:]):
                 column.append(cell)
-    table = RecordTable(keys, np.asarray(values).reshape(-1, width).T, extras)
+    table = RecordTable(keys, np.asarray(values).reshape(-1, width).T, texts,
+                        extras)
     # every row that parsed comes before the one that did not
     broken = out_of_range(table.metrics)
     if broken is not None:
@@ -578,47 +589,57 @@ class CellValues:
 
     ``values[model]`` is a float matrix with one row per ``METRIC_FIELDS``
     metric, in that order, and one column per replicate: column r holds
-    replicate r. Models follow the configuration's ``models``.
+    replicate r. ``text[model][r]`` is replicate r's row of metric cells as
+    replicates.csv spells them, joined by commas (``RecordTable``). Models
+    follow the configuration's ``models``.
     """
 
     dgp_id: str
     alpha: float
     values: dict
+    text: dict
 
 
 def cell_values(config: ExperimentConfig,
                 table: RecordTable) -> list[CellValues]:
     """The table's rows laid out on ``config``'s grid: a ``CellValues`` per
-    cell, in selections x alphas order. The rows must hold each of the
-    grid's fits (``_fit_keys``, whose seeds derive from ``master_seed`` for
-    replicates ``0..replicates-1``) once, in any order, so no matrix has a
-    hole; otherwise a ValueError names the first fit, in key order, that
+    cell, in selections x alphas order, its floats and its cell text side by
+    side. Each of the grid's fits (``_fit_keys``, whose seeds derive from
+    ``master_seed`` for replicates ``0..replicates-1``) has one place on the
+    grid, and each row is put in its fit's place by one lookup. The rows
+    must fill every place once, in any order, so no matrix has a hole;
+    otherwise a ValueError names the first fit, in key order, that
     differs."""
     cells = list(itertools.product(config.selections, config.alphas))
-    wanted = sorted(itertools.chain.from_iterable(
-        _fit_keys(config, *cell) for cell in cells))
-    mismatch = _key_mismatch(sorted(table.keys), wanted)
-    if mismatch:
+    models = {model: i for i, model in enumerate(config.models)}
+    reps = config.replicates
+    # a fit's place: its (cell, model) block, then its replicate; one
+    # (metric x replicate) block per (cell, model) keeps each model's
+    # matrix C-contiguous
+    place = {key: (c * len(models) + models[key[3]]) * reps + key[2]
+             for c, cell in enumerate(cells)
+             for key in _fit_keys(config, *cell)}
+    at = np.fromiter((place.get(key, -1) for key in table.keys), np.intp,
+                     len(table))
+    # how many rows fell off the grid, then how many fill each place
+    filled = np.bincount(at + 1, minlength=len(place) + 1)
+    if filled[0] or not (filled[1:] == 1).all():
+        mismatch = _key_mismatch(sorted(table.keys), sorted(place))
         raise ValueError(
             f"{len(table)} records do not hold each of the grid's "
-            f"{len(wanted)} fits once (master_seed {config.master_seed}, "
+            f"{len(place)} fits once (master_seed {config.master_seed}, "
             f"replicates {config.replicates}); in key order, fit {mismatch}")
-    # one (metric x replicate) block per (cell, model), so each model's
-    # matrix is C-contiguous
-    names = [selection.value for selection in config.selections]
-    blocks = {key: i for i, key in enumerate(
-        itertools.product(names, config.alphas, config.models))}
-    reps, count = config.replicates, len(table)
-    block = np.fromiter((blocks[dgp_id, alpha, model]
-                         for dgp_id, alpha, _, model, _ in table.keys),
-                        np.intp, count)
-    rep = np.fromiter((key[2] for key in table.keys), np.intp, count)
-    grid = np.empty((len(cells), len(config.models), len(METRIC_FIELDS), reps))
-    grid.reshape(len(blocks), len(METRIC_FIELDS), reps)[block, :, rep] = (
+    shape = (len(cells), len(models), len(METRIC_FIELDS), reps)
+    grid = np.empty(shape)
+    grid.reshape(-1, len(METRIC_FIELDS), reps)[at // reps, :, at % reps] = (
         table.metrics.T)
+    text = np.empty(len(place), object)
+    text[at] = table.metric_text
     return [CellValues(selection.value, alpha,
-                       dict(zip(config.models, by_model)))
-            for (selection, alpha), by_model in zip(cells, grid)]
+                       dict(zip(config.models, by_model)),
+                       dict(zip(config.models, by_model_text)))
+            for (selection, alpha), by_model, by_model_text
+            in zip(cells, grid, text.reshape(shape[:2] + (reps,)).tolist())]
 
 
 def summarize(cell: CellValues) -> dict:
@@ -664,15 +685,21 @@ def _summary_md_text(cell: CellValues, summary: dict) -> str:
 
 def _boxplot_csv_text(cell: CellValues) -> str:
     """One line per (metric, replicate, model), in that nesting order,
-    built a model's column at a time and joined a metric at a time. No cell
-    holds anything csv would quote: names, an int and a float repr."""
+    built a model's column at a time and joined a metric at a time. A
+    line's value is the replicates.csv cell as written: the run writes each
+    metric with ``repr``, so a run's boxplot holds each value's ``repr``,
+    and a hand-edited cell keeps its spelling (``0.10`` stays ``0.10``).
+    No cell of a run's files holds anything csv would quote: names, an int
+    and a float repr."""
     chunks = ["metric,model,replicate_index,value\n"]
-    rows = {model: matrix.tolist() for model, matrix in cell.values.items()}
+    # per model, a tuple of cells per metric, a cell per replicate
+    cells = {model: list(zip(*(row.split(",") for row in rows)))
+             for model, rows in cell.text.items()}
     reps = list(map(str, range(next(iter(cell.values.values())).shape[1])))
     for i, metric in enumerate(METRIC_FIELDS):
-        columns = [[f"{metric},{model},{rep},{value!r}\n"
+        columns = [[f"{metric},{model},{rep},{value}\n"
                     for rep, value in zip(reps, by_metric[i])]
-                   for model, by_metric in rows.items()]
+                   for model, by_metric in cells.items()]
         chunks.append("".join(itertools.chain.from_iterable(zip(*columns))))
     return "".join(chunks)
 

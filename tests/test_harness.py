@@ -9,14 +9,17 @@ bytes.
 
 import csv
 import dataclasses
+import io
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bcfsim import harness
 from bcfsim.bart import ChainConfig
@@ -348,6 +351,8 @@ def _table(records):
         metrics=np.array([[getattr(rec, name) for rec in records]
                           for name in METRIC_FIELDS]).reshape(
                               len(METRIC_FIELDS), len(records)),
+        metric_text=[",".join(harness._cells(rec, METRIC_FIELDS))
+                     for rec in records],
         extra=())
 
 
@@ -437,25 +442,97 @@ def test_cell_values_split_records_by_cell():
                 value(cell.dgp_id, model, rep) for rep in range(2)]
 
 
+def _named(rep, model, dgp_id="extreme", seed=r"\d+"):
+    """How a refusal names a fit of ``_config``'s alpha, as a pattern."""
+    return f"cell {dgp_id}_4 replicate {rep} model {model} seed {seed}"
+
+
+_NO, _TRUE = "no_propensity", "true_propensity"
+
+
+# each fit is (model, replicate, *(field, value) overrides); the message
+# names the first fit, in key order, that differs
 @pytest.mark.parametrize("fits, message", [
-    pytest.param([], r"0 records do not hold each of the grid's 4 fits once",
+    pytest.param([], f"1: found nothing, expected {_named(0, _NO)}",
                  id="empty"),
-    pytest.param([("no_propensity", 0), ("no_propensity", 1)],
-                 r"2 records do not hold each", id="missing_model"),
-    pytest.param([("no_propensity", 0), ("no_propensity", 0),
-                  ("true_propensity", 0), ("true_propensity", 1)],
-                 r"4 records do not hold each", id="duplicate"),
-    pytest.param([("no_propensity", 0), ("no_propensity", 1),
-                  ("true_propensity", 0), ("true_propensity", 2)],
-                 r"4 records do not hold each", id="other_replicate"),
+    pytest.param([(_NO, 0), (_NO, 1)],
+                 f"2: found {_named(1, _NO)}, expected {_named(0, _TRUE)}",
+                 id="missing_model"),
+    pytest.param([(_NO, 0), (_NO, 0), (_TRUE, 0), (_TRUE, 1)],
+                 f"2: found {_named(0, _NO)}, expected {_named(0, _TRUE)}",
+                 id="duplicate"),
+    pytest.param([(_NO, 0), (_NO, 1), (_TRUE, 0), (_TRUE, 2)],
+                 f"4: found {_named(2, _TRUE)}, expected {_named(1, _TRUE)}",
+                 id="other_replicate"),
+    # the row count is right in each of the cases below
+    pytest.param([(_NO, 0), (_TRUE, 0), (_NO, 1, ("seed", 7)), (_TRUE, 1)],
+                 f"3: found {_named(1, _NO, seed=7)}, "
+                 f"expected {_named(1, _NO)}", id="wrong_seed"),
+    pytest.param([(_NO, 0), (_TRUE, 0), (_NO, 1),
+                  (_TRUE, 1, ("dgp_id", "slight"))],
+                 f"4: found {_named(1, _TRUE, 'slight')}, "
+                 f"expected {_named(1, _TRUE)}", id="cell_off_the_grid"),
+    pytest.param([(_TRUE, 1), (_TRUE, 0), (_NO, 1), (_TRUE, 1)],
+                 f"1: found {_named(0, _TRUE)}, expected {_named(0, _NO)}",
+                 id="duplicate_in_place_of_the_first"),
 ])
 def test_cell_values_refuse_records_without_each_fit_once(fits, message):
     # a matrix never has a hole: every fit of the grid is there once
-    config = _config(models=("no_propensity", "true_propensity"),
-                     replicates=2)
-    with pytest.raises(ValueError, match=message):
-        cell_values(config, _table([_record(model=model, replicate_index=rep)
-                                    for model, rep in fits]))
+    config = _config(models=(_NO, _TRUE), replicates=2)
+    with pytest.raises(ValueError) as refused:
+        cell_values(config, _table([
+            _record(model=model, replicate_index=rep, **dict(overrides))
+            for model, rep, *overrides in fits]))
+    assert re.fullmatch(
+        f"{len(fits)} records do not hold each of the grid's 4 fits once "
+        r"\(master_seed 1729, replicates 2\); in key order, fit " + message,
+        str(refused.value))
+
+
+# metric values whose repr takes each of its forms: subnormals down to the
+# smallest float, exponent notation from 1e16 up and below 1e-4, and
+# values that need all 17 significant digits
+_SPECIAL_VALUES = (5e-324, 2.2250738585072009e-308, 1e-310, 1e16,
+                   1.2345678901234567e16, 1.7976931348623157e308, 9.99e-05,
+                   1.2345678901234567e-05, 0.30000000000000004, 0.1, 0.0)
+_VALUE = st.one_of(st.floats(min_value=0.0, allow_nan=False,
+                             allow_infinity=False),
+                   st.sampled_from(_SPECIAL_VALUES))
+_COVERAGE = st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                      st.sampled_from([v for v in _SPECIAL_VALUES if v <= 1]))
+_METRIC_ROW = st.tuples(*(_COVERAGE if name.startswith("cover_") else _VALUE
+                          for name in METRIC_FIELDS))
+_FITS = [(model, rep) for rep in range(2) for model in (_NO, _TRUE)]
+
+
+@settings(deadline=None)
+@given(rows=st.lists(_METRIC_ROW, min_size=len(_FITS), max_size=len(_FITS)),
+       order=st.permutations(range(len(_FITS))))
+@example(rows=[tuple(min(value, 1.0) if name.startswith("cover_") else value
+                     for name, value in zip(
+                         METRIC_FIELDS, _SPECIAL_VALUES[i:] + _SPECIAL_VALUES))
+               for i in range(len(_FITS))],
+         order=[3, 1, 2, 0])
+def test_boxplot_spells_each_value_as_the_run_wrote_it(tmp_path_factory, rows,
+                                                       order):
+    # the boxplot echoes the replicates.csv cells, and the run writes each
+    # value with repr, so a run's boxplot holds each value's repr whatever
+    # the value and the row order
+    records = [_record(model=model, replicate_index=rep,
+                       **dict(zip(METRIC_FIELDS, values)))
+               for (model, rep), values in zip(_FITS, rows)]
+    path = tmp_path_factory.mktemp("run") / "replicates.csv"
+    harness._write_text(path, harness._csv_text(
+        RECORD_FIELDS,
+        (harness._cells(records[i], RECORD_FIELDS) for i in order)))
+    cell, = cell_values(_config(models=(_NO, _TRUE), replicates=2),
+                        read_replicates_csv(path))
+    by_fit = dict(zip(_FITS, records))
+    lines = list(csv.reader(io.StringIO(harness._boxplot_csv_text(cell))))
+    assert lines == [["metric", "model", "replicate_index", "value"]] + [
+        [metric, model, str(rep), repr(getattr(by_fit[model, rep], metric))]
+        for metric in METRIC_FIELDS for rep in range(2)
+        for model in (_NO, _TRUE)]
 
 
 def _timing_row(**overrides):
@@ -959,6 +1036,44 @@ def test_report_from_reads_replicates_in_replicate_order(mini_run,
             if path.name.startswith(("summary_", "pvalues_", "boxplot_")):
                 assert path.read_bytes() == (out / path.name).read_bytes(), (
                     name, path.name)
+
+
+def test_report_from_echoes_a_hand_spelled_cell_in_the_boxplot(mini_run,
+                                                                tmp_path):
+    # a boxplot's value is the replicates.csv cell as written, so a cell
+    # spelled 0.10 or 1E-5 appears so there; the summaries and p-values
+    # come from the parsed floats and equal those of the canonical spelling
+    _, out, _ = mini_run
+    header, *rows = (out / "replicates.csv").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    edits = {(0, "rmse_cate"): ("0.1", "0.10"),
+             (3, "len_ate"): ("1e-05", "1E-5")}
+    built = {}
+    for name, spelling in (("canonical", 0), ("hand", 1)):
+        copy = built[name] = tmp_path / name
+        copy.mkdir()
+        shutil.copy(out / "run_config.json", copy / "run_config.json")
+        cells = [row.rstrip("\n").split(",") for row in rows]
+        for (row, field), spellings in edits.items():
+            cells[row][RECORD_FIELDS.index(field)] = spellings[spelling]
+        (copy / "replicates.csv").write_text(
+            header + "".join(",".join(row) + "\n" for row in cells),
+            encoding="utf-8")
+        report_from(copy)
+    reports = sorted(path.name for path in built["hand"].iterdir()
+                     if path.name.startswith(("summary_", "pvalues_")))
+    assert len(reports) == 3
+    for name in reports:
+        assert (built["hand"] / name).read_bytes() == (
+            built["canonical"] / name).read_bytes(), name
+    boxplot = "boxplot_extreme_4.csv"
+    want = (built["canonical"] / boxplot).read_text(encoding="utf-8")
+    for (row, field), (canonical, hand) in edits.items():
+        fit = rows[row].split(",")
+        line = f"{field},{fit[2]},{fit[3]},"
+        assert want.count(f"\n{line}{canonical}\n") == 1
+        want = want.replace(f"\n{line}{canonical}\n", f"\n{line}{hand}\n")
+    assert (built["hand"] / boxplot).read_text(encoding="utf-8") == want
 
 
 def test_report_from_leaves_its_inputs_untouched(mini_run):
