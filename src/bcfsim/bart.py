@@ -464,14 +464,21 @@ def _check_inputs(X, y, name: str = "y"):
 def _standardize(y: np.ndarray, sigma_prior):
     """``(y_work, center, scale)``: y at mean 0 and sd 1, or as given
     (center 0, scale 1) when a ``FixedSigma`` pins sigma on the raw scale.
-    Refuses a noise prior of any other type; fits call it before sampling."""
+    Refuses a noise prior of any other type, and a finite ``y`` whose mean
+    or sd overflows float64; fits call it before sampling."""
     if isinstance(sigma_prior, FixedSigma):
         center, scale = 0.0, 1.0
     elif not isinstance(sigma_prior, SigmaPrior):
         raise ValueError(f"{_SIGMA_PRIOR_RULE}: {sigma_prior!r}")
     else:
-        center = float(y.mean())
-        sd = float(y.std())
+        # an overflow is refused below, by name, instead of warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            center = float(y.mean())
+            sd = float(y.std())
+        if not (math.isfinite(center) and math.isfinite(sd)):
+            raise ValueError("y must have a mean and standard deviation "
+                             "that fit in float64; its spread overflows "
+                             f"(mean {center!r}, sd {sd!r})")
         scale = sd if sd > 0 else 1.0
     return (y - center) / scale, center, scale
 

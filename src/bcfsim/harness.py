@@ -21,6 +21,11 @@ Artifacts written per run directory:
 
 Wall-clock seconds live only in timing.json and the cells/ checkpoints;
 every other file is byte-identical across reruns of the same configuration.
+Every file goes through one writer, ``_write_text``: a run, resume or
+report leaves a file untouched when it already holds the bytes it would
+get, and replaces any other file atomically (a temp file renamed over it),
+so a rebuild of an intact run directory or a resume of a finished run
+writes nothing.
 
 A ``ReplicateRecord`` is one replicates.csv row. A cell's checkpoint is one
 CSV, written at once: per fit, the record fields, the dataset digest and the
@@ -288,8 +293,20 @@ def _cells(record: ReplicateRecord, names) -> list[str]:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Make ``path`` hold ``text`` in UTF-8. A file that already holds those
+    bytes is left untouched, and a ``<name>.tmp`` an interrupted write left
+    beside it is removed; any other file is written to ``<name>.tmp`` and
+    renamed over ``path``, so a crash never leaves it partly written."""
+    data = text.encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    try:
+        current = path.read_bytes() == data
+    except OSError:
+        current = False
+    if current:
+        tmp.unlink(missing_ok=True)
+        return
+    tmp.write_bytes(data)
     tmp.replace(path)
 
 
@@ -483,7 +500,9 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
     in any key, or when a checkpoint does not hold its cell's
     ``_fit_keys`` in order. ``progress`` gets a line per fit: its count
     among this call's fits and an ETA. The reports are ``report_from``'s,
-    built from the replicates.csv just written. Returns the full record
+    built from the replicates.csv just written. A file that already holds
+    the bytes this call would write is left untouched (``_write_text``), so
+    a resume of a finished run writes no file. Returns the full record
     list.
     """
     _check_arms(config)
@@ -822,13 +841,14 @@ def report_from(run_dir) -> RecordTable:
     Reads replicates.csv (``read_replicates_csv``) and run_config.json,
     refusing a configuration that is malformed or invalid, or whose fits
     the records do not hold once each (``cell_values``). ``n`` is not
-    recorded in replicates.csv, so it cannot be checked. Rewrites the
+    recorded in replicates.csv, so it cannot be checked. Rebuilds the
     summary, p-value and boxplot files, byte-identical to what the
     original run produced, along the run's own path from rows to report
-    bytes. Its inputs stay untouched, and so do the scatter files, which
-    depend on ``master_seed`` alone, digests.csv and timing.json, which
-    need the datasets and the wall-clock data that the raw CSV does not
-    carry. Returns the table of replicates.csv, a row per record.
+    bytes, and rewrites only those whose bytes differ. Its inputs stay
+    untouched, and so do the scatter files, which depend on
+    ``master_seed`` alone, digests.csv and timing.json, which need the
+    datasets and the wall-clock data that the raw CSV does not carry.
+    Returns the table of replicates.csv, a row per record.
     """
     run = Path(run_dir)
     config_path = run / "run_config.json"

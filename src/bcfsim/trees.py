@@ -163,12 +163,16 @@ def make_cutpoint_grids(X: np.ndarray, count: int) -> list[np.ndarray]:
     """Per-feature grids of ``count`` equally spaced interior cutpoints.
 
     Points are strictly inside the observed [min, max] of each column, so a
-    constant column gets an empty grid.
+    constant column gets an empty grid. A column whose range overflows
+    float64 raises a ValueError naming it.
     """
     grids = []
     for j in range(X.shape[1]):
         lo = float(X[:, j].min())
         hi = float(X[:, j].max())
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"X column {j} spans [{lo!r}, {hi!r}], a range "
+                             "that overflows float64")
         if lo == hi:
             grids.append(np.empty(0))
         else:

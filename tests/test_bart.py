@@ -509,6 +509,31 @@ def test_fit_continuous_rejects_non_finite_inputs(bad):
         fit_continuous(X_bad, y, prior, chain)
 
 
+@pytest.mark.parametrize("y", [
+    pytest.param(np.linspace(-1.0, 1.0, 10) * 1e154, id="sum_of_squares"),
+    pytest.param(np.linspace(-1.0, 1.0, 10) * 1e160, id="square"),
+    pytest.param(np.full(10, 1.5e308), id="mean"),
+])
+def test_fit_continuous_refuses_an_outcome_whose_spread_overflows(y):
+    # y is finite, but its mean or sd is not in float64, so the standardized
+    # outcome and every draw would be NaN; the refusal warns about nothing
+    X = np.random.default_rng(11).random((10, 2))
+    with pytest.raises(ValueError, match=r"^y must have a mean and standard "
+                                         r"deviation that fit in float64"):
+        fit_continuous(X, y, ForestPrior(num_trees=2),
+                       ChainConfig(iterations=2, burn_in=1))
+
+
+def test_fit_continuous_fits_an_outcome_at_1e150():
+    # the largest spread the refusal above leaves: draws on y's scale
+    X = np.random.default_rng(11).random((10, 2))
+    y = np.linspace(-1.0, 1.0, 10) * 1e150
+    post = fit_continuous(X, y, ForestPrior(num_trees=2),
+                          ChainConfig(iterations=4, burn_in=2))
+    assert np.isfinite(post.draws).all()
+    assert np.isfinite(post.sigma_draws).all()
+
+
 def test_fit_continuous_recovers_step_function():
     rng = np.random.default_rng(12)
     n = 150

@@ -223,6 +223,23 @@ def test_non_finite_inputs_rejected(mode, bad):
         fit_bcf(X_bad, z, y, mode, config=cfg)
 
 
+@pytest.mark.parametrize("mode", ["no_propensity", "estimated_propensity"])
+def test_finite_inputs_that_overflow_are_rejected(mode):
+    # finite values the fit cannot use: an outcome whose sd overflows
+    # float64 would standardize to NaN, and a covariate whose range
+    # overflows would get a grid of infinities and never split
+    X, z, y = _toy_data()
+    cfg = _small_config(iterations=10, burn_in=5)
+    with pytest.raises(ValueError, match=r"^y must have a mean and standard "
+                                         r"deviation that fit in float64"):
+        fit_bcf(X, z, y * 1e160, mode, config=cfg)
+    X_wide = X.copy()
+    X_wide[:, 2] = np.where(z == 1, 1e308, -1e308)
+    with pytest.raises(ValueError, match=r"^X column 2 spans \[-1e\+308, "
+                                         r"1e\+308\]"):
+        fit_bcf(X_wide, z, y, mode, config=cfg)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_propensities_rejected(bad):
     X, z, y = _toy_data()

@@ -917,14 +917,31 @@ def test_resume_refuses_a_checkpoint_out_of_run_order(mini_run, tmp_path):
     assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
 
 
+def _file_states(run: Path) -> dict:
+    """Each file's bytes, inode and mtime, by its path under ``run``."""
+    return {path.relative_to(run): (path.read_bytes(), path.stat().st_ino,
+                                    path.stat().st_mtime_ns)
+            for path in sorted(run.rglob("*")) if path.is_file()}
+
+
+def _aged_file_states(run: Path) -> dict:
+    """``_file_states`` after setting every mtime to one old instant, so
+    that a file written in place within the clock's resolution shows."""
+    for path in run.rglob("*"):
+        if path.is_file():
+            os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+    return _file_states(run)
+
+
 def test_resume_reuses_checkpointed_cells(mini_run):
     config, out, records = mini_run
-    # touching nothing: the resumed run must load the cached cell, keep the
-    # recorded wall-clock times, and leave every artifact byte-identical
-    before = (out / "replicates.csv").read_bytes()
+    # a resume of a finished run loads the cached cell, keeps the recorded
+    # wall-clock times and writes no file: every file keeps its bytes,
+    # inode and mtime
+    before = _aged_file_states(out)
     resumed = run_experiment(config, out_dir=out, resume=True)
     assert resumed == records
-    assert (out / "replicates.csv").read_bytes() == before
+    assert _file_states(out) == before
 
 
 def test_fresh_run_refuses_dirty_directory(mini_run):
@@ -1077,19 +1094,41 @@ def test_report_from_echoes_a_hand_spelled_cell_in_the_boxplot(mini_run,
 
 
 def test_report_from_leaves_its_inputs_untouched(mini_run):
-    # a rebuild reads replicates.csv and run_config.json and must not
-    # rewrite them (nor digests.csv): bytes, inode and mtime all survive
+    # a rebuild of an intact run directory reads replicates.csv and
+    # run_config.json and writes no file: the reports it rebuilds already
+    # hold their bytes, so every file keeps its bytes, inode and mtime
     _, out, _ = mini_run
-    kept = ["replicates.csv", "run_config.json", "digests.csv"]
-    for name in kept:
-        os.utime(out / name, ns=(1_000_000_000, 1_000_000_000))
-    before = {name: ((out / name).read_bytes(), (out / name).stat().st_ino,
-                     (out / name).stat().st_mtime_ns) for name in kept}
+    before = _aged_file_states(out)
     report_from(out)
-    for name in kept:
-        path = out / name
-        assert (path.read_bytes(), path.stat().st_ino,
-                path.stat().st_mtime_ns) == before[name], name
+    assert _file_states(out) == before
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda data: data[:len(data) // 2], id="truncated"),
+    pytest.param(lambda data: data.replace(b",", b";", 1), id="edited"),
+    pytest.param(lambda data: b"", id="emptied"),
+])
+def test_report_from_restores_a_damaged_report_file(mini_run, tmp_path,
+                                                    damage):
+    # a report file changed in place is written anew, whole, through a
+    # temp file renamed over it; a temp file an interrupted write left
+    # beside an intact file is removed, and every other file stays as it is
+    _, out, _ = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    damaged = Path("boxplot_extreme_4.csv")
+    want = (run / damaged).read_bytes()
+    (run / damaged).write_bytes(damage(want))
+    before = _aged_file_states(run)
+    leftover = run / "summary_extreme_4.md.tmp"
+    leftover.write_bytes(b"# Summ")
+    report_from(run)
+    after = _file_states(run)
+    data, inode, _ = after.pop(damaged)
+    assert data == want
+    assert inode != before.pop(damaged)[1]
+    assert not leftover.exists()
+    assert after == before
 
 
 def test_report_from_refuses_unknown_config_keys(mini_run, tmp_path):

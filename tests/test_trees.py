@@ -114,6 +114,21 @@ def test_make_cutpoint_grids_excludes_observed_extremes():
         assert grid.max() < X[:, j].max()
 
 
+def test_make_cutpoint_grids_refuses_a_range_that_overflows():
+    # the width of column 1 is inf in float64: linspace would give a grid of
+    # infinities that no row is ever split on
+    X = np.array([[0.0, -1e308], [1.0, 1e308]])
+    with pytest.raises(ValueError, match=r"^X column 1 spans \[-1e\+308, "
+                                         r"1e\+308\], a range that "
+                                         r"overflows float64$"):
+        make_cutpoint_grids(X, 3)
+    # the widest range float64 holds still gets a finite interior grid
+    half = np.finfo(float).max / 2
+    grid, = make_cutpoint_grids(np.array([[-half], [half]]), 3)
+    assert np.isfinite(grid).all()
+    assert (-half < grid).all() and (grid < half).all()
+
+
 def test_valid_cutpoints_hand_cases():
     column = np.array([0.1, 0.5, 0.9])
     grid = np.array([0.25, 0.5, 0.75])
