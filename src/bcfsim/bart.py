@@ -31,6 +31,7 @@ prior is read on the raw outcome scale and turns that off.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from scipy.special import gammaincinv, ndtr, ndtri
 
 from .trees import (
     SplitTable,
+    _scan,
     cutpoint_bins,
     make_cutpoint_grids,
     propose_move,
@@ -51,6 +53,9 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# the reduction ndarray.sum runs, called without its Python wrapper: the
+# same pairwise summation, so the same float
+_sum = np.add.reduce
 
 # median of |N(0, 1)|, i.e. the 0.75 normal quantile
 HALF_NORMAL_MEDIAN = float(ndtri(0.75))
@@ -94,6 +99,13 @@ class FixedScale:
 
 def _finite_positive(x) -> bool:
     return math.isfinite(x) and x > 0
+
+
+def _check_count(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer
+    (Python or numpy, never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 _SIGMA_PRIOR_RULE = ("sigma prior needs a finite positive FixedSigma value "
@@ -142,12 +154,15 @@ class ForestPrior:
     cutpoints_per_feature: int = 100
 
     def __post_init__(self):
+        _check_count("num_trees", self.num_trees)
+        _check_count("cutpoints_per_feature", self.cutpoints_per_feature)
         if self.num_trees < 1:
             raise ValueError("num_trees must be positive")
         if not 0 < self.base <= 1:
             raise ValueError(f"base must be in (0, 1], got {self.base}")
-        if self.power < 0:
-            raise ValueError("power must be nonnegative")
+        if not (math.isfinite(self.power) and self.power >= 0):
+            raise ValueError(
+                f"power must be finite and nonnegative, got {self.power}")
         if self.cutpoints_per_feature < 1:
             raise ValueError("cutpoints_per_feature must be positive")
         prior = self.leaf_scale_prior
@@ -167,6 +182,8 @@ class ChainConfig:
     burn_in: int = 1000
 
     def __post_init__(self):
+        _check_count("iterations", self.iterations)
+        _check_count("burn_in", self.burn_in)
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if not 0 <= self.burn_in < self.iterations:
@@ -261,18 +278,6 @@ def _slice_sample(log_density, x0: float, rng) -> float:
         f"after {_SLICE_SHRINK_CAP} shrink steps")
 
 
-def _pair_stats(pair, resid):
-    """``[(count, residual sum)]`` of each row set of a child pair."""
-    return [(len(w), float(resid[w].sum()))
-            for w in (pair[0].wrows, pair[1].wrows)]
-
-
-def _merged(stats):
-    """The ``(count, residual sum)`` of a pair's two leaves merged into one."""
-    (nl, sl), (nr, sr) = stats
-    return [(nl + nr, sl + sr)]
-
-
 def _log_like_ratio(prop, resid, sig2, ls2):
     """Marginal-likelihood log ratio of a proposal, with the child sums.
 
@@ -282,19 +287,33 @@ def _log_like_ratio(prop, resid, sig2, ls2):
     ratio adds the after-side log marginals left to right, then subtracts
     the before-side ones; a lone node takes the summed count and residual
     sum of the pair on the other side. Returns ``(log_ratio, new, old)``
-    with the ``(count, residual sum)`` of each child after and before the
+    with the ``[(count, residual sum)]`` of each child after and before the
     move, None for a lone node, for the leaf redraw to reuse.
     """
     node = prop.node
-    new = None if prop.children is None else _pair_stats(prop.children, resid)
-    old = (None if node.is_leaf
-           else _pair_stats((node.left.rowset, node.right.rowset), resid))
-    ratio = 0.0
-    for n, s in new or _merged(old):
-        ratio += _llm(n, s, sig2, ls2)
-    for n, s in old or _merged(new):
-        ratio -= _llm(n, s, sig2, ls2)
-    return ratio, new, old
+    children = prop.children
+    new = old = None
+    if children is not None:
+        left, right = children[0].wrows, children[1].wrows
+        new = [(len(left), float(_sum(resid[left]))),
+               (len(right), float(_sum(resid[right])))]
+    if node.feature is not None:
+        left, right = node.left.rowset.wrows, node.right.rowset.wrows
+        old = [(len(left), float(_sum(resid[left]))),
+               (len(right), float(_sum(resid[right])))]
+    # each side's terms accumulate onto 0.0 in this order
+    if new is None:
+        (nl, sl), (nr, sr) = old
+        return (0.0 + _llm(nl + nr, sl + sr, sig2, ls2)
+                - _llm(nl, sl, sig2, ls2) - _llm(nr, sr, sig2, ls2),
+                new, old)
+    (nl, sl), (nr, sr) = new
+    ratio = 0.0 + _llm(nl, sl, sig2, ls2) + _llm(nr, sr, sig2, ls2)
+    if old is None:
+        return ratio - _llm(nl + nr, sl + sr, sig2, ls2), new, old
+    (nl, sl), (nr, sr) = old
+    return (ratio - _llm(nl, sl, sig2, ls2) - _llm(nr, sr, sig2, ls2),
+            new, old)
 
 
 class ForestSampler:
@@ -314,15 +333,27 @@ class ForestSampler:
     The rest of the per-tree state is kept incrementally too (see the
     ``trees`` module docstring): ``splits`` is the sampler's ``SplitTable``
     (bins, row signatures, the shared root row set and the table of routed
-    root splits), and each tree's scan (its leaves, singly-internal nodes
-    and leaf split flags, from one walk) is cached until the tree changes,
-    so the leaf redraw after a rejected or null step walks nothing. The
-    leaf redraw reuses the child residual sums that the likelihood ratio
-    has just computed: those of the proposal's child pair after an accept
-    and of the node's current pair after a reject, none when the node is a
-    leaf after the step. The residual does not change in between and the
-    sum gathers the same rows in the same order, so each reused value is
-    the same float.
+    root splits), and each tree's scan (its leaves and singly-internal
+    nodes, from one walk) is cached until the tree changes; the sweep
+    reads the leaves from ``tree.scan`` directly, so the leaf redraw after
+    a rejected or null step walks nothing.
+
+    Within one sweep, ``sweep`` also keeps:
+
+    - the child residual sums that the likelihood ratio has just computed,
+      as a pair of (node, sum): those of the proposal's child pair after
+      an accept and of the node's current pair after a reject, none when
+      the node is a leaf after the step. The residual does not change in
+      between and the sum gathers the same rows in the same order, so each
+      reused value is the same float;
+    - each leaf's posterior variance and its square root, per weighted row
+      count: sigma and the leaf scale are fixed for the sweep, so these are
+      the same floats a per-leaf computation gives;
+    - every leaf value, tree by tree and left to right, for the scale
+      update, which would otherwise walk every tree again.
+
+    A one-leaf tree's noise is ``rng.standard_normal()``, which gives the
+    value and generator state of ``standard_normal(1)``.
 
     ``weights`` (0/1 per unit, optional) multiply the forest inside the
     likelihood: rows with weight zero still route through the trees and
@@ -365,49 +396,69 @@ class ForestSampler:
         """One backfitting pass over every tree, then the scale update."""
         prior = self.prior
         splits = self.splits
+        propose, apply = propose_move, apply_move
+        random, standard_normal = rng.random, rng.standard_normal
+        log = math.log
         leaf_sd = self.leaf_sd
         sig2 = sigma * sigma
         ls2 = leaf_sd * leaf_sd
         prec = 1.0 / ls2
+        posterior = {}  # weighted row count -> leaf (variance, sd)
+        values = []  # every leaf value, tree by tree, left to right
+        accepts = 0
         for tree, fit in zip(self.trees, self.fits):
             resid += fit
-            prop = propose_move(tree, splits, rng, prior)
-            self.proposals += 1
-            known = {}  # leaf -> residual sum the likelihood ratio computed
+            prop = propose(tree, splits, rng, prior)
+            # the children whose residual sums the likelihood ratio computed
+            left = right = None
             if prop is not None:
                 log_like, new, old = _log_like_ratio(prop, resid, sig2, ls2)
                 log_alpha = log_like + prop.log_ratio
-                u = rng.random()
-                if log_alpha >= 0.0 or (u > 0.0 and math.log(u) < log_alpha):
-                    apply_move(tree, prop)
-                    self.accepts += 1
+                u = random()
+                if log_alpha >= 0.0 or (u > 0.0 and log(u) < log_alpha):
+                    apply(tree, prop)
+                    accepts += 1
                     stats = new
                 else:
                     stats = old
                 if stats is not None:
-                    known = {prop.node.left: stats[0][1],
-                             prop.node.right: stats[1][1]}
-            leaves = tree.leaves()
-            noise = rng.standard_normal(len(leaves)).tolist()
+                    left, right = prop.node.left, prop.node.right
+                    sum_left, sum_right = stats[0][1], stats[1][1]
+            leaves = (tree.scan or _scan(tree))[0]
+            # standard_normal() gives the value and generator state of
+            # standard_normal(1)
+            noise = (standard_normal(len(leaves)).tolist() if len(leaves) > 1
+                     else (standard_normal(),))
             for leaf, eps in zip(leaves, noise):
                 wrows = leaf.rowset.wrows
-                total = known.get(leaf)
-                if total is None:
-                    total = float(resid[wrows].sum())
-                var = 1.0 / (prec + len(wrows) / sig2)
-                mean = var * total / sig2
-                value = mean + math.sqrt(var) * eps
+                if leaf is left:
+                    total = sum_left
+                elif leaf is right:
+                    total = sum_right
+                else:
+                    total = float(_sum(resid[wrows]))
+                count = len(wrows)
+                post = posterior.get(count)
+                if post is None:
+                    var = 1.0 / (prec + count / sig2)
+                    post = posterior[count] = (var, math.sqrt(var))
+                var, sd = post
+                value = var * total / sig2 + sd * eps
                 leaf.value = value
+                values.append(value)
                 fit[wrows] = value
             resid -= fit
-        self._update_scale(rng, sig2)
+        self.proposals += len(self.trees)
+        self.accepts += accepts
+        self._update_scale(rng, values)
 
-    def _update_scale(self, rng, sig2) -> None:
+    def _update_scale(self, rng, values) -> None:
+        """Slice-sample the forest scale given ``values``, every leaf value
+        of the forest in tree order."""
         prior = self.prior.leaf_scale_prior
         if isinstance(prior, FixedScale):
             return
-        values = np.array([leaf.value for tree in self.trees
-                           for leaf in tree.leaves()])
+        values = np.array(values)
         n_leaves = len(values)
         ssq = float(values @ values)
         root_m = self._scale_root

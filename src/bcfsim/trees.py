@@ -50,28 +50,35 @@ Sampler state is kept incrementally rather than recomputed per proposal:
   each filled at most once. ``row_signatures`` gives each row one integer
   key, equal for two rows exactly when their bin rows are equal, so the
   split flag (the rows do not all share one key) is a 1-D gather and
-  min/max; the ranges are built only for a node drawn for a move.
+  argmin/argmax. A flag is computed only when a proposal needs it: to
+  learn whether any leaf can grow (stopping at the first that can), for
+  the leaf drawn for a Grow, and for the grown tree's kind mass. The
+  ranges are built only for a node drawn for a move. A routed child's
+  weighted rows are its parent's, filtered by the rule.
 - ``SplitTable`` holds one sampler's fit-wide state. All of its roots share
   one row set whose flag and ranges are computed once, and a root split
   ``(feature, k)`` is routed once per sampler: its pair of child row sets
   is kept in a table (at most one entry per valid root cutpoint) and shared
   by every tree that proposes or holds that split.
-- A tree is its nodes and its table's row signatures. Everything the
-  kernel reads from its shape (the leaves left to right, the
-  singly-internal nodes, the leaf split flags and their count) comes from
-  one walk, cached in ``DecisionTree.scan`` until ``apply_move`` clears it,
+- A tree is its nodes. Everything the kernel reads from its shape (the
+  leaves left to right and the singly-internal nodes) comes from one
+  walk, cached in ``DecisionTree.scan`` until ``apply_move`` clears it,
   so a rejected or null proposal rescans nothing and an accepted one
-  rescans once. The sampler reads the leaves through
-  ``DecisionTree.leaves``, from the same cache.
-- The depth part of the tree-prior ratio is cached per (depth, base,
-  power), and a uniform pick among one candidate draws nothing from the
-  generator (numpy's ``integers(1)`` leaves the bit generator state
-  unchanged).
+  rescans once. The sampler's sweep reads the leaves from ``scan``
+  directly; ``DecisionTree.leaves`` reads the same cache for everyone
+  else.
+- The kind masses a tree can have and the logs of the move probabilities
+  are module constants, computed once through ``_kind_mass``; the depth
+  part of the tree-prior ratio is cached per (depth, base, power). Prune
+  and Change share one singly-internal pick, and a uniform pick among one
+  candidate draws nothing from the generator (numpy's ``integers(1)``
+  leaves the bit generator state unchanged).
 
 None of this changes a draw: the flags and ranges are the same integers and
 booleans, the shared row arrays hold the same indices in the same order,
 the scan lists the leaves left to right and the singly-internal nodes in
-the order of their left leaves, and every float is computed by the same
+the order of their left leaves, the generator is called in the same order
+with the same arguments, and every float is computed by the same
 operations in the same order.
 """
 
@@ -85,6 +92,8 @@ import numpy as np
 
 # the Grow / Prune / Change move mix of every forest
 _P_GROW, _P_PRUNE, _P_CHANGE = 0.4, 0.4, 0.2
+# the reductions ndarray.min and max run, without their Python wrappers
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 def depth_split_prob(depth: int, base: float, power: float) -> float:
@@ -143,15 +152,13 @@ class Node:
 class DecisionTree:
     """A binary tree of ``Node``s over the rows of one ``SplitTable``.
 
-    ``keys`` are the table's row signatures, which the leaf split flags are
-    read from. ``scan`` caches ``_scan``'s walk of the tree (the leaves left
-    to right, the singly-internal nodes, the leaf split flags and their
-    count) until ``apply_move`` changes the structure.
+    ``scan`` caches ``_scan``'s walk of the tree (the leaves left to right
+    and the singly-internal nodes) until ``apply_move`` changes the
+    structure.
     """
 
-    def __init__(self, root: Node, keys: np.ndarray):
+    def __init__(self, root: Node):
         self.root = root
-        self.keys = keys
         self.scan = None
 
     def leaves(self) -> list[Node]:
@@ -205,52 +212,58 @@ def row_signatures(bins: np.ndarray) -> np.ndarray:
 class SplitTable:
     """Routing state shared by every tree of one sampler.
 
-    Holds the bins (``cutpoint_bins``, feature columns contiguous), the
-    row signatures (``row_signatures``) and the boolean design
-    weights, if any. ``root`` is the row set of all rows, shared by every
-    root (``new_tree``), with its split flag and cutpoint ranges computed
-    here, once. ``root_splits`` maps a root split ``(feature, k)`` to its
-    pair of child row sets: it is filled the first time any tree proposes
-    that split, so later proposals of it at any root route nothing, and the
-    children of an accepted one share the pair and its lazily filled
-    caches. It holds at most one entry per valid root cutpoint. The arrays
-    of these shared row sets are read-only.
+    Holds the bins (``cutpoint_bins``, feature columns contiguous), a view
+    of each feature's column (``columns``), the row signatures
+    (``row_signatures``) and the boolean design weights, if any. ``root``
+    is the row set of all rows, shared by every root (``new_tree``), with
+    its split flag and cutpoint ranges computed here, once.
+    ``root_splits`` maps a root split ``(feature, k)`` to its pair of child
+    row sets: it is filled the first time any tree proposes that split, so
+    later proposals of it at any root route nothing, and the children of
+    an accepted one share the pair and its lazily filled caches. It holds
+    at most one entry per valid root cutpoint. The arrays of these shared
+    row sets are read-only.
     """
 
     def __init__(self, bins: np.ndarray, weights=None):
         self.bins = np.asfortranarray(bins)
+        self.columns = list(self.bins.T)
         self.keys = row_signatures(self.bins)
         self.weights = weights
-        self.root = _shared(self._rowset(np.arange(self.bins.shape[0])))
+        rows = np.arange(self.bins.shape[0])
+        self.root = _shared(RowSet(rows, None if weights is None
+                                   else rows.compress(weights)))
         _rowset_cutinfo(self.root, self.bins)
         _rowset_splittable(self.root, self.keys)
         self.root_splits = {}
 
-    def _rowset(self, rows: np.ndarray) -> RowSet:
-        """A row set with its weighted rows."""
-        if self.weights is None:
-            return RowSet(rows)
-        return RowSet(rows, rows.compress(self.weights.take(rows)))
-
     def new_tree(self) -> DecisionTree:
         """A root-only tree on the shared root row set."""
-        return DecisionTree(Node(rowset=self.root), self.keys)
+        return DecisionTree(Node(rowset=self.root))
 
     def children(self, rowset: RowSet, feature: int, k: int):
-        """Row sets of the rows at or below and above grid index ``k``."""
-        if rowset is self.root:
+        """Row sets of the rows at or below and above grid index ``k``; each
+        child's weighted rows are the parent's, filtered by the same rule."""
+        at_root = rowset is self.root
+        if at_root:
             pair = self.root_splits.get((feature, k))
-            if pair is None:
-                left, right = self._route(rowset.rows, feature, k)
-                pair = self.root_splits[feature, k] = (_shared(left),
-                                                       _shared(right))
-            return pair
-        return self._route(rowset.rows, feature, k)
-
-    def _route(self, rows, feature, k):
-        mask = self.bins[:, feature].take(rows) <= k
-        return (self._rowset(rows.compress(mask)),
-                self._rowset(rows.compress(~mask)))
+            if pair is not None:
+                return pair
+        column = self.columns[feature]
+        rows = rowset.rows
+        # the root's rows are all rows in order, so its column is its gather
+        mask = (column if at_root else column.take(rows)) <= k
+        if self.weights is None:
+            pair = RowSet(rows.compress(mask)), RowSet(rows.compress(~mask))
+        else:
+            wrows = rowset.wrows
+            wmask = column.take(wrows) <= k
+            pair = (RowSet(rows.compress(mask), wrows.compress(wmask)),
+                    RowSet(rows.compress(~mask), wrows.compress(~wmask)))
+        if at_root:
+            pair = self.root_splits[feature, k] = (_shared(pair[0]),
+                                                   _shared(pair[1]))
+        return pair
 
 
 def _shared(rowset: RowSet) -> RowSet:
@@ -289,8 +302,8 @@ def _cut_ranges(bins, rows):
     the feature-major view of ``bins``, one contiguous column per feature.
     """
     sub = bins.T.take(rows, axis=1)
-    starts = sub.min(axis=1)
-    return sub.max(axis=1) - starts, starts
+    starts = _min(sub, axis=1)
+    return _max(sub, axis=1) - starts, starts
 
 
 def _rowset_cutinfo(rowset, bins):
@@ -302,26 +315,31 @@ def _rowset_cutinfo(rowset, bins):
     info = rowset.cutinfo
     if info is None:
         counts, starts = _cut_ranges(bins, rowset.rows)
-        info = rowset.cutinfo = (counts, starts, np.flatnonzero(counts))
+        info = rowset.cutinfo = (counts, starts, counts.nonzero()[0])
     return info
 
 
 def _rowset_splittable(rowset, keys) -> bool:
     """Whether a row set admits a valid cutpoint: not all one signature.
 
-    Cached on the row set like ``cutinfo``.
+    The signatures are all equal exactly when their first minimum and
+    first maximum sit at the same place. Cached on the row set like
+    ``cutinfo``.
     """
     flag = rowset.splittable
     if flag is None:
         sig = keys[rowset.rows]
-        flag = rowset.splittable = bool(sig.min() != sig.max())
+        flag = rowset.splittable = bool(sig.argmin() != sig.argmax())
     return flag
 
 
-def _pick(rng, n: int) -> int:
-    """Uniform index below ``n``; one candidate consumes no generator state,
-    exactly as ``rng.integers(1)`` would not."""
-    return int(rng.integers(n)) if n > 1 else 0
+def _any_splittable(leaves, keys, skip=None) -> bool:
+    """Whether a leaf other than ``skip`` admits a valid cutpoint; stops at
+    the first one that does."""
+    for leaf in leaves:
+        if leaf is not skip and _rowset_splittable(leaf.rowset, keys):
+            return True
+    return False
 
 
 def _log1m(p: float) -> float:
@@ -352,6 +370,19 @@ def _kind_mass(grow_ok: bool, prunable: bool) -> float:
     return mass
 
 
+# The kind masses a tree state can have and the logs that enter the ratios,
+# computed once through ``_kind_mass`` (bit-identical to per-call values):
+# every kind, Grow alone, and Prune and Change without Grow.
+_MASS_ALL = _kind_mass(True, True)
+_MASS_GROW = _kind_mass(True, False)
+_MASS_PRUNE = _kind_mass(False, True)
+_LOG_MASS_ALL = math.log(_MASS_ALL)
+_LOG_MASS_GROW = math.log(_MASS_GROW)
+_LOG_MASS_PRUNE = math.log(_MASS_PRUNE)
+_LOG_P_GROW = math.log(_P_GROW)
+_LOG_P_PRUNE = math.log(_P_PRUNE)
+
+
 def _walk(root: Node):
     """``(leaves, singly)`` below ``root``: the leaves left to right and the
     singly-internal nodes (both children leaves) in preorder, which is the
@@ -360,25 +391,23 @@ def _walk(root: Node):
     stack = [root]
     while stack:
         node = stack.pop()
-        if node.is_leaf:
+        if node.feature is None:
             leaves.append(node)
         else:
-            if node.left.is_leaf and node.right.is_leaf:
+            left, right = node.left, node.right
+            if left.feature is None and right.feature is None:
                 singly.append(node)
-            stack.append(node.right)
-            stack.append(node.left)
+            stack.append(right)
+            stack.append(left)
     return leaves, singly
 
 
 def _scan(tree: DecisionTree):
-    """``(leaves, singly, flags, n_split)`` of the tree from one walk, with
-    each leaf's split flag; cached until ``apply_move`` changes the tree."""
+    """``(leaves, singly)`` of the tree from one walk, cached until
+    ``apply_move`` changes the tree."""
     scan = tree.scan
     if scan is None:
-        leaves, singly = _walk(tree.root)
-        flags = [_rowset_splittable(leaf.rowset, tree.keys)
-                 for leaf in leaves]
-        scan = tree.scan = (leaves, singly, flags, flags.count(True))
+        scan = tree.scan = _walk(tree.root)
     return scan
 
 
@@ -395,88 +424,93 @@ def propose_move(tree: DecisionTree, table: SplitTable, rng,
     kind is possible (root-only tree, no valid cutpoints anywhere) or when
     the Grow leaf draw lands on a leaf none of whose features admit a valid
     cutpoint; the sampler treats either as a rejected step.
+
+    The generator is called in a fixed order: the kind draw, then a Grow's
+    leaf pick or a Prune's or Change's singly-internal pick, then a Grow's
+    or Change's feature and cutpoint picks. A uniform pick among one
+    candidate draws nothing.
     """
-    leaves, singly, flags, n_split = _scan(tree)
-    prunable = bool(singly)
-    mass = _kind_mass(n_split > 0, prunable)
-    if mass == 0.0:
+    leaves, singly = tree.scan or _scan(tree)
+    keys = table.keys
+    n_singly = len(singly)
+    grow_ok = _any_splittable(leaves, keys)
+    if grow_ok:
+        if n_singly:
+            mass, log_mass = _MASS_ALL, _LOG_MASS_ALL
+        else:
+            mass, log_mass = _MASS_GROW, _LOG_MASS_GROW
+    elif n_singly:
+        mass, log_mass = _MASS_PRUNE, _LOG_MASS_PRUNE
+    else:
         return None
     u = rng.random() * mass
-    if not prunable or (n_split and u < _P_GROW):
-        return _propose_grow(table, rng, prior, leaves, singly, flags,
-                             n_split, mass)
-    if u < (_P_GROW + _P_PRUNE if n_split else _P_PRUNE):
-        return _propose_prune(tree, rng, prior, len(leaves), singly, mass)
-    return _propose_change(table, rng, singly)
+    if not n_singly or (grow_ok and u < _P_GROW):
+        n_leaves = len(leaves)
+        node = leaves[int(rng.integers(n_leaves)) if n_leaves > 1 else 0]
+        if not _rowset_splittable(node.rowset, keys):
+            # the drawn leaf has no valid cutpoint on any feature: automatic
+            # rejection (some other leaf is splittable, or Grow was never
+            # drawn)
+            return None
+    else:
+        node = singly[int(rng.integers(n_singly)) if n_singly > 1 else 0]
+        if u < (_P_GROW + _P_PRUNE if grow_ok else _P_PRUNE):
+            # Kind mass of the pruned tree: the merged leaf straddles the
+            # removed cutpoint, so that cutpoint stays valid and Grow
+            # remains possible; Prune and Change survive unless the node
+            # was the root. The same float sequences as the reverse Grow's,
+            # with forward and reverse swapped, so the two log ratios are
+            # exact negatives.
+            log_forward = _LOG_P_PRUNE - log_mass - math.log(n_singly)
+            log_reverse = (_LOG_P_GROW
+                           - (_LOG_MASS_GROW if node is tree.root
+                              else _LOG_MASS_ALL)
+                           - math.log(len(leaves) - 1))
+            log_ratio = (-_depth_log_prior(node.depth, prior.base, prior.power)
+                         + (log_reverse - log_forward))
+            return Proposal(node, None, 0, None, log_ratio)
 
+    # Grow or Change: draw the split rule at the node from the rule prior
+    rowset = node.rowset
+    counts, starts, features = (rowset.cutinfo
+                                or _rowset_cutinfo(rowset, table.bins))
+    n = features.size
+    feature = int(features[int(rng.integers(n)) if n > 1 else 0])
+    n = int(counts[feature])
+    k = int(starts[feature]) + (int(rng.integers(n)) if n > 1 else 0)
+    children = table.children(rowset, feature, k)
+    if node.feature is not None:
+        # Change. The new rule is drawn from the rule prior, so its prior
+        # and proposal terms cancel, and so do the old rule's; the depth
+        # terms are unchanged. The kind mass drops out as well: a Change
+        # cannot alter whether the tree admits a Grow. When neither child
+        # is splittable, no grid point falls strictly inside either child's
+        # value range on any feature, so every valid rule at the node
+        # reproduces the same partition; and when a new rule does move
+        # rows, the child receiving rows from both sides of the old
+        # cutpoint is splittable at that old cutpoint.
+        return Proposal(node, feature, k, children, 0.0)
 
-def _draw_rule(node, table, rng):
-    """Draw a split rule at ``node`` from the rule prior: returns the
-    feature, grid index and the child row set pair."""
-    counts, starts, features = _rowset_cutinfo(node.rowset, table.bins)
-    feature = int(features[_pick(rng, features.size)])
-    k = int(starts[feature]) + _pick(rng, int(counts[feature]))
-    return feature, k, table.children(node.rowset, feature, k)
-
-
-def _propose_grow(table, rng, prior, leaves, singly, flags, n_split, mass):
-    idx = _pick(rng, len(leaves))
-    leaf = leaves[idx]
-    if not flags[idx]:
-        # the drawn leaf has no valid cutpoint on any feature: automatic
-        # rejection (some other leaf is splittable, or Grow was never drawn)
-        return None
-    feature, k, children = _draw_rule(leaf, table, rng)
-
-    # Singly-internal count of the tree the grow would create: the leaf
-    # becomes one, and its parent stops being one if it is one now.
-    si_after = len(singly) + 1
-    if any(node.left is leaf or node.right is leaf for node in singly):
-        si_after -= 1
+    # Grow. Singly-internal count of the grown tree: the leaf becomes one,
+    # and its parent stops being one if it is one now.
+    si_after = n_singly + 1
+    for other in singly:
+        if other.left is node or other.right is node:
+            si_after -= 1
+            break
     # Kind mass of the grown tree: it can always prune, and can grow again
-    # if an untouched leaf is splittable or either new child is. The child
-    # flags are computed only when the untouched leaves do not settle it.
-    grow_ok_after = (n_split > 1
-                     or _rowset_splittable(children[0], table.keys)
-                     or _rowset_splittable(children[1], table.keys))
-    mass_after = _kind_mass(grow_ok_after, True)
-    log_forward = math.log(_P_GROW) - math.log(mass) - math.log(len(leaves))
-    log_reverse = (math.log(_P_PRUNE) - math.log(mass_after)
+    # if an untouched leaf is splittable or either new child is, each flag
+    # computed only while the ones before it do not settle it.
+    grow_ok_after = (_any_splittable(leaves, keys, node)
+                     or _rowset_splittable(children[0], keys)
+                     or _rowset_splittable(children[1], keys))
+    log_forward = _LOG_P_GROW - log_mass - math.log(n_leaves)
+    log_reverse = (_LOG_P_PRUNE
+                   - (_LOG_MASS_ALL if grow_ok_after else _LOG_MASS_PRUNE)
                    - math.log(si_after))
-    log_ratio = (_depth_log_prior(leaf.depth, prior.base, prior.power)
+    log_ratio = (_depth_log_prior(node.depth, prior.base, prior.power)
                  + (log_reverse - log_forward))
-    return Proposal(leaf, feature, k, children, log_ratio)
-
-
-def _propose_prune(tree, rng, prior, n_leaves, singly, mass):
-    node = singly[_pick(rng, len(singly))]
-    n_leaves_after = n_leaves - 1
-    # Kind mass of the pruned tree: the merged leaf straddles the removed
-    # cutpoint, so that cutpoint stays valid and Grow remains possible;
-    # Prune and Change survive unless the node was the root.
-    mass_after = _kind_mass(True, node is not tree.root)
-    # the same float sequences as the reverse Grow's, with forward and
-    # reverse swapped, so the two log ratios are exact negatives
-    log_forward = math.log(_P_PRUNE) - math.log(mass) - math.log(len(singly))
-    log_reverse = (math.log(_P_GROW) - math.log(mass_after)
-                   - math.log(n_leaves_after))
-    log_ratio = (-_depth_log_prior(node.depth, prior.base, prior.power)
-                 + (log_reverse - log_forward))
-    return Proposal(node, None, 0, None, log_ratio)
-
-
-def _propose_change(table, rng, singly):
-    node = singly[_pick(rng, len(singly))]
-    feature, k, children = _draw_rule(node, table, rng)
-    # The new rule is drawn from the rule prior, so its prior and proposal
-    # terms cancel, and so do the old rule's; the depth terms are unchanged.
-    # The kind mass drops out as well: a Change cannot alter whether the
-    # tree admits a Grow. When neither child is splittable, no grid point
-    # falls strictly inside either child's value range on any feature, so
-    # every valid rule at the node reproduces the same partition; and when
-    # a new rule does move rows, the child receiving rows from both sides
-    # of the old cutpoint is splittable at that old cutpoint.
-    return Proposal(node, feature, k, children, 0.0)
+    return Proposal(node, feature, k, children, log_ratio)
 
 
 def apply_move(tree: DecisionTree, proposal: Proposal) -> None:
@@ -494,8 +528,8 @@ def apply_move(tree: DecisionTree, proposal: Proposal) -> None:
         node.right = None
     elif node.is_leaf:
         # Grow
-        node.left = Node(node.depth + 1, rowset=children[0])
-        node.right = Node(node.depth + 1, rowset=children[1])
+        node.left = Node(node.depth + 1, 0.0, children[0])
+        node.right = Node(node.depth + 1, 0.0, children[1])
     else:
         # Change
         node.left.rowset, node.right.rowset = children

@@ -172,6 +172,34 @@ def test_config_validation():
         fit_continuous(X, y, sigma_prior=1.0)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: ForestPrior(num_trees=2.5), "num_trees"),
+    (lambda: ForestPrior(num_trees=4.0), "num_trees"),
+    (lambda: ForestPrior(num_trees=True), "num_trees"),
+    (lambda: ForestPrior(cutpoints_per_feature=7.5), "cutpoints_per_feature"),
+    (lambda: ForestPrior(cutpoints_per_feature=True),
+     "cutpoints_per_feature"),
+    (lambda: ForestPrior(power=math.nan), "power"),
+    (lambda: ForestPrior(power=math.inf), "power"),
+    (lambda: ChainConfig(3.5, 1), "iterations"),
+    (lambda: ChainConfig(iterations=True, burn_in=0), "iterations"),
+    (lambda: ChainConfig(10, 2.0), "burn_in"),
+    (lambda: ChainConfig(10, False), "burn_in"),
+])
+def test_config_refuses_non_integer_counts_and_non_finite_power(build, field):
+    # each used to build and then fail inside the sampler: a float count
+    # with a TypeError, a NaN power by rejecting every Grow without error
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        build()
+
+
+def test_config_accepts_numpy_integer_counts():
+    prior = ForestPrior(num_trees=np.int64(3),
+                        cutpoints_per_feature=np.int32(5))
+    assert prior.num_trees == 3
+    assert ChainConfig(np.int64(4), np.int64(2)).n_retained == 2
+
+
 def test_sigma_prior_scale_is_the_scipy_stats_chi2_quantile():
     # the scale takes the chi2_nu quantile from scipy.special.gammaincinv;
     # every value must equal the scipy.stats.chi2.ppf expression it replaced
@@ -380,11 +408,10 @@ def _check_incremental_state(sampler):
         cached = tree.scan
         if cached is not None:
             tree.scan = None
-            leaves, singly, flags, n_split = _scan(tree)
+            leaves, singly = _scan(tree)
             for kept, walked in ((cached[0], leaves), (cached[1], singly)):
                 assert len(kept) == len(walked)
                 assert all(a is b for a, b in zip(kept, walked))
-            assert cached[2:] == (flags, n_split)
             scans += 1
         dense = np.zeros(n)
         stack = [tree.root]

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from bcfsim.bart import ForestPrior, ForestSampler
 from bcfsim.trees import (
     DecisionTree, Node, RowSet, SplitTable,
-    _cut_ranges, _pick, _rowset_cutinfo, _rowset_splittable,
+    _cut_ranges, _rowset_cutinfo, _rowset_splittable,
     apply_move, cutpoint_bins, depth_split_prob, make_cutpoint_grids,
     propose_move, row_signatures,
 )
@@ -344,20 +344,29 @@ def test_root_split_table_stays_within_root_cutpoints():
 
 
 def test_single_candidate_pick_draws_nothing():
-    # numpy's integers(1) leaves the generator state unchanged, so skipping
-    # that call for one candidate keeps every later draw the same
+    # numpy's integers(1) leaves the generator state unchanged, so a
+    # proposal that picks among one candidate without calling the generator
+    # keeps every later draw the same
     rng = np.random.default_rng(31)
     rng.random()
     state = rng.bit_generator.state
-    rng.integers(1)
+    assert rng.integers(1) == 0
     assert rng.bit_generator.state == state
-    assert _pick(rng, 1) == 0
-    assert rng.bit_generator.state == state
-    twin = np.random.default_rng(31)
-    twin.random()
-    sizes = [2, 3, 5] * 20
-    assert ([_pick(rng, n) for n in sizes]
-            == [int(twin.integers(n)) for n in sizes])
+
+
+def test_scalar_standard_normal_matches_one_element_draw():
+    # the sweep draws a one-leaf tree's noise with standard_normal(), which
+    # must give the value and leave the generator state of
+    # standard_normal(1), interleaved with the sweep's other calls
+    rng, twin = np.random.default_rng(32), np.random.default_rng(32)
+    for i in range(1000):
+        assert rng.standard_normal() == twin.standard_normal(1)[0]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        size = 1 + i % 3
+        assert_array_equal(rng.standard_normal(size),
+                           twin.standard_normal(size))
+        assert rng.random() == twin.random()
+        assert rng.integers(2 + i % 5) == twin.integers(2 + i % 5)
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -531,8 +540,9 @@ def test_change_clears_child_cutpoint_cache():
     node = change.node
     # warm the caches, then apply the change
     _ = propose_move(tree, table, rng, PRIOR)
-    assert node.left.rowset.splittable is not None
-    assert node.right.rowset.splittable is not None
+    for child in (node.left, node.right):
+        _rowset_splittable(child.rowset, table.keys)
+        assert child.rowset.splittable is not None
     apply_move(tree, change)
     assert node.left.rowset is change.children[0]
     assert node.right.rowset is change.children[1]
@@ -543,11 +553,12 @@ def test_change_clears_child_cutpoint_cache():
         if child.rowset.cutinfo is not None:
             assert_array_equal(child.rowset.cutinfo[0], want[0])
             assert_array_equal(child.rowset.cutinfo[1], want[1])
-    # the next proposal fills both flags from the new row sets
+    # the flags the next proposals read come from the new row sets
     _ = propose_move(tree, table, rng, PRIOR)
     for child in (node.left, node.right):
         want = _cut_ranges(table.bins, child.rowset.rows)
-        assert child.rowset.splittable == bool(want[0].any())
+        assert (_rowset_splittable(child.rowset, table.keys)
+                == bool(want[0].any()))
     assert node.feature == change.feature
     assert node.k == change.k
     cut = grids[node.feature][node.k]
