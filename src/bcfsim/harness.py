@@ -118,7 +118,7 @@ def derive_seed(*parts) -> int:
     process boundaries, unlike Python's builtin ``hash``. Floats should be
     passed pre-normalized (e.g. ``float(alpha)``) so 4 and 4.0 agree.
     """
-    key = "\x1f".join(str(p) for p in parts)
+    key = "\x1f".join(map(str, parts))
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
@@ -406,9 +406,10 @@ def _data_seed(config: ExperimentConfig, dgp_id: str, alpha: float,
 def _fit_keys(config: ExperimentConfig, selection: Selection,
               alpha: float) -> list[tuple]:
     """One grid cell's fits in run order, each as its ``_KEY_FIELDS``."""
-    return [(selection.value, float(alpha), rep, model, seed)
+    dgp_id, alpha = selection.value, float(alpha)
+    return [(dgp_id, alpha, rep, model, seed)
             for rep in range(config.replicates)
-            for seed in [_data_seed(config, selection.value, alpha, rep)]
+            for seed in [_data_seed(config, dgp_id, alpha, rep)]
             for model in config.models]
 
 

@@ -19,6 +19,13 @@ floats; a k-row call returns (k,) arrays that equal the k one-row calls bit
 for bit. The harness passes one row per metric and model pair, so one call
 per cell tests every metric of every pair; it names the rows itself.
 
+One sort of each pooled row [x | y] gives every value's placement, the
+count of the other sample below it with ties counted half (Fligner &
+Policello 1981), and the row's tie term. A sample's rank sum is its
+placement sum plus the rank sum it has alone, so that one ranking feeds
+Mann-Whitney, Kruskal-Wallis and Fligner-Policello alike: ``select_and_run``
+sorts each row once for whichever location test its gate picks.
+
 All tests are two-sided. The implementations follow Hollander & Wolfe,
 "Nonparametric Statistical Methods"; scipy is used only for the normal,
 chi-square and F tails of ``scipy.special``, and ranks come from numpy.
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -38,8 +45,7 @@ from scipy import special
 _EXACT_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     """A statistic and its p-value: floats for one sample pair, (k,)
     arrays for k rows."""
 
@@ -47,8 +53,7 @@ class TestResult:
     p: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(NamedTuple):
     """Which tests ran for one sample pair, and what they said."""
 
     levene: TestResult
@@ -78,8 +83,8 @@ def _as_rows(samples, names) -> tuple[list[np.ndarray], bool]:
 
 def _result(stat: np.ndarray, p: np.ndarray, one_row: bool) -> TestResult:
     if one_row:
-        return TestResult(stat=float(stat[0]), p=float(p[0]))
-    return TestResult(stat=stat, p=p)
+        return TestResult(float(stat[0]), float(p[0]))
+    return TestResult(stat, p)
 
 
 def _square(v: np.ndarray) -> np.ndarray:
@@ -88,28 +93,82 @@ def _square(v: np.ndarray) -> np.ndarray:
     return np.float_power(v, 2)
 
 
+def _tie_groups(rows: np.ndarray):
+    """One sort of each row of a (k, n) matrix, read as tie groups.
+
+    Sorted positions are numbered across rows, row after row, as flat
+    indices are. Returns each row's sort order (in-row indices, (k, n)),
+    the flat index of the value at each sorted position, each tie group's
+    first position, size and row (its row's first position), and each
+    row's tie term: the sum of t^3 - t over its groups, integers summed
+    exactly. Nothing reads the order within a group, so the sort need not
+    be stable.
+    """
+    k, n = rows.shape
+    order = np.argsort(rows, axis=1)
+    at = order + np.arange(0, k * n, n)[:, np.newaxis]
+    ordered = rows.take(at)
+    starts = np.empty((k, n), dtype=bool)
+    starts[:, 0] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    sizes = np.diff(first, append=k * n)
+    per_row = starts.sum(axis=1)
+    tie = np.add.reduceat((sizes * sizes - 1) * sizes,
+                          np.cumsum(per_row) - per_row).astype(float)
+    return (order, at.ravel(), first, sizes,
+            np.repeat(np.arange(0, k * n, n), per_row), tie)
+
+
 def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """1-based ranks along the last axis, ties given the mean of their
-    ranks (exact halves), and each row's tie term: the sum of t^3 - t over
-    its tie groups, 0 when it has no ties."""
-    n = values.shape[-1]
-    order = np.argsort(values, axis=-1, kind="stable")
-    ordered = np.take_along_axis(values, order, axis=-1)
-    # in sorted order: where each tie group starts, and where the next does
-    starts_group = np.ones(values.shape, dtype=bool)
-    starts_group[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    ends_group = np.ones(values.shape, dtype=bool)
-    ends_group[..., :-1] = starts_group[..., 1:]
-    position = np.arange(n)
-    starts = np.maximum.accumulate(
-        np.where(starts_group, position, 0), axis=-1)
-    ends = np.minimum.accumulate(
-        np.where(ends_group, position + 1, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks (exact halves), and each row's tie term."""
+    _, at, first, sizes, row, tie = _tie_groups(
+        values.reshape(-1, values.shape[-1]))
     ranks = np.empty(values.shape)
-    np.put_along_axis(ranks, order, 0.5 * (starts + ends + 1), axis=-1)
-    # each of a group's t members adds t^2 - 1: integers, summed exactly
-    sizes = ends - starts
-    return ranks, (sizes * sizes - 1).sum(axis=-1).astype(float)
+    ranks.ravel()[at] = np.repeat(0.5 * (2 * (first - row) + sizes + 1),
+                                  sizes)
+    return ranks, tie.reshape(values.shape[:-1])
+
+
+def _rank_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One sort per pooled row [x | y]: each value's placement, in the
+    pooled row's order, and each row's tie term.
+
+    A placement is the count of the other sample below the value plus half
+    the count equal to it, read off the value's tie group. Placements are
+    integers or halves, so every sum of them is exact.
+    """
+    pooled = np.concatenate([x, y], axis=1)
+    order, at, first, sizes, row, tie = _tie_groups(pooled)
+    in_y = order.ravel() >= x.shape[1]
+    # y_before[j]: how many y values the sorted positions before j hold
+    y_before = np.zeros(pooled.size + 1, dtype=np.intp)
+    np.cumsum(in_y, out=y_before[1:])
+    end = first + sizes
+    # per group, twice the placement of an x value in it (twice the y
+    # below the group, plus the y in it) and of a y value (the same of x)
+    twice_x = y_before[first] + y_before[end] - 2 * y_before[row]
+    twice_y = first + end - 2 * row - twice_x
+    placed = np.empty(pooled.shape)
+    placed.ravel()[at] = 0.5 * np.where(in_y, np.repeat(twice_y, sizes),
+                                        np.repeat(twice_x, sizes))
+    return placed, tie
+
+
+def _mann_whitney(u_x: np.ndarray, tie: np.ndarray, nx: int,
+                  ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """min(U_x, U_y) and its p from U_x, the sum of y's placements."""
+    n = nx + ny
+    u = np.minimum(u_x, nx * ny - u_x)
+    var_u = nx * ny / 12.0 * ((n + 1) - tie / (n * (n - 1)))
+    normal = var_u > 0
+    z = (u - nx * ny / 2.0 + 0.5) / np.sqrt(np.where(normal, var_u, 1.0))
+    p = np.where(normal, np.minimum(1.0, 2.0 * special.ndtr(z)), 1.0)
+    exact = (tie == 0) & (n <= _EXACT_LIMIT)
+    if exact.any():
+        p[exact] = _exact_mwu_p(nx, ny, u_x[exact])
+    return u, p
 
 
 def mann_whitney_u(x, y) -> TestResult:
@@ -121,20 +180,10 @@ def mann_whitney_u(x, y) -> TestResult:
     continuity corrections is used.
     """
     (x, y), one_row = _as_rows((x, y), ("x", "y"))
-    nx, ny = x.shape[1], y.shape[1]
-    n = nx + ny
-    ranks, tie = _average_ranks(np.concatenate([x, y], axis=1))
-    u_x = nx * ny + nx * (nx + 1) / 2.0 - ranks[:, :nx].sum(axis=1)
-    u = np.minimum(u_x, nx * ny - u_x)
-
-    var_u = nx * ny / 12.0 * ((n + 1) - tie / (n * (n - 1)))
-    normal = var_u > 0
-    z = (u - nx * ny / 2.0 + 0.5) / np.sqrt(np.where(normal, var_u, 1.0))
-    p = np.where(normal, np.minimum(1.0, 2.0 * special.ndtr(z)), 1.0)
-    exact = (tie == 0) & (n <= _EXACT_LIMIT)
-    if exact.any():
-        p[exact] = _exact_mwu_p(nx, ny, u_x[exact])
-    return _result(u, p, one_row)
+    nx = x.shape[1]
+    placed, tie = _rank_pair(x, y)
+    return _result(*_mann_whitney(placed[:, nx:].sum(axis=1), tie, nx,
+                                  y.shape[1]), one_row)
 
 
 def _exact_mwu_p(nx: int, ny: int, u_x: np.ndarray) -> np.ndarray:
@@ -149,19 +198,11 @@ def _exact_mwu_p(nx: int, ny: int, u_x: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, 2.0 * np.minimum(le, ge) / len(u_values))
 
 
-def kruskal_wallis(groups) -> TestResult:
-    """Tie-corrected Kruskal-Wallis H test across k >= 2 groups."""
-    groups = list(groups)
-    samples, one_row = _as_rows(
-        groups, [f"group {i}" for i in range(len(groups))])
-    if len(samples) < 2:
-        raise ValueError("kruskal_wallis needs at least 2 groups")
-    pooled = np.concatenate(samples, axis=1)
-    n = pooled.shape[1]
-    ranks, tie = _average_ranks(pooled)
-    bounds = np.cumsum([0] + [g.shape[1] for g in samples])
-    h = sum(_square(ranks[:, start:end].sum(axis=1)) / (end - start)
-            for start, end in zip(bounds[:-1], bounds[1:]))
+def _kruskal_wallis(rank_sums, sizes,
+                    tie: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tie-corrected H and its p from each group's rank sums and size."""
+    n = sum(sizes)
+    h = sum(_square(r) / size for r, size in zip(rank_sums, sizes))
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
     correction = 1.0 - tie / (n**3 - n)
     corrected = correction > 0
@@ -169,9 +210,24 @@ def kruskal_wallis(groups) -> TestResult:
     # rounding can leave H a hair below 0, where the chi-square tail is 1
     positive = h > 0
     p = np.where(positive,
-                 special.chdtrc(len(samples) - 1, np.where(positive, h, 1.0)),
+                 special.chdtrc(len(sizes) - 1, np.where(positive, h, 1.0)),
                  1.0)
-    return _result(h, p, one_row)
+    return h, p
+
+
+def kruskal_wallis(groups) -> TestResult:
+    """Tie-corrected Kruskal-Wallis H test across k >= 2 groups."""
+    groups = list(groups)
+    samples, one_row = _as_rows(
+        groups, [f"group {i}" for i in range(len(groups))])
+    if len(samples) < 2:
+        raise ValueError("kruskal_wallis needs at least 2 groups")
+    ranks, tie = _average_ranks(np.concatenate(samples, axis=1))
+    sizes = [g.shape[1] for g in samples]
+    bounds = np.cumsum([0] + sizes)
+    rank_sums = [ranks[:, start:end].sum(axis=1)
+                 for start, end in zip(bounds[:-1], bounds[1:])]
+    return _result(*_kruskal_wallis(rank_sums, sizes, tie), one_row)
 
 
 def levene_family(x, y, center: str = "mean") -> TestResult:
@@ -207,29 +263,21 @@ def levene_family(x, y, center: str = "mean") -> TestResult:
     return _result(stat, p, one_row)
 
 
-def fligner_policello(x, y) -> TestResult:
-    """Fligner-Policello robust rank-order test (two-sided).
-
-    Uses placement counts (ties counted half) and placement variances; valid
-    without the equal-variance assumption the Mann-Whitney test leans on.
-    The normal approximation is recommended for at least 12 observations per
-    group; smaller samples trigger a warning. Fully separated samples have
-    zero placement variance and report p = 0.
-    """
-    (x, y), one_row = _as_rows((x, y), ("x", "y"))
-    nx = x.shape[1]
-    if min(nx, y.shape[1]) < 12:
+def _warn_below_min_size(nx: int, ny: int) -> None:
+    """Warn the caller of the public test when a group is too small for
+    Fligner-Policello's normal approximation."""
+    if min(nx, ny) < 12:
         warnings.warn(
             "fligner_policello normal approximation is unreliable below 12 "
             "observations per group",
             UserWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    # a value's placement, the count of the other sample below it (ties
-    # counted half), is its pooled rank less its rank in its own sample
-    pooled, _ = _average_ranks(np.concatenate([x, y], axis=1))
-    p_x = pooled[:, :nx] - _average_ranks(x)[0]
-    q_y = pooled[:, nx:] - _average_ranks(y)[0]
+
+
+def _fligner_policello(p_x: np.ndarray,
+                       q_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U-hat and its p from x's placements among y and y's among x."""
     p_bar = p_x.mean(axis=1)
     q_bar = q_y.mean(axis=1)
     v_x = ((p_x - p_bar[:, np.newaxis]) ** 2).sum(axis=1)
@@ -242,7 +290,24 @@ def fligner_policello(x, y) -> TestResult:
                     np.where(num == 0, 0.0, np.copysign(np.inf, num)))
     p = np.where(spread, 2.0 * special.ndtr(-np.abs(u_hat)),
                  np.where(num == 0, 1.0, 0.0))
-    return _result(stat, p, one_row)
+    return stat, p
+
+
+def fligner_policello(x, y) -> TestResult:
+    """Fligner-Policello robust rank-order test (two-sided).
+
+    Uses placement counts (ties counted half) and placement variances; valid
+    without the equal-variance assumption the Mann-Whitney test leans on.
+    The normal approximation is recommended for at least 12 observations per
+    group; smaller samples trigger a warning. Fully separated samples have
+    zero placement variance and report p = 0.
+    """
+    (x, y), one_row = _as_rows((x, y), ("x", "y"))
+    nx = x.shape[1]
+    _warn_below_min_size(nx, y.shape[1])
+    placed, _ = _rank_pair(x, y)
+    return _result(*_fligner_policello(placed[:, :nx], placed[:, nx:]),
+                   one_row)
 
 
 def select_and_run(x, y):
@@ -252,41 +317,41 @@ def select_and_run(x, y):
     Fligner-Policello test carries the location comparison and the
     Mann-Whitney / Kruskal-Wallis pair is marked not applicable; otherwise
     the reverse. One sample pair gives one ``TestReport``; k-row matrices
-    give a list of k reports, in row order, from one call of each test over
-    the rows that need it.
+    give a list of k reports, in row order. One ``_rank_pair`` call ranks
+    every row, and each location test reads the rows the gate gives it.
     """
     (x, y), one_row = _as_rows((x, y), ("x", "y"))
+    nx, ny = x.shape[1], y.shape[1]
     levene = levene_family(x, y, center="mean")
     brown_forsythe = levene_family(x, y, center="median")
     unequal = levene.p < 0.05
-    location = {}
+    placed, tie = _rank_pair(x, y)
+    fp = mw = kw = iter(())
     if unequal.any():
-        location["fligner_policello"] = _rows_of(
-            fligner_policello(x[unequal], y[unequal]))
+        _warn_below_min_size(nx, ny)
+        fp = _rows_of(_fligner_policello(placed[unequal, :nx],
+                                         placed[unequal, nx:]))
     if not unequal.all():
         same = ~unequal
-        location["mann_whitney_u"] = _rows_of(
-            mann_whitney_u(x[same], y[same]))
-        location["kruskal_wallis"] = _rows_of(
-            kruskal_wallis([x[same], y[same]]))
-    reports = []
-    for lev, bf, gated in zip(_rows_of(levene), _rows_of(brown_forsythe),
-                              unequal):
-        chosen = (("fligner_policello",) if gated
-                  else ("mann_whitney_u", "kruskal_wallis"))
-        found = {test: next(location[test]) for test in chosen}
-        reports.append(TestReport(
-            levene=lev,
-            brown_forsythe=bf,
-            fligner_policello=found.get("fligner_policello"),
-            mann_whitney=found.get("mann_whitney_u"),
-            kruskal_wallis=found.get("kruskal_wallis"),
-            selected=chosen,
-        ))
+        u_x = placed[same, nx:].sum(axis=1)
+        mw = _rows_of(_mann_whitney(u_x, tie[same], nx, ny))
+        # a sample's rank sum is its placement sum plus the rank sum it
+        # has alone, and the two placement sums add up to nx * ny
+        rank_sums = (nx * ny - u_x + nx * (nx + 1) / 2.0,
+                     u_x + ny * (ny + 1) / 2.0)
+        kw = _rows_of(_kruskal_wallis(rank_sums, (nx, ny), tie[same]))
+    reports = [
+        TestReport(lev, bf, next(fp), None, None, ("fligner_policello",))
+        if gated else
+        TestReport(lev, bf, None, next(mw), next(kw),
+                   ("mann_whitney_u", "kruskal_wallis"))
+        for lev, bf, gated in zip(_rows_of(levene), _rows_of(brown_forsythe),
+                                  unequal.tolist())]
     return reports[0] if one_row else reports
 
 
-def _rows_of(result: TestResult):
-    """An iterator over a k-row result's rows, each a float TestResult."""
-    return (TestResult(stat=s, p=p)
-            for s, p in zip(result.stat.tolist(), result.p.tolist()))
+def _rows_of(result) -> map:
+    """An iterator over a k-row (stat, p) pair's rows, each a float
+    TestResult."""
+    stat, p = result
+    return map(TestResult, stat.tolist(), p.tolist())

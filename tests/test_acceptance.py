@@ -15,8 +15,10 @@ refits 180 models, which takes on the order of an hour.
 import csv
 import dataclasses
 import json
+import multiprocessing
 import platform
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -282,17 +284,25 @@ def test_criterion_10_reruns_are_byte_identical(capsys, tmp_path):
     The configuration is the quick profile cut to one cell and two
     replicates so the check stays affordable; per-(cell, replicate) seed
     derivation makes these fits bit-identical to the same rows of the full
-    grid, so the determinism property transfers. The rows must also equal
-    the first rows of the committed extreme_4 cell, which binds criteria 3
-    to 6 to the sampler as it is.
+    grid, so the determinism property transfers. The two runs are made at
+    the same time in two fresh interpreter processes, so they must also
+    agree across processes. The rows must also equal the first rows of the
+    committed extreme_4 cell, which binds criteria 3 to 6 to the sampler as
+    it is.
     """
     config = dataclasses.replace(
         apply_profile(ExperimentConfig(selections=("extreme",),
                                        alphas=(4.0,)), "quick"),
         replicates=2)
-    _progress("determinism check: fitting 6 models twice...")
-    run_experiment(config, out_dir=tmp_path / "first", progress=_progress)
-    run_experiment(config, out_dir=tmp_path / "second", progress=_progress)
+    _progress("determinism check: fitting 6 models twice, in two "
+              "processes...")
+    with ProcessPoolExecutor(
+            max_workers=2,
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = [pool.submit(run_experiment, config, out_dir=tmp_path / name)
+                for name in ("first", "second")]
+        for run in runs:
+            run.result()
     first = (tmp_path / "first" / "replicates.csv").read_bytes()
     second = (tmp_path / "second" / "replicates.csv").read_bytes()
     ok = first == second and len(first) > 0

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from scipy import stats as spstats
 
 from bcfsim.ranktests import (
-    _average_ranks, fligner_policello, kruskal_wallis, levene_family,
-    mann_whitney_u, select_and_run,
+    _average_ranks, _rank_pair, fligner_policello, kruskal_wallis,
+    levene_family, mann_whitney_u, select_and_run,
 )
 
 
@@ -421,3 +421,75 @@ def test_row_inputs_are_checked():
         mann_whitney_u(np.ones((2, 3)), np.ones((3, 3)))
     with pytest.raises(ValueError, match="one per row"):
         levene_family(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+
+
+# ------------------------------------- Fligner-Policello from its definition
+
+def _placements(sample, other):
+    """Each value's placement, by brute force: #(other < v) + 1/2
+    #(other = v)."""
+    return np.array([np.sum(other < v) + 0.5 * np.sum(other == v)
+                     for v in sample])
+
+
+def _fp_statistic_by_definition(x, y):
+    """U-hat from brute-force placements (Fligner & Policello 1981), in the
+    order of operations the module uses; +-inf or 0 when the placement
+    variances vanish."""
+    p_x, q_y = _placements(x, y), _placements(y, x)
+    p_bar, q_bar = p_x.mean(), q_y.mean()
+    v_x = ((p_x - p_bar) ** 2).sum()
+    v_y = ((q_y - q_bar) ** 2).sum()
+    num = q_y.sum() - p_x.sum()
+    denom = 2.0 * np.sqrt(v_x + v_y + p_bar * q_bar)
+    if denom == 0:
+        return 0.0 if num == 0 else math.copysign(math.inf, num)
+    return float(num / denom)
+
+
+_all_tied = st.tuples(st.integers(0, 4), st.integers(1, 40),
+                      st.integers(1, 40)).map(
+    lambda c: (np.full(c[1], float(c[0])), np.full(c[2], float(c[0]))))
+# every y above every x, either way round
+_separated = st.tuples(_tied, _tied, st.booleans()).map(
+    lambda c: (c[0], c[1] + 10.0) if c[2] else (c[0] + 10.0, c[1]))
+
+
+@given(st.tuples(_tied, _tied) | _all_tied | _separated)
+def test_fp_statistic_equals_its_definition(pair):
+    x, y = pair
+    placed, _ = _rank_pair(x[np.newaxis], y[np.newaxis])
+    assert placed[0].tolist() == (_placements(x, y).tolist()
+                                  + _placements(y, x).tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        res = fligner_policello(x, y)
+    assert _bits(res.stat) == _bits(_fp_statistic_by_definition(x, y))
+
+
+# ------------------------------- select_and_run's small-sample warning
+
+def _gated_rows(nx, ny, gates):
+    """One row pair per gate: True gives x a hundredth of y's spread, so
+    Levene rejects; False gives both the same evenly spaced values."""
+    x = np.array([np.linspace(-1.0, 1.0, nx) * (0.01 if g else 1.0)
+                  for g in gates])
+    y = np.array([np.linspace(-1.0, 1.0, ny) for _ in gates])
+    return x, y
+
+
+@pytest.mark.parametrize("nx, ny", [(11, 12), (12, 11), (5, 30),
+                                    (12, 12), (20, 15)])
+@pytest.mark.parametrize("gates", [(False,), (True,), (False, False, True),
+                                   (False, False)])
+def test_select_warns_exactly_when_a_gated_row_is_small(nx, ny, gates):
+    x, y = _gated_rows(nx, ny, gates)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reports = select_and_run(x, y)
+    assert [r.levene.p < 0.05 for r in reports] == list(gates)
+    small = min(nx, ny) < 12 and any(gates)
+    assert [str(w.message) for w in caught
+            if w.category is UserWarning] == (
+        ["fligner_policello normal approximation is unreliable below 12 "
+         "observations per group"] if small else [])
