@@ -108,6 +108,18 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """A nonnegative integer ``seed`` (as ``_check_count`` reads one) as the
+    ``SeedSequence`` that ``default_rng`` makes of it, a ``SeedSequence`` as
+    it is; any other seed raises a ValueError naming it."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    _check_count("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    return np.random.SeedSequence(seed)
+
+
 _SIGMA_PRIOR_RULE = ("sigma prior needs a finite positive FixedSigma value "
                      "or a finite nu > 0 and 0 < q < 1")
 
@@ -579,7 +591,7 @@ def fit_continuous(X, y, prior: ForestPrior = ForestPrior(),
     if n < 2:
         raise ValueError("need at least 2 observations")
     y_work, center, scale = _standardize(y, sigma_prior)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     sampler = ForestSampler(X, prior)
 
     keep = chain.n_retained
@@ -613,7 +625,7 @@ def fit_binary_probit(X, d, prior: ForestPrior = ForestPrior(),
     _check_binary(d, "d")
     if d.min() == d.max():
         raise ValueError("d must contain both classes")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
 
     n = d.shape[0]
     pos = d == 1

@@ -42,6 +42,7 @@ from .bart import (
     _check_binary,
     _check_inputs,
     _run_chain,
+    _seed_sequence,
     _standardize,
     fit_binary_probit,
 )
@@ -106,9 +107,10 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     """Fit one BCF variant; deterministic given (inputs, config, seed).
 
     ``pi_true`` is required for the true-propensity variant and rejected
-    otherwise. ``seed`` may be an int or a ``numpy.random.SeedSequence``;
-    the estimated-propensity variant splits it so the probit stage and the
-    outcome chain draw from independent streams.
+    otherwise. ``seed`` may be a nonnegative int or a
+    ``numpy.random.SeedSequence``; the estimated-propensity variant splits
+    it so the probit stage and the outcome chain draw from independent
+    streams.
     """
     t0 = time.perf_counter()
     X, y = _check_inputs(X, y)
@@ -122,11 +124,7 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
         config = BcfConfig()
     y_work, center, scale = _standardize(y, config.sigma_prior)
 
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    ss_propensity, ss_outcome = ss.spawn(2)
+    ss_propensity, ss_outcome = _seed_sequence(seed).spawn(2)
 
     if mode is PropensityMode.TRUE_PROPENSITY:
         if pi_true is None:

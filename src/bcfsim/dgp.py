@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from .bart import _check_count, _seed_sequence
+
 
 class Selection(str, enum.Enum):
     """Strength of targeted selection: how tightly pi(x) follows b(x)."""
@@ -46,6 +48,7 @@ class DgpSpec:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(
                 f"alpha must be finite and positive, got {self.alpha}")
+        _check_count("n", self.n)
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
 
@@ -166,8 +169,9 @@ def cate(x, alpha):
 
 
 def generate(spec: DgpSpec, seed) -> Dataset:
-    """Draw one dataset. Deterministic given (spec, seed)."""
-    rng = np.random.default_rng(seed)
+    """Draw one dataset. Deterministic given (spec, seed): a nonnegative
+    int or a ``numpy.random.SeedSequence``."""
+    rng = np.random.default_rng(_seed_sequence(seed))
     X = rng.random((spec.n, 5))
     pi = propensity(X, spec.selection)
     D = (rng.random(spec.n) < pi).astype(np.int8)
@@ -185,6 +189,6 @@ def signal_ratio(spec: DgpSpec, n_mc: int, seed) -> float:
     """
     if n_mc < 10_000:
         raise ValueError("n_mc must be at least 10,000 for a stable estimate")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     X = rng.random((n_mc, 5))
     return float(np.abs(baseline(X)).mean() / np.abs(cate(X, spec.alpha)).mean())

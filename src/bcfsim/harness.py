@@ -71,7 +71,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .bart import ChainConfig
+from .bart import ChainConfig, _check_count
 from .bcf import (
     BcfConfig, PropensityMode, ate_posterior, cate_intervals, fit_bcf,
 )
@@ -167,6 +167,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonempty")
             if len(set(vals)) != len(vals):
                 raise ValueError(f"{name} contains duplicates")
+        # numpy integers become ints, which run_config.json can hold
+        for name in ("n", "replicates", "master_seed", "iterations",
+                     "burn_in"):
+            _check_count(name, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))
         # a cell's name keys its checkpoint and report files
         cells = {}
         for selection, alpha in itertools.product(self.selections,

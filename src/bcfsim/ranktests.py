@@ -11,13 +11,14 @@ and if Levene rejects at the 5% level report Fligner-Policello as the
 location test, otherwise report Mann-Whitney U plus Kruskal-Wallis. Exactly
 one of the two location branches is populated per sample pair.
 
-Every test runs row-wise. A sample is a 1-D array, and a matrix holds one
-sample per row; the tests reduce along the last axis and pair row i of one
-argument with row i of the other, so all rows of an argument share its
-sample size. A 1-D call is the one-row case of the same code and returns
-floats; a k-row call returns (k,) arrays that equal the k one-row calls bit
-for bit. The harness passes one row per metric and model pair, so one call
-per cell tests every metric of every pair; it names the rows itself.
+Every test runs row-wise. A sample is a 1-D array of finite values, and a
+matrix holds one sample per row; the tests reduce along the last axis and
+pair row i of one argument with row i of the other, so all rows of an
+argument share its sample size. A 1-D call is the one-row case of the same
+code and returns floats; a k-row call returns (k,) arrays that equal the k
+one-row calls bit for bit. The harness passes one row per metric and model
+pair, so one call per cell tests every metric of every pair; it names the
+rows itself.
 
 One sort of each pooled row [x | y] gives every value's placement, the
 count of the other sample below it with ties counted half (Fligner &
@@ -66,7 +67,7 @@ class TestReport(NamedTuple):
 
 def _as_rows(samples, names) -> tuple[list[np.ndarray], bool]:
     """The samples as C-contiguous float matrices, one sample per row, and
-    whether every one was 1-D (a single row)."""
+    whether every one was 1-D (a single row); every value must be finite."""
     arrays = [np.asarray(v, dtype=float) for v in samples]
     rows = []
     for arr, name in zip(arrays, names):
@@ -75,6 +76,8 @@ def _as_rows(samples, names) -> tuple[list[np.ndarray], bool]:
                              "samples, one per row")
         if arr.shape[-1] == 0:
             raise ValueError(f"{name} must be nonempty")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must hold only finite values")
         rows.append(np.ascontiguousarray(arr.reshape(-1, arr.shape[-1])))
     if len({r.shape[0] for r in rows}) > 1:
         raise ValueError(f"{', '.join(names)} must have as many rows")
@@ -93,54 +96,35 @@ def _square(v: np.ndarray) -> np.ndarray:
     return np.float_power(v, 2)
 
 
-def _tie_groups(rows: np.ndarray):
-    """One sort of each row of a (k, n) matrix, read as tie groups.
-
-    Sorted positions are numbered across rows, row after row, as flat
-    indices are. Returns each row's sort order (in-row indices, (k, n)),
-    the flat index of the value at each sorted position, each tie group's
-    first position, size and row (its row's first position), and each
-    row's tie term: the sum of t^3 - t over its groups, integers summed
-    exactly. Nothing reads the order within a group, so the sort need not
-    be stable.
-    """
-    k, n = rows.shape
-    order = np.argsort(rows, axis=1)
-    at = order + np.arange(0, k * n, n)[:, np.newaxis]
-    ordered = rows.take(at)
-    starts = np.empty((k, n), dtype=bool)
-    starts[:, 0] = True
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
-    first = np.flatnonzero(starts)
-    sizes = np.diff(first, append=k * n)
-    per_row = starts.sum(axis=1)
-    tie = np.add.reduceat((sizes * sizes - 1) * sizes,
-                          np.cumsum(per_row) - per_row).astype(float)
-    return (order, at.ravel(), first, sizes,
-            np.repeat(np.arange(0, k * n, n), per_row), tie)
-
-
-def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """1-based ranks along the last axis, ties given the mean of their
-    ranks (exact halves), and each row's tie term."""
-    _, at, first, sizes, row, tie = _tie_groups(
-        values.reshape(-1, values.shape[-1]))
-    ranks = np.empty(values.shape)
-    ranks.ravel()[at] = np.repeat(0.5 * (2 * (first - row) + sizes + 1),
-                                  sizes)
-    return ranks, tie.reshape(values.shape[:-1])
-
-
 def _rank_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One sort per pooled row [x | y]: each value's placement, in the
     pooled row's order, and each row's tie term.
 
     A placement is the count of the other sample below the value plus half
     the count equal to it, read off the value's tie group. Placements are
-    integers or halves, so every sum of them is exact.
+    integers or halves, so every sum of them is exact. The tie term is the
+    sum of t^3 - t over the row's tie groups, integers summed exactly.
+    Nothing reads the order within a tie group, so the sort need not be
+    stable.
     """
     pooled = np.concatenate([x, y], axis=1)
-    order, at, first, sizes, row, tie = _tie_groups(pooled)
+    k, n = pooled.shape
+    order = np.argsort(pooled, axis=1)
+    # sorted positions are numbered across rows, row after row, as flat
+    # indices are; at[j] is the flat index of the value at position j
+    row_start = np.arange(0, k * n, n)
+    at = order + row_start[:, np.newaxis]
+    ordered = pooled.take(at)
+    starts = np.empty((k, n), dtype=bool)
+    starts[:, 0] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    # each tie group's first position, size and row's first position
+    first = np.flatnonzero(starts)
+    sizes = np.diff(first, append=k * n)
+    per_row = starts.sum(axis=1)
+    row = np.repeat(row_start, per_row)
+    tie = np.add.reduceat((sizes * sizes - 1) * sizes,
+                          np.cumsum(per_row) - per_row).astype(float)
     in_y = order.ravel() >= x.shape[1]
     # y_before[j]: how many y values the sorted positions before j hold
     y_before = np.zeros(pooled.size + 1, dtype=np.intp)
@@ -151,8 +135,8 @@ def _rank_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     twice_x = y_before[first] + y_before[end] - 2 * y_before[row]
     twice_y = first + end - 2 * row - twice_x
     placed = np.empty(pooled.shape)
-    placed.ravel()[at] = 0.5 * np.where(in_y, np.repeat(twice_y, sizes),
-                                        np.repeat(twice_x, sizes))
+    placed.ravel()[at.ravel()] = 0.5 * np.where(
+        in_y, np.repeat(twice_y, sizes), np.repeat(twice_x, sizes))
     return placed, tie
 
 
@@ -198,36 +182,36 @@ def _exact_mwu_p(nx: int, ny: int, u_x: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, 2.0 * np.minimum(le, ge) / len(u_values))
 
 
-def _kruskal_wallis(rank_sums, sizes,
-                    tie: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tie-corrected H and its p from each group's rank sums and size."""
-    n = sum(sizes)
-    h = sum(_square(r) / size for r, size in zip(rank_sums, sizes))
+def _kruskal_wallis(u_x: np.ndarray, tie: np.ndarray, nx: int,
+                    ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tie-corrected H and its p from U_x, the sum of y's placements."""
+    n = nx + ny
+    # a sample's rank sum is its placement sum plus the rank sum it has
+    # alone, and the two placement sums add up to nx * ny
+    r_x = nx * ny - u_x + nx * (nx + 1) / 2.0
+    r_y = u_x + ny * (ny + 1) / 2.0
+    h = _square(r_x) / nx + _square(r_y) / ny
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
     correction = 1.0 - tie / (n**3 - n)
     corrected = correction > 0
     h = np.where(corrected, h / np.where(corrected, correction, 1.0), 0.0)
     # rounding can leave H a hair below 0, where the chi-square tail is 1
     positive = h > 0
-    p = np.where(positive,
-                 special.chdtrc(len(sizes) - 1, np.where(positive, h, 1.0)),
+    p = np.where(positive, special.chdtrc(1, np.where(positive, h, 1.0)),
                  1.0)
     return h, p
 
 
 def kruskal_wallis(groups) -> TestResult:
-    """Tie-corrected Kruskal-Wallis H test across k >= 2 groups."""
+    """Tie-corrected Kruskal-Wallis H test of two groups, ``[x, y]``."""
     groups = list(groups)
-    samples, one_row = _as_rows(
-        groups, [f"group {i}" for i in range(len(groups))])
-    if len(samples) < 2:
-        raise ValueError("kruskal_wallis needs at least 2 groups")
-    ranks, tie = _average_ranks(np.concatenate(samples, axis=1))
-    sizes = [g.shape[1] for g in samples]
-    bounds = np.cumsum([0] + sizes)
-    rank_sums = [ranks[:, start:end].sum(axis=1)
-                 for start, end in zip(bounds[:-1], bounds[1:])]
-    return _result(*_kruskal_wallis(rank_sums, sizes, tie), one_row)
+    if len(groups) != 2:
+        raise ValueError(f"kruskal_wallis needs 2 groups, got {len(groups)}")
+    (x, y), one_row = _as_rows(groups, ("group 0", "group 1"))
+    nx = x.shape[1]
+    placed, tie = _rank_pair(x, y)
+    return _result(*_kruskal_wallis(placed[:, nx:].sum(axis=1), tie, nx,
+                                    y.shape[1]), one_row)
 
 
 def levene_family(x, y, center: str = "mean") -> TestResult:
@@ -333,13 +317,9 @@ def select_and_run(x, y):
                                          placed[unequal, nx:]))
     if not unequal.all():
         same = ~unequal
-        u_x = placed[same, nx:].sum(axis=1)
-        mw = _rows_of(_mann_whitney(u_x, tie[same], nx, ny))
-        # a sample's rank sum is its placement sum plus the rank sum it
-        # has alone, and the two placement sums add up to nx * ny
-        rank_sums = (nx * ny - u_x + nx * (nx + 1) / 2.0,
-                     u_x + ny * (ny + 1) / 2.0)
-        kw = _rows_of(_kruskal_wallis(rank_sums, (nx, ny), tie[same]))
+        u_x, tie = placed[same, nx:].sum(axis=1), tie[same]
+        mw = _rows_of(_mann_whitney(u_x, tie, nx, ny))
+        kw = _rows_of(_kruskal_wallis(u_x, tie, nx, ny))
     reports = [
         TestReport(lev, bf, next(fp), None, None, ("fligner_policello",))
         if gated else

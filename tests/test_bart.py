@@ -518,6 +518,10 @@ def test_fit_continuous_input_validation():
         fit_continuous(np.zeros((1, 1)), np.zeros(1))
     with pytest.raises(ValueError, match="1-D"):
         fit_continuous(X, np.zeros((10, 1)))
+    with pytest.raises(ValueError, match="^seed must be nonnegative"):
+        fit_continuous(X, np.zeros(10), seed=-1)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        fit_binary_probit(X, np.arange(10) % 2, seed=2.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

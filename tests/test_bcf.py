@@ -379,6 +379,17 @@ def test_fit_metadata():
     assert np.all(fit.sigma_draws > 0)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (-1, "seed must be nonnegative, got -1"),
+])
+def test_seed_is_checked(seed, message):
+    X, z, y = _toy_data()
+    cfg = _small_config(iterations=10, burn_in=5)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_bcf(X, z, y, "no_propensity", config=cfg, seed=seed)
+
+
 def test_seed_sequence_accepted():
     X, z, y = _toy_data()
     cfg = _small_config(iterations=10, burn_in=5)

@@ -84,6 +84,7 @@ def test_generate_takes_any_finite_positive_alpha(tmp_path):
     ("--alpha", "0", "alpha must be finite and positive, got 0.0"),
     ("--alpha", "nan", "alpha must be finite and positive, got nan"),
     ("--n", "1", "n must be at least 2, got 1"),
+    ("--seed", "-1", "seed must be nonnegative, got -1"),
 ])
 def test_generate_refuses_a_bad_spec(tmp_path, capsys, flag, value, message):
     # DgpSpec states the rule; the CLI reports it and writes nothing

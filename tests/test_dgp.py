@@ -168,6 +168,11 @@ def test_spec_validation():
             DgpSpec("extreme", alpha)
     with pytest.raises(ValueError):
         DgpSpec("extreme", 1.0, n=1)
+    for n in (30.0, True):
+        with pytest.raises(ValueError,
+                           match=f"^n must be an integer, got {n}$"):
+            DgpSpec("extreme", 1.0, n=n)
+    assert DgpSpec("extreme", 1.0, n=np.int64(30)).n == 30
     spec = DgpSpec("moderate", 2, n=10)
     assert spec.selection is Selection.MODERATE
     assert spec.alpha == 2
@@ -181,6 +186,22 @@ def test_generate_is_deterministic():
         assert_array_equal(getattr(a, name), getattr(b, name))
     c = generate(spec, 124)
     assert not np.array_equal(a.Y, c.Y)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+    (-1, "seed must be nonnegative, got -1"),
+])
+def test_generate_checks_its_seed(seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate(DgpSpec("slight", 2.0, 10), seed)
+
+
+def test_generate_takes_a_seed_sequence():
+    spec = DgpSpec("slight", 2.0, 10)
+    a = generate(spec, np.random.SeedSequence(5))
+    assert_array_equal(a.Y, generate(spec, np.int64(5)).Y)
 
 
 def test_generate_internal_consistency():

@@ -124,6 +124,30 @@ def test_experiment_config_validation(kwargs):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n", 30.0), ("n", True), ("replicates", 2.5),
+    ("replicates", np.float64(2)), ("master_seed", 1.5), ("master_seed", False),
+])
+def test_experiment_config_refuses_non_integer_counts(name, value):
+    # a float seed used to fit the whole grid and then leave a run that
+    # report_from refuses; a float n or replicates count died in numpy
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got"):
+        ExperimentConfig(**{name: value})
+
+
+def test_experiment_config_takes_numpy_integers_as_ints():
+    config = ExperimentConfig(n=np.int64(30), replicates=np.int32(2),
+                              master_seed=np.uint64(7),
+                              iterations=np.int64(20), burn_in=np.int8(10))
+    stated = config.to_json_dict()
+    assert [stated[name] for name in ("n", "replicates", "master_seed",
+                                      "iterations", "burn_in")] == [
+        30, 2, 7, 20, 10]
+    assert all(type(getattr(config, name)) is int
+               for name in ("n", "replicates", "master_seed", "iterations",
+                            "burn_in"))
+
+
 def test_one_replicate_needs_a_single_model():
     with pytest.raises(ValueError, match="at least 2 to compare 2 models"):
         ExperimentConfig(models=("no_propensity", "true_propensity"),

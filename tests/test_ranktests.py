@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from scipy import stats as spstats
 
 from bcfsim.ranktests import (
-    _average_ranks, _rank_pair, fligner_policello, kruskal_wallis,
-    levene_family, mann_whitney_u, select_and_run,
+    _rank_pair, fligner_policello, kruskal_wallis, levene_family,
+    mann_whitney_u, select_and_run,
 )
 
 
@@ -79,13 +79,18 @@ def test_kw_matches_scipy_two_groups():
     assert_allclose(ours.p, ref.pvalue, rtol=1e-12)
 
 
-def test_kw_matches_scipy_three_groups_with_ties():
+def test_kw_matches_scipy_two_groups_with_ties():
     rng = np.random.default_rng(4)
-    groups = [rng.integers(0, 8, size=n).astype(float) for n in (20, 25, 30)]
+    groups = [rng.integers(0, 8, size=n).astype(float) for n in (20, 25)]
     ours = kruskal_wallis(groups)
     ref = spstats.kruskal(*groups)
     assert_allclose(ours.stat, ref.statistic, rtol=1e-12)
     assert_allclose(ours.p, ref.pvalue, rtol=1e-12)
+
+
+def test_kw_refuses_three_groups():
+    with pytest.raises(ValueError, match="needs 2 groups, got 3"):
+        kruskal_wallis([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
 
 def test_kw_needs_two_groups():
@@ -259,15 +264,18 @@ _tied = st.lists(st.integers(0, 4), min_size=1, max_size=40).map(
     lambda v: np.array(v, dtype=float))
 
 
-@given(_tied | st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0]),
-                        min_size=1, max_size=40).map(np.array))
-def test_average_ranks_equal_rankdata(values):
-    ranks, tie = _average_ranks(values)
-    ref = spstats.rankdata(values)
-    assert ranks.dtype == ref.dtype
-    assert ranks.tolist() == ref.tolist()
+@given(_tied.filter(lambda v: len(v) >= 2)
+       | st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0]),
+                  min_size=2, max_size=40).map(np.array),
+       st.integers(1, 39))
+def test_rank_pair_tie_term_equals_counts(values, split):
+    # any split of the values into x and y has the pooled row's tie term
+    split = min(split, len(values) - 1)
+    _, tie = _rank_pair(values[np.newaxis, :split],
+                        values[np.newaxis, split:])
     _, counts = np.unique(values, return_counts=True)
-    assert tie == float(np.sum(counts.astype(float) ** 3 - counts))
+    assert tie.tolist() == [float(np.sum(counts.astype(float) ** 3
+                                         - counts))]
 
 
 def _mwu_normal_p(x, y, u):
@@ -421,6 +429,21 @@ def test_row_inputs_are_checked():
         mann_whitney_u(np.ones((2, 3)), np.ones((3, 3)))
     with pytest.raises(ValueError, match="one per row"):
         levene_family(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_samples_are_refused(bad):
+    with pytest.raises(ValueError, match="^x must hold only finite values"):
+        select_and_run([1.0, bad, 3.0], [4.0, 5.0, 6.0])
+    with pytest.raises(ValueError, match="^y must hold only finite values"):
+        levene_family([1.0, 2.0, 3.0], [[4.0, 5.0, 6.0], [4.0, bad, 6.0]])
+    with pytest.raises(ValueError, match="^y must hold only finite values"):
+        mann_whitney_u([1.0, 2.0], [bad, 5.0])
+    with pytest.raises(ValueError, match="^x must hold only finite values"):
+        fligner_policello([bad, 2.0], [4.0, 5.0])
+    with pytest.raises(ValueError,
+                       match="^group 1 must hold only finite values"):
+        kruskal_wallis([[1.0, 2.0], [4.0, bad]])
 
 
 # ------------------------------------- Fligner-Policello from its definition
