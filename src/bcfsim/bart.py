@@ -11,8 +11,9 @@ Albert-Chib latent-variable scheme with the noise scale pinned to 1.
 Each setting lives where it is read: a ``ForestPrior`` per forest sampler,
 a ``ChainConfig`` per chain, and a noise prior (``SigmaPrior`` or a pinned
 ``FixedSigma``) for the chain's sigma step. Each refuses a bad value when it
-is built, so no consumer checks it again; only the noise prior's type, which
-no build can check, is checked by the fit before any sampling.
+is built, so no consumer checks it again; only the type of the noise prior
+that ``fit_continuous`` takes bare is checked by the fit, before any
+sampling (``bcf.BcfConfig`` checks its own when built).
 
 Every chain runs through one driver, ``_run_chain``: per iteration an
 optional latent step rewrites the working residual, each forest sweeps in
@@ -97,15 +98,21 @@ class FixedScale:
         return self.scale
 
 
-def _finite_positive(x) -> bool:
-    return math.isfinite(x) and x > 0
-
-
 def _check_count(name: str, value) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is an integer
     (Python or numpy, never a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a finite int or float (Python or numpy, never a
+    bool) within float64."""
+    try:
+        return (not isinstance(value, bool)
+                and isinstance(value, numbers.Real) and math.isfinite(value))
+    except OverflowError:  # an int beyond float64
+        return False
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -136,7 +143,8 @@ class SigmaPrior:
     q: float = 0.90
 
     def __post_init__(self):
-        if not (_finite_positive(self.nu) and 0 < self.q < 1):
+        if not (_is_real(self.nu) and self.nu > 0
+                and _is_real(self.q) and 0 < self.q < 1):
             raise ValueError(f"{_SIGMA_PRIOR_RULE}: {self!r}")
 
 
@@ -149,7 +157,7 @@ class FixedSigma:
     value: float
 
     def __post_init__(self):
-        if not _finite_positive(self.value):
+        if not (_is_real(self.value) and self.value > 0):
             raise ValueError(f"{_SIGMA_PRIOR_RULE}: {self!r}")
 
 
@@ -170,17 +178,17 @@ class ForestPrior:
         _check_count("cutpoints_per_feature", self.cutpoints_per_feature)
         if self.num_trees < 1:
             raise ValueError("num_trees must be positive")
-        if not 0 < self.base <= 1:
-            raise ValueError(f"base must be in (0, 1], got {self.base}")
-        if not (math.isfinite(self.power) and self.power >= 0):
+        if not (_is_real(self.base) and 0 < self.base <= 1):
+            raise ValueError(f"base must be in (0, 1], got {self.base!r}")
+        if not (_is_real(self.power) and self.power >= 0):
             raise ValueError(
-                f"power must be finite and nonnegative, got {self.power}")
+                f"power must be finite and nonnegative, got {self.power!r}")
         if self.cutpoints_per_feature < 1:
             raise ValueError("cutpoints_per_feature must be positive")
         prior = self.leaf_scale_prior
         if not isinstance(prior, (HalfCauchy, HalfNormal, FixedScale)):
             raise ValueError("unknown leaf_scale_prior")
-        if not _finite_positive(prior.scale):
+        if not (_is_real(prior.scale) and prior.scale > 0):
             raise ValueError(
                 f"leaf_scale_prior needs a finite positive parameter: {prior}")
 
@@ -515,6 +523,8 @@ def _check_inputs(X, y, name: str = "y"):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
+    if X.shape[1] == 0:
+        raise ValueError("X must have at least one column")
     y = np.asarray(y, dtype=float)
     if y.shape != (X.shape[0],):
         raise ValueError(f"{name} must be 1-D with one value per row of X, "

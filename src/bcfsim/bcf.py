@@ -70,9 +70,8 @@ class BcfConfig:
     (used only by the estimated-propensity variant). ``chain`` sets the
     length of both the outcome chain and the probit stage's chain.
     ``sigma_prior`` is the outcome noise prior; the probit stage pins its
-    noise sd at 1. Each part refuses a bad value when it is built; the fit
-    checks only that ``sigma_prior`` is one of the two noise priors, before
-    the probit stage or any other sampling.
+    noise sd at 1. Each part refuses a bad value when it is built, and the
+    config refuses a part of the wrong type, naming its field.
     """
 
     mu: ForestPrior = ForestPrior(num_trees=200, base=0.95, power=2.0,
@@ -83,6 +82,19 @@ class BcfConfig:
     propensity: ForestPrior = ForestPrior()
     chain: ChainConfig = ChainConfig()
     sigma_prior: SigmaPrior | FixedSigma = SigmaPrior()
+
+    def __post_init__(self):
+        for name in ("mu", "tau", "propensity"):
+            prior = getattr(self, name)
+            if not isinstance(prior, ForestPrior):
+                raise ValueError(
+                    f"{name} must be a ForestPrior, got {prior!r}")
+        if not isinstance(self.chain, ChainConfig):
+            raise ValueError(
+                f"chain must be a ChainConfig, got {self.chain!r}")
+        if not isinstance(self.sigma_prior, (SigmaPrior, FixedSigma)):
+            raise ValueError("sigma_prior must be a SigmaPrior or a "
+                             f"FixedSigma, got {self.sigma_prior!r}")
 
 
 @dataclass

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .bart import _check_count, _seed_sequence
+from .bart import _check_count, _is_real, _seed_sequence
 
 
 class Selection(str, enum.Enum):
@@ -45,9 +44,9 @@ class DgpSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "selection", Selection(self.selection))
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
+        if not (_is_real(self.alpha) and self.alpha > 0):
             raise ValueError(
-                f"alpha must be finite and positive, got {self.alpha}")
+                f"alpha must be finite and positive, got {self.alpha!r}")
         _check_count("n", self.n)
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")

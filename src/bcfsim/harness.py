@@ -43,11 +43,12 @@ a report rebuilds is byte-identical to the run's.
 Each input is checked once, where it enters. An ``ExperimentConfig`` is
 valid once built, and ``run_experiment`` refuses a grid with a dataset of
 one treatment arm before it writes anything. Readers refuse what they do not
-recognise, naming the file: run_config.json unless it states a valid
-``ExperimentConfig``, field by field and each value of its field's JSON
-type; replicates.csv or a cell checkpoint with other columns, or a row with
+recognise, naming the file: run_config.json unless it is a JSON object
+with exactly the ``ExperimentConfig`` fields, which that class checks;
+replicates.csv or a cell checkpoint with other columns, or a row with
 a bad cell or a metric out of range, naming its line; and a checkpoint
-with unreadable fit seconds. A resume also refuses cells beside no
+with unreadable fit seconds or, naming the line, fit seconds that are
+not finite and nonnegative. A resume also refuses cells beside no
 run_config.json, and a checkpoint that does not hold its cell's fits in run
 order. Records meet the grid in ``cell_values``, which refuses them unless
 they hold each of its fits once; ``report_from`` names both files in that
@@ -62,6 +63,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import operator
 from array import array
 from dataclasses import dataclass
@@ -153,14 +155,26 @@ class ExperimentConfig:
     burn_in: int = 1000
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "selections",
-            tuple(Selection(s) for s in self.selections))
+        for name in ("selections", "alphas", "models"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list or tuple, "
+                                 f"got {getattr(self, name)!r}")
+        for name, kind in (("selections", Selection),
+                           ("models", PropensityMode)):
+            try:
+                object.__setattr__(self, name, tuple(
+                    kind(value) for value in getattr(self, name)))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        for alpha in self.alphas:
+            try:
+                DgpSpec(Selection.EXTREME, alpha)  # DgpSpec states the rule
+            except ValueError as exc:
+                raise ValueError(f"alphas: {exc}") from None
         object.__setattr__(
             self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(
-            self, "models",
-            tuple(PropensityMode(m).value for m in self.models))
+            self, "models", tuple(m.value for m in self.models))
         for name in ("selections", "alphas", "models"):
             vals = getattr(self, name)
             if not vals:
@@ -176,7 +190,7 @@ class ExperimentConfig:
         cells = {}
         for selection, alpha in itertools.product(self.selections,
                                                   self.alphas):
-            DgpSpec(selection, alpha, self.n)  # refuses a bad alpha or n
+            DgpSpec(selection, alpha, self.n)  # refuses a bad n
             name = _cell_key(selection.value, alpha)
             other = cells.setdefault(name, alpha)
             if other != alpha:
@@ -329,13 +343,14 @@ class RecordTable:
     """The rows of a records CSV, in row order: each row's ``_KEY_FIELDS``
     tuple, a float matrix with a row per ``METRIC_FIELDS`` metric and a
     column per CSV row, each row's metric cells as the CSV spells them,
-    joined by commas into one string (the boxplot's values), and a list of
-    cells per extra column."""
+    joined by commas into one string (the boxplot's values), a list of
+    cells per extra column, and each row's line in the file."""
 
     keys: list
     metrics: np.ndarray
     metric_text: list
     extra: tuple
+    lines: array
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -392,7 +407,7 @@ def read_replicates_csv(path, extra=()) -> RecordTable:
             for column, cell in zip(extras, row[5 + width:]):
                 column.append(cell)
     table = RecordTable(keys, np.asarray(values).reshape(-1, width).T, texts,
-                        extras)
+                        extras, lines)
     # every row that parsed comes before the one that did not
     broken = out_of_range(table.metrics)
     if broken is not None:
@@ -471,6 +486,11 @@ def _read_cell(path: Path):
         seconds = list(map(float, seconds))
     except ValueError as exc:
         raise ValueError(f"{path}: unreadable fit seconds ({exc})") from exc
+    # timing.json averages them, and NaN is not JSON
+    for line, value in zip(table.lines, seconds):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{path}:{line}: fit seconds must be finite "
+                             f"and nonnegative, got {value!r}")
     return list(zip(table.records(), digests, seconds))
 
 
@@ -798,30 +818,10 @@ def timing_report(rows) -> dict:
     return report
 
 
-# the JSON types that hold a run_config.json value of each declared type,
-# and their description
-_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
-               str: (str, "a string"), Selection: (str, "a string")}
-
-
-def _check_json_type(key: str, value, hint) -> None:
-    """Raise a ValueError naming ``key`` unless the parsed JSON ``value``
-    holds its declared type: a list for a tuple field, then per item an
-    integer (never true or false) for an int, any number for a float and a
-    string for a name."""
-    many = get_origin(hint) is tuple
-    types, kind = _JSON_TYPES[get_args(hint)[0] if many else hint]
-    items = value if many and isinstance(value, list) else [value]
-    if (many and not isinstance(value, list)) or not all(
-            isinstance(v, types) and not isinstance(v, bool) for v in items):
-        raise ValueError(f"{key} must be {'a list, each ' if many else ''}"
-                         f"{kind}, got {json.dumps(value)}")
-
-
 def _read_run_config(path: Path) -> ExperimentConfig:
-    """The valid configuration a run_config.json records, every
-    ``ExperimentConfig`` field, each of its declared type, and no other
-    key; anything else raises a ValueError naming the file."""
+    """The configuration a run_config.json records: a JSON object with
+    exactly the ``ExperimentConfig`` fields, whose values that class checks;
+    anything else raises a ValueError naming the file."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
@@ -833,12 +833,9 @@ def _read_run_config(path: Path) -> ExperimentConfig:
         missing = sorted(hints.keys() - raw.keys())
         if missing:
             raise ValueError(f"missing configuration keys {missing}")
-        for key, hint in hints.items():
-            _check_json_type(key, raw[key], hint)
-        config = ExperimentConfig(**raw)
+        return ExperimentConfig(**raw)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return config
 
 
 def report_from(run_dir) -> RecordTable:

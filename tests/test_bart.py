@@ -11,7 +11,7 @@ from bcfsim.bart import (
     ForestSampler, HalfCauchy, HalfNormal, SigmaPrior, _llm, _log_like_ratio,
     _sigma_prior_scale, _slice_sample, fit_binary_probit, fit_continuous,
 )
-from bcfsim.bcf import BcfConfig
+from bcfsim.bcf import BcfConfig, fit_bcf
 from bcfsim.trees import (
     SplitTable, _cut_ranges, _scan, _walk, apply_move, cutpoint_bins,
     make_cutpoint_grids, propose_move,
@@ -191,6 +191,47 @@ def test_config_refuses_non_integer_counts_and_non_finite_power(build, field):
     # with a TypeError, a NaN power by rejecting every Grow without error
     with pytest.raises(ValueError, match=rf"^{field} must be"):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SigmaPrior(nu="3"), r"0 < q < 1: SigmaPrior\(nu='3', q=0\.9\)$"),
+    (lambda: FixedSigma(True), r"0 < q < 1: FixedSigma\(value=True\)$"),
+    (lambda: FixedSigma(10**400), r"0 < q < 1: FixedSigma\(value=1000"),
+    (lambda: ForestPrior(base=True), r"^base must be in \(0, 1\], got True$"),
+    (lambda: ForestPrior(power="2"),
+     r"^power must be finite and nonnegative, got '2'$"),
+    (lambda: ForestPrior(leaf_scale_prior=HalfCauchy(True)),
+     r"^leaf_scale_prior needs a .*: HalfCauchy\(scale=True\)$"),
+    (lambda: ForestPrior(leaf_scale_prior=HalfNormal("1")),
+     r"^leaf_scale_prior needs a .*: HalfNormal\(scale='1'\)$"),
+    (lambda: ForestPrior(leaf_scale_prior=FixedScale(None)),
+     r"^leaf_scale_prior needs a .*: FixedScale\(scale=None\)$"),
+], ids=["nu_string", "value_bool", "value_huge_int", "base_bool",
+        "power_string", "half_cauchy_bool", "half_normal_string",
+        "fixed_scale_none"])
+def test_config_refuses_a_value_that_is_not_a_real_number(build, message):
+    # a string used to raise a bare TypeError, an int beyond float64 an
+    # OverflowError, and a bool was taken as 0 or 1
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_config_accepts_numpy_reals():
+    assert SigmaPrior(nu=np.float32(3.0), q=np.float64(0.9)).nu == 3.0
+    assert ForestPrior(base=np.float64(0.5), power=np.int64(2)).power == 2
+    prior = ForestPrior(leaf_scale_prior=HalfCauchy(np.float32(2.0)))
+    assert prior.leaf_scale_prior.scale == 2.0
+
+
+def test_fits_refuse_an_X_with_no_columns():
+    # no tree could ever split, so every draw would be a constant
+    X, d, y = np.empty((30, 0)), np.arange(30) % 2, np.arange(30.0)
+    fits = [lambda: fit_continuous(X, y), lambda: fit_binary_probit(X, d),
+            lambda: fit_bcf(X, d, y, "no_propensity")]
+    for fit in fits:
+        with pytest.raises(ValueError,
+                           match="^X must have at least one column$"):
+            fit()
 
 
 def test_config_accepts_numpy_integer_counts():

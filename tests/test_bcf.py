@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -160,17 +161,32 @@ def test_true_propensity_column_is_what_mu_sees():
     assert not np.array_equal(other.mu_draws, no.mu_draws)
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    ("mu", 5, "a ForestPrior"),
+    ("tau", ChainConfig(), "a ForestPrior"),
+    ("propensity", None, "a ForestPrior"),
+    ("chain", (4, 2), "a ChainConfig"),
+    ("sigma_prior", FixedScale(1.0), "a SigmaPrior or a FixedSigma"),
+])
+def test_bcf_config_refuses_a_part_of_the_wrong_type(field, value, kind):
+    # each used to be built and then fail mid-fit, with an AttributeError
+    with pytest.raises(ValueError, match=rf"^{field} must be {kind}, got "
+                                         rf"{re.escape(repr(value))}$"):
+        BcfConfig(**{field: value})
+
+
 def test_sigma_prior_type_is_refused_before_the_probit_stage(monkeypatch):
-    # every setting but the noise prior's type is checked when built; that
-    # one the fit checks before any sampling, the probit stage included
+    # the noise prior's type is checked when the config is built, so no
+    # fit starts, the probit stage included
     def no_probit(*args, **kwargs):
         raise AssertionError("the probit stage ran")
 
     monkeypatch.setattr(bcf, "fit_binary_probit", no_probit)
     X, z, y = _toy_data()
-    cfg = replace(_small_config(iterations=10, burn_in=5), sigma_prior=1.0)
-    with pytest.raises(ValueError, match="sigma prior needs a finite"):
-        fit_bcf(X, z, y, "estimated_propensity", config=cfg)
+    with pytest.raises(ValueError, match="^sigma_prior must be a SigmaPrior "
+                                         "or a FixedSigma, got 1.0$"):
+        fit_bcf(X, z, y, "estimated_propensity", config=replace(
+            _small_config(iterations=10, burn_in=5), sigma_prior=1.0))
 
 
 def test_pi_true_argument_is_gated():

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,9 +174,20 @@ def test_spec_validation():
                            match=f"^n must be an integer, got {n}$"):
             DgpSpec("extreme", 1.0, n=n)
     assert DgpSpec("extreme", 1.0, n=np.int64(30)).n == 30
+    assert DgpSpec("extreme", np.float32(2.0)).alpha == 2.0
     spec = DgpSpec("moderate", 2, n=10)
     assert spec.selection is Selection.MODERATE
     assert spec.alpha == 2
+
+
+@pytest.mark.parametrize("alpha", ["1", True, None, 10**400, [1.0]],
+                         ids=["string", "bool", "none", "huge_int", "list"])
+def test_spec_refuses_an_alpha_that_is_not_a_real_number(alpha):
+    # a string used to raise a bare TypeError, True was taken as 1, and an
+    # int beyond float64 overflowed
+    message = f"alpha must be finite and positive, got {alpha!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DgpSpec("extreme", alpha)
 
 
 def test_generate_is_deterministic():

@@ -14,6 +14,7 @@ import json
 import os
 import re
 import shutil
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -133,6 +134,29 @@ def test_experiment_config_refuses_non_integer_counts(name, value):
     # report_from refuses; a float n or replicates count died in numpy
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got"):
         ExperimentConfig(**{name: value})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(alphas=(True,)), "alphas: alpha must be finite and positive, "
+                           "got True"),
+    (dict(alphas=("4",)), "alphas: alpha must be finite and positive, "
+                          "got '4'"),
+    (dict(alphas=None), "alphas must be a list or tuple, got None"),
+    (dict(selections="extreme"),
+     "selections must be a list or tuple, got 'extreme'"),
+    (dict(selections=("extreme", "strong")),
+     "selections: 'strong' is not a valid Selection"),
+    (dict(models=("no_propensity", 1)),
+     "models: 1 is not a valid PropensityMode"),
+    (dict(models=["no_propensity", ["true_propensity"]]),
+     "models: ['true_propensity'] is not a valid PropensityMode"),
+], ids=["alpha_bool", "alpha_string", "alphas_none", "selections_string",
+        "selection_unknown", "model_int", "model_list"])
+def test_experiment_config_names_a_value_of_the_wrong_kind(kwargs, message):
+    # True and "4" used to load as alphas 1.0 and 4.0, None raised a bare
+    # TypeError, and an unknown name did not name its field
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**kwargs)
 
 
 def test_experiment_config_takes_numpy_integers_as_ints():
@@ -377,7 +401,7 @@ def _table(records):
                               len(METRIC_FIELDS), len(records)),
         metric_text=[",".join(harness._cells(rec, METRIC_FIELDS))
                      for rec in records],
-        extra=())
+        extra=(), lines=array("q", range(2, len(records) + 2)))
 
 
 def _config(**overrides):
@@ -1031,6 +1055,25 @@ def test_resume_names_a_malformed_cell(mini_run, tmp_path, corrupt):
         run_experiment(config, out_dir=copy, resume=True)
 
 
+@pytest.mark.parametrize("cell, value", [
+    ("nan", "nan"), ("inf", "inf"), ("-5", "-5.0")])
+def test_resume_refuses_fit_seconds_timing_json_cannot_hold(
+        mini_run, tmp_path, cell, value):
+    # these used to reach timing.json as NaN, which is not JSON, or as a
+    # negative mean; the blank line shows that the file's line is named
+    config, out, _ = mini_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / "cells" / "cell_extreme_4.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(",", 1)[0] + f",{cell}\n"
+    path.write_text("".join(lines[:2] + ["\n"] + lines[2:]))
+    with pytest.raises(ValueError, match=(
+            r"cell_extreme_4\.csv:4: fit seconds must be finite and "
+            rf"nonnegative, got {value}$")):
+        run_experiment(config, out_dir=copy, resume=True)
+
+
 def test_report_from_regenerates_derived_artifacts(mini_run):
     _, out, records = mini_run
     derived = [
@@ -1178,13 +1221,11 @@ _MINI_JSON = ExperimentConfig(**MINI_CONFIG).to_json_dict()
     for key, value, name, message in [
         ("replicates", 2.0, "float",
          r"replicates must be an integer, got 2\.0"),
-        ("n", "50", "string", r'n must be an integer, got "50"'),
-        ("burn_in", True, "bool", r"burn_in must be an integer, got true"),
-        ("alphas", 4.0, "scalar",
-         r"alphas must be a list, each a number, got 4\.0"),
+        ("n", "50", "string", r"n must be an integer, got '50'"),
+        ("burn_in", True, "bool", r"burn_in must be an integer, got True"),
+        ("alphas", 4.0, "scalar", r"alphas must be a list or tuple, got 4\.0"),
         ("models", ["no_propensity", 1], "item",
-         r"models must be a list, each a string, got "
-         r'\["no_propensity", 1\]'),
+         r"models: 1 is not a valid PropensityMode$"),
     ]
 ])
 def test_report_from_names_a_malformed_config(mini_run, tmp_path, text,
@@ -1202,6 +1243,50 @@ def test_run_config_takes_an_integer_for_a_float(tmp_path):
     path.write_text(json.dumps({**ExperimentConfig().to_json_dict(),
                                 "alphas": [1, 2, 4]}))
     assert harness._read_run_config(path) == ExperimentConfig()
+
+
+# a strategy for JSON values of each type
+_JSON_VALUES = {
+    "null": st.none(), "bool": st.booleans(), "int": st.integers(),
+    "float": st.floats(), "string": st.text(max_size=8),
+    "list": st.lists(st.integers() | st.text(max_size=4), max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), st.integers(),
+                              max_size=3),
+}
+# each run_config.json key's JSON type and, for a list, its items' types
+_KEY_TYPES = {
+    "selections": ("list", {"string"}), "alphas": ("list", {"int", "float"}),
+    "models": ("list", {"string"}), "n": ("int", None),
+    "replicates": ("int", None), "master_seed": ("int", None),
+    "iterations": ("int", None), "burn_in": ("int", None),
+}
+
+
+def _other_json_type(key):
+    """A value of another JSON type than ``key`` takes, or a list holding
+    one item of another type than its items take."""
+    own, items = _KEY_TYPES[key]
+    wrong = [_JSON_VALUES[kind] for kind in sorted(_JSON_VALUES)
+             if kind != own]
+    wrong += [_JSON_VALUES[kind].map(lambda value: [value])
+              for kind in sorted(_JSON_VALUES)
+              if items is not None and kind not in items]
+    return st.one_of(wrong)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_run_config_refuses_a_value_of_another_json_type(tmp_path_factory,
+                                                         data):
+    key = data.draw(st.sampled_from(sorted(_KEY_TYPES)))
+    value = data.draw(_other_json_type(key), label=key)
+    path = tmp_path_factory.mktemp("config") / "run_config.json"
+    path.write_text(json.dumps({**ExperimentConfig().to_json_dict(),
+                                key: value}))
+    with pytest.raises(ValueError) as caught:
+        harness._read_run_config(path)
+    assert str(caught.value).startswith(f"{path}: ")
+    assert key in str(caught.value)
 
 
 @pytest.mark.parametrize("key, value, message", [
