@@ -16,10 +16,11 @@ that ``fit_continuous`` takes bare is checked by the fit, before any
 sampling (``bcf.BcfConfig`` checks its own when built).
 
 Every chain runs through one driver, ``_run_chain``: per iteration an
-optional latent step rewrites the working residual, each forest sweeps in
-order, the noise sd gets its Gibbs step unless pinned, and retained
-iterations go to a callback. ``fit_continuous``, ``fit_binary_probit`` and
-``bcf.fit_bcf`` are thin wrappers around it.
+optional latent step (``_probit_latent``) rewrites the working residual,
+each forest sweeps in order (``_redraw_leaves`` draws each tree's leaves),
+the noise sd gets its Gibbs step (``_sigma_step``) unless pinned, and
+retained iterations go to a callback. ``fit_continuous``,
+``fit_binary_probit`` and ``bcf.fit_bcf`` are thin wrappers around it.
 
 Scale conventions: ``leaf_scale_prior`` acts on the prior standard deviation
 of the summed forest output; individual leaf values get sd
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaincinv, ndtr, ndtri
@@ -103,6 +105,15 @@ def _check_count(name: str, value) -> None:
     (Python or numpy, never a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _member(kind, name: str, value):
+    """``value`` as a member of the enum ``kind``; any other value raises a
+    ValueError naming ``name``."""
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _is_real(value) -> bool:
@@ -336,6 +347,36 @@ def _log_like_ratio(prop, resid, sig2, ls2):
             new, old)
 
 
+def _redraw_leaves(leaves, resid, sums, fit, sig2, prec, posterior, rng):
+    """Draw each of a tree's ``leaves`` from its full conditional given the
+    tree's partial residual ``resid``: N(var * s / sig2, var), var = 1 /
+    (prec + n_w / sig2), with n_w the leaf's weighted rows and s their
+    residual sum, taken from ``sums`` (leaf -> s) when there. Each value
+    goes to its leaf and to ``fit`` at its weighted rows, and the values are
+    returned left to right. ``posterior`` caches (var, sd) per n_w. One
+    leaf's noise is ``rng.standard_normal()``, which gives the value and
+    generator state of ``standard_normal(1)``."""
+    noise = (rng.standard_normal(len(leaves)).tolist() if len(leaves) > 1
+             else (rng.standard_normal(),))
+    values = []
+    for leaf, eps in zip(leaves, noise):
+        wrows = leaf.rowset.wrows
+        total = sums.get(leaf)
+        if total is None:
+            total = float(_sum(resid[wrows]))
+        count = len(wrows)
+        post = posterior.get(count)
+        if post is None:
+            var = 1.0 / (prec + count / sig2)
+            post = posterior[count] = (var, math.sqrt(var))
+        var, sd = post
+        value = var * total / sig2 + sd * eps
+        leaf.value = value
+        values.append(value)
+        fit[wrows] = value
+    return values
+
+
 class ForestSampler:
     """Backfitting state for one forest: trees, row caches, and scale.
 
@@ -358,22 +399,19 @@ class ForestSampler:
     reads the leaves from ``tree.scan`` directly, so the leaf redraw after
     a rejected or null step walks nothing.
 
-    Within one sweep, ``sweep`` also keeps:
+    Within one sweep, ``sweep`` also keeps, for ``_redraw_leaves``:
 
     - the child residual sums that the likelihood ratio has just computed,
-      as a pair of (node, sum): those of the proposal's child pair after
-      an accept and of the node's current pair after a reject, none when
-      the node is a leaf after the step. The residual does not change in
-      between and the sum gathers the same rows in the same order, so each
-      reused value is the same float;
+      by leaf: those of the proposal's child pair after an accept and of
+      the node's current pair after a reject, none when the node is a leaf
+      after the step. The residual does not change in between and the sum
+      gathers the same rows in the same order, so each reused value is the
+      same float;
     - each leaf's posterior variance and its square root, per weighted row
       count: sigma and the leaf scale are fixed for the sweep, so these are
       the same floats a per-leaf computation gives;
     - every leaf value, tree by tree and left to right, for the scale
       update, which would otherwise walk every tree again.
-
-    A one-leaf tree's noise is ``rng.standard_normal()``, which gives the
-    value and generator state of ``standard_normal(1)``.
 
     ``weights`` (0/1 per unit, optional) multiply the forest inside the
     likelihood: rows with weight zero still route through the trees and
@@ -387,8 +425,8 @@ class ForestSampler:
 
     def __init__(self, X: np.ndarray, prior: ForestPrior, weights=None):
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise ValueError("X must be a nonempty 2-D array")
+        if X.ndim != 2 or X.size == 0:
+            raise ValueError("X must be a 2-D array with rows and columns")
         if not np.isfinite(X).all():
             raise ValueError("X must be finite (no NaN or inf)")
         n = X.shape[0]
@@ -417,7 +455,7 @@ class ForestSampler:
         prior = self.prior
         splits = self.splits
         propose, apply = propose_move, apply_move
-        random, standard_normal = rng.random, rng.standard_normal
+        random = rng.random
         log = math.log
         leaf_sd = self.leaf_sd
         sig2 = sigma * sigma
@@ -429,8 +467,7 @@ class ForestSampler:
         for tree, fit in zip(self.trees, self.fits):
             resid += fit
             prop = propose(tree, splits, rng, prior)
-            # the children whose residual sums the likelihood ratio computed
-            left = right = None
+            sums = {}  # leaf -> the residual sum the likelihood ratio took
             if prop is not None:
                 log_like, new, old = _log_like_ratio(prop, resid, sig2, ls2)
                 log_alpha = log_like + prop.log_ratio
@@ -442,31 +479,10 @@ class ForestSampler:
                 else:
                     stats = old
                 if stats is not None:
-                    left, right = prop.node.left, prop.node.right
-                    sum_left, sum_right = stats[0][1], stats[1][1]
-            leaves = (tree.scan or _scan(tree))[0]
-            # standard_normal() gives the value and generator state of
-            # standard_normal(1)
-            noise = (standard_normal(len(leaves)).tolist() if len(leaves) > 1
-                     else (standard_normal(),))
-            for leaf, eps in zip(leaves, noise):
-                wrows = leaf.rowset.wrows
-                if leaf is left:
-                    total = sum_left
-                elif leaf is right:
-                    total = sum_right
-                else:
-                    total = float(_sum(resid[wrows]))
-                count = len(wrows)
-                post = posterior.get(count)
-                if post is None:
-                    var = 1.0 / (prec + count / sig2)
-                    post = posterior[count] = (var, math.sqrt(var))
-                var, sd = post
-                value = var * total / sig2 + sd * eps
-                leaf.value = value
-                values.append(value)
-                fit[wrows] = value
+                    node = prop.node
+                    sums = {node.left: stats[0][1], node.right: stats[1][1]}
+            values += _redraw_leaves((tree.scan or _scan(tree))[0], resid,
+                                     sums, fit, sig2, prec, posterior, rng)
             resid -= fit
         self.proposals += len(self.trees)
         self.accepts += accepts
@@ -556,6 +572,30 @@ def _standardize(y: np.ndarray, sigma_prior):
     return (y - center) / scale, center, scale
 
 
+def _sigma_step(resid: np.ndarray, nu, lam: float, rng) -> float:
+    """Gibbs draw of sigma given the n residuals ``resid`` with sum of
+    squares SSR: sigma^2 ~ InvGamma((nu + n) / 2, (nu * lam + SSR) / 2)."""
+    ssr = float(resid @ resid)
+    shape = 0.5 * (nu + resid.shape[0])
+    rate = 0.5 * (nu * lam + ssr)
+    return math.sqrt(rate / rng.gamma(shape))
+
+
+def _probit_latent(resid, z, pos, rng) -> None:
+    """Albert-Chib step: redraw the latent utilities ``z`` in place given
+    the forest output g = z - resid, N(g, 1) truncated to (0, inf) where
+    ``pos`` and to (-inf, 0] elsewhere, by inverse survival / CDF sampling;
+    ``resid`` becomes z - g."""
+    neg = ~pos
+    g = z - resid
+    u = rng.random(len(z))
+    w_pos = np.maximum(u[pos] * ndtr(g[pos]), 1e-300)
+    z[pos] = g[pos] - ndtri(w_pos)
+    w_neg = np.maximum(u[neg] * ndtr(-g[neg]), 1e-300)
+    z[neg] = g[neg] + ndtri(w_neg)
+    resid[:] = z - g
+
+
 def _run_chain(samplers, resid: np.ndarray, chain: ChainConfig, sigma_prior,
                rng, retain, latent=None) -> None:
     """Run one chain of backfitting sweeps over ``samplers``, in order.
@@ -566,7 +606,6 @@ def _run_chain(samplers, resid: np.ndarray, chain: ChainConfig, sigma_prior,
     ``SigmaPrior`` calibrated on the starting ``resid``.
     ``retain(k, resid, sigma)`` receives the k-th retained iteration.
     """
-    n = resid.shape[0]
     fixed = isinstance(sigma_prior, FixedSigma)
     sigma = sigma_prior.value if fixed else 1.0
     if not fixed:
@@ -577,10 +616,7 @@ def _run_chain(samplers, resid: np.ndarray, chain: ChainConfig, sigma_prior,
         for sampler in samplers:
             sampler.sweep(resid, sigma, rng)
         if not fixed:
-            ssr = float(resid @ resid)
-            shape = 0.5 * (sigma_prior.nu + n)
-            rate = 0.5 * (sigma_prior.nu * lam + ssr)
-            sigma = math.sqrt(rate / rng.gamma(shape))
+            sigma = _sigma_step(resid, sigma_prior.nu, lam, rng)
         if it >= chain.burn_in:
             retain(it - chain.burn_in, resid, sigma)
 
@@ -638,21 +674,8 @@ def fit_binary_probit(X, d, prior: ForestPrior = ForestPrior(),
     rng = np.random.default_rng(_seed_sequence(seed))
 
     n = d.shape[0]
-    pos = d == 1
-    neg = ~pos
     sampler = ForestSampler(X, prior)
     z = np.zeros(n)  # latent utilities; the forest output is z - resid
-
-    def latent(resid):
-        # Albert-Chib latent draws by inverse survival / CDF sampling
-        g = z - resid
-        u = rng.random(n)
-        w_pos = np.maximum(u[pos] * ndtr(g[pos]), 1e-300)
-        z[pos] = g[pos] - ndtri(w_pos)
-        w_neg = np.maximum(u[neg] * ndtr(-g[neg]), 1e-300)
-        z[neg] = g[neg] + ndtri(w_neg)
-        resid[:] = z - g
-
     keep = chain.n_retained
     draws = np.empty((keep, n))
     probs = np.empty((keep, n))
@@ -663,7 +686,7 @@ def fit_binary_probit(X, d, prior: ForestPrior = ForestPrior(),
         probs[k] = np.clip(ndtr(g), 1e-12, 1.0 - 1e-12)
 
     _run_chain([sampler], np.zeros(n), chain, FixedSigma(1.0), rng, retain,
-               latent=latent)
+               latent=partial(_probit_latent, z=z, pos=d == 1, rng=rng))
     return BartPosterior(
         draws=draws,
         sigma_draws=None,

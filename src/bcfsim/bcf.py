@@ -41,6 +41,7 @@ from .bart import (
     SigmaPrior,
     _check_binary,
     _check_inputs,
+    _member,
     _run_chain,
     _seed_sequence,
     _standardize,
@@ -131,7 +132,7 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     _check_binary(z, "z")
     if z.min() == z.max():
         raise ValueError("z must contain both treated and control units")
-    mode = PropensityMode(mode)
+    mode = _member(PropensityMode, "mode", mode)
     if config is None:
         config = BcfConfig()
     y_work, center, scale = _standardize(y, config.sigma_prior)

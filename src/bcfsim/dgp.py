@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .bart import _check_count, _is_real, _seed_sequence
+from .bart import _check_count, _is_real, _member, _seed_sequence
 
 
 class Selection(str, enum.Enum):
@@ -43,7 +43,8 @@ class DgpSpec:
     n: int = 250
 
     def __post_init__(self):
-        object.__setattr__(self, "selection", Selection(self.selection))
+        object.__setattr__(self, "selection",
+                           _member(Selection, "selection", self.selection))
         if not (_is_real(self.alpha) and self.alpha > 0):
             raise ValueError(
                 f"alpha must be finite and positive, got {self.alpha!r}")
@@ -147,7 +148,7 @@ def propensity(x, selection):
 
     All three stay inside [0.05, 0.95], so overlap holds by construction.
     """
-    selection = Selection(selection)
+    selection = _member(Selection, "selection", selection)
     arr, scalar = _as_matrix(x)
     b_term = beta_cdf_2_4(expit(baseline(arr)))
     min_term = beta_cdf_2_4(np.minimum(arr[:, 0], arr[:, 1]))

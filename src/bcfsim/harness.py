@@ -73,7 +73,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .bart import ChainConfig, _check_count
+from .bart import ChainConfig, _check_count, _member
 from .bcf import (
     BcfConfig, PropensityMode, ate_posterior, cate_intervals, fit_bcf,
 )
@@ -161,11 +161,8 @@ class ExperimentConfig:
                                  f"got {getattr(self, name)!r}")
         for name, kind in (("selections", Selection),
                            ("models", PropensityMode)):
-            try:
-                object.__setattr__(self, name, tuple(
-                    kind(value) for value in getattr(self, name)))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+            object.__setattr__(self, name, tuple(
+                _member(kind, name, value) for value in getattr(self, name)))
         for alpha in self.alphas:
             try:
                 DgpSpec(Selection.EXTREME, alpha)  # DgpSpec states the rule

@@ -223,6 +223,11 @@ def levene_family(x, y, center: str = "mean") -> TestResult:
     groups' mean deviations still differ.
     """
     (x, y), one_row = _as_rows((x, y), ("x", "y"))
+    return _result(*_levene(x, y, center), one_row)
+
+
+def _levene(x: np.ndarray, y: np.ndarray, center: str) -> TestResult:
+    """``levene_family`` on rows ``_as_rows`` has checked: (k,) arrays."""
     if x.shape[1] < 2 or y.shape[1] < 2:
         raise ValueError("levene_family needs at least 2 values per group")
     if center == "mean":
@@ -244,7 +249,7 @@ def levene_family(x, y, center: str = "mean") -> TestResult:
     stat = np.where(spread, w, np.where(between == 0, 0.0, np.inf))
     p = np.where(spread, special.fdtrc(df1, df2, np.where(spread, w, 0.0)),
                  np.where(between == 0, 1.0, 0.0))
-    return _result(stat, p, one_row)
+    return TestResult(stat, p)
 
 
 def _warn_below_min_size(nx: int, ny: int) -> None:
@@ -306,8 +311,8 @@ def select_and_run(x, y):
     """
     (x, y), one_row = _as_rows((x, y), ("x", "y"))
     nx, ny = x.shape[1], y.shape[1]
-    levene = levene_family(x, y, center="mean")
-    brown_forsythe = levene_family(x, y, center="median")
+    levene = _levene(x, y, "mean")
+    brown_forsythe = _levene(x, y, "median")
     unequal = levene.p < 0.05
     placed, tie = _rank_pair(x, y)
     fp = mw = kw = iter(())

@@ -284,6 +284,15 @@ def test_sampler_input_validation():
         ForestSampler(X, ForestPrior(), weights=np.ones(5))
 
 
+def test_sampler_refuses_an_X_with_no_rows_or_no_columns():
+    # the fits refuse an X with no columns before they build a sampler; the
+    # sampler refuses it too, as no tree of it could ever split
+    for X in (np.empty((10, 0)), np.empty((0, 2))):
+        with pytest.raises(ValueError, match="^X must be a 2-D array with "
+                                             "rows and columns$"):
+            ForestSampler(X, ForestPrior(num_trees=2))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sampler_rejects_non_finite_covariates(bad):
     # a NaN column would get an all-NaN grid and route arbitrarily

@@ -224,6 +224,14 @@ def test_input_validation():
         fit_bcf(X, z, y, "some_other_mode", config=cfg)
 
 
+def test_an_unknown_mode_is_refused_by_name():
+    X, z, y = _toy_data()
+    with pytest.raises(ValueError, match="^mode: 'bogus' is not a valid "
+                                         "PropensityMode$"):
+        fit_bcf(X, z, y, "bogus", config=_small_config(iterations=10,
+                                                       burn_in=5))
+
+
 @pytest.mark.parametrize("mode", ["no_propensity", "estimated_propensity"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_inputs_rejected(mode, bad):

@@ -180,6 +180,14 @@ def test_spec_validation():
     assert spec.alpha == 2
 
 
+def test_an_unknown_selection_is_refused_by_name():
+    message = "^selection: 'strong' is not a valid Selection$"
+    with pytest.raises(ValueError, match=message):
+        DgpSpec("strong", 1.0)
+    with pytest.raises(ValueError, match=message):
+        propensity(np.full((1, 5), 0.5), "strong")
+
+
 @pytest.mark.parametrize("alpha", ["1", True, None, 10**400, [1.0]],
                          ids=["string", "bool", "none", "huge_int", "list"])
 def test_spec_refuses_an_alpha_that_is_not_a_real_number(alpha):
