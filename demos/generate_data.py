@@ -11,6 +11,7 @@ per selection strength and shows the quantities the study pivots on.
 import numpy as np
 
 from bcfsim.dgp import DgpSpec, Selection, baseline, generate, signal_ratio
+from bcfsim.harness import write_dataset
 
 # A draw is fully determined by (selection, alpha, n) plus one seed.
 # alpha divides the treatment effect, so larger alpha means the prognostic
@@ -39,5 +40,6 @@ for alpha in (1.0, 2.0, 4.0):
 # Draws can be dumped for external tools; the CSV carries the ground truth
 # columns (pi_true, cate_true) alongside the observables.
 out = "demo_draw_extreme.csv"
-generate(DgpSpec(Selection.EXTREME, 4.0, n=250), seed=20260819).to_csv(out)
+write_dataset(generate(DgpSpec(Selection.EXTREME, 4.0, n=250), seed=20260819),
+              out)
 print(f"wrote {out}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaincinv, ndtr, ndtri
+from scipy.special import gammaincinv, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .trees import (
     SplitTable,
@@ -581,6 +581,20 @@ def _sigma_step(resid: np.ndarray, nu, lam: float, rng) -> float:
     return math.sqrt(rate / rng.gamma(shape))
 
 
+def _truncated_tail(u, h):
+    """Phi^-1(u * Phi(h)) for uniforms ``u`` in [0, 1): inverse-CDF draws
+    of N(0, 1) truncated to (-inf, h]. Where u * Phi(h) is below 1e-300 the
+    draw is taken in log space, and u = 0 is read as 2^-53, the least
+    positive uniform the generator draws, so every draw is finite."""
+    w = u * ndtr(h)
+    x = ndtri(np.maximum(w, 1e-300))
+    tail = w < 1e-300
+    if tail.any():
+        x[tail] = ndtri_exp(np.log(np.maximum(u[tail], 2.0 ** -53))
+                            + log_ndtr(h[tail]))
+    return x
+
+
 def _probit_latent(resid, z, pos, rng) -> None:
     """Albert-Chib step: redraw the latent utilities ``z`` in place given
     the forest output g = z - resid, N(g, 1) truncated to (0, inf) where
@@ -589,10 +603,8 @@ def _probit_latent(resid, z, pos, rng) -> None:
     neg = ~pos
     g = z - resid
     u = rng.random(len(z))
-    w_pos = np.maximum(u[pos] * ndtr(g[pos]), 1e-300)
-    z[pos] = g[pos] - ndtri(w_pos)
-    w_neg = np.maximum(u[neg] * ndtr(-g[neg]), 1e-300)
-    z[neg] = g[neg] + ndtri(w_neg)
+    z[pos] = g[pos] - _truncated_tail(u[pos], g[pos])
+    z[neg] = g[neg] + _truncated_tail(u[neg], -g[neg])
     resid[:] = z - g
 
 

@@ -9,7 +9,7 @@ import sys
 from .dgp import DgpSpec, Selection, generate
 from .harness import (
     ExperimentConfig, apply_profile, load_config_file, report_from,
-    run_experiment,
+    run_experiment, write_dataset,
 )
 
 
@@ -82,7 +82,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_generate(args) -> int:
     dataset = generate(DgpSpec(args.dgp, args.alpha, args.n), args.seed)
-    dataset.to_csv(args.out)
+    write_dataset(dataset, args.out)
     print(f"wrote {args.n} rows ({args.dgp}, alpha={args.alpha:g}, "
           f"seed={args.seed}) to {args.out}")
     return 0

@@ -12,14 +12,14 @@ heterogeneous effect tau(x) = (x1 + x2) / (2*alpha). Larger alpha means the
 baseline dominates the treatment signal.
 
 Every draw carries its ground truth (propensity, CATE, noise) so that
-estimators can be scored exactly.
+estimators can be scored exactly. The surfaces take (n, 5) covariate
+matrices. Nothing here writes a file: ``harness.write_dataset`` writes a
+draw as CSV.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,26 +69,6 @@ class Dataset:
     def __post_init__(self):
         self.ate_true = float(self.cate_true.mean())
 
-    def to_csv(self, path) -> None:
-        """Dump the draw as CSV with columns x1..x5, pi_true, d, y, cate_true.
-
-        Lines end in "\\n". The rows go to ``<path>.tmp``, which then
-        replaces ``path``, so ``path`` never holds a partial file.
-        """
-        tmp = f"{os.fspath(path)}.tmp"
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["x1", "x2", "x3", "x4", "x5", "pi_true", "d", "y", "cate_true"]
-            )
-            for i in range(self.X.shape[0]):
-                writer.writerow(
-                    [repr(float(v)) for v in self.X[i]]
-                    + [repr(float(self.pi_true[i])), int(self.D[i]),
-                       repr(float(self.Y[i])), repr(float(self.cate_true[i]))]
-                )
-        os.replace(tmp, path)
-
 
 def beta_cdf_2_4(u):
     """CDF of the Beta(2, 4) distribution.
@@ -111,35 +91,31 @@ def beta_cdf_2_4(u):
     return float(val) if np.isscalar(u) or u_arr.ndim == 0 else val
 
 
-def _as_matrix(x) -> tuple[np.ndarray, bool]:
+def _as_matrix(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 1
-    if scalar:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 5:
-        raise ValueError(f"expected 5 covariates per row, got shape {arr.shape}")
+        raise ValueError(
+            f"expected an (n, 5) covariate matrix, got shape {arr.shape}")
     if np.any(arr < 0) or np.any(arr > 1):
         raise ValueError("covariates must lie in [0, 1]")
-    return arr, scalar
+    return arr
 
 
 def baseline(x):
-    """Prognostic level b(x) = sin(pi*x1*x2) + 2*(x3-0.5)^2 + x4 + 0.5*x5.
-
-    Accepts a single 5-vector or an (n, 5) matrix.
-    """
-    arr, scalar = _as_matrix(x)
-    b = (
+    """Prognostic level b(x) = sin(pi*x1*x2) + 2*(x3-0.5)^2 + x4 + 0.5*x5
+    of each row of an (n, 5) covariate matrix."""
+    arr = _as_matrix(x)
+    return (
         np.sin(np.pi * arr[:, 0] * arr[:, 1])
         + 2.0 * (arr[:, 2] - 0.5) ** 2
         + arr[:, 3]
         + 0.5 * arr[:, 4]
     )
-    return float(b[0]) if scalar else b
 
 
 def propensity(x, selection):
-    """Treatment probability pi(x) for the given selection strength.
+    """Treatment probability pi(x) of each row of an (n, 5) covariate
+    matrix, for the given selection strength.
 
     extreme:  0.05 + 0.90 * BetaCDF_{2,4}(sigmoid(b(x)))
     moderate: 0.05 + 0.75 * BetaCDF_{2,4}(sigmoid(b(x)))
@@ -149,23 +125,21 @@ def propensity(x, selection):
     All three stay inside [0.05, 0.95], so overlap holds by construction.
     """
     selection = _member(Selection, "selection", selection)
-    arr, scalar = _as_matrix(x)
+    arr = _as_matrix(x)
     b_term = beta_cdf_2_4(expit(baseline(arr)))
     min_term = beta_cdf_2_4(np.minimum(arr[:, 0], arr[:, 1]))
     if selection is Selection.EXTREME:
-        p = 0.05 + 0.9 * b_term
-    elif selection is Selection.MODERATE:
-        p = 0.05 + 0.75 * b_term + 0.15 * min_term
-    else:
-        p = 0.05 + 0.9 * min_term
-    return float(p[0]) if scalar else p
+        return 0.05 + 0.9 * b_term
+    if selection is Selection.MODERATE:
+        return 0.05 + 0.75 * b_term + 0.15 * min_term
+    return 0.05 + 0.9 * min_term
 
 
 def cate(x, alpha):
-    """Per-unit treatment effect tau(x) = (x1 + x2) / (2 * alpha)."""
-    arr, scalar = _as_matrix(x)
-    t = (arr[:, 0] + arr[:, 1]) / (2.0 * alpha)
-    return float(t[0]) if scalar else t
+    """Per-unit treatment effect tau(x) = (x1 + x2) / (2 * alpha) of each
+    row of an (n, 5) covariate matrix."""
+    arr = _as_matrix(x)
+    return (arr[:, 0] + arr[:, 1]) / (2.0 * alpha)
 
 
 def generate(spec: DgpSpec, seed) -> Dataset:

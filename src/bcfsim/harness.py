@@ -21,11 +21,12 @@ Artifacts written per run directory:
 
 Wall-clock seconds live only in timing.json and the cells/ checkpoints;
 every other file is byte-identical across reruns of the same configuration.
-Every file goes through one writer, ``_write_text``: a run, resume or
-report leaves a file untouched when it already holds the bytes it would
-get, and replaces any other file atomically (a temp file renamed over it),
-so a rebuild of an intact run directory or a resume of a finished run
-writes nothing.
+Every file goes through one writer, ``_write_text``, and so does the
+dataset CSV of ``write_dataset``: a run, resume, report or dataset dump
+leaves a file untouched when it already holds the bytes it would get, and
+replaces any other file atomically (a temp file renamed over it), so a
+rebuild of an intact run directory or a resume of a finished run writes
+nothing.
 
 A ``ReplicateRecord`` is one replicates.csv row. A cell's checkpoint is one
 CSV, written at once: per fit, the record fields, the dataset digest and the
@@ -57,6 +58,7 @@ refusal.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -89,6 +91,7 @@ __all__ = [
     "dataset_digest", "evaluate_fit", "run_experiment", "cell_values",
     "summarize", "compare_models", "timing_report", "report_from",
     "apply_profile", "load_config_file", "read_replicates_csv",
+    "write_dataset",
 ]
 
 MODEL_IDS = tuple(m.value for m in PropensityMode)
@@ -312,7 +315,8 @@ def _write_text(path: Path, text: str) -> None:
     """Make ``path`` hold ``text`` in UTF-8. A file that already holds those
     bytes is left untouched, and a ``<name>.tmp`` an interrupted write left
     beside it is removed; any other file is written to ``<name>.tmp`` and
-    renamed over ``path``, so a crash never leaves it partly written."""
+    renamed over ``path``, so a crash never leaves it partly written. A
+    write or rename that fails removes the temp file and raises."""
     data = text.encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -322,8 +326,13 @@ def _write_text(path: Path, text: str) -> None:
     if current:
         tmp.unlink(missing_ok=True)
         return
-    tmp.write_bytes(data)
-    tmp.replace(path)
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _csv_text(header, rows) -> str:
@@ -333,6 +342,20 @@ def _csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def write_dataset(dataset: Dataset, path) -> None:
+    """Write one draw to ``path`` as CSV with columns x1..x5, pi_true, d, y,
+    cate_true: every float as its ``repr``, ``d`` as 0 or 1. It goes
+    through ``_write_text``, as every file of a run does."""
+    rows = ([*map(repr, x), repr(pi), d, repr(y), repr(tau)]
+            for x, pi, d, y, tau in zip(
+                dataset.X.tolist(), dataset.pi_true.tolist(),
+                dataset.D.tolist(), dataset.Y.tolist(),
+                dataset.cate_true.tolist()))
+    _write_text(Path(path), _csv_text(
+        ["x1", "x2", "x3", "x4", "x5", "pi_true", "d", "y", "cate_true"],
+        rows))
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats as spstats
+from scipy.special import log_ndtr
 
 from bcfsim.bart import (
     HALF_NORMAL_MEDIAN, ChainConfig, FixedScale, FixedSigma, ForestPrior,
     ForestSampler, HalfCauchy, HalfNormal, SigmaPrior, _llm, _log_like_ratio,
-    _sigma_prior_scale, _slice_sample, fit_binary_probit, fit_continuous,
+    _probit_latent, _sigma_prior_scale, _slice_sample, fit_binary_probit,
+    fit_continuous,
 )
 from bcfsim.bcf import BcfConfig, fit_bcf
 from bcfsim.trees import (
@@ -745,3 +747,55 @@ def test_probit_recovers_monotone_propensity():
     rmse = math.sqrt(float(np.mean((p_hat - truth) ** 2)))
     assert rmse < 0.12
     assert np.corrcoef(p_hat, truth)[0, 1] > 0.85
+
+
+def _latent_draw(g, pos, rng):
+    """One ``_probit_latent`` step at forest output ``g``: the new z."""
+    z = np.zeros(len(g))
+    resid = z - g
+    _probit_latent(resid, z, pos, rng)
+    assert_allclose(resid, z - g, rtol=0, atol=1e-12)
+    return z
+
+
+def test_probit_latent_keeps_a_far_tail_draw_on_its_side():
+    # past |g| of about 37.5, u * Phi(+-g) is below 1e-300; a draw of
+    # g -+ ndtri(1e-300), about g -+ 37, would land on the wrong side of 0
+    z = _latent_draw(np.array([-38.0, 38.0]), np.array([True, False]),
+                     np.random.default_rng(0))
+    assert 0 < z[0] < 0.1
+    assert -0.1 < z[1] <= 0
+
+
+def test_probit_latent_draws_the_far_tail_law():
+    # N(g, 1) truncated to (0, inf) at g = -40 and to (-inf, 0] at g = 40,
+    # whose CDFs are taken in log space: Phi(-40) underflows
+    draws = 4000
+    g = np.repeat([-40.0, 40.0], draws)
+    z = _latent_draw(g, g < 0, np.random.default_rng(5))
+    above, below = z[:draws], z[draws:]
+    assert (above > 0).all() and (below <= 0).all()
+
+    def cdf_above(t):
+        return -np.expm1(log_ndtr(-40.0 - np.maximum(t, 0.0))
+                         - log_ndtr(-40.0))
+
+    def cdf_below(t):
+        return np.exp(log_ndtr(np.minimum(t, 0.0) - 40.0) - log_ndtr(-40.0))
+
+    assert spstats.kstest(above, cdf_above).pvalue > 1e-3
+    assert spstats.kstest(below, cdf_below).pvalue > 1e-3
+
+
+def test_probit_latent_is_finite_at_a_zero_uniform():
+    # the generator can return u = 0; every draw stays finite and on its
+    # side of 0, at ordinary and at far-tail forest outputs
+    class ZeroUniforms:
+        def random(self, n):
+            return np.zeros(n)
+
+    g = np.array([-40.0, -3.0, 0.0, 3.0, 40.0] * 2)
+    pos = np.repeat([True, False], 5)
+    z = _latent_draw(g, pos, ZeroUniforms())
+    assert np.isfinite(z).all()
+    assert (z[pos] > 0).all() and (z[~pos] <= 0).all()

@@ -1,6 +1,7 @@
 """Command line interface tests, driving ``main(argv)`` in-process."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -63,7 +64,7 @@ def test_generate_writes_dataset(tmp_path, capsys):
     # the CLI is a thin wrapper: bytes must match the library call; lines
     # end in "\n" as in every file a run writes, and no temp file is left
     twin = tmp_path / "twin.csv"
-    generate(DgpSpec("moderate", 2.0, 40), 5).to_csv(twin)
+    harness.write_dataset(generate(DgpSpec("moderate", 2.0, 40), 5), twin)
     assert dest.read_bytes() == twin.read_bytes()
     assert b"\r" not in dest.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["draw.csv",
@@ -76,8 +77,47 @@ def test_generate_takes_any_finite_positive_alpha(tmp_path):
                  "--n", "10", "--seed", "1", "--out", str(dest)])
     assert code == 0
     twin = tmp_path / "twin.csv"
-    generate(DgpSpec("moderate", 3.0, 10), 1).to_csv(twin)
+    harness.write_dataset(generate(DgpSpec("moderate", 3.0, 10), 1), twin)
     assert dest.read_bytes() == twin.read_bytes()
+
+
+def test_generate_writes_the_pinned_bytes(tmp_path):
+    # the README's example command; the digest holds for the pinned numpy
+    # and scipy (README, "Determinism contract")
+    dest = tmp_path / "draw.csv"
+    assert main(["generate", "--dgp", "extreme", "--alpha", "4", "--n", "250",
+                 "--seed", "11", "--out", str(dest)]) == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == (
+        "cddd16e3b905e1b42f9a1a5039a5fb236bae56ceb5d2992414cb3ba3b446fae5")
+
+
+def test_generate_rerun_leaves_the_file_untouched(tmp_path):
+    # the dataset goes through the run's writer: a rerun with the same
+    # arguments keeps the file's inode and mtime and removes a stale temp
+    # file an interrupted write left beside it
+    dest = tmp_path / "draw.csv"
+    argv = ["generate", "--dgp", "slight", "--alpha", "2", "--n", "12",
+            "--seed", "3", "--out", str(dest)]
+    assert main(argv) == 0
+    os.utime(dest, ns=(1_000_000_000, 1_000_000_000))
+    before = dest.stat()
+    stale = tmp_path / "draw.csv.tmp"
+    stale.write_text("x1,x2")
+    assert main(argv) == 0
+    after = dest.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                 before.st_mtime_ns)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["draw.csv"]
+
+
+def test_generate_into_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    dest = tmp_path / "adir"
+    dest.mkdir()
+    code = main(["generate", "--dgp", "extreme", "--alpha", "4",
+                 "--n", "20", "--seed", "11", "--out", str(dest)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
 
 
 @pytest.mark.parametrize("flag, value, message", [

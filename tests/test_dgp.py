@@ -14,6 +14,7 @@ from bcfsim.dgp import (
     Dataset, DgpSpec, Selection, baseline, beta_cdf_2_4, cate, generate,
     propensity, signal_ratio,
 )
+from bcfsim.harness import write_dataset
 
 
 # ---------------------------------------------------------------- beta CDF
@@ -65,37 +66,40 @@ def test_beta_cdf_stays_a_probability_near_one():
 
 def test_baseline_hand_value():
     # b(.5,.5,.5,.5,.5) = sin(pi/4) + 0 + 0.5 + 0.25
-    x = np.full(5, 0.5)
-    assert_allclose(baseline(x), np.sin(np.pi / 4) + 0.75, rtol=1e-15)
+    x = np.full((1, 5), 0.5)
+    assert_allclose(baseline(x), [np.sin(np.pi / 4) + 0.75], rtol=1e-15)
 
 
-def test_baseline_vector_and_matrix_agree():
+def test_baseline_of_a_row_matches_the_matrix():
     rng = np.random.default_rng(3)
     X = rng.random((40, 5))
     bs = baseline(X)
     assert bs.shape == (40,)
     for i in (0, 7, 39):
-        assert baseline(X[i]) == bs[i]
+        assert baseline(X[i:i + 1]) == bs[i]
 
 
 def test_baseline_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        baseline(np.zeros(4))
-    with pytest.raises(ValueError):
-        baseline(np.full(5, 1.5))
+    shape = r"^expected an \(n, 5\) covariate matrix, got shape \(5,\)$"
+    with pytest.raises(ValueError, match=shape):
+        baseline(np.zeros(5))
+    with pytest.raises(ValueError, match="^expected an"):
+        baseline(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="^covariates must lie in"):
+        baseline(np.full((1, 5), 1.5))
 
 
 def test_cate_scaling():
-    x = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-    assert_allclose(cate(x, 1.0), 1.0)
-    assert_allclose(cate(x, 4.0), 0.25)
+    x = np.array([[1.0, 1.0, 0.0, 0.0, 0.0]])
+    assert_allclose(cate(x, 1.0), [1.0])
+    assert_allclose(cate(x, 4.0), [0.25])
     X = np.random.default_rng(0).random((30, 5))
     assert_allclose(cate(X, 2.0) * 2.0, cate(X, 1.0))
 
 
 def test_propensity_formulas_at_a_point():
     from scipy.special import expit
-    x = np.array([0.2, 0.9, 0.5, 0.5, 0.5])
+    x = np.array([[0.2, 0.9, 0.5, 0.5, 0.5]])
     b_term = beta_cdf_2_4(expit(baseline(x)))
     min_term = beta_cdf_2_4(0.2)
     assert_allclose(propensity(x, "extreme"), 0.05 + 0.9 * b_term, rtol=1e-14)
@@ -245,7 +249,7 @@ def test_treatment_rate_tracks_propensity():
 def test_dataset_csv_roundtrip(tmp_path):
     ds = generate(DgpSpec("moderate", 2.0, 12), 5)
     path = tmp_path / "draw.csv"
-    ds.to_csv(path)
+    write_dataset(ds, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12

@@ -629,7 +629,10 @@ MINI_CONFIG = dict(
 def mini_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("mini_run")
     config = ExperimentConfig(**MINI_CONFIG)
-    records = run_experiment(config, out_dir=out)
+    # two replicates per model are below Fligner-Policello's normal
+    # approximation, and the report says so
+    with pytest.warns(UserWarning, match="fligner_policello"):
+        records = run_experiment(config, out_dir=out)
     return config, out, records
 
 
@@ -828,7 +831,8 @@ def test_scatter_file_tracks_selection_strength(mini_run):
 def test_run_experiment_is_byte_deterministic(mini_run, tmp_path):
     config, out, _ = mini_run
     rerun = tmp_path / "rerun"
-    run_experiment(ExperimentConfig(**MINI_CONFIG), out_dir=rerun)
+    with pytest.warns(UserWarning, match="fligner_policello"):
+        run_experiment(ExperimentConfig(**MINI_CONFIG), out_dir=rerun)
     for name in ("run_config.json", "replicates.csv", "digests.csv",
                  "summary_extreme_4.csv", "summary_extreme_4.md",
                  "boxplot_extreme_4.csv", "scatter_pi_vs_b_extreme.csv",
@@ -870,7 +874,9 @@ def test_progress_counts_only_the_fits_this_call_runs(mini_run, tmp_path):
     shutil.copytree(out / "cells", run / "cells")
     (run / "run_config.json").write_text(json.dumps(both.to_json_dict()))
     lines = []
-    run_experiment(both, out_dir=run, resume=True, progress=lines.append)
+    with pytest.warns(UserWarning, match="fligner_policello"):
+        run_experiment(both, out_dir=run, resume=True,
+                       progress=lines.append)
 
     with open(run / "cells" / "cell_extreme_2.csv", newline="") as fh:
         seconds = [float(row["seconds"]) for row in csv.DictReader(fh)]
@@ -886,7 +892,9 @@ def test_progress_counts_only_the_fits_this_call_runs(mini_run, tmp_path):
 
     # a resume that loads every cell runs, counts and prints no fit
     lines.clear()
-    run_experiment(both, out_dir=run, resume=True, progress=lines.append)
+    with pytest.warns(UserWarning, match="fligner_policello"):
+        run_experiment(both, out_dir=run, resume=True,
+                       progress=lines.append)
     assert lines == []
 
 
@@ -987,7 +995,8 @@ def test_resume_reuses_checkpointed_cells(mini_run):
     # wall-clock times and writes no file: every file keeps its bytes,
     # inode and mtime
     before = _aged_file_states(out)
-    resumed = run_experiment(config, out_dir=out, resume=True)
+    with pytest.warns(UserWarning, match="fligner_policello"):
+        resumed = run_experiment(config, out_dir=out, resume=True)
     assert resumed == records
     assert _file_states(out) == before
 
@@ -1090,7 +1099,8 @@ def test_report_from_regenerates_derived_artifacts(mini_run):
     for name in derived:
         (out / name).unlink()
 
-    assert report_from(out).records() == records
+    with pytest.warns(UserWarning, match="fligner_policello"):
+        assert report_from(out).records() == records
     for name in derived:
         assert (out / name).read_bytes() == originals[name], name
     # no wall-clock data in the CSV, so timing must be left alone
@@ -1115,7 +1125,8 @@ def test_report_from_reads_replicates_in_replicate_order(mini_run,
         shutil.copy(out / "run_config.json", copy / "run_config.json")
         (copy / "replicates.csv").write_text(header + "".join(reordered),
                                              encoding="utf-8")
-        report_from(copy)
+        with pytest.warns(UserWarning, match="fligner_policello"):
+            report_from(copy)
         for path in copy.iterdir():
             if path.name.startswith(("summary_", "pvalues_", "boxplot_")):
                 assert path.read_bytes() == (out / path.name).read_bytes(), (
@@ -1143,7 +1154,8 @@ def test_report_from_echoes_a_hand_spelled_cell_in_the_boxplot(mini_run,
         (copy / "replicates.csv").write_text(
             header + "".join(",".join(row) + "\n" for row in cells),
             encoding="utf-8")
-        report_from(copy)
+        with pytest.warns(UserWarning, match="fligner_policello"):
+            report_from(copy)
     reports = sorted(path.name for path in built["hand"].iterdir()
                      if path.name.startswith(("summary_", "pvalues_")))
     assert len(reports) == 3
@@ -1166,7 +1178,8 @@ def test_report_from_leaves_its_inputs_untouched(mini_run):
     # hold their bytes, so every file keeps its bytes, inode and mtime
     _, out, _ = mini_run
     before = _aged_file_states(out)
-    report_from(out)
+    with pytest.warns(UserWarning, match="fligner_policello"):
+        report_from(out)
     assert _file_states(out) == before
 
 
@@ -1189,7 +1202,8 @@ def test_report_from_restores_a_damaged_report_file(mini_run, tmp_path,
     before = _aged_file_states(run)
     leftover = run / "summary_extreme_4.md.tmp"
     leftover.write_bytes(b"# Summ")
-    report_from(run)
+    with pytest.warns(UserWarning, match="fligner_policello"):
+        report_from(run)
     after = _file_states(run)
     data, inode, _ = after.pop(damaged)
     assert data == want
@@ -1197,6 +1211,33 @@ def test_report_from_restores_a_damaged_report_file(mini_run, tmp_path,
     assert not leftover.exists()
     assert after == before
 
+
+
+def test_write_text_removes_its_temp_file_when_the_rename_fails(tmp_path):
+    # a path that names a directory cannot be replaced by a file: the error
+    # reaches the caller, and neither the temp file nor the bytes stay
+    target = tmp_path / "adir"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        harness._write_text(target, "x")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+    assert list(target.iterdir()) == []
+
+
+def test_write_text_removes_its_temp_file_when_interrupted(tmp_path,
+                                                          monkeypatch):
+    # a Ctrl-C between the write and the rename leaves the old file whole
+    target = tmp_path / "kept.csv"
+    target.write_text("old\n")
+
+    def interrupted(self, other):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        harness._write_text(target, "new\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+    assert target.read_text() == "old\n"
 
 def test_report_from_refuses_unknown_config_keys(mini_run, tmp_path):
     _, out, _ = mini_run
