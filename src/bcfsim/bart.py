@@ -18,9 +18,10 @@ sampling (``bcf.BcfConfig`` checks its own when built).
 Every chain runs through one driver, ``_run_chain``: per iteration an
 optional latent step (``_probit_latent``) rewrites the working residual,
 each forest sweeps in order (``_redraw_leaves`` draws each tree's leaves),
-the noise sd gets its Gibbs step (``_sigma_step``) unless pinned, and
-retained iterations go to a callback. ``fit_continuous``,
-``fit_binary_probit`` and ``bcf.fit_bcf`` are thin wrappers around it.
+the noise sd gets its Gibbs step (``_sigma_step``) unless pinned, and the
+driver keeps the tuple ``retain(resid, sigma)`` returns at each retained
+iteration, one array per value. ``fit_continuous``, ``fit_binary_probit``
+and ``bcf.fit_bcf`` are thin wrappers around it.
 
 Scale conventions: ``leaf_scale_prior`` acts on the prior standard deviation
 of the summed forest output; individual leaf values get sd
@@ -609,14 +610,15 @@ def _probit_latent(resid, z, pos, rng) -> None:
 
 
 def _run_chain(samplers, resid: np.ndarray, chain: ChainConfig, sigma_prior,
-               rng, retain, latent=None) -> None:
+               rng, retain, latent=None) -> list:
     """Run one chain of backfitting sweeps over ``samplers``, in order.
 
     ``resid``, the working response minus every forest, is kept in place;
     ``latent(resid)`` may rewrite it before each iteration's sweeps. Sigma
     stays at a ``FixedSigma``'s value, and is otherwise drawn under the
     ``SigmaPrior`` calibrated on the starting ``resid``.
-    ``retain(k, resid, sigma)`` receives the k-th retained iteration.
+    ``retain(resid, sigma)`` gives a tuple at each retained iteration; the
+    return is one array per value in it, a row per retained iteration.
     """
     fixed = isinstance(sigma_prior, FixedSigma)
     sigma = sigma_prior.value if fixed else 1.0
@@ -630,7 +632,13 @@ def _run_chain(samplers, resid: np.ndarray, chain: ChainConfig, sigma_prior,
         if not fixed:
             sigma = _sigma_step(resid, sigma_prior.nu, lam, rng)
         if it >= chain.burn_in:
-            retain(it - chain.burn_in, resid, sigma)
+            values = retain(resid, sigma)
+            if it == chain.burn_in:
+                kept = [np.empty((chain.n_retained,) + np.asarray(v).shape)
+                        for v in values]
+            for array, value in zip(kept, values):
+                array[it - chain.burn_in] = value
+    return kept
 
 
 def fit_continuous(X, y, prior: ForestPrior = ForestPrior(),
@@ -652,15 +660,11 @@ def fit_continuous(X, y, prior: ForestPrior = ForestPrior(),
     rng = np.random.default_rng(_seed_sequence(seed))
     sampler = ForestSampler(X, prior)
 
-    keep = chain.n_retained
-    draws = np.empty((keep, n))
-    sigma_draws = np.empty(keep)
+    def retain(resid, sigma):
+        return center + scale * (y_work - resid), scale * sigma
 
-    def retain(k, resid, sigma):
-        draws[k] = center + scale * (y_work - resid)
-        sigma_draws[k] = scale * sigma
-
-    _run_chain([sampler], y_work.copy(), chain, sigma_prior, rng, retain)
+    draws, sigma_draws = _run_chain([sampler], y_work.copy(), chain,
+                                    sigma_prior, rng, retain)
     return BartPosterior(
         draws=draws,
         sigma_draws=sigma_draws,
@@ -688,20 +692,13 @@ def fit_binary_probit(X, d, prior: ForestPrior = ForestPrior(),
     n = d.shape[0]
     sampler = ForestSampler(X, prior)
     z = np.zeros(n)  # latent utilities; the forest output is z - resid
-    keep = chain.n_retained
-    draws = np.empty((keep, n))
-    probs = np.empty((keep, n))
-
-    def retain(k, resid, sigma):
-        g = z - resid
-        draws[k] = g
-        probs[k] = np.clip(ndtr(g), 1e-12, 1.0 - 1e-12)
-
-    _run_chain([sampler], np.zeros(n), chain, FixedSigma(1.0), rng, retain,
-               latent=partial(_probit_latent, z=z, pos=d == 1, rng=rng))
+    draws, = _run_chain(
+        [sampler], np.zeros(n), chain, FixedSigma(1.0), rng,
+        lambda resid, sigma: (z - resid,),
+        latent=partial(_probit_latent, z=z, pos=d == 1, rng=rng))
     return BartPosterior(
         draws=draws,
         sigma_draws=None,
-        probability_draws=probs,
+        probability_draws=np.clip(ndtr(draws), 1e-12, 1.0 - 1e-12),
         acceptance_rate=sampler.acceptance_rate,
     )

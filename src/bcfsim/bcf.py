@@ -41,6 +41,7 @@ from .bart import (
     SigmaPrior,
     _check_binary,
     _check_inputs,
+    _is_real,
     _member,
     _run_chain,
     _seed_sequence,
@@ -162,22 +163,16 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     mu_sampler = ForestSampler(design, config.mu)
     tau_sampler = ForestSampler(X, config.tau, weights=z)
 
-    keep = config.chain.n_retained
-    mu_draws = np.empty((keep, n))
-    tau_draws = np.empty((keep, n))
-    sigma_draws = np.empty(keep)
-
-    def retain(k, resid, sigma):
+    def retain(resid, sigma):
         tau_work = tau_sampler.current_fit()
         # residual bookkeeping gives mu without another forest traversal
         mu_work = y_work - resid
         mu_work[zmask] -= tau_work[zmask]
-        mu_draws[k] = center + scale * mu_work
-        tau_draws[k] = scale * tau_work
-        sigma_draws[k] = scale * sigma
+        return center + scale * mu_work, scale * tau_work, scale * sigma
 
-    _run_chain([mu_sampler, tau_sampler], y_work.copy(), config.chain,
-               config.sigma_prior, rng, retain)
+    mu_draws, tau_draws, sigma_draws = _run_chain(
+        [mu_sampler, tau_sampler], y_work.copy(), config.chain,
+        config.sigma_prior, rng, retain)
     return BcfFit(
         mu_draws=mu_draws,
         tau_draws=tau_draws,
@@ -191,8 +186,8 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
 def _mean_and_interval(draws: np.ndarray, level: float):
     """``(mean, lower, upper)`` of ``draws`` along axis 0: the posterior
     mean and the equal-tailed ``level`` interval."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
+    if not (_is_real(level) and 0.0 < level < 1.0):
+        raise ValueError(f"level must be in (0, 1), got {level!r}")
     if draws.size == 0:
         raise ValueError("fit has no retained draws")
     tail = 0.5 * (1.0 - level)

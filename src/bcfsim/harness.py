@@ -710,11 +710,22 @@ def cell_values(config: ExperimentConfig,
 def summarize(cell: CellValues) -> dict:
     """Each model's (means, sds) over the cell's replicates, a float per
     ``METRIC_FIELDS`` metric; sds are ddof-1 sample standard deviations, or
-    None for a single replicate."""
-    return {model: (matrix.mean(axis=1).tolist(),
-                    matrix.std(axis=1, ddof=1).tolist()
-                    if matrix.shape[1] > 1 else None)
-            for model, matrix in cell.values.items()}
+    None for a single replicate. A mean or sd that overflows float64 raises
+    a ValueError naming its metric and model."""
+    summary = {}
+    for model, matrix in cell.values.items():
+        single = matrix.shape[1] == 1
+        # an overflow is refused below, by name, instead of warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = matrix.mean(axis=1)
+            sds = means if single else matrix.std(axis=1, ddof=1)
+        finite = np.isfinite(means) & np.isfinite(sds)
+        if not finite.all():
+            raise ValueError(f"{METRIC_FIELDS[finite.argmin()]} of {model}: "
+                             "its mean or sd over the replicates overflows "
+                             "float64")
+        summary[model] = (means.tolist(), None if single else sds.tolist())
+    return summary
 
 
 def _summary_csv_text(summary: dict) -> str:
@@ -889,12 +900,16 @@ def report_from(run_dir) -> RecordTable:
                          f"{exc}") from exc
     for cell in cells:
         stem = _cell_key(cell.dgp_id, cell.alpha)
-        summary = summarize(cell)
+        try:
+            summary = summarize(cell)
+            comparisons = compare_models(cell)
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}, cell {stem}: {exc}") from exc
         _write_text(run / f"summary_{stem}.csv", _summary_csv_text(summary))
         _write_text(run / f"summary_{stem}.md",
                     _summary_md_text(cell, summary))
         _write_text(run / f"boxplot_{stem}.csv", _boxplot_csv_text(cell))
-        for (model_a, model_b), reports in compare_models(cell).items():
+        for (model_a, model_b), reports in comparisons.items():
             _write_text(run / f"pvalues_{stem}_{model_a}_vs_{model_b}.csv",
                         _pvalues_csv_text(reports))
     return table

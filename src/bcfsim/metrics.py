@@ -10,9 +10,12 @@ metric that scores it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .bart import _is_real
 
 
 def _require_finite(**arrays) -> None:
@@ -25,10 +28,11 @@ def _require_finite(**arrays) -> None:
 def pointwise_errors(estimate, truth) -> dict:
     """RMSE, MAE and MAPE of ``estimate`` against ``truth``.
 
-    Both inputs must be finite. MAPE divides by |truth|, so any exactly-zero
-    truth entry is an error rather than a silent skip (the synthetic designs
-    make zeros a measure-zero event, so hitting one means something is wrong
-    upstream).
+    Both inputs must be finite, and so must each score: inputs too far
+    apart, or a truth too close to zero, raise a ValueError. MAPE divides by
+    |truth|, so any exactly-zero truth entry is an error rather than a
+    silent skip (the synthetic designs make zeros a measure-zero event, so
+    hitting one means something is wrong upstream).
     """
     est = np.asarray(estimate, dtype=float)
     tru = np.asarray(truth, dtype=float)
@@ -39,18 +43,24 @@ def pointwise_errors(estimate, truth) -> dict:
     _require_finite(estimate=est, truth=tru)
     if np.any(tru == 0):
         raise ValueError("MAPE undefined: truth contains an exact zero")
-    err = est - tru
-    return {
-        "rmse": float(np.sqrt(np.mean(err**2))),
-        "mae": float(np.mean(np.abs(err))),
-        "mape": float(np.mean(np.abs(err) / np.abs(tru))),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = est - tru
+        scores = {
+            "rmse": float(np.sqrt(np.mean(err**2))),
+            "mae": float(np.mean(np.abs(err))),
+            "mape": float(np.mean(np.abs(err) / np.abs(tru))),
+        }
+    for name, value in scores.items():
+        if not math.isfinite(value):
+            raise ValueError("estimate and truth overflow float64 in "
+                             f"their {name}")
+    return scores
 
 
 def interval_metrics(lower, upper, truth, nominal: float) -> dict:
     """Coverage, mean length, and coverage error of credible intervals.
 
-    All three arrays must be finite.
+    All three arrays must be finite, and so must the mean length.
 
     cover     fraction of units with lower <= truth <= upper
     len       mean(upper - lower)
@@ -65,14 +75,19 @@ def interval_metrics(lower, upper, truth, nominal: float) -> dict:
     if lo.size == 0:
         raise ValueError("empty input")
     _require_finite(lower=lo, upper=hi, truth=tru)
-    if not 0 < nominal < 1:
-        raise ValueError(f"nominal level must be in (0, 1), got {nominal}")
+    if not (_is_real(nominal) and 0 < nominal < 1):
+        raise ValueError(f"nominal level must be in (0, 1), got {nominal!r}")
     if np.any(lo > hi):
         raise ValueError("crossed interval: lower > upper")
     cover = float(np.mean((lo <= tru) & (tru <= hi)))
+    with np.errstate(over="ignore"):
+        length = float(np.mean(hi - lo))
+    if not math.isfinite(length):
+        raise ValueError("lower and upper overflow float64 in their mean "
+                         "length")
     return {
         "cover": cover,
-        "len": float(np.mean(hi - lo)),
+        "len": length,
         "se_cover": (cover - nominal) ** 2,
         "ae_cover": abs(cover - nominal),
     }

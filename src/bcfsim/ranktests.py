@@ -35,6 +35,7 @@ chi-square and F tails of ``scipy.special``, and ranks come from numpy.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from typing import NamedTuple
 
@@ -220,7 +221,8 @@ def levene_family(x, y, center: str = "mean") -> TestResult:
     ``center="mean"`` is Levene's original test, ``center="median"`` is the
     Brown-Forsythe variant. Degenerate input (zero deviation spread in both
     groups) yields p = 1 by convention, or an infinite F and p = 0 when the
-    groups' mean deviations still differ.
+    groups' mean deviations still differ. A sample whose sums of squared
+    deviations overflow float64 is refused with a ValueError naming it.
     """
     (x, y), one_row = _as_rows((x, y), ("x", "y"))
     return _result(*_levene(x, y, center), one_row)
@@ -230,19 +232,37 @@ def _levene(x: np.ndarray, y: np.ndarray, center: str) -> TestResult:
     """``levene_family`` on rows ``_as_rows`` has checked: (k,) arrays."""
     if x.shape[1] < 2 or y.shape[1] < 2:
         raise ValueError("levene_family needs at least 2 values per group")
-    if center == "mean":
-        dev = [np.abs(a - a.mean(axis=1, keepdims=True)) for a in (x, y)]
-    elif center == "median":
-        dev = [np.abs(a - np.median(a, axis=1, keepdims=True))
-               for a in (x, y)]
-    else:
+    if center not in ("mean", "median"):
         raise ValueError(f"center must be 'mean' or 'median', got {center!r}")
-
     n = x.shape[1] + y.shape[1]
-    grand = np.concatenate(dev, axis=1).mean(axis=1)
-    between = sum(d.shape[1] * _square(d.mean(axis=1) - grand) for d in dev)
-    within = sum(((d - d.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
-                 for d in dev)
+    # an overflow is refused below, naming its sample, instead of warned
+    # about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if center == "mean":
+            dev = [np.abs(a - a.mean(axis=1, keepdims=True)) for a in (x, y)]
+        else:
+            dev = [np.abs(a - np.median(a, axis=1, keepdims=True))
+                   for a in (x, y)]
+        grand = np.concatenate(dev, axis=1).mean(axis=1)
+        means = [d.mean(axis=1) for d in dev]
+        between = sum(d.shape[1] * _square(m - grand)
+                      for d, m in zip(dev, means))
+        withins = [((d - m[:, np.newaxis]) ** 2).sum(axis=1)
+                   for d, m in zip(dev, means)]
+        within = sum(withins)
+    broken = ~(np.isfinite(between) & np.isfinite(within))
+    if broken.any():
+        row = int(broken.argmax())
+        # the sample whose deviations spread too far, or else the one
+        # whose mean deviation is the larger
+        w_x, w_y = withins[0][row], withins[1][row]
+        if math.isfinite(w_x) and math.isfinite(w_y):
+            name = "x" if means[0][row] >= means[1][row] else "y"
+        else:
+            name = "y" if math.isfinite(w_x) else "x"
+        raise ValueError(f"{name} is too spread out for the {center}-centred "
+                         "Levene test: its sums of squared deviations "
+                         "overflow float64")
     df1, df2 = 1, n - 2
     spread = within != 0
     w = (between / df1) / (np.where(spread, within, 1.0) / df2)

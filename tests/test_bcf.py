@@ -392,6 +392,15 @@ def test_summary_validation():
         ate_posterior(empty)
 
 
+@pytest.mark.parametrize("summary", [cate_intervals, ate_posterior])
+@pytest.mark.parametrize("level", ["0.9", None, True, [0.9]])
+def test_a_level_that_is_not_a_number_is_refused_by_name(summary, level):
+    fit = _fake_fit(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match=r"^level must be in \(0, 1\), "
+                       "got "):
+        summary(fit, level)
+
+
 def test_fit_metadata():
     X, z, y = _toy_data()
     cfg = _small_config(iterations=10, burn_in=5)

@@ -508,6 +508,31 @@ def test_report_refuses_a_seed_or_replicate_count_the_records_contradict(
     assert scatter.read_bytes() == before
 
 
+def test_report_refuses_a_metric_whose_sd_overflows(grid_copy, tmp_path,
+                                                   capsys):
+    # one rmse_cate cell at 1e308: in range for its record, but its cell's
+    # sd overflows; the report exits 1 naming replicates.csv and the
+    # metric, with no overflow warning, and leaves every report file as the
+    # intact records made it
+    run, _ = grid_copy
+    capsys.readouterr()
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    path = copy / "replicates.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    rows[0][header.index("rmse_cate")] = "1e308"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header] + rows)
+    before = {report.name: report.read_bytes() for report in copy.iterdir()}
+    assert main(["report", "--from", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}, cell ")
+    assert f"rmse_cate of {rows[0][header.index('model')]}: " in err
+    assert {report.name: report.read_bytes()
+            for report in copy.iterdir()} == before
+
+
 def test_report_on_empty_directory_fails_cleanly(tmp_path, capsys):
     code = main(["report", "--from", str(tmp_path)])
     assert code == 1

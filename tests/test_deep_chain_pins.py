@@ -137,15 +137,9 @@ def test_weighted_chain_is_pinned(move_log):
     prior = ForestPrior(leaf_scale_prior=HalfNormal(1.0), **_PRIOR)
     sampler = ForestSampler(X, prior, weights=z)
     rng = np.random.default_rng(22)
-    keep = _CHAIN.n_retained
-    fits, sigmas = np.empty((keep, len(y))), np.empty(keep)
-
-    def retain(k, resid, sigma):
-        fits[k] = sampler.current_fit()
-        sigmas[k] = sigma
-
-    _run_chain([sampler], (y - y.mean()) * z, _CHAIN, SigmaPrior(), rng,
-               retain)
+    fits, sigmas = _run_chain(
+        [sampler], (y - y.mean()) * z, _CHAIN, SigmaPrior(), rng,
+        lambda resid, sigma: (sampler.current_fit(), sigma))
     _check_deep(move_log)
     assert (_digest(fits, sigmas, [sampler.acceptance_rate])
             == PINNED["weighted"])

@@ -1183,6 +1183,37 @@ def test_report_from_leaves_its_inputs_untouched(mini_run):
     assert _file_states(out) == before
 
 
+def test_report_from_names_a_metric_whose_sd_overflows(mini_run, tmp_path):
+    # 1e308 is in range for one record, but the cell's sd of it is not:
+    # the report names the file, the cell, the metric and the model, warns
+    # of no overflow and writes no file
+    _, out, _ = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    path = run / "replicates.csv"
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    cells = first.split(",")
+    cells[RECORD_FIELDS.index("rmse_cate")] = "1e308"
+    path.write_text("\n".join([header, ",".join(cells), *rest, ""]),
+                    encoding="utf-8")
+    before = _aged_file_states(run)
+    with pytest.raises(ValueError) as refused:
+        report_from(run)
+    model = cells[RECORD_FIELDS.index("model")]
+    assert str(refused.value) == (
+        f"{path}, cell extreme_4: rmse_cate of {model}: its mean or sd over "
+        "the replicates overflows float64")
+    assert _file_states(run) == before
+
+
+def test_summarize_names_a_metric_whose_mean_overflows():
+    records = [_record(replicate_index=i, mae_ate=1e308) for i in range(2)]
+    cell, = cell_values(_config(replicates=2), _table(records))
+    with pytest.raises(ValueError, match="^mae_ate of no_propensity: its "
+                       "mean or sd over the replicates overflows float64$"):
+        summarize(cell)
+
+
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda data: data[:len(data) // 2], id="truncated"),
     pytest.param(lambda data: data.replace(b",", b";", 1), id="edited"),

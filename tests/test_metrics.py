@@ -119,6 +119,31 @@ def test_pointwise_errors_reject_non_finite_inputs(bad):
         pointwise_errors([1.0, 2.0], [bad, 2.0])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: pointwise_errors([1e308], [-1e308]),
+     "estimate and truth overflow float64 in their rmse"),
+    (lambda: pointwise_errors([1.0], [5e-324]),
+     "estimate and truth overflow float64 in their mape"),
+    (lambda: interval_metrics([-1e308], [1e308], [0.0], 0.95),
+     "lower and upper overflow float64 in their mean length"),
+    (lambda: interval_metrics([0.0], [1.0], [0.5], "0.9"),
+     "nominal level must be in (0, 1), got '0.9'"),
+], ids=["difference", "mape", "length", "nominal_text"])
+def test_finite_inputs_whose_scores_overflow_are_refused(call, message):
+    # a ValueError naming the inputs, not an overflow warning (the suite
+    # turns a RuntimeWarning into an error) or a TypeError
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+def test_large_finite_scores_are_kept():
+    out = pointwise_errors([1e150, 2.0], [1.0, 1.0])
+    assert out["rmse"] == float(np.sqrt(np.mean(np.array([1e150 - 1, 1.0])
+                                                 ** 2)))
+    assert interval_metrics([-1e307], [1e307], [0.0], 0.95)["len"] == 2e307
+
+
 def test_interval_metrics_degenerate_interval_ok():
     # zero-width intervals are legal; they cover only exact hits
     out = interval_metrics([1.0, 2.0], [1.0, 2.0], [1.0, 0.0], 0.5)

@@ -5,13 +5,11 @@ were taken before the integer cutpoint-bin index replaced float cutpoint
 searches in ``trees``, and that change had to reproduce them bit for bit.
 
 The digests hold for Python 3.11, numpy 2.4.6 and scipy 1.17.1. Another
-numpy or scipy may move the last bits of a draw: the library-dependent bits
-are scipy.special's ``ndtri`` (normal quantiles), ``gammaincinv`` (the
-sigma prior's chi2 quantile) and ``ndtr`` (the normal cdf of the probit
-latent draw, in the probit and estimated-propensity fits), plus numpy's
-summation order. A mismatch
-there first calls for the fit to be checked against the environment named
-here, not for a new digest.
+numpy, scipy or C library may move the last bits of a draw: README's
+determinism contract lists the functions that can, and
+``tests/test_determinism_contract.py`` checks that list against the
+package. A mismatch there first calls for the fit to be checked against
+the environment named here, not for a new digest.
 
 The covariates carry one integer-valued column whose values fall exactly on
 cutpoint-grid points, so routing ties at a cutpoint are covered, and the

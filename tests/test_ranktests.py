@@ -516,3 +516,36 @@ def test_select_warns_exactly_when_a_gated_row_is_small(nx, ny, gates):
             if w.category is UserWarning] == (
         ["fligner_policello normal approximation is unreliable below 12 "
          "observations per group"] if small else [])
+
+
+# ------------------------------------- dispersion statistics that overflow
+
+@pytest.mark.parametrize("x, y, name", [
+    # a deviation's square overflows within the named sample
+    ([1e308, 0.1, 0.2], [0.1, 0.2, 0.3], "x"),
+    ([0.1, 0.2, 0.3], [1e308, 0.1, 0.2], "y"),
+    # the deviation itself overflows
+    ([0.1, 0.2, 0.3], [1e308, -1e308, 0.2], "y"),
+    # no spread within, but the named sample's deviations are too large
+    # for the between-group sum of squares
+    ([-1e300, 1e300], [0.0, 0.0], "x"),
+    ([0.0, 0.0], [-1e300, 1e300], "y"),
+], ids=["x_within", "y_within", "y_deviation", "x_between", "y_between"])
+@pytest.mark.parametrize("center", ["mean", "median"])
+def test_levene_names_a_sample_whose_deviations_overflow(x, y, name,
+                                                         center):
+    # a ValueError naming the sample, with no overflow warning first (the
+    # suite turns a RuntimeWarning into an error)
+    with pytest.raises(ValueError, match=rf"^{name} is too spread out for "
+                       rf"the {center}-centred Levene test"):
+        levene_family(x, y, center)
+
+
+def test_select_and_run_names_a_row_pair_whose_deviations_overflow():
+    x = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])
+    y = np.array([[1.0, 2.5, 3.0], [0.0, 1e200, -1e200]])
+    with pytest.raises(ValueError, match="^y is too spread out"):
+        select_and_run(x, y)
+    # rows whose statistics fit are tested as before
+    assert select_and_run(x[:1], y[:1])[0] == select_and_run(x[0], y[0])
+
