@@ -127,6 +127,27 @@ def _is_real(value) -> bool:
         return False
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """``value`` as a float array. A value numpy cannot convert, or one
+    holding a NaN or inf, raises a ValueError naming ``name``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must hold numbers: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite (no NaN or inf)")
+    return arr
+
+
+def _matrix(X) -> np.ndarray:
+    """A design matrix ``X`` as a finite float array with rows and
+    columns; any other ``X`` raises a ValueError naming it."""
+    X = _floats(X, "X")
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError("X must be a 2-D array with rows and columns")
+    return X
+
+
 def _seed_sequence(seed) -> np.random.SeedSequence:
     """A nonnegative integer ``seed`` (as ``_check_count`` reads one) as the
     ``SeedSequence`` that ``default_rng`` makes of it, a ``SeedSequence`` as
@@ -425,11 +446,7 @@ class ForestSampler:
     """
 
     def __init__(self, X: np.ndarray, prior: ForestPrior, weights=None):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.size == 0:
-            raise ValueError("X must be a 2-D array with rows and columns")
-        if not np.isfinite(X).all():
-            raise ValueError("X must be finite (no NaN or inf)")
+        X = _matrix(X)
         n = X.shape[0]
         self.prior = prior
         if weights is not None:
@@ -536,18 +553,11 @@ def _sigma_prior_scale(prior: SigmaPrior, var_y: float) -> float:
 
 
 def _check_inputs(X, y, name: str = "y"):
-    """``X`` as a 2-D float array and ``y`` as one finite float per row."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    if X.shape[1] == 0:
-        raise ValueError("X must have at least one column")
-    y = np.asarray(y, dtype=float)
+    """``X`` as a design matrix and ``y`` as one finite float per row."""
+    X, y = _matrix(X), _floats(y, name)
     if y.shape != (X.shape[0],):
         raise ValueError(f"{name} must be 1-D with one value per row of X, "
                          f"got shape {y.shape} for {X.shape[0]} rows")
-    if not np.isfinite(y).all():
-        raise ValueError(f"{name} must be finite (no NaN or inf)")
     return X, y
 
 
@@ -655,7 +665,7 @@ def fit_continuous(X, y, prior: ForestPrior = ForestPrior(),
     X, y = _check_inputs(X, y)
     n = y.shape[0]
     if n < 2:
-        raise ValueError("need at least 2 observations")
+        raise ValueError("y must hold at least 2 values")
     y_work, center, scale = _standardize(y, sigma_prior)
     rng = np.random.default_rng(_seed_sequence(seed))
     sampler = ForestSampler(X, prior)

@@ -136,6 +136,8 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     mode = _member(PropensityMode, "mode", mode)
     if config is None:
         config = BcfConfig()
+    elif not isinstance(config, BcfConfig):
+        raise ValueError(f"config must be a BcfConfig, got {config!r}")
     y_work, center, scale = _standardize(y, config.sigma_prior)
 
     ss_propensity, ss_outcome = _seed_sequence(seed).spawn(2)

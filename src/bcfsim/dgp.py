@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .bart import _check_count, _is_real, _member, _seed_sequence
+from .bart import _check_count, _floats, _is_real, _member, _seed_sequence
 
 
 class Selection(str, enum.Enum):
@@ -45,12 +45,20 @@ class DgpSpec:
     def __post_init__(self):
         object.__setattr__(self, "selection",
                            _member(Selection, "selection", self.selection))
-        if not (_is_real(self.alpha) and self.alpha > 0):
-            raise ValueError(
-                f"alpha must be finite and positive, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         _check_count("n", self.n)
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
+
+
+def _check_alpha(alpha) -> None:
+    """Raise a ValueError naming ``alpha`` unless it is finite and positive,
+    and within [1e-300, 1e300], where tau(x) and ``signal_ratio`` stay
+    finite and nonzero."""
+    if not (_is_real(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    if not 1e-300 <= float(alpha) <= 1e300:
+        raise ValueError(f"alpha must be in [1e-300, 1e300], got {alpha!r}")
 
 
 @dataclass
@@ -81,7 +89,7 @@ def beta_cdf_2_4(u):
     [0, 1], while the complement is exact at both ends. The two forms agree
     bit for bit at the seam (both give 13/16).
     """
-    u_arr = np.asarray(u, dtype=float)
+    u_arr = _floats(u, "u")
     if np.any(u_arr < 0) or np.any(u_arr > 1):
         raise ValueError("beta_cdf_2_4 requires u in [0, 1]")
     lo = u_arr * u_arr * (10.0 - u_arr * (20.0 - u_arr * (15.0 - 4.0 * u_arr)))
@@ -92,12 +100,12 @@ def beta_cdf_2_4(u):
 
 
 def _as_matrix(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    arr = _floats(x, "x")
     if arr.ndim != 2 or arr.shape[1] != 5:
         raise ValueError(
-            f"expected an (n, 5) covariate matrix, got shape {arr.shape}")
+            f"x must be an (n, 5) covariate matrix, got shape {arr.shape}")
     if np.any(arr < 0) or np.any(arr > 1):
-        raise ValueError("covariates must lie in [0, 1]")
+        raise ValueError("x must lie in [0, 1]")
     return arr
 
 
@@ -138,6 +146,7 @@ def propensity(x, selection):
 def cate(x, alpha):
     """Per-unit treatment effect tau(x) = (x1 + x2) / (2 * alpha) of each
     row of an (n, 5) covariate matrix."""
+    _check_alpha(alpha)
     arr = _as_matrix(x)
     return (arr[:, 0] + arr[:, 1]) / (2.0 * alpha)
 
@@ -161,6 +170,7 @@ def signal_ratio(spec: DgpSpec, n_mc: int, seed) -> float:
     Quantifies how much the baseline dominates the treatment effect; roughly
     3, 6 and 12 for alpha = 1, 2, 4.
     """
+    _check_count("n_mc", n_mc)
     if n_mc < 10_000:
         raise ValueError("n_mc must be at least 10,000 for a stable estimate")
     rng = np.random.default_rng(_seed_sequence(seed))

@@ -551,6 +551,8 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
     a resume of a finished run writes no file. Returns the full record
     list.
     """
+    if not isinstance(config, ExperimentConfig):
+        raise ValueError(f"config must be an ExperimentConfig, got {config!r}")
     _check_arms(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,14 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bart import _is_real
-
-
-def _require_finite(**arrays) -> None:
-    """Raise a ValueError naming the first input holding a NaN or inf."""
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} must be finite (no NaN or inf)")
+from .bart import _floats, _is_real
 
 
 def pointwise_errors(estimate, truth) -> dict:
@@ -34,13 +27,12 @@ def pointwise_errors(estimate, truth) -> dict:
     silent skip (the synthetic designs make zeros a measure-zero event, so
     hitting one means something is wrong upstream).
     """
-    est = np.asarray(estimate, dtype=float)
-    tru = np.asarray(truth, dtype=float)
+    est, tru = _floats(estimate, "estimate"), _floats(truth, "truth")
     if est.shape != tru.shape:
-        raise ValueError(f"shape mismatch: {est.shape} vs {tru.shape}")
+        raise ValueError("estimate and truth must share a shape, got "
+                         f"{est.shape} and {tru.shape}")
     if est.size == 0:
-        raise ValueError("empty input")
-    _require_finite(estimate=est, truth=tru)
+        raise ValueError("estimate and truth must be nonempty")
     if np.any(tru == 0):
         raise ValueError("MAPE undefined: truth contains an exact zero")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -67,14 +59,12 @@ def interval_metrics(lower, upper, truth, nominal: float) -> dict:
     se_cover  (cover - nominal)^2
     ae_cover  |cover - nominal|
     """
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    tru = np.asarray(truth, dtype=float)
+    lo, hi = _floats(lower, "lower"), _floats(upper, "upper")
+    tru = _floats(truth, "truth")
     if not (lo.shape == hi.shape == tru.shape):
         raise ValueError("lower, upper and truth must share a shape")
     if lo.size == 0:
-        raise ValueError("empty input")
-    _require_finite(lower=lo, upper=hi, truth=tru)
+        raise ValueError("lower, upper and truth must be nonempty")
     if not (_is_real(nominal) and 0 < nominal < 1):
         raise ValueError(f"nominal level must be in (0, 1), got {nominal!r}")
     if np.any(lo > hi):

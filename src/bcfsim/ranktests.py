@@ -42,6 +42,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
+from .bart import _floats
+
 # Largest combined sample size for which Mann-Whitney U enumerates the exact
 # permutation distribution (only attempted when there are no ties).
 _EXACT_LIMIT = 16
@@ -69,7 +71,7 @@ class TestReport(NamedTuple):
 def _as_rows(samples, names) -> tuple[list[np.ndarray], bool]:
     """The samples as C-contiguous float matrices, one sample per row, and
     whether every one was 1-D (a single row); every value must be finite."""
-    arrays = [np.asarray(v, dtype=float) for v in samples]
+    arrays = [_floats(v, name) for v, name in zip(samples, names)]
     rows = []
     for arr, name in zip(arrays, names):
         if arr.ndim not in (1, 2):
@@ -77,8 +79,6 @@ def _as_rows(samples, names) -> tuple[list[np.ndarray], bool]:
                              "samples, one per row")
         if arr.shape[-1] == 0:
             raise ValueError(f"{name} must be nonempty")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} must hold only finite values")
         rows.append(np.ascontiguousarray(arr.reshape(-1, arr.shape[-1])))
     if len({r.shape[0] for r in rows}) > 1:
         raise ValueError(f"{', '.join(names)} must have as many rows")
@@ -221,8 +221,14 @@ def levene_family(x, y, center: str = "mean") -> TestResult:
     ``center="mean"`` is Levene's original test, ``center="median"`` is the
     Brown-Forsythe variant. Degenerate input (zero deviation spread in both
     groups) yields p = 1 by convention, or an infinite F and p = 0 when the
-    groups' mean deviations still differ. A sample whose sums of squared
-    deviations overflow float64 is refused with a ValueError naming it.
+    groups' mean deviations still differ. A sum of squares no larger than
+    n (4 n eps max|v|)^2, for the n values v of a row, is what rounding
+    leaves of deviations equal in exact arithmetic (each is off by at most
+    about 4 n eps max|v|), so a within-group sum that small counts as 0,
+    and so does a between-group sum where it picks the convention: the two
+    deviations of a two-value sample from its centre are always equal. A
+    sample whose sums of squared deviations overflow float64 is refused
+    with a ValueError naming it.
     """
     (x, y), one_row = _as_rows((x, y), ("x", "y"))
     return _result(*_levene(x, y, center), one_row)
@@ -231,7 +237,7 @@ def levene_family(x, y, center: str = "mean") -> TestResult:
 def _levene(x: np.ndarray, y: np.ndarray, center: str) -> TestResult:
     """``levene_family`` on rows ``_as_rows`` has checked: (k,) arrays."""
     if x.shape[1] < 2 or y.shape[1] < 2:
-        raise ValueError("levene_family needs at least 2 values per group")
+        raise ValueError("x and y must hold at least 2 values each")
     if center not in ("mean", "median"):
         raise ValueError(f"center must be 'mean' or 'median', got {center!r}")
     n = x.shape[1] + y.shape[1]
@@ -250,6 +256,8 @@ def _levene(x: np.ndarray, y: np.ndarray, center: str) -> TestResult:
         withins = [((d - m[:, np.newaxis]) ** 2).sum(axis=1)
                    for d, m in zip(dev, means)]
         within = sum(withins)
+        top = np.maximum(np.abs(x).max(axis=1), np.abs(y).max(axis=1))
+        noise = n * _square(4 * n * np.finfo(float).eps * top)
     broken = ~(np.isfinite(between) & np.isfinite(within))
     if broken.any():
         row = int(broken.argmax())
@@ -264,11 +272,12 @@ def _levene(x: np.ndarray, y: np.ndarray, center: str) -> TestResult:
                          "Levene test: its sums of squared deviations "
                          "overflow float64")
     df1, df2 = 1, n - 2
-    spread = within != 0
+    spread = within > noise
+    differ = between > noise
     w = (between / df1) / (np.where(spread, within, 1.0) / df2)
-    stat = np.where(spread, w, np.where(between == 0, 0.0, np.inf))
+    stat = np.where(spread, w, np.where(differ, np.inf, 0.0))
     p = np.where(spread, special.fdtrc(df1, df2, np.where(spread, w, 0.0)),
-                 np.where(between == 0, 1.0, 0.0))
+                 np.where(differ, 0.0, 1.0))
     return TestResult(stat, p)
 
 
@@ -309,7 +318,7 @@ def fligner_policello(x, y) -> TestResult:
     without the equal-variance assumption the Mann-Whitney test leans on.
     The normal approximation is recommended for at least 12 observations per
     group; smaller samples trigger a warning. Fully separated samples have
-    zero placement variance and report p = 0.
+    zero placement variance and report an infinite statistic and p = 0.
     """
     (x, y), one_row = _as_rows((x, y), ("x", "y"))
     nx = x.shape[1]

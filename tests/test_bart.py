@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from scipy.special import log_ndtr
 
 from bcfsim.bart import (
     HALF_NORMAL_MEDIAN, ChainConfig, FixedScale, FixedSigma, ForestPrior,
-    ForestSampler, HalfCauchy, HalfNormal, SigmaPrior, _llm, _log_like_ratio,
-    _probit_latent, _sigma_prior_scale, _slice_sample, fit_binary_probit,
-    fit_continuous,
+    ForestSampler, HalfCauchy, HalfNormal, SigmaPrior, _floats, _llm,
+    _log_like_ratio, _probit_latent, _sigma_prior_scale, _slice_sample,
+    fit_binary_probit, fit_continuous,
 )
 from bcfsim.bcf import BcfConfig, fit_bcf
 from bcfsim.trees import (
@@ -231,9 +232,54 @@ def test_fits_refuse_an_X_with_no_columns():
     fits = [lambda: fit_continuous(X, y), lambda: fit_binary_probit(X, d),
             lambda: fit_bcf(X, d, y, "no_propensity")]
     for fit in fits:
-        with pytest.raises(ValueError,
-                           match="^X must have at least one column$"):
+        with pytest.raises(ValueError, match="^X must be a 2-D array with "
+                                             "rows and columns$"):
             fit()
+
+
+def test_fits_refuse_an_X_with_no_rows():
+    # numpy's "zero-size array to reduction operation minimum" used to
+    # reach the caller of the binary fits
+    X, empty = np.empty((0, 2)), np.empty(0)
+    fits = [lambda: fit_continuous(X, empty),
+            lambda: fit_binary_probit(X, empty),
+            lambda: fit_bcf(X, empty, empty, "no_propensity")]
+    for fit in fits:
+        with pytest.raises(ValueError, match="^X must be a 2-D array with "
+                                             "rows and columns$"):
+            fit()
+
+
+def test_a_one_row_fit_names_y():
+    with pytest.raises(ValueError, match="^y must hold at least 2 values$"):
+        fit_continuous(np.zeros((1, 2)), [0.5])
+
+
+@pytest.mark.parametrize("value, message", [
+    ("a", "could not convert string to float: 'a'"),
+    ([1.0, "a"], "could not convert string to float: 'a'"),
+    ([1, 10 ** 400], "int too large to convert to float"),
+    ([[1.0, 2.0], [3.0]], "setting an array element with a sequence"),
+    ({"a": 1}, "float() argument must be"),
+])
+def test_floats_names_a_value_numpy_cannot_convert(value, message):
+    with pytest.raises(ValueError, match=re.escape(f"w must hold numbers: "
+                                                   f"{message}")):
+        _floats(value, "w")
+
+
+@pytest.mark.parametrize("value", [math.nan, [1.0, math.inf],
+                                   [[-math.inf]], [1.0, None], "nan"])
+def test_floats_refuses_a_nan_or_inf(value):
+    with pytest.raises(ValueError,
+                       match=r"^w must be finite \(no NaN or inf\)$"):
+        _floats(value, "w")
+
+
+def test_floats_keeps_the_values_of_numbers():
+    assert_array_equal(_floats([True, 2, 0.5, "1e3"], "w"),
+                       [1.0, 2.0, 0.5, 1000.0])
+    assert _floats(np.int64(3), "w").dtype == float
 
 
 def test_config_accepts_numpy_integer_counts():

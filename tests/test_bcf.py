@@ -36,6 +36,14 @@ def _toy_data(n=80, seed=0):
     return X, z, y
 
 
+def test_a_config_of_the_wrong_type_is_refused_by_name():
+    # it used to end in "'str' object has no attribute 'sigma_prior'"
+    X, z, y = _toy_data(n=20)
+    with pytest.raises(ValueError,
+                       match="^config must be a BcfConfig, got 'x'$"):
+        fit_bcf(X, z, y, "no_propensity", config="x")
+
+
 def _fake_fit(tau_draws, mode=PropensityMode.NO_PROPENSITY):
     tau_draws = np.asarray(tau_draws, dtype=float)
     k, n = tau_draws.shape

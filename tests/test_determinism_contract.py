@@ -207,9 +207,10 @@ def test_readme_names_each_entry_under_its_groups():
 # ndtr row names two groups, one per module that looks it up. None marks a
 # lookup the study never reaches, which a test below reaches directly:
 # log_ndtr and ndtri_exp run only where a probit forest output passes
-# |g| of about 37.5, and Kruskal-Wallis runs only on rows Levene's gate
-# passes, which with two replicates is a row whose two models' values are
-# equally spread.
+# |g| of about 37.5; Levene's F tail runs only on a sample with spread
+# about its centre, which a two-value sample never has; and Kruskal-Wallis
+# runs only on rows Levene's gate passes, which with two replicates is a
+# row whose two models' values are equally spread.
 FIRST_MOVED = {
     "bcfsim.bart.gammaincinv": "draws",
     "bcfsim.bart.log_ndtr": None,
@@ -218,7 +219,7 @@ FIRST_MOVED = {
     "bcfsim.bart.ndtri_exp": None,
     "bcfsim.dgp.expit": "datasets",
     "bcfsim.ranktests.chdtrc": None,
-    "bcfsim.ranktests.fdtrc": "p-values",
+    "bcfsim.ranktests.fdtrc": None,
     "bcfsim.ranktests.ndtr": "p-values",
 }
 
@@ -351,4 +352,18 @@ def test_a_nudged_chdtrc_moves_only_the_kruskal_wallis_p(monkeypatch):
     nudged = ranktests.select_and_run(x, y)
     assert nudged.kruskal_wallis.p != plain.kruskal_wallis.p
     assert nudged._replace(kruskal_wallis=plain.kruskal_wallis) == plain
+
+
+def test_a_nudged_fdtrc_moves_only_the_levene_ps(monkeypatch):
+    # three values per sample, spread about their centres: both Levene
+    # tests read their p from the F tail
+    x, y = [0.0, 1.0, 3.0], [2.0, 3.0, 7.0]
+    plain = ranktests.select_and_run(x, y)
+    monkeypatch.setattr(scipy.special, "fdtrc",
+                        _next_up(scipy.special.fdtrc))
+    nudged = ranktests.select_and_run(x, y)
+    assert nudged.levene.p != plain.levene.p
+    assert nudged.brown_forsythe.p != plain.brown_forsythe.p
+    assert nudged._replace(levene=plain.levene,
+                           brown_forsythe=plain.brown_forsythe) == plain
 

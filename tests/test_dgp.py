@@ -80,12 +80,12 @@ def test_baseline_of_a_row_matches_the_matrix():
 
 
 def test_baseline_rejects_bad_shapes():
-    shape = r"^expected an \(n, 5\) covariate matrix, got shape \(5,\)$"
+    shape = r"^x must be an \(n, 5\) covariate matrix, got shape \(5,\)$"
     with pytest.raises(ValueError, match=shape):
         baseline(np.zeros(5))
-    with pytest.raises(ValueError, match="^expected an"):
+    with pytest.raises(ValueError, match="^x must be an"):
         baseline(np.zeros((3, 4)))
-    with pytest.raises(ValueError, match="^covariates must lie in"):
+    with pytest.raises(ValueError, match="^x must lie in"):
         baseline(np.full((1, 5), 1.5))
 
 
@@ -279,3 +279,46 @@ def test_signal_ratio_rough_magnitude():
 def test_signal_ratio_rejects_small_mc():
     with pytest.raises(ValueError):
         signal_ratio(DgpSpec("extreme", 1.0), 5_000, seed=0)
+
+
+def test_signal_ratio_refuses_an_n_mc_that_is_not_an_integer():
+    # a float used to end in numpy's TypeError
+    with pytest.raises(ValueError,
+                       match=r"^n_mc must be an integer, got 100000\.0$"):
+        signal_ratio(DgpSpec("extreme", 1.0), 1e5, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_covariates_are_refused_by_name(bad):
+    # NaN passed the [0, 1] check and came back as a NaN surface
+    x = np.full((2, 5), 0.5)
+    x[1, 3] = bad
+    rule = r" must be finite \(no NaN or inf\)$"
+    for surface in (baseline, lambda x: propensity(x, "moderate"),
+                    lambda x: cate(x, 2.0)):
+        with pytest.raises(ValueError, match="^x" + rule):
+            surface(x)
+    with pytest.raises(ValueError, match="^u" + rule):
+        beta_cdf_2_4([0.5, bad])
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, "2", True, None])
+def test_cate_applies_the_alpha_rule(alpha):
+    # 0 used to divide by zero, NaN to return NaN and "2" to raise a
+    # TypeError
+    message = f"alpha must be finite and positive, got {alpha!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cate(np.full((1, 5), 0.5), alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-320, 1e-301, 1e301, 1e308])
+def test_an_alpha_whose_effects_leave_float64_is_refused(alpha):
+    # tau(x) = (x1 + x2) / (2 alpha) overflows below about 5e-309, and the
+    # signal ratio divides by a mean tau of 0 above about 9e307
+    message = f"alpha must be in [1e-300, 1e300], got {alpha!r}"
+    for build in (lambda: DgpSpec("extreme", alpha),
+                  lambda: cate(np.full((1, 5), 1.0), alpha)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+    assert DgpSpec("extreme", 1e-300).alpha == 1e-300
+    assert DgpSpec("extreme", 1e300).alpha == 1e300

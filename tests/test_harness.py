@@ -636,6 +636,15 @@ def mini_run(tmp_path_factory):
     return config, out, records
 
 
+def test_run_experiment_refuses_a_config_of_the_wrong_type(tmp_path):
+    # it used to end in "'str' object has no attribute 'selections'"
+    out = tmp_path / "run"
+    with pytest.raises(ValueError,
+                       match="^config must be an ExperimentConfig, got 'x'$"):
+        run_experiment("x", out)
+    assert not out.exists()
+
+
 def test_run_experiment_record_grid(mini_run):
     config, _, records = mini_run
     assert len(records) == 4

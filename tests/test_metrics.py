@@ -41,6 +41,19 @@ def test_pointwise_errors_validation():
         pointwise_errors([1.0], [0.0])  # MAPE undefined
 
 
+def test_inputs_of_no_common_shape_or_no_values_are_refused_by_name():
+    # "shape mismatch" and "empty input" named no argument
+    with pytest.raises(ValueError, match=r"^estimate and truth must share "
+                                         r"a shape, got \(1,\) and \(2,\)$"):
+        pointwise_errors([1.0], [1.0, 2.0])
+    with pytest.raises(ValueError,
+                       match="^estimate and truth must be nonempty$"):
+        pointwise_errors([], [])
+    with pytest.raises(ValueError,
+                       match="^lower, upper and truth must be nonempty$"):
+        interval_metrics([], [], [], 0.95)
+
+
 def test_rmse_dominates_mae():
     rng = np.random.default_rng(11)
     est = rng.normal(size=200)

@@ -138,6 +138,34 @@ def test_levene_degenerate_cases():
         levene_family([1.0, 2.0], [3.0, 4.0], center="mode")
 
 
+@pytest.mark.parametrize("x, y, stat, p", [
+    # the two deviations of a two-value sample from its centre are equal,
+    # so neither group spreads; they used to leave a within-group sum near
+    # 1e-33 and an F of rounding noise (2.34e31, 0.4 and 0.031)
+    ([0.1, 0.3], [0.2, 0.7], math.inf, 0.0),
+    ([0.1, 0.3], [0.2, 0.4], 0.0, 1.0),
+    ([0.1, 0.3], [1.1, 1.3], 0.0, 1.0),
+])
+@pytest.mark.parametrize("center", ["mean", "median"])
+def test_levene_reads_two_value_samples_by_the_convention(x, y, stat, p,
+                                                          center):
+    assert levene_family(x, y, center) == (stat, p)
+
+
+def test_select_and_run_gates_two_value_samples_by_the_convention():
+    # equally spread: the noise F of 50 (p = 0.019) used to send this pair
+    # to Fligner-Policello
+    report = select_and_run([0.1, 0.3], [1.4, 1.6])
+    assert report.levene == report.brown_forsythe == (0.0, 1.0)
+    assert report.selected == ("mann_whitney_u", "kruskal_wallis")
+
+
+def test_samples_with_too_few_values_for_levene_are_named():
+    with pytest.raises(ValueError,
+                       match="^x and y must hold at least 2 values each$"):
+        levene_family([1.0], [2.0, 3.0])
+
+
 # -------------------------------------------------------- Fligner-Policello
 
 def test_fp_hand_computed_example():
@@ -433,16 +461,16 @@ def test_row_inputs_are_checked():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_samples_are_refused(bad):
-    with pytest.raises(ValueError, match="^x must hold only finite values"):
+    rule = r" must be finite \(no NaN or inf\)$"
+    with pytest.raises(ValueError, match="^x" + rule):
         select_and_run([1.0, bad, 3.0], [4.0, 5.0, 6.0])
-    with pytest.raises(ValueError, match="^y must hold only finite values"):
+    with pytest.raises(ValueError, match="^y" + rule):
         levene_family([1.0, 2.0, 3.0], [[4.0, 5.0, 6.0], [4.0, bad, 6.0]])
-    with pytest.raises(ValueError, match="^y must hold only finite values"):
+    with pytest.raises(ValueError, match="^y" + rule):
         mann_whitney_u([1.0, 2.0], [bad, 5.0])
-    with pytest.raises(ValueError, match="^x must hold only finite values"):
+    with pytest.raises(ValueError, match="^x" + rule):
         fligner_policello([bad, 2.0], [4.0, 5.0])
-    with pytest.raises(ValueError,
-                       match="^group 1 must hold only finite values"):
+    with pytest.raises(ValueError, match="^group 1" + rule):
         kruskal_wallis([[1.0, 2.0], [4.0, bad]])
 
 
