@@ -11,9 +11,12 @@ Albert-Chib latent-variable scheme with the noise scale pinned to 1.
 Each setting lives where it is read: a ``ForestPrior`` per forest sampler,
 a ``ChainConfig`` per chain, and a noise prior (``SigmaPrior`` or a pinned
 ``FixedSigma``) for the chain's sigma step. Each refuses a bad value when it
-is built, so no consumer checks it again; only the type of the noise prior
-that ``fit_continuous`` takes bare is checked by the fit, before any
-sampling (``bcf.BcfConfig`` checks its own when built).
+is built, so no consumer checks it again; a fit checks only the type of
+each, before any sampling: ``ForestSampler`` its prior, ``_run_chain`` its
+chain and ``_standardize`` the noise prior (``bcf.BcfConfig`` checks its own
+parts when built). Each kind of argument has one rule, stated once here:
+``_floats`` for an array, ``_count`` for a count and its least value,
+``_instance`` for an object's type and ``_member`` for an enum member.
 
 Every chain runs through one driver, ``_run_chain``: per iteration an
 optional latent step (``_probit_latent``) rewrites the working residual,
@@ -66,10 +69,21 @@ HALF_NORMAL_MEDIAN = float(ndtri(0.75))
 
 
 @dataclass(frozen=True)
-class HalfCauchy:
-    """Half-Cauchy prior on the forest scale; its median equals ``scale``."""
+class _ScalePrior:
+    """A prior on the forest scale, set by its ``scale``; a scale that is
+    not finite and positive raises a ValueError naming it."""
 
     scale: float
+
+    def __post_init__(self):
+        if not (_is_real(self.scale) and self.scale > 0):
+            raise ValueError(
+                f"scale must be finite and positive, got {self!r}")
+
+
+@dataclass(frozen=True)
+class HalfCauchy(_ScalePrior):
+    """Half-Cauchy prior on the forest scale; its median equals ``scale``."""
 
     def initial(self) -> float:
         return self.scale
@@ -79,10 +93,8 @@ class HalfCauchy:
 
 
 @dataclass(frozen=True)
-class HalfNormal:
+class HalfNormal(_ScalePrior):
     """Half-normal prior on the forest scale; median = 0.6745 * scale."""
-
-    scale: float
 
     def initial(self) -> float:
         return HALF_NORMAL_MEDIAN * self.scale
@@ -92,20 +104,33 @@ class HalfNormal:
 
 
 @dataclass(frozen=True)
-class FixedScale:
+class FixedScale(_ScalePrior):
     """Degenerate prior: the forest scale stays at ``scale``."""
-
-    scale: float
 
     def initial(self) -> float:
         return self.scale
 
 
-def _check_count(name: str, value) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer
-    (Python or numpy, never a bool)."""
+def _count(name: str, value, least=None) -> int:
+    """``value`` as an int: an integer (Python or numpy, never a bool) of
+    at least ``least``; any other value raises a ValueError naming
+    ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
+
+
+def _instance(name: str, value, *kinds):
+    """``value`` if it is an instance of one of ``kinds``; any other value
+    raises a ValueError naming ``name`` and the kinds."""
+    if not isinstance(value, kinds):
+        names = [("an " if kind.__name__[0] in "AEIOUaeiou" else "a ")
+                 + kind.__name__ for kind in kinds]
+        wanted = ", ".join(names[:-1]) + " or " * (len(names) > 1) + names[-1]
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    return value
 
 
 def _member(kind, name: str, value):
@@ -128,9 +153,12 @@ def _is_real(value) -> bool:
 
 
 def _floats(value, name: str) -> np.ndarray:
-    """``value`` as a float array. A value numpy cannot convert, or one
-    holding a NaN or inf, raises a ValueError naming ``name``."""
+    """``value`` as a float array. A value numpy cannot convert, one of a
+    complex type, or one holding a NaN or inf raises a ValueError naming
+    ``name``."""
     try:
+        if np.iscomplexobj(value):
+            raise TypeError("a complex value is not a real number")
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must hold numbers: {exc}") from None
@@ -149,15 +177,12 @@ def _matrix(X) -> np.ndarray:
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
-    """A nonnegative integer ``seed`` (as ``_check_count`` reads one) as the
-    ``SeedSequence`` that ``default_rng`` makes of it, a ``SeedSequence`` as
-    it is; any other seed raises a ValueError naming it."""
+    """A count ``seed`` of at least 0 as the ``SeedSequence`` that
+    ``default_rng`` makes of it, a ``SeedSequence`` as it is; any other seed
+    raises a ValueError naming it."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    _check_count("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed!r}")
-    return np.random.SeedSequence(seed)
+    return np.random.SeedSequence(_count("seed", seed, 0))
 
 
 _SIGMA_PRIOR_RULE = ("sigma prior needs a finite positive FixedSigma value "
@@ -207,23 +232,15 @@ class ForestPrior:
     cutpoints_per_feature: int = 100
 
     def __post_init__(self):
-        _check_count("num_trees", self.num_trees)
-        _check_count("cutpoints_per_feature", self.cutpoints_per_feature)
-        if self.num_trees < 1:
-            raise ValueError("num_trees must be positive")
+        _count("num_trees", self.num_trees, 1)
+        _count("cutpoints_per_feature", self.cutpoints_per_feature, 1)
         if not (_is_real(self.base) and 0 < self.base <= 1):
             raise ValueError(f"base must be in (0, 1], got {self.base!r}")
         if not (_is_real(self.power) and self.power >= 0):
             raise ValueError(
                 f"power must be finite and nonnegative, got {self.power!r}")
-        if self.cutpoints_per_feature < 1:
-            raise ValueError("cutpoints_per_feature must be positive")
-        prior = self.leaf_scale_prior
-        if not isinstance(prior, (HalfCauchy, HalfNormal, FixedScale)):
-            raise ValueError("unknown leaf_scale_prior")
-        if not (_is_real(prior.scale) and prior.scale > 0):
-            raise ValueError(
-                f"leaf_scale_prior needs a finite positive parameter: {prior}")
+        _instance("leaf_scale_prior", self.leaf_scale_prior, HalfCauchy,
+                  HalfNormal, FixedScale)
 
 
 @dataclass(frozen=True)
@@ -235,11 +252,9 @@ class ChainConfig:
     burn_in: int = 1000
 
     def __post_init__(self):
-        _check_count("iterations", self.iterations)
-        _check_count("burn_in", self.burn_in)
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
-        if not 0 <= self.burn_in < self.iterations:
+        _count("iterations", self.iterations, 1)
+        _count("burn_in", self.burn_in, 0)
+        if self.burn_in >= self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
 
     @property
@@ -448,7 +463,7 @@ class ForestSampler:
     def __init__(self, X: np.ndarray, prior: ForestPrior, weights=None):
         X = _matrix(X)
         n = X.shape[0]
-        self.prior = prior
+        self.prior = _instance("prior", prior, ForestPrior)
         if weights is not None:
             weights = np.asarray(weights)
             if weights.shape != (n,):
@@ -566,10 +581,9 @@ def _standardize(y: np.ndarray, sigma_prior):
     (center 0, scale 1) when a ``FixedSigma`` pins sigma on the raw scale.
     Refuses a noise prior of any other type, and a finite ``y`` whose mean
     or sd overflows float64; fits call it before sampling."""
+    _instance("sigma_prior", sigma_prior, SigmaPrior, FixedSigma)
     if isinstance(sigma_prior, FixedSigma):
         center, scale = 0.0, 1.0
-    elif not isinstance(sigma_prior, SigmaPrior):
-        raise ValueError(f"{_SIGMA_PRIOR_RULE}: {sigma_prior!r}")
     else:
         # an overflow is refused below, by name, instead of warned about
         with np.errstate(over="ignore", invalid="ignore"):
@@ -628,8 +642,10 @@ def _run_chain(samplers, resid: np.ndarray, chain: ChainConfig, sigma_prior,
     stays at a ``FixedSigma``'s value, and is otherwise drawn under the
     ``SigmaPrior`` calibrated on the starting ``resid``.
     ``retain(resid, sigma)`` gives a tuple at each retained iteration; the
-    return is one array per value in it, a row per retained iteration.
+    return is one array per value in it, a row per retained iteration. A
+    ``chain`` of another type is refused by name before any sweep.
     """
+    _instance("chain", chain, ChainConfig)
     fixed = isinstance(sigma_prior, FixedSigma)
     sigma = sigma_prior.value if fixed else 1.0
     if not fixed:
@@ -663,8 +679,7 @@ def fit_continuous(X, y, prior: ForestPrior = ForestPrior(),
     then the noise variance from its inverse-gamma full conditional.
     """
     X, y = _check_inputs(X, y)
-    n = y.shape[0]
-    if n < 2:
+    if len(y) < 2:
         raise ValueError("y must hold at least 2 values")
     y_work, center, scale = _standardize(y, sigma_prior)
     rng = np.random.default_rng(_seed_sequence(seed))

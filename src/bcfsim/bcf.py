@@ -41,6 +41,8 @@ from .bart import (
     SigmaPrior,
     _check_binary,
     _check_inputs,
+    _floats,
+    _instance,
     _is_real,
     _member,
     _run_chain,
@@ -86,17 +88,11 @@ class BcfConfig:
     sigma_prior: SigmaPrior | FixedSigma = SigmaPrior()
 
     def __post_init__(self):
-        for name in ("mu", "tau", "propensity"):
-            prior = getattr(self, name)
-            if not isinstance(prior, ForestPrior):
-                raise ValueError(
-                    f"{name} must be a ForestPrior, got {prior!r}")
-        if not isinstance(self.chain, ChainConfig):
-            raise ValueError(
-                f"chain must be a ChainConfig, got {self.chain!r}")
-        if not isinstance(self.sigma_prior, (SigmaPrior, FixedSigma)):
-            raise ValueError("sigma_prior must be a SigmaPrior or a "
-                             f"FixedSigma, got {self.sigma_prior!r}")
+        for name, *kinds in (("mu", ForestPrior), ("tau", ForestPrior),
+                             ("propensity", ForestPrior),
+                             ("chain", ChainConfig),
+                             ("sigma_prior", SigmaPrior, FixedSigma)):
+            _instance(name, getattr(self, name), *kinds)
 
 
 @dataclass
@@ -134,10 +130,8 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     if z.min() == z.max():
         raise ValueError("z must contain both treated and control units")
     mode = _member(PropensityMode, "mode", mode)
-    if config is None:
-        config = BcfConfig()
-    elif not isinstance(config, BcfConfig):
-        raise ValueError(f"config must be a BcfConfig, got {config!r}")
+    config = (BcfConfig() if config is None
+              else _instance("config", config, BcfConfig))
     y_work, center, scale = _standardize(y, config.sigma_prior)
 
     ss_propensity, ss_outcome = _seed_sequence(seed).spawn(2)
@@ -185,21 +179,38 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
     )
 
 
+def _tau_draws(fit) -> np.ndarray:
+    """``fit``'s tau draws. A ``fit`` that is no ``BcfFit``, or whose tau
+    draws are not a finite array with a row per retained draw and a column
+    per unit, raises a ValueError naming it."""
+    draws = _floats(_instance("fit", fit, BcfFit).tau_draws, "fit's tau_draws")
+    if draws.ndim != 2 or draws.size == 0:
+        raise ValueError("fit's tau_draws must be a 2-D array with a row per "
+                         f"retained draw and a column per unit, got shape "
+                         f"{draws.shape}")
+    return draws
+
+
 def _mean_and_interval(draws: np.ndarray, level: float):
-    """``(mean, lower, upper)`` of ``draws`` along axis 0: the posterior
-    mean and the equal-tailed ``level`` interval."""
+    """``(mean, lower, upper)`` of a fit's ``draws`` along axis 0: the
+    posterior mean and the equal-tailed ``level`` interval. A mean or bound
+    that overflows float64 raises a ValueError naming the fit."""
     if not (_is_real(level) and 0.0 < level < 1.0):
         raise ValueError(f"level must be in (0, 1), got {level!r}")
-    if draws.size == 0:
-        raise ValueError("fit has no retained draws")
     tail = 0.5 * (1.0 - level)
-    lower, upper = np.quantile(draws, [tail, 1.0 - tail], axis=0)
-    return draws.mean(axis=0), lower, upper
+    # an overflow is refused below, by name, instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = draws.mean(axis=0)
+        lower, upper = np.quantile(draws, [tail, 1.0 - tail], axis=0)
+    if not np.isfinite([mean, lower, upper]).all():
+        raise ValueError("fit's tau_draws overflow float64 in their mean or "
+                         "interval")
+    return mean, lower, upper
 
 
 def cate_intervals(fit: BcfFit, level: float = 0.95) -> dict:
     """Posterior mean and equal-tailed interval of tau(x) per unit."""
-    mean, lower, upper = _mean_and_interval(fit.tau_draws, level)
+    mean, lower, upper = _mean_and_interval(_tau_draws(fit), level)
     return {"mean": mean, "lower": lower, "upper": upper}
 
 
@@ -209,7 +220,9 @@ def ate_posterior(fit: BcfFit, level: float = 0.95) -> dict:
     Each retained draw contributes the average of tau over the sample, so
     the returned draws carry full posterior uncertainty about the ATE.
     """
-    draws = fit.tau_draws.mean(axis=1)
+    # an overflow is refused by _mean_and_interval
+    with np.errstate(over="ignore"):
+        draws = _tau_draws(fit).mean(axis=1)
     mean, lower, upper = _mean_and_interval(draws, level)
     return {"draws": draws, "mean": float(mean), "lower": float(lower),
             "upper": float(upper)}

@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .bart import _check_count, _floats, _is_real, _member, _seed_sequence
+from .bart import (
+    _count, _floats, _instance, _is_real, _member, _seed_sequence,
+)
 
 
 class Selection(str, enum.Enum):
@@ -46,9 +48,7 @@ class DgpSpec:
         object.__setattr__(self, "selection",
                            _member(Selection, "selection", self.selection))
         _check_alpha(self.alpha)
-        _check_count("n", self.n)
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
+        _count("n", self.n, 2)
 
 
 def _check_alpha(alpha) -> None:
@@ -154,6 +154,7 @@ def cate(x, alpha):
 def generate(spec: DgpSpec, seed) -> Dataset:
     """Draw one dataset. Deterministic given (spec, seed): a nonnegative
     int or a ``numpy.random.SeedSequence``."""
+    _instance("spec", spec, DgpSpec)
     rng = np.random.default_rng(_seed_sequence(seed))
     X = rng.random((spec.n, 5))
     pi = propensity(X, spec.selection)
@@ -170,9 +171,11 @@ def signal_ratio(spec: DgpSpec, n_mc: int, seed) -> float:
     Quantifies how much the baseline dominates the treatment effect; roughly
     3, 6 and 12 for alpha = 1, 2, 4.
     """
-    _check_count("n_mc", n_mc)
-    if n_mc < 10_000:
-        raise ValueError("n_mc must be at least 10,000 for a stable estimate")
+    _instance("spec", spec, DgpSpec)
+    n_mc = _count("n_mc", n_mc, 10_000)  # for a stable estimate
     rng = np.random.default_rng(_seed_sequence(seed))
-    X = rng.random((n_mc, 5))
+    try:
+        X = rng.random((n_mc, 5))
+    except (ValueError, MemoryError) as exc:  # no room for (n_mc, 5) floats
+        raise ValueError(f"n_mc is too large to draw at once: {exc}") from None
     return float(np.abs(baseline(X)).mean() / np.abs(cate(X, spec.alpha)).mean())

@@ -67,6 +67,7 @@ import itertools
 import json
 import math
 import operator
+import os
 from array import array
 from dataclasses import dataclass
 from datetime import timedelta
@@ -75,7 +76,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .bart import ChainConfig, _check_count, _member
+from .bart import ChainConfig, _count, _floats, _instance, _member
 from .bcf import (
     BcfConfig, PropensityMode, ate_posterior, cate_intervals, fit_bcf,
 )
@@ -107,6 +108,9 @@ _FIELD_FORMATS = {name: _FORMATS[hint]
 # a cell checkpoint's columns after the record fields
 _CELL_EXTRA = ("dataset_digest", "seconds")
 
+# what a path argument may be
+_PATH = (str, os.PathLike)
+
 # samples per selection strength in the propensity-vs-baseline scatter file
 _SCATTER_POINTS = 2000
 
@@ -130,6 +134,7 @@ def derive_seed(*parts) -> int:
 
 def dataset_digest(dataset: Dataset) -> str:
     """Content hash of one synthetic draw (covariates, truth, outcomes)."""
+    _instance("dataset", dataset, Dataset)
     h = hashlib.blake2b(digest_size=8)
     for arr in (dataset.X, dataset.pi_true, dataset.D, dataset.Y,
                 dataset.cate_true):
@@ -159,9 +164,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("selections", "alphas", "models"):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ValueError(f"{name} must be a list or tuple, "
-                                 f"got {getattr(self, name)!r}")
+            _instance(name, getattr(self, name), list, tuple)
         for name, kind in (("selections", Selection),
                            ("models", PropensityMode)):
             object.__setattr__(self, name, tuple(
@@ -182,10 +185,11 @@ class ExperimentConfig:
             if len(set(vals)) != len(vals):
                 raise ValueError(f"{name} contains duplicates")
         # numpy integers become ints, which run_config.json can hold
-        for name in ("n", "replicates", "master_seed", "iterations",
-                     "burn_in"):
-            _check_count(name, getattr(self, name))
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, least in (("n", None), ("replicates", 1),
+                            ("master_seed", None), ("iterations", None),
+                            ("burn_in", None)):
+            object.__setattr__(self, name,
+                               _count(name, getattr(self, name), least))
         # a cell's name keys its checkpoint and report files
         cells = {}
         for selection, alpha in itertools.product(self.selections,
@@ -196,8 +200,6 @@ class ExperimentConfig:
             if other != alpha:
                 raise ValueError(f"alphas {other!r} and {alpha!r} both name "
                                  f"the cell {name}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
         # the rank tests between models need two replicates per model
         if self.replicates < 2 and len(self.models) > 1:
             raise ValueError("replicates must be at least 2 to compare "
@@ -220,6 +222,7 @@ def apply_profile(config: ExperimentConfig, profile: str) -> ExperimentConfig:
     (1000 iterations, 500 burn-in) for smoke runs; ``full`` leaves the
     configuration untouched.
     """
+    _instance("config", config, ExperimentConfig)
     if profile == "quick":
         return dataclasses.replace(
             config, replicates=20, iterations=1000, burn_in=500)
@@ -239,6 +242,7 @@ def load_config_file(path) -> ExperimentConfig:
     state a valid ``ExperimentConfig`` on its own, before any profile or
     seed override applies.
     """
+    _instance("path", path, *_PATH)
     hints = get_type_hints(ExperimentConfig)
     kwargs = {}
     set_on = {}
@@ -279,6 +283,7 @@ def evaluate_fit(fit, dataset: Dataset, replicate_index: int,
     """Score one fitted variant against the draw's ground truth, intervals
     at ``_INTERVAL_LEVEL``. A metric is named ``<statistic>_<target>``; the
     record keeps those it declares."""
+    _instance("dataset", dataset, Dataset)
     ci = cate_intervals(fit, _INTERVAL_LEVEL)
     ate = ate_posterior(fit, _INTERVAL_LEVEL)
     truth_ate = np.array([dataset.ate_true])
@@ -348,6 +353,8 @@ def write_dataset(dataset: Dataset, path) -> None:
     """Write one draw to ``path`` as CSV with columns x1..x5, pi_true, d, y,
     cate_true: every float as its ``repr``, ``d`` as 0 or 1. It goes
     through ``_write_text``, as every file of a run does."""
+    _instance("dataset", dataset, Dataset)
+    _instance("path", path, *_PATH)
     rows = ([*map(repr, x), repr(pi), d, repr(y), repr(tau)]
             for x, pi, d, y, tau in zip(
                 dataset.X.tolist(), dataset.pi_true.tolist(),
@@ -395,7 +402,8 @@ def read_replicates_csv(path, extra=()) -> RecordTable:
     does not parse as its field's type or with a metric out of range
     (``metrics.out_of_range``), naming its line too.
     """
-    columns = RECORD_FIELDS + tuple(extra)
+    _instance("path", path, *_PATH)
+    columns = RECORD_FIELDS + tuple(_instance("extra", extra, list, tuple))
     width = len(METRIC_FIELDS)
     keys, lines, values, texts = [], array("q"), array("d"), []
     extras = tuple([] for _ in extra)
@@ -551,8 +559,8 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
     a resume of a finished run writes no file. Returns the full record
     list.
     """
-    if not isinstance(config, ExperimentConfig):
-        raise ValueError(f"config must be an ExperimentConfig, got {config!r}")
+    _instance("config", config, ExperimentConfig)
+    _instance("out_dir", out_dir, *_PATH)
     _check_arms(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -677,6 +685,8 @@ def cell_values(config: ExperimentConfig,
     must fill every place once, in any order, so no matrix has a hole;
     otherwise a ValueError names the first fit, in key order, that
     differs."""
+    _instance("config", config, ExperimentConfig)
+    _instance("table", table, RecordTable)
     cells = list(itertools.product(config.selections, config.alphas))
     models = {model: i for i, model in enumerate(config.models)}
     reps = config.replicates
@@ -714,6 +724,7 @@ def summarize(cell: CellValues) -> dict:
     ``METRIC_FIELDS`` metric; sds are ddof-1 sample standard deviations, or
     None for a single replicate. A mean or sd that overflows float64 raises
     a ValueError naming its metric and model."""
+    _instance("cell", cell, CellValues)
     summary = {}
     for model, matrix in cell.values.items():
         single = matrix.shape[1] == 1
@@ -788,6 +799,7 @@ def compare_models(cell: CellValues) -> dict:
     ``TestReport``, one per ``METRIC_FIELDS`` metric. One ``select_and_run``
     tests every pair, the pairs' metric matrices stacked as rows; a pair's
     matrices pair replicates column by column (the paired design)."""
+    _instance("cell", cell, CellValues)
     pairs = list(itertools.combinations(cell.values, 2))
     if not pairs:
         return {}
@@ -830,24 +842,47 @@ def timing_report(rows) -> dict:
 
     Overhead is mean(estimated_propensity) / mean(no_propensity) - 1,
     pooled and per cell; without both variants its two keys are absent.
+    Rows that are not such mappings, seconds that are not each one finite
+    nonnegative number, and a mean or overhead that is not finite (it
+    overflows float64, or the no-propensity mean is 0) raise a ValueError
+    naming ``rows``.
     """
     no = PropensityMode.NO_PROPENSITY.value
     est = PropensityMode.ESTIMATED_PROPENSITY.value
-    by_model, by_cell = {}, {}
-    for row in rows:
-        by_model.setdefault(row["model"], []).append(row["seconds"])
-        by_cell.setdefault((row["dgp_id"], row["alpha"]), {}).setdefault(
-            row["model"], []).append(row["seconds"])
-    means = {m: float(np.mean(v)) for m, v in by_model.items()}
-    report = {"mean_seconds_by_model": means}
-    if no in means and est in means:
-        report["pooled_overhead_estimated_vs_no_propensity"] = (
-            means[est] / means[no] - 1.0)
-        report["cell_overhead_estimated_vs_no_propensity"] = {
-            _cell_key(dgp_id, alpha):
-                float(np.mean(times[est])) / float(np.mean(times[no])) - 1.0
-            for (dgp_id, alpha), times in sorted(by_cell.items())
-            if no in times and est in times}
+    seconds, by_model, by_cell = [], {}, {}  # the groups hold row indices
+    try:
+        for i, row in enumerate(rows):
+            seconds.append(row["seconds"])
+            by_model.setdefault(row["model"], []).append(i)
+            by_cell.setdefault(_cell_key(row["dgp_id"], row["alpha"]),
+                               {}).setdefault(row["model"], []).append(i)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError("rows must be mappings with dgp_id, alpha, model "
+                         f"and seconds keys: {exc!r}") from None
+    seconds = _floats(seconds, "rows' seconds")
+    if seconds.ndim != 1 or (seconds < 0).any():
+        raise ValueError("rows' seconds must each be one nonnegative number")
+
+    def finite(value) -> float:
+        if not math.isfinite(value):
+            raise ValueError("rows' seconds give a mean or overhead that is "
+                             "not finite (a zero no-propensity mean has none)")
+        return float(value)
+
+    def overhead(group) -> float:
+        return finite(seconds[group[est]].mean() / seconds[group[no]].mean()
+                      - 1.0)
+
+    # an overflow or a zero mean is refused by name, instead of warned about
+    with np.errstate(all="ignore"):
+        means = {m: finite(seconds[i].mean()) for m, i in by_model.items()}
+        report = {"mean_seconds_by_model": means}
+        if no in means and est in means:
+            report["pooled_overhead_estimated_vs_no_propensity"] = overhead(
+                by_model)
+            report["cell_overhead_estimated_vs_no_propensity"] = {
+                key: overhead(group) for key, group in sorted(by_cell.items())
+                if no in group and est in group}
     return report
 
 
@@ -886,7 +921,7 @@ def report_from(run_dir) -> RecordTable:
     datasets and the wall-clock data that the raw CSV does not carry.
     Returns the table of replicates.csv, a row per record.
     """
-    run = Path(run_dir)
+    run = Path(_instance("run_dir", run_dir, *_PATH))
     config_path = run / "run_config.json"
     csv_path = run / "replicates.csv"
     if not csv_path.exists():

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .bart import _floats
+from .bart import _floats, _instance
 
 # Largest combined sample size for which Mann-Whitney U enumerates the exact
 # permutation distribution (only attempted when there are no ties).
@@ -205,8 +205,7 @@ def _kruskal_wallis(u_x: np.ndarray, tie: np.ndarray, nx: int,
 
 def kruskal_wallis(groups) -> TestResult:
     """Tie-corrected Kruskal-Wallis H test of two groups, ``[x, y]``."""
-    groups = list(groups)
-    if len(groups) != 2:
+    if len(_instance("groups", groups, list, tuple)) != 2:
         raise ValueError(f"kruskal_wallis needs 2 groups, got {len(groups)}")
     (x, y), one_row = _as_rows(groups, ("group 0", "group 1"))
     nx = x.shape[1]

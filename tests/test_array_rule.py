@@ -18,6 +18,8 @@ RULE = ("bart.py", "_floats")
 
 # functions that check a value they computed, not an argument
 COMPUTED = {
+    ("bcf.py", "_mean_and_interval"):
+        "a mean or quantile of a fit's draws can overflow float64",
     ("harness.py", "summarize"):
         "a metric's mean or sd over the replicates can overflow float64",
     ("ranktests.py", "_levene"):

@@ -168,10 +168,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"0 < q < 1: FixedSigma\(value=-1"):
         FixedSigma(-1.0)
     # a noise prior of another type is built, so the fit refuses it before
-    # any sampling, with the message a bad value gets
+    # any sampling, naming it
     X, y = np.random.default_rng(0).random((6, 1)), np.arange(6.0)
-    with pytest.raises(ValueError, match=r"sigma prior needs a finite "
-                                         r"positive FixedSigma value .*: 1\.0"):
+    with pytest.raises(ValueError, match=r"^sigma_prior must be a SigmaPrior "
+                                         r"or a FixedSigma, got 1\.0$"):
         fit_continuous(X, y, sigma_prior=1.0)
 
 
@@ -204,11 +204,11 @@ def test_config_refuses_non_integer_counts_and_non_finite_power(build, field):
     (lambda: ForestPrior(power="2"),
      r"^power must be finite and nonnegative, got '2'$"),
     (lambda: ForestPrior(leaf_scale_prior=HalfCauchy(True)),
-     r"^leaf_scale_prior needs a .*: HalfCauchy\(scale=True\)$"),
+     r"^scale must be finite and positive, got HalfCauchy\(scale=True\)$"),
     (lambda: ForestPrior(leaf_scale_prior=HalfNormal("1")),
-     r"^leaf_scale_prior needs a .*: HalfNormal\(scale='1'\)$"),
+     r"^scale must be finite and positive, got HalfNormal\(scale='1'\)$"),
     (lambda: ForestPrior(leaf_scale_prior=FixedScale(None)),
-     r"^leaf_scale_prior needs a .*: FixedScale\(scale=None\)$"),
+     r"^scale must be finite and positive, got FixedScale\(scale=None\)$"),
 ], ids=["nu_string", "value_bool", "value_huge_int", "base_bool",
         "power_string", "half_cauchy_bool", "half_normal_string",
         "fixed_scale_none"])
@@ -616,7 +616,7 @@ def test_fit_continuous_input_validation():
         fit_continuous(np.zeros((1, 1)), np.zeros(1))
     with pytest.raises(ValueError, match="1-D"):
         fit_continuous(X, np.zeros((10, 1)))
-    with pytest.raises(ValueError, match="^seed must be nonnegative"):
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
         fit_continuous(X, np.zeros(10), seed=-1)
     with pytest.raises(ValueError, match="^seed must be an integer"):
         fit_binary_probit(X, np.arange(10) % 2, seed=2.0)

@@ -422,7 +422,7 @@ def test_fit_metadata():
 
 @pytest.mark.parametrize("seed, message", [
     (1.5, "seed must be an integer, got 1.5"),
-    (-1, "seed must be nonnegative, got -1"),
+    (-1, "seed must be at least 0, got -1"),
 ])
 def test_seed_is_checked(seed, message):
     X, z, y = _toy_data()

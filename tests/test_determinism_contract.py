@@ -80,6 +80,7 @@ CONTRACT = {
     "numpy.full": (),
     "numpy.int8": (),
     "numpy.intp": (),
+    "numpy.iscomplexobj": (),
     "numpy.isfinite": (),
     "numpy.isscalar": (),
     "numpy.linspace": ("draws",),

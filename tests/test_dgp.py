@@ -215,7 +215,7 @@ def test_generate_is_deterministic():
 @pytest.mark.parametrize("seed, message", [
     (1.5, "seed must be an integer, got 1.5"),
     (True, "seed must be an integer, got True"),
-    (-1, "seed must be nonnegative, got -1"),
+    (-1, "seed must be at least 0, got -1"),
 ])
 def test_generate_checks_its_seed(seed, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -16,7 +16,6 @@ import re
 import shutil
 from array import array
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bcfsim import harness
 from bcfsim.bart import ChainConfig
-from bcfsim.bcf import PropensityMode
+from bcfsim.bcf import BcfFit, PropensityMode
 from bcfsim.dgp import Dataset, DgpSpec, Selection, generate
 from bcfsim.harness import (
     ExperimentConfig,
@@ -141,9 +140,9 @@ def test_experiment_config_refuses_non_integer_counts(name, value):
                            "got True"),
     (dict(alphas=("4",)), "alphas: alpha must be finite and positive, "
                           "got '4'"),
-    (dict(alphas=None), "alphas must be a list or tuple, got None"),
+    (dict(alphas=None), "alphas must be a list or a tuple, got None"),
     (dict(selections="extreme"),
-     "selections must be a list or tuple, got 'extreme'"),
+     "selections must be a list or a tuple, got 'extreme'"),
     (dict(selections=("extreme", "strong")),
      "selections: 'strong' is not a valid Selection"),
     (dict(models=("no_propensity", 1)),
@@ -339,11 +338,14 @@ def test_evaluate_fit_hand_example():
         noise=np.zeros(4),
         cate_true=np.array([2.0, 2.0, 2.0, 1.0]),
     )
-    fit = SimpleNamespace(
+    fit = BcfFit(
+        mu_draws=np.zeros((2, 4)),
         tau_draws=np.array([[1.0, 1.0, 1.0, 1.0],
                             [3.0, 3.0, 3.0, 3.0]]),
+        sigma_draws=np.ones(2),
         pi_used=np.full(4, 0.5),
         mode=PropensityMode.NO_PROPENSITY,
+        fit_seconds=0.0,
     )
     rec = evaluate_fit(fit, dataset, replicate_index=7, seed=123)
 
@@ -1304,7 +1306,7 @@ _MINI_JSON = ExperimentConfig(**MINI_CONFIG).to_json_dict()
          r"replicates must be an integer, got 2\.0"),
         ("n", "50", "string", r"n must be an integer, got '50'"),
         ("burn_in", True, "bool", r"burn_in must be an integer, got True"),
-        ("alphas", 4.0, "scalar", r"alphas must be a list or tuple, got 4\.0"),
+        ("alphas", 4.0, "scalar", r"alphas must be a list or a tuple, got 4\.0"),
         ("models", ["no_propensity", 1], "item",
          r"models: 1 is not a valid PropensityMode$"),
     ]
