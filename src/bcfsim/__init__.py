@@ -24,8 +24,8 @@ from .bart import (
     fit_binary_probit,
 )
 from .bcf import (
-    PropensityMode, BcfConfig, BcfFit, fit_bcf, cate_intervals,
-    ate_posterior,
+    PropensityMode, BcfConfig, BcfFit, propensity_column, fit_bcf,
+    cate_intervals, ate_posterior,
 )
 from .harness import (
     ExperimentConfig, CellValues, RecordTable, derive_seed, dataset_digest,

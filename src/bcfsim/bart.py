@@ -89,7 +89,10 @@ class HalfCauchy(_ScalePrior):
         return self.scale
 
     def log_pdf(self, x: float) -> float:
-        return -math.log1p((x / self.scale) ** 2)
+        try:
+            return -math.log1p((x / self.scale) ** 2)
+        except OverflowError:  # a square past float64: density 0
+            return -math.inf
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,10 @@ class HalfNormal(_ScalePrior):
         return HALF_NORMAL_MEDIAN * self.scale
 
     def log_pdf(self, x: float) -> float:
-        return -0.5 * (x / self.scale) ** 2
+        try:
+            return -0.5 * (x / self.scale) ** 2
+        except OverflowError:  # a square past float64: density 0
+            return -math.inf
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,14 @@ with separate forests for the prognostic surface mu and the treatment
 moderation surface tau. mu sees the covariates plus one extra design column
 carrying a propensity estimate; tau sees the covariates alone and is
 updated only against treated units. Three variants differ solely in what
-fills the extra column: a constant 0.5 (no propensity adjustment), the true
-assignment probabilities, or the posterior mean probability from an
-internal probit fit of treatment on covariates. Both outcome forests run
-in one chain of the BART driver ``bart._run_chain``: the mu forest sweeps,
-then the tau forest, then the noise sd gets its Gibbs step. The probit
-stage runs a chain of the same length, so one ``ChainConfig`` serves both.
+fills the extra column (``propensity_column``): a constant 0.5, the true
+assignment probabilities, or the posterior mean of a probit fit of
+treatment on covariates. ``fit_bcf`` runs both outcome forests in one chain
+of ``bart._run_chain``: the mu forest sweeps, then the tau forest, then the
+noise sd gets its Gibbs step. The probit stage runs a chain of the same
+length, so one ``ChainConfig`` serves both. Each call splits its seed with
+``_seed_sequence(seed).spawn(2)``: the probit stage draws from the first
+child, the outcome chain from the second.
 
 Forest priors follow the usual BCF asymmetry: a large, flexible mu forest
 (200 trees, depth prior 0.95/(1+d)^2, half-Cauchy scale with median twice
@@ -25,7 +27,6 @@ outcome sd).
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ from .bart import (
 )
 
 __all__ = [
-    "PropensityMode", "BcfConfig", "BcfFit", "fit_bcf", "cate_intervals",
-    "ate_posterior",
+    "PropensityMode", "BcfConfig", "BcfFit", "propensity_column", "fit_bcf",
+    "cate_intervals", "ate_posterior",
 ]
 
 
@@ -109,53 +110,55 @@ class BcfFit:
     sigma_draws: np.ndarray
     pi_used: np.ndarray
     mode: PropensityMode
-    fit_seconds: float
 
 
-def fit_bcf(X, z, y, mode: PropensityMode | str,
-            pi_true=None, config: BcfConfig | None = None, seed=0) -> BcfFit:
-    """Fit one BCF variant; deterministic given (inputs, config, seed).
-
-    ``pi_true`` is required for the true-propensity variant and rejected
-    otherwise. ``seed`` may be a nonnegative int or a
-    ``numpy.random.SeedSequence``; the estimated-propensity variant splits
-    it so the probit stage and the outcome chain draw from independent
-    streams.
-    """
-    t0 = time.perf_counter()
-    X, y = _check_inputs(X, y)
-    _, z = _check_inputs(X, z, "z")
-    n = X.shape[0]
+def _treatment(X, z):
+    """``(X, z)`` checked: a design matrix and a 0/1 value per row, with
+    both treated and control units."""
+    X, z = _check_inputs(X, z, "z")
     _check_binary(z, "z")
     if z.min() == z.max():
         raise ValueError("z must contain both treated and control units")
+    return X, z
+
+
+def propensity_column(mode: PropensityMode | str, X, z, pi_true,
+                      config: BcfConfig, seed) -> np.ndarray:
+    """The extra column the mu forest sees in variant ``mode``: 0.5 per row,
+    ``pi_true`` (read by this variant only), or the posterior mean of a
+    probit fit of ``z`` on ``X`` drawn from the first child of ``seed``."""
     mode = _member(PropensityMode, "mode", mode)
+    X, z = _treatment(X, z)
+    if mode is PropensityMode.NO_PROPENSITY:
+        return np.full(X.shape[0], 0.5)
+    if mode is PropensityMode.TRUE_PROPENSITY:
+        return _check_inputs(X, pi_true, "pi_true")[1]
+    config = _instance("config", config, BcfConfig)
+    probit = fit_binary_probit(X, z, config.propensity, config.chain,
+                               seed=_seed_sequence(seed).spawn(2)[0])
+    return probit.probability_draws.mean(axis=0)
+
+
+def fit_bcf(X, z, y, mode: PropensityMode | str, pi,
+            config: BcfConfig | None = None, seed=0) -> BcfFit:
+    """Fit variant ``mode``'s outcome chain to ``pi``, its propensity column
+    (one value in [0, 1] per row); deterministic given (inputs, config, seed).
+    ``seed``, an int or a ``SeedSequence`` (advanced by its ``spawn(2)``),
+    gives the chain its second child."""
+    X, y = _check_inputs(X, y)
+    _, z = _treatment(X, z)
+    mode = _member(PropensityMode, "mode", mode)
+    _, pi = _check_inputs(X, pi, "pi")
+    if pi.min() < 0.0 or pi.max() > 1.0:
+        raise ValueError("pi must lie in [0, 1]")
     config = (BcfConfig() if config is None
               else _instance("config", config, BcfConfig))
     y_work, center, scale = _standardize(y, config.sigma_prior)
 
-    ss_propensity, ss_outcome = _seed_sequence(seed).spawn(2)
-
-    if mode is PropensityMode.TRUE_PROPENSITY:
-        if pi_true is None:
-            raise ValueError("pi_true is required for the true-propensity variant")
-        _, pi_used = _check_inputs(X, pi_true, "pi_true")
-        if pi_used.min() < 0.0 or pi_used.max() > 1.0:
-            raise ValueError("pi_true must lie in [0, 1]")
-    else:
-        if pi_true is not None:
-            raise ValueError("pi_true is only accepted by the true-propensity variant")
-        if mode is PropensityMode.NO_PROPENSITY:
-            pi_used = np.full(n, 0.5)
-        else:
-            probit = fit_binary_probit(X, z, config.propensity, config.chain,
-                                       seed=ss_propensity)
-            pi_used = probit.probability_draws.mean(axis=0)
-
-    design = np.column_stack((X, pi_used))
+    design = np.column_stack((X, pi))
     zmask = z.astype(bool)
 
-    rng = np.random.default_rng(ss_outcome)
+    rng = np.random.default_rng(_seed_sequence(seed).spawn(2)[1])
     mu_sampler = ForestSampler(design, config.mu)
     tau_sampler = ForestSampler(X, config.tau, weights=z)
 
@@ -173,9 +176,8 @@ def fit_bcf(X, z, y, mode: PropensityMode | str,
         mu_draws=mu_draws,
         tau_draws=tau_draws,
         sigma_draws=sigma_draws,
-        pi_used=pi_used,
+        pi_used=pi,
         mode=mode,
-        fit_seconds=time.perf_counter() - t0,
     )
 
 

@@ -68,6 +68,7 @@ import json
 import math
 import operator
 import os
+import time
 from array import array
 from dataclasses import dataclass
 from datetime import timedelta
@@ -79,6 +80,7 @@ import numpy as np
 from .bart import ChainConfig, _count, _floats, _instance, _member
 from .bcf import (
     BcfConfig, PropensityMode, ate_posterior, cate_intervals, fit_bcf,
+    propensity_column,
 )
 from .dgp import Dataset, DgpSpec, Selection, baseline, generate, propensity
 from .metrics import (
@@ -96,7 +98,6 @@ __all__ = [
 ]
 
 MODEL_IDS = tuple(m.value for m in PropensityMode)
-_TRUE_PI = PropensityMode.TRUE_PROPENSITY.value
 
 # the record fields that name one fit, its key; digests.csv leads with them
 _KEY_FIELDS = ("dgp_id", "alpha", "replicate_index", "model", "seed")
@@ -231,6 +232,17 @@ def apply_profile(config: ExperimentConfig, profile: str) -> ExperimentConfig:
     raise ValueError(f"unknown profile {profile!r}; expected 'quick' or 'full'")
 
 
+@contextlib.contextmanager
+def _utf8(path, newline=None):
+    """The file at ``path`` open as UTF-8 text; a byte that is not UTF-8
+    raises a ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_config_file(path) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file.
 
@@ -246,7 +258,7 @@ def load_config_file(path) -> ExperimentConfig:
     hints = get_type_hints(ExperimentConfig)
     kwargs = {}
     set_on = {}
-    with open(path, encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -408,7 +420,7 @@ def read_replicates_csv(path, extra=()) -> RecordTable:
     keys, lines, values, texts = [], array("q"), array("d"), []
     extras = tuple([] for _ in extra)
     failure = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if tuple(header) != columns:
@@ -481,11 +493,14 @@ def _fit_one(config: ExperimentConfig, selection: Selection, alpha: float,
     original."""
     data_seed = _data_seed(config, selection.value, alpha, rep)
     dataset = generate(DgpSpec(selection, alpha, config.n), data_seed)
+    bcf_config, seed = config.bcf_config(), derive_seed(data_seed, model)
     try:
-        fit = fit_bcf(dataset.X, dataset.D, dataset.Y, model,
-                      pi_true=(dataset.pi_true if model == _TRUE_PI else None),
-                      config=config.bcf_config(),
-                      seed=derive_seed(data_seed, model))
+        t0 = time.perf_counter()  # the seconds include the probit stage
+        pi = propensity_column(model, dataset.X, dataset.D, dataset.pi_true,
+                               bcf_config, seed)
+        fit = fit_bcf(dataset.X, dataset.D, dataset.Y, model, pi,
+                      config=bcf_config, seed=seed)
+        seconds = time.perf_counter() - t0
         record = evaluate_fit(fit, dataset, rep, data_seed)
     except Exception as exc:
         raise RuntimeError(
@@ -494,7 +509,7 @@ def _fit_one(config: ExperimentConfig, selection: Selection, alpha: float,
             f"{type(exc).__name__}: {exc}") from exc
     # hashed after the fit, so a fit that mutated its inputs would break
     # the within-replicate digest equality audit
-    return record, dataset_digest(dataset), fit.fit_seconds
+    return record, dataset_digest(dataset), seconds
 
 
 def _write_cell(path: Path, rows) -> None:
@@ -545,10 +560,12 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
     """Run the whole grid and write every artifact to the run directory.
 
     A grid with a dataset of one treatment arm is refused before anything
-    is written (``_check_arms``). Each completed cell is checkpointed as
-    one file under ``cells/``; ``resume=True`` loads them instead of refitting, while a
-    fresh run into a directory holding cell artifacts is refused so two
-    configurations cannot get mixed together silently. For the same
+    is written (``_check_arms``), and so are a ``resume`` that is no bool
+    and a ``progress`` that is neither None nor callable. Each completed
+    cell is checkpointed as one file under ``cells/``; ``resume=True``
+    loads them instead of refitting, while a fresh run into a directory
+    holding cell artifacts is refused so two configurations cannot get
+    mixed together silently. For the same
     reason a resume, which then writes nothing, is refused when the
     directory's ``run_config.json`` is missing or differs from ``config``
     in any key, or when a checkpoint does not hold its cell's
@@ -561,6 +578,10 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
     """
     _instance("config", config, ExperimentConfig)
     _instance("out_dir", out_dir, *_PATH)
+    _instance("resume", resume, bool)
+    if progress is not None and not callable(progress):
+        raise ValueError(f"progress must be None or callable, got "
+                         f"{progress!r}")
     _check_arms(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

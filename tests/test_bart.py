@@ -14,7 +14,7 @@ from bcfsim.bart import (
     _log_like_ratio, _probit_latent, _sigma_prior_scale, _slice_sample,
     fit_binary_probit, fit_continuous,
 )
-from bcfsim.bcf import BcfConfig, fit_bcf
+from bcfsim.bcf import BcfConfig, fit_bcf, propensity_column
 from bcfsim.trees import (
     SplitTable, _cut_ranges, _scan, _walk, apply_move, cutpoint_bins,
     make_cutpoint_grids, propose_move,
@@ -230,7 +230,9 @@ def test_fits_refuse_an_X_with_no_columns():
     # no tree could ever split, so every draw would be a constant
     X, d, y = np.empty((30, 0)), np.arange(30) % 2, np.arange(30.0)
     fits = [lambda: fit_continuous(X, y), lambda: fit_binary_probit(X, d),
-            lambda: fit_bcf(X, d, y, "no_propensity")]
+            lambda: propensity_column("no_propensity", X, d, None,
+                                      BcfConfig(), 0),
+            lambda: fit_bcf(X, d, y, "no_propensity", np.full(30, 0.5))]
     for fit in fits:
         with pytest.raises(ValueError, match="^X must be a 2-D array with "
                                              "rows and columns$"):
@@ -243,7 +245,9 @@ def test_fits_refuse_an_X_with_no_rows():
     X, empty = np.empty((0, 2)), np.empty(0)
     fits = [lambda: fit_continuous(X, empty),
             lambda: fit_binary_probit(X, empty),
-            lambda: fit_bcf(X, empty, empty, "no_propensity")]
+            lambda: propensity_column("no_propensity", X, empty, None,
+                                      BcfConfig(), 0),
+            lambda: fit_bcf(X, empty, empty, "no_propensity", empty)]
     for fit in fits:
         with pytest.raises(ValueError, match="^X must be a 2-D array with "
                                              "rows and columns$"):
@@ -315,6 +319,14 @@ def test_scale_prior_initial_points():
     # densities up to their normalizing constants
     assert_allclose(HalfCauchy(2.0).log_pdf(2.0), -math.log(2.0))
     assert HalfNormal(3.0).log_pdf(0.0) == 0.0
+
+
+@pytest.mark.parametrize("kind", [HalfCauchy, HalfNormal])
+def test_a_scale_past_float64_has_density_zero(kind):
+    # the square of 1e200 overflows float64; it used to raise OverflowError
+    # out of the slice step instead of being rejected there
+    assert kind(1.0).log_pdf(1e200) == -math.inf
+    assert kind(1e-300).log_pdf(1e10) == -math.inf
 
 
 def test_leaf_sd_scaling():

@@ -418,6 +418,25 @@ def test_report_refuses_unknown_config_keys(tiny_run, tmp_path, capsys):
     assert "'jobs'" in err
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("replicates.csv", ["report", "--from", "{run}"]),
+    ("study.cfg", ["run", "--config", "{cfg}", "--out", "{run}"]),
+], ids=["report", "run"])
+def test_a_file_that_is_not_utf8_is_named(tiny_run, tmp_path, capsys, name,
+                                          argv):
+    # it used to end in a UnicodeDecodeError that named no file
+    cfg, out = tiny_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    bad = copy / name
+    bad.write_bytes(b"\xff\xfe")
+    cfg = copy / "study.cfg"
+    assert main([a.format(cfg=cfg, run=copy) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: not UTF-8 text ('utf-8' codec can't decode byte "
+        "0xff in position 0")
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "--from", "{run}"],
     ["run", "--config", "{cfg}", "--out", "{run}", "--resume"],

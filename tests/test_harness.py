@@ -14,6 +14,7 @@ import json
 import os
 import re
 import shutil
+import time
 from array import array
 from pathlib import Path
 
@@ -345,7 +346,6 @@ def test_evaluate_fit_hand_example():
         sigma_draws=np.ones(2),
         pi_used=np.full(4, 0.5),
         mode=PropensityMode.NO_PROPENSITY,
-        fit_seconds=0.0,
     )
     rec = evaluate_fit(fit, dataset, replicate_index=7, seed=123)
 
@@ -645,6 +645,22 @@ def test_run_experiment_refuses_a_config_of_the_wrong_type(tmp_path):
                        match="^config must be an ExperimentConfig, got 'x'$"):
         run_experiment("x", out)
     assert not out.exists()
+
+
+def test_fit_seconds_include_the_propensity_column(monkeypatch):
+    # the harness times propensity_column and fit_bcf together, so a fit's
+    # seconds include the probit stage that criterion 6 weighs
+    column = harness.propensity_column
+
+    def slow_column(*args, **kwargs):
+        time.sleep(0.05)
+        return column(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "propensity_column", slow_column)
+    config = ExperimentConfig(**dict(MINI_CONFIG, iterations=4, burn_in=2))
+    _, _, seconds = harness._fit_one(config, Selection.EXTREME, 4.0, 0,
+                                     "no_propensity")
+    assert seconds >= 0.05
 
 
 def test_run_experiment_record_grid(mini_run):

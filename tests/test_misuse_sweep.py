@@ -23,6 +23,7 @@ refusal, and so is a ValueError naming the file it reads.
 """
 
 import dataclasses
+import itertools
 import math
 import operator
 import os
@@ -50,6 +51,7 @@ from bcfsim.bart import (
 )
 from bcfsim.bcf import (
     BcfConfig, BcfFit, PropensityMode, ate_posterior, cate_intervals, fit_bcf,
+    propensity_column,
 )
 from bcfsim.dgp import (
     DgpSpec, baseline, beta_cdf_2_4, cate, generate, propensity,
@@ -275,22 +277,51 @@ def test_fit_binary_probit(bad, data):
 MODES = ("no_propensity", "true_propensity", "estimated_propensity")
 
 
+def bcf_args(draw, bad, n, chain, **spec):
+    """The arguments ``propensity_column`` and ``fit_bcf`` share, and
+    ``spec``'s, for ``n`` rows and chains of ``chain``."""
+    config = BcfConfig(mu=PRIOR, tau=PRIOR, propensity=PRIOR, chain=chain)
+    p = draw(COLUMNS)
+    return call_args(
+        draw, bad, X=(numbers((n, p)), misused((n, p))),
+        z=(binary((n,)), misused((n,))),
+        mode=(st.sampled_from(MODES), misused_scalar("no_such_mode")),
+        config=(st.just(config), misused_scalar("config", chain)),
+        seed=SEED, **spec)
+
+
+# a misused propensity: any array, or finite values of any magnitude
+PROPENSITY = (unit, lambda shape: st.one_of(misused(shape), numbers(shape)))
+
+
+@st.composite
+def column_data(draw, bad):
+    n = draw(ROWS)
+    return bcf_args(draw, bad, n, draw(CHAINS),
+                    pi_true=tuple(kind((n,)) for kind in PROPENSITY))
+
+
+@sweep("mode", "X", "z", "pi_true", "config", "seed")
+def test_propensity_column(bad, data):
+    # the column is pi_true as given for the true variant, which fit_bcf
+    # then checks against [0, 1]
+    kwargs = data.draw(column_data(bad))
+    pi = run(propensity_column, kwargs)
+    if pi is not None:
+        assert_finite(pi, (len(kwargs["z"]),))
+        if kwargs["mode"] != "true_propensity":
+            assert ((0 <= pi) & (pi <= 1)).all()
+
+
 @st.composite
 def bcf_data(draw, bad):
-    n, p, chain = draw(ROWS), draw(COLUMNS), draw(CHAINS)
-    mode = draw(st.sampled_from(MODES))
-    pi_true = unit((n,)) if mode == "true_propensity" else st.none()
-    config = BcfConfig(mu=PRIOR, tau=PRIOR, propensity=PRIOR, chain=chain)
-    return chain, call_args(
-        draw, bad, X=(numbers((n, p)), misused((n, p))),
-        z=(binary((n,)), misused((n,))), y=(numbers((n,)), misused((n,))),
-        mode=(st.just(mode), misused_scalar("no_such_mode")),
-        pi_true=(pi_true, st.one_of(misused((n,)), unit((n,)))),
-        config=(st.just(config), misused_scalar("config", chain)),
-        seed=SEED)
+    n, chain = draw(ROWS), draw(CHAINS)
+    return chain, bcf_args(
+        draw, bad, n, chain, y=(numbers((n,)), misused((n,))),
+        pi=tuple(kind((n,)) for kind in PROPENSITY))
 
 
-@sweep("X", "z", "y", "mode", "pi_true", "config", "seed")
+@sweep("X", "z", "y", "mode", "pi", "config", "seed")
 def test_fit_bcf(bad, data):
     chain, kwargs = data.draw(bcf_data(bad))
     fit = run(fit_bcf, kwargs)
@@ -709,7 +740,7 @@ def fits(draw):
     tau = np.array(_values(draw, (k, n), FINITE)).reshape(k, n)
     return BcfFit(mu_draws=np.zeros((k, n)), tau_draws=tau,
                   sigma_draws=np.ones(k), pi_used=np.full(n, 0.5),
-                  mode=PropensityMode.NO_PROPENSITY, fit_seconds=0.0)
+                  mode=PropensityMode.NO_PROPENSITY)
 
 
 LEVEL = (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -816,6 +847,35 @@ def test_report_from(bad, data, study):
         assert len(table) == 1
 
 
+RUNS = itertools.count()
+# another object, but no path (a run would write there) and no
+# configuration (a default one is the full study)
+NO_RUN = OTHER.filter(
+    lambda v: not isinstance(v, (str, os.PathLike, ExperimentConfig)))
+
+
+@sweep("config", "out_dir", "resume", "progress")
+def test_run_experiment(bad, data, study):
+    # a run of TINY, one fit, into a fresh directory; a misused out_dir is
+    # an existing file or another object, and a misuse of any argument is
+    # refused before the fresh directory is made
+    fresh = study["directory"] / f"run{next(RUNS)}"
+    lines = []
+    kwargs = call_args(
+        data.draw, bad, config=(st.just(TINY), NO_RUN),
+        out_dir=(st.sampled_from((fresh, str(fresh))),
+                 st.one_of(NO_RUN, st.just(study["replicates"]))),
+        resume=(st.booleans(), st.one_of(NO_RUN, st.sampled_from(
+            ("no", 0, 1, np.bool_(True))))),
+        progress=(st.sampled_from((None, lines.append)), NO_RUN))
+    records = run_paths(run_experiment, kwargs, "out_dir")
+    if records is None:
+        assert not fresh.exists()
+    else:
+        assert len(records) == 1
+        assert len(lines) == (kwargs["progress"] is not None)
+
+
 TIMING_ROW = st.fixed_dictionaries({
     "dgp_id": st.sampled_from(NAMES),
     "alpha": st.sampled_from((1.0, 2.0, 4.0)),
@@ -860,10 +920,12 @@ CONVERSIONS = {
     "fit_binary_probit": (lambda: fit_binary_probit([[0.0], [1.0]],
                                                     [0, "one"]), "d"),
     "fit_bcf": (lambda: fit_bcf([[0.0], [1.0]], [0, 1], [0.0, 10 ** 400],
-                                "no_propensity"), "y"),
-    "fit_bcf_pi_true": (lambda: fit_bcf([[0.0], [1.0]], [0, 1], [0.0, 1.0],
-                                        "true_propensity",
-                                        pi_true=["x", 0.5]), "pi_true"),
+                                "no_propensity", [0.5, 0.5]), "y"),
+    "fit_bcf_pi": (lambda: fit_bcf([[0.0], [1.0]], [0, 1], [0.0, 1.0],
+                                   "true_propensity", ["x", 0.5]), "pi"),
+    "propensity_column_pi_true": (lambda: propensity_column(
+        "true_propensity", [[0.0], [1.0]], [0, 1], ["x", 0.5], BcfConfig(),
+        0), "pi_true"),
     "ForestSampler": (lambda: ForestSampler([[1.0, 2.0], [3.0]], PRIOR),
                       "X"),
     "baseline": (lambda: baseline([["a"] * 5]), "x"),
@@ -899,7 +961,7 @@ _DATASET = generate(DgpSpec("extreme", 4.0, 6), 3)
 _X, _D = _DATASET.X, np.array([0, 1] * 3)
 _FIT = BcfFit(mu_draws=np.zeros((2, 6)), tau_draws=np.ones((2, 6)),
               sigma_draws=np.ones(2), pi_used=np.full(6, 0.5),
-              mode=PropensityMode.NO_PROPENSITY, fit_seconds=0.0)
+              mode=PropensityMode.NO_PROPENSITY)
 
 # each object argument outside the sweeps above, given another type
 OBJECT_CALLS = {
@@ -907,6 +969,12 @@ OBJECT_CALLS = {
                               "config", "an ExperimentConfig"),
     "run_experiment_out_dir": (lambda tmp: run_experiment(TINY, None),
                                "out_dir", "a str or a PathLike"),
+    # "no" used to be taken as true
+    "run_experiment_resume": (lambda tmp: run_experiment(
+        TINY, tmp, resume="no"), "resume", "a bool"),
+    # 5 used to fail as no callable after the run's first fit
+    "run_experiment_progress": (lambda tmp: run_experiment(
+        TINY, tmp, progress=5), "progress", "None or callable"),
     "apply_profile": (lambda tmp: apply_profile(TINY.bcf_config(), "quick"),
                       "config", "an ExperimentConfig"),
     "write_dataset_dataset": (lambda tmp: write_dataset(
@@ -927,6 +995,9 @@ OBJECT_CALLS = {
                   "cell", "a CellValues"),
     "compare_models": (lambda tmp: compare_models(TINY), "cell",
                        "a CellValues"),
+    "propensity_column": (lambda tmp: propensity_column(
+        "estimated_propensity", _X, _D, None, TINY, 0), "config",
+        "a BcfConfig"),
     "ForestSampler": (lambda tmp: ForestSampler(_X, ChainConfig(2, 1)),
                       "prior", "a ForestPrior"),
     "fit_continuous_prior": (lambda tmp: fit_continuous(

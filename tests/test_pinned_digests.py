@@ -25,7 +25,7 @@ from bcfsim.bart import (
     ChainConfig, FixedScale, ForestPrior, HalfCauchy, HalfNormal,
     fit_binary_probit, fit_continuous,
 )
-from bcfsim.bcf import BcfConfig, fit_bcf
+from bcfsim.bcf import BcfConfig, fit_bcf, propensity_column
 
 
 def _digest(*arrays) -> str:
@@ -96,7 +96,7 @@ def test_fit_bcf_draws_are_pinned(mode):
     X, z, y = _data()
     pi_true = (np.clip(0.2 + 0.6 * X[:, 0], 0.0, 1.0)
                if mode == "true_propensity" else None)
-    fit = fit_bcf(X, z, y, mode, pi_true=pi_true, config=_bcf_config(),
-                  seed=13)
+    pi = propensity_column(mode, X, z, pi_true, _bcf_config(), 13)
+    fit = fit_bcf(X, z, y, mode, pi, config=_bcf_config(), seed=13)
     got = _digest(fit.mu_draws, fit.tau_draws, fit.sigma_draws, fit.pi_used)
     assert got == PINNED[mode]
