@@ -30,8 +30,8 @@ from .bcf import (
 from .harness import (
     ExperimentConfig, CellValues, RecordTable, derive_seed, dataset_digest,
     evaluate_fit, run_experiment, cell_values, summarize, compare_models,
-    timing_report, report_from, apply_profile, load_config_file,
-    read_replicates_csv, write_dataset,
+    report_from, apply_profile, load_config_file, read_replicates_csv,
+    write_dataset,
 )
 
 __version__ = "0.1.0"

@@ -151,12 +151,22 @@ def cate(x, alpha):
     return (arr[:, 0] + arr[:, 1]) / (2.0 * alpha)
 
 
+def _covariates(rng, n: int, name: str) -> np.ndarray:
+    """``n`` rows of Uniform(0,1)^5 covariates from ``rng``. An ``n`` with
+    no room for (n, 5) floats raises a ValueError naming ``name``."""
+    try:
+        return rng.random((n, 5))
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"{name} is too large to draw at once: {exc}") from None
+
+
 def generate(spec: DgpSpec, seed) -> Dataset:
     """Draw one dataset. Deterministic given (spec, seed): a nonnegative
-    int or a ``numpy.random.SeedSequence``."""
+    int or a ``numpy.random.SeedSequence``. An ``n`` too large to draw
+    raises a ValueError naming it."""
     _instance("spec", spec, DgpSpec)
     rng = np.random.default_rng(_seed_sequence(seed))
-    X = rng.random((spec.n, 5))
+    X = _covariates(rng, spec.n, "n")
     pi = propensity(X, spec.selection)
     D = (rng.random(spec.n) < pi).astype(np.int8)
     eps = rng.standard_normal(spec.n)
@@ -173,9 +183,5 @@ def signal_ratio(spec: DgpSpec, n_mc: int, seed) -> float:
     """
     _instance("spec", spec, DgpSpec)
     n_mc = _count("n_mc", n_mc, 10_000)  # for a stable estimate
-    rng = np.random.default_rng(_seed_sequence(seed))
-    try:
-        X = rng.random((n_mc, 5))
-    except (ValueError, MemoryError) as exc:  # no room for (n_mc, 5) floats
-        raise ValueError(f"n_mc is too large to draw at once: {exc}") from None
+    X = _covariates(np.random.default_rng(_seed_sequence(seed)), n_mc, "n_mc")
     return float(np.abs(baseline(X)).mean() / np.abs(cate(X, spec.alpha)).mean())

@@ -50,10 +50,11 @@ replicates.csv or a cell checkpoint with other columns, or a row with
 a bad cell or a metric out of range, naming its line; and a checkpoint
 with unreadable fit seconds or, naming the line, fit seconds that are
 not finite and nonnegative. A resume also refuses cells beside no
-run_config.json, and a checkpoint that does not hold its cell's fits in run
-order. Records meet the grid in ``cell_values``, which refuses them unless
-they hold each of its fits once; ``report_from`` names both files in that
-refusal.
+run_config.json, a checkpoint that does not hold its cell's fits in run
+order, and, naming cells/, checkpoints whose seconds give timing.json a
+mean or overhead that is not finite. Records meet the grid in
+``cell_values``, which refuses them unless they hold each of its fits once;
+``report_from`` names both files in that refusal.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .bart import ChainConfig, _count, _floats, _instance, _member
+from .bart import ChainConfig, _count, _instance, _member
 from .bcf import (
     BcfConfig, PropensityMode, ate_posterior, cate_intervals, fit_bcf,
     propensity_column,
@@ -92,9 +93,8 @@ from .ranktests import select_and_run
 __all__ = [
     "ExperimentConfig", "CellValues", "RecordTable", "derive_seed",
     "dataset_digest", "evaluate_fit", "run_experiment", "cell_values",
-    "summarize", "compare_models", "timing_report", "report_from",
-    "apply_profile", "load_config_file", "read_replicates_csv",
-    "write_dataset",
+    "summarize", "compare_models", "report_from", "apply_profile",
+    "load_config_file", "read_replicates_csv", "write_dataset",
 ]
 
 MODEL_IDS = tuple(m.value for m in PropensityMode)
@@ -410,9 +410,10 @@ def read_replicates_csv(path, extra=()) -> RecordTable:
 
     The header must be the record fields followed by the ``extra`` columns;
     blank lines are skipped. Any other header raises a ValueError naming
-    the file, and so does the first row of another length, with a cell that
-    does not parse as its field's type or with a metric out of range
-    (``metrics.out_of_range``), naming its line too.
+    the file, and so does the first row of another length, with a field
+    past csv's size limit, with a cell that does not parse as its field's
+    type or with a metric out of range (``metrics.out_of_range``), naming
+    its line too (line 1 for a header field past the limit).
     """
     _instance("path", path, *_PATH)
     columns = RECORD_FIELDS + tuple(_instance("extra", extra, list, tuple))
@@ -422,30 +423,33 @@ def read_replicates_csv(path, extra=()) -> RecordTable:
     failure = None
     with _utf8(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if tuple(header) != columns:
-            raise ValueError(f"{path}: unexpected columns {header}")
-        for row in filter(None, reader):
-            try:
-                if len(row) != len(columns):
-                    raise ValueError(
-                        f"{len(row)} cells, expected {len(columns)}")
-                # a row leads with dgp_id, alpha, model, replicate_index and
-                # seed; its cells parse in that order, so the first bad cell
-                # is the one named
-                key = (row[0], float(row[1]), int(row[3]), row[2],
-                       int(row[4]))
-                metric_cells = row[5:5 + width]
-                values.extend(map(float, metric_cells))
-            except ValueError as exc:
-                failure = (reader.line_num, exc)
-                del values[len(keys) * width:]
-                break
-            keys.append(key)
-            lines.append(reader.line_num)
-            texts.append(",".join(metric_cells))
-            for column, cell in zip(extras, row[5 + width:]):
-                column.append(cell)
+        try:
+            header = next(reader, [])
+            if tuple(header) != columns:
+                raise ValueError(f"{path}: unexpected columns {header}")
+            for row in filter(None, reader):
+                try:
+                    if len(row) != len(columns):
+                        raise ValueError(
+                            f"{len(row)} cells, expected {len(columns)}")
+                    # a row leads with dgp_id, alpha, model, replicate_index
+                    # and seed; its cells parse in that order, so the first
+                    # bad cell is the one named
+                    key = (row[0], float(row[1]), int(row[3]), row[2],
+                           int(row[4]))
+                    metric_cells = row[5:5 + width]
+                    values.extend(map(float, metric_cells))
+                except ValueError as exc:
+                    failure = (reader.line_num, exc)
+                    del values[len(keys) * width:]
+                    break
+                keys.append(key)
+                lines.append(reader.line_num)
+                texts.append(",".join(metric_cells))
+                for column, cell in zip(extras, row[5 + width:]):
+                    column.append(cell)
+        except csv.Error as exc:  # a field past csv's size limit
+            failure = (reader.line_num, exc)
     table = RecordTable(keys, np.asarray(values).reshape(-1, width).T, texts,
                         extras, lines)
     # every row that parsed comes before the one that did not
@@ -568,8 +572,9 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
     mixed together silently. For the same
     reason a resume, which then writes nothing, is refused when the
     directory's ``run_config.json`` is missing or differs from ``config``
-    in any key, or when a checkpoint does not hold its cell's
-    ``_fit_keys`` in order. ``progress`` gets a line per fit: its count
+    in any key, when a checkpoint does not hold its cell's ``_fit_keys``
+    in order, or when the checkpoints' seconds give ``_timing`` a mean or
+    overhead that is not finite. ``progress`` gets a line per fit: its count
     among this call's fits and an ETA. The reports are ``report_from``'s,
     built from the replicates.csv just written. A file that already holds
     the bytes this call would write is left untouched (``_write_text``), so
@@ -621,6 +626,10 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
             if mismatch:
                 raise RuntimeError(f"{path}: row {mismatch}; it came "
                                    "from another cell or configuration")
+    try:  # timing.json will summarize the checkpoints' seconds
+        _timing([row for rows in cell_rows.values() for row in rows])
+    except ValueError as exc:
+        raise ValueError(f"{cells_dir}: {exc}") from exc
     _write_text(config_path, json.dumps(wanted, sort_keys=True, indent=2))
 
     todo = [cell for cell in paths if cell not in cell_rows]
@@ -650,7 +659,8 @@ def run_experiment(config: ExperimentConfig, out_dir, resume: bool = False,
         (_cells(rec, _KEY_FIELDS) + [digest] for rec, digest, _ in all_rows)))
     report_from(out)
     _write_scatter(config, out)
-    _write_timing(out, all_rows)
+    _write_text(out / "timing.json",
+                json.dumps(_timing(all_rows), sort_keys=True, indent=1))
     return records
 
 
@@ -669,14 +679,47 @@ def _write_scatter(config: ExperimentConfig, out: Path) -> None:
                         map(repr, propensity(X, selection).tolist()))))
 
 
-def _write_timing(out: Path, rows) -> None:
-    """timing.json: the seconds of each (record, digest, seconds) fit row,
-    in run order, and their ``timing_report``."""
-    fits = [{"dgp_id": rec.dgp_id, "alpha": rec.alpha, "model": rec.model,
-             "replicate_index": rec.replicate_index, "seconds": seconds}
-            for rec, _, seconds in rows]
-    timing = {"rows": fits, **timing_report(fits)}
-    _write_text(out / "timing.json", json.dumps(timing, sort_keys=True, indent=1))
+def _timing(rows) -> dict:
+    """The object timing.json holds, from (record, digest, seconds) fit
+    rows in run order: each fit's seconds, the mean seconds per model in
+    order of first appearance and, when both variants ran, the overhead
+    mean(estimated_propensity) / mean(no_propensity) - 1, pooled and per
+    cell. A mean or overhead that is not finite (it overflows float64, or
+    the no-propensity mean is 0) raises a ValueError."""
+    no = PropensityMode.NO_PROPENSITY.value
+    est = PropensityMode.ESTIMATED_PROPENSITY.value
+    by_model, by_cell = {}, {}  # the groups hold row indices
+    for i, (rec, _, _) in enumerate(rows):
+        by_model.setdefault(rec.model, []).append(i)
+        by_cell.setdefault(_cell_key(rec.dgp_id, rec.alpha),
+                           {}).setdefault(rec.model, []).append(i)
+    seconds = np.array([row[2] for row in rows], dtype=float)
+
+    def finite(value) -> float:
+        if not math.isfinite(value):
+            raise ValueError("fit seconds give a mean or overhead that is "
+                             "not finite (a zero no-propensity mean has none)")
+        return float(value)
+
+    def overhead(group) -> float:
+        return finite(seconds[group[est]].mean() / seconds[group[no]].mean()
+                      - 1.0)
+
+    timing = {"rows": [{"dgp_id": rec.dgp_id, "alpha": rec.alpha,
+                        "model": rec.model,
+                        "replicate_index": rec.replicate_index,
+                        "seconds": sec} for rec, _, sec in rows]}
+    # an overflow or a zero mean is refused, instead of warned about
+    with np.errstate(all="ignore"):
+        means = {m: finite(seconds[i].mean()) for m, i in by_model.items()}
+        timing["mean_seconds_by_model"] = means
+        if no in means and est in means:
+            timing["pooled_overhead_estimated_vs_no_propensity"] = overhead(
+                by_model)
+            timing["cell_overhead_estimated_vs_no_propensity"] = {
+                key: overhead(group) for key, group in sorted(by_cell.items())
+                if no in group and est in group}
+    return timing
 
 
 @dataclass(frozen=True)
@@ -855,58 +898,6 @@ def _pvalues_csv_text(reports) -> str:
     return _csv_text(header, rows)
 
 
-def timing_report(rows) -> dict:
-    """Mean fit seconds per model, in order of first appearance, and the
-    propensity-estimation overhead when both variants have fits, from
-    timing.json's rows (each with ``dgp_id``, ``alpha``, ``model`` and
-    ``seconds``).
-
-    Overhead is mean(estimated_propensity) / mean(no_propensity) - 1,
-    pooled and per cell; without both variants its two keys are absent.
-    Rows that are not such mappings, seconds that are not each one finite
-    nonnegative number, and a mean or overhead that is not finite (it
-    overflows float64, or the no-propensity mean is 0) raise a ValueError
-    naming ``rows``.
-    """
-    no = PropensityMode.NO_PROPENSITY.value
-    est = PropensityMode.ESTIMATED_PROPENSITY.value
-    seconds, by_model, by_cell = [], {}, {}  # the groups hold row indices
-    try:
-        for i, row in enumerate(rows):
-            seconds.append(row["seconds"])
-            by_model.setdefault(row["model"], []).append(i)
-            by_cell.setdefault(_cell_key(row["dgp_id"], row["alpha"]),
-                               {}).setdefault(row["model"], []).append(i)
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ValueError("rows must be mappings with dgp_id, alpha, model "
-                         f"and seconds keys: {exc!r}") from None
-    seconds = _floats(seconds, "rows' seconds")
-    if seconds.ndim != 1 or (seconds < 0).any():
-        raise ValueError("rows' seconds must each be one nonnegative number")
-
-    def finite(value) -> float:
-        if not math.isfinite(value):
-            raise ValueError("rows' seconds give a mean or overhead that is "
-                             "not finite (a zero no-propensity mean has none)")
-        return float(value)
-
-    def overhead(group) -> float:
-        return finite(seconds[group[est]].mean() / seconds[group[no]].mean()
-                      - 1.0)
-
-    # an overflow or a zero mean is refused by name, instead of warned about
-    with np.errstate(all="ignore"):
-        means = {m: finite(seconds[i].mean()) for m, i in by_model.items()}
-        report = {"mean_seconds_by_model": means}
-        if no in means and est in means:
-            report["pooled_overhead_estimated_vs_no_propensity"] = overhead(
-                by_model)
-            report["cell_overhead_estimated_vs_no_propensity"] = {
-                key: overhead(group) for key, group in sorted(by_cell.items())
-                if no in group and est in group}
-    return report
-
-
 def _read_run_config(path: Path) -> ExperimentConfig:
     """The configuration a run_config.json records: a JSON object with
     exactly the ``ExperimentConfig`` fields, whose values that class checks;
@@ -923,7 +914,7 @@ def _read_run_config(path: Path) -> ExperimentConfig:
         if missing:
             raise ValueError(f"missing configuration keys {missing}")
         return ExperimentConfig(**raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

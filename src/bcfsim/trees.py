@@ -68,11 +68,11 @@ Sampler state is kept incrementally rather than recomputed per proposal:
   directly; ``DecisionTree.leaves`` reads the same cache for everyone
   else.
 - The kind masses a tree can have and the logs of the move probabilities
-  are module constants, computed once through ``_kind_mass``; the depth
-  part of the tree-prior ratio is cached per (depth, base, power). Prune
-  and Change share one singly-internal pick, and a uniform pick among one
-  candidate draws nothing from the generator (numpy's ``integers(1)``
-  leaves the bit generator state unchanged).
+  are module constants, each computed once; the depth part of the
+  tree-prior ratio is cached per (depth, base, power). Prune and Change
+  share one singly-internal pick, and a uniform pick among one candidate
+  draws nothing from the generator (numpy's ``integers(1)`` leaves the bit
+  generator state unchanged).
 
 None of this changes a draw: the flags and ranges are the same integers and
 booleans, the shared row arrays hold the same indices in the same order,
@@ -355,27 +355,13 @@ def _depth_log_prior(depth: int, base: float, power: float) -> float:
     return math.log(p_d) + 2.0 * _log1m(p_d1) - _log1m(p_d)
 
 
-def _kind_mass(grow_ok: bool, prunable: bool) -> float:
-    """Total probability mass of the structurally possible move kinds.
-
-    Every call site shares this one arithmetic path so the forward and
-    reverse masses of the same tree state come out bit-identical, keeping
-    paired Grow/Prune correction terms exact negatives of each other.
-    """
-    mass = 0.0
-    if grow_ok:
-        mass += _P_GROW
-    if prunable:
-        mass += _P_PRUNE + _P_CHANGE
-    return mass
-
-
-# The kind masses a tree state can have and the logs that enter the ratios,
-# computed once through ``_kind_mass`` (bit-identical to per-call values):
-# every kind, Grow alone, and Prune and Change without Grow.
-_MASS_ALL = _kind_mass(True, True)
-_MASS_GROW = _kind_mass(True, False)
-_MASS_PRUNE = _kind_mass(False, True)
+# The kind masses a tree state can have and the logs that enter the ratios:
+# Grow alone, Prune and Change without Grow, and every kind. Forward and
+# reverse ratios read the same constant for a tree state, so paired
+# Grow/Prune corrections are exact negatives.
+_MASS_GROW = _P_GROW
+_MASS_PRUNE = _P_PRUNE + _P_CHANGE
+_MASS_ALL = _MASS_GROW + _MASS_PRUNE
 _LOG_MASS_ALL = math.log(_MASS_ALL)
 _LOG_MASS_GROW = math.log(_MASS_GROW)
 _LOG_MASS_PRUNE = math.log(_MASS_PRUNE)

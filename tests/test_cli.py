@@ -124,6 +124,9 @@ def test_generate_into_a_directory_leaves_no_temp_file(tmp_path, capsys):
     ("--alpha", "0", "alpha must be finite and positive, got 0.0"),
     ("--alpha", "nan", "alpha must be finite and positive, got nan"),
     ("--n", "1", "n must be at least 2, got 1"),
+    # numpy refuses (10**15, 5) floats without allocating them; this used
+    # to end in a MemoryError
+    ("--n", str(10 ** 15), "n is too large to draw at once: "),
     ("--seed", "-1", "seed must be at least 0, got -1"),
 ])
 def test_generate_refuses_a_bad_spec(tmp_path, capsys, flag, value, message):
@@ -306,6 +309,24 @@ def test_run_refuses_a_dataset_of_one_arm_before_any_fit(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_run_refuses_an_n_too_large_to_draw(tmp_path, capsys, monkeypatch):
+    # the datasets are drawn before anything is written, and numpy refuses
+    # (10**15, 5) floats without allocating them
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(TINY_CFG.replace("n = 40", f"n = {10 ** 15}"),
+                   encoding="utf-8")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(harness, "fit_bcf", no_fit)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: n is too large to draw at once: ")
+    assert not out.exists()
+
+
 def test_quick_profile_does_not_rescue_an_invalid_config_file(tmp_path, capsys,
                                                              monkeypatch):
     # a config file is checked on its own: 500 iterations under the default
@@ -350,6 +371,30 @@ def test_resume_refuses_a_malformed_cell(tiny_run, tmp_path, capsys, name,
 
 def _files(run):
     return {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("name, line, argv", [
+    ("replicates.csv", 2, ["report", "--from", "{run}"]),
+    ("replicates.csv", 1, ["report", "--from", "{run}"]),
+    ("cells/cell_extreme_4.csv", 2,
+     ["run", "--config", "{cfg}", "--out", "{run}", "--resume"]),
+], ids=["report", "report-header", "resume"])
+def test_a_field_past_the_csv_limit_is_named(tiny_run, tmp_path, capsys, name,
+                                             line, argv):
+    # csv refuses a field longer than 131,072 characters; that used to end
+    # in a traceback
+    cfg, out = tiny_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / name
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line - 1] = "0" * 131_073 + "," + lines[line - 1]
+    path.write_text("".join(lines))
+    before = _files(copy)
+    assert main([a.format(cfg=cfg, run=copy) for a in argv]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:{line}: field larger than field limit (131072)\n")
+    assert _files(copy) == before
 
 
 def test_resume_refuses_another_cells_checkpoint(tmp_path, capsys):
@@ -450,6 +495,25 @@ def test_malformed_run_config_is_named(tiny_run, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"{copy / 'run_config.json'}: Expecting property name" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--from", "{run}"],
+    ["run", "--config", "{cfg}", "--out", "{run}", "--resume"],
+], ids=["report", "resume"])
+def test_a_run_config_nested_too_deep_is_named(tiny_run, tmp_path, capsys,
+                                               argv):
+    # json gives up on it with a RecursionError, whose message named no file
+    cfg, out = tiny_run
+    copy = tmp_path / "run"
+    shutil.copytree(out, copy)
+    path = copy / "run_config.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    before = _files(copy)
+    assert main([a.format(cfg=cfg, run=copy) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: maximum recursion depth exceeded")
+    assert _files(copy) == before
 
 
 def test_report_names_a_config_value_of_another_type(tiny_run, tmp_path,

@@ -39,7 +39,6 @@ from bcfsim.harness import (
     report_from,
     run_experiment,
     summarize,
-    timing_report,
 )
 from bcfsim.metrics import METRIC_FIELDS, RECORD_FIELDS, ReplicateRecord
 
@@ -380,7 +379,7 @@ def test_evaluate_fit_hand_example():
 
 
 # ---------------------------------------------------------------------------
-# cell_values / summarize / compare_models / timing_report on synthetic data
+# cell_values / summarize / compare_models / _timing on synthetic data
 
 def _record(**overrides):
     kwargs = dict(dgp_id="extreme", alpha=4.0, model="no_propensity",
@@ -585,31 +584,33 @@ def test_boxplot_spells_each_value_as_the_run_wrote_it(tmp_path_factory, rows,
         for model in (_NO, _TRUE)]
 
 
-def _timing_row(**overrides):
-    return {"dgp_id": "extreme", "alpha": 4.0, "model": "no_propensity",
-            "replicate_index": 0, "seconds": 1.0, **overrides}
+def _timing_row(seconds, **overrides):
+    """A (record, digest, seconds) fit row, as the run keeps it."""
+    return _record(**overrides), "digest", seconds
 
 
 def test_timing_report_hand_example():
     rows = [
-        _timing_row(seconds=1.0),
-        _timing_row(replicate_index=1, seconds=1.0),
-        _timing_row(model="estimated_propensity", seconds=1.2),
-        _timing_row(model="estimated_propensity", replicate_index=1,
-                    seconds=1.22),
+        _timing_row(1.0),
+        _timing_row(1.0, replicate_index=1),
+        _timing_row(1.2, model="estimated_propensity"),
+        _timing_row(1.22, model="estimated_propensity", replicate_index=1),
     ]
-    report = timing_report(rows)
-    assert report["mean_seconds_by_model"]["no_propensity"] == 1.0
-    assert report["pooled_overhead_estimated_vs_no_propensity"] == (
+    timing = harness._timing(rows)
+    assert timing["mean_seconds_by_model"]["no_propensity"] == 1.0
+    assert timing["pooled_overhead_estimated_vs_no_propensity"] == (
         pytest.approx(0.21))
-    assert report["cell_overhead_estimated_vs_no_propensity"]["extreme_4"] == (
+    assert timing["cell_overhead_estimated_vs_no_propensity"]["extreme_4"] == (
         pytest.approx(0.21))
 
 
 def test_timing_report_needs_both_variants():
     # without both variants there is no overhead, only the mean fit times
-    report = timing_report([_timing_row(seconds=2.0)])
-    assert report == {"mean_seconds_by_model": {"no_propensity": 2.0}}
+    timing = harness._timing([_timing_row(2.0)])
+    assert timing == {
+        "rows": [{"dgp_id": "extreme", "alpha": 4.0, "model": "no_propensity",
+                  "replicate_index": 0, "seconds": 2.0}],
+        "mean_seconds_by_model": {"no_propensity": 2.0}}
 
 
 # ---------------------------------------------------------------------------
@@ -976,11 +977,11 @@ def test_resume_refuses_a_checkpoint_with_a_timing_file(mini_run, tmp_path):
     (copy / "cells" / "cell_extreme_4_timing.json").write_text(json.dumps(
         {f"{row['replicate_index']}:{row['model']}": float(row["seconds"])
          for row in rows}, sort_keys=True, indent=1))
-    before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+    before = _aged_file_states(copy)
     with pytest.raises(ValueError,
                        match=r"cell_extreme_4\.csv: unexpected columns"):
         run_experiment(config, out_dir=copy, resume=True)
-    assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+    assert _file_states(copy) == before
 
 
 def test_resume_refuses_a_checkpoint_out_of_run_order(mini_run, tmp_path):
@@ -990,18 +991,19 @@ def test_resume_refuses_a_checkpoint_out_of_run_order(mini_run, tmp_path):
     path = copy / "cells" / "cell_extreme_4.csv"
     header, first, second, *rest = path.read_text().splitlines(keepends=True)
     path.write_text("".join([header, second, first] + rest))
-    before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+    before = _aged_file_states(copy)
     with pytest.raises(RuntimeError,
                        match=r"cell_extreme_4\.csv: row 1: found cell "
                              r"extreme_4 replicate 0 model "
                              r"estimated_propensity seed \d+, expected cell "
                              r"extreme_4 replicate 0 model no_propensity"):
         run_experiment(config, out_dir=copy, resume=True)
-    assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+    assert _file_states(copy) == before
 
 
 def _file_states(run: Path) -> dict:
-    """Each file's bytes, inode and mtime, by its path under ``run``."""
+    """Each file's bytes, inode and mtime, by its path under ``run``. A
+    refused resume leaves them all as they were."""
     return {path.relative_to(run): (path.read_bytes(), path.stat().st_ino,
                                     path.stat().st_mtime_ns)
             for path in sorted(run.rglob("*")) if path.is_file()}
@@ -1037,24 +1039,26 @@ def test_fresh_run_refuses_dirty_directory(mini_run):
 def test_resume_rejects_mismatched_configuration(mini_run):
     _, out, _ = mini_run
     grown = ExperimentConfig(**{**MINI_CONFIG, "replicates": 3})
+    before = _aged_file_states(out)
     with pytest.raises(RuntimeError, match="expected"):
         run_experiment(grown, out_dir=out, resume=True)
+    assert _file_states(out) == before
 
 
 def test_resume_refuses_cells_of_another_configuration(tmp_path):
     # cells fit under one seed and chain length must not be reused under
-    # another, and the refused resume must leave run_config.json alone
+    # another, and the refused resume must leave every file alone
     small = dict(selections=("slight",), alphas=(1.0,),
                  models=("no_propensity",), n=20, replicates=1, burn_in=3)
     first = ExperimentConfig(**small, master_seed=1729, iterations=6)
     run_experiment(first, out_dir=tmp_path)
-    before = (tmp_path / "run_config.json").read_bytes()
+    before = _aged_file_states(tmp_path)
     other = ExperimentConfig(**small, master_seed=7, iterations=40)
     with pytest.raises(RuntimeError,
                        match=r"iterations: found 6, expected 40; "
                              r"master_seed: found 1729, expected 7"):
         run_experiment(other, out_dir=tmp_path, resume=True)
-    assert (tmp_path / "run_config.json").read_bytes() == before
+    assert _file_states(tmp_path) == before
 
 
 def _break_header(cells):
@@ -1080,15 +1084,40 @@ def _break_timing(cells):
             r"convert string to float: 'soon'\)")
 
 
+def _break_field(cells):
+    # csv refuses a field past its size limit of 131,072 characters
+    path = cells / "cell_extreme_4.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    row, _, seconds = lines[2].rsplit(",", 2)
+    lines[2] = f"{row},{'0' * 131_073},{seconds}"
+    path.write_text("".join(lines))
+    return (r"cell_extreme_4\.csv:3: field larger than field limit "
+            r"\(131072\)")
+
+
+def _break_zero_mean(cells):
+    # seconds that are each finite and nonnegative, but whose no-propensity
+    # mean of 0 leaves timing.json's overhead without a value
+    path = cells / "cell_extreme_4.csv"
+    path.write_text("".join(
+        line.rsplit(",", 1)[0] + ",0.0\n" if ",no_propensity," in line
+        else line for line in path.read_text().splitlines(keepends=True)))
+    return (f"^{re.escape(str(cells))}: fit seconds give a mean or overhead "
+            "that is not finite")
+
+
 @pytest.mark.parametrize("corrupt", [_break_header, _break_value,
-                                     _break_timing])
+                                     _break_timing, _break_field,
+                                     _break_zero_mean])
 def test_resume_names_a_malformed_cell(mini_run, tmp_path, corrupt):
     config, out, _ = mini_run
     copy = tmp_path / "run"
     shutil.copytree(out, copy)
     message = corrupt(copy / "cells")
+    before = _aged_file_states(copy)
     with pytest.raises(ValueError, match=message):
         run_experiment(config, out_dir=copy, resume=True)
+    assert _file_states(copy) == before
 
 
 @pytest.mark.parametrize("cell, value", [
@@ -1104,10 +1133,12 @@ def test_resume_refuses_fit_seconds_timing_json_cannot_hold(
     lines = path.read_text().splitlines(keepends=True)
     lines[2] = lines[2].rsplit(",", 1)[0] + f",{cell}\n"
     path.write_text("".join(lines[:2] + ["\n"] + lines[2:]))
+    before = _aged_file_states(copy)
     with pytest.raises(ValueError, match=(
             r"cell_extreme_4\.csv:4: fit seconds must be finite and "
             rf"nonnegative, got {value}$")):
         run_experiment(config, out_dir=copy, resume=True)
+    assert _file_states(copy) == before
 
 
 def test_report_from_regenerates_derived_artifacts(mini_run):

@@ -60,7 +60,7 @@ from bcfsim.dgp import (
 from bcfsim.harness import (
     ExperimentConfig, apply_profile, cell_values, compare_models,
     dataset_digest, evaluate_fit, load_config_file, read_replicates_csv,
-    report_from, run_experiment, summarize, timing_report, write_dataset,
+    report_from, run_experiment, summarize, write_dataset,
 )
 from bcfsim.metrics import interval_metrics, pointwise_errors
 from bcfsim.ranktests import (
@@ -876,42 +876,6 @@ def test_run_experiment(bad, data, study):
         assert len(lines) == (kwargs["progress"] is not None)
 
 
-TIMING_ROW = st.fixed_dictionaries({
-    "dgp_id": st.sampled_from(NAMES),
-    "alpha": st.sampled_from((1.0, 2.0, 4.0)),
-    "model": st.sampled_from(MODEL_NAMES),
-    "replicate_index": st.integers(0, 3),
-    "seconds": st.one_of(st.floats(0.0, 100.0), FINITE.map(abs))})
-MISUSED_ROW = st.one_of(
-    OTHER, TIMING_ROW.map(lambda row: {**row, "seconds": None}),
-    TIMING_ROW.map(lambda row: {**row, "seconds": "1.5x"}),
-    TIMING_ROW.map(lambda row: {**row, "seconds": [1.0, 2.0]}),
-    TIMING_ROW.map(lambda row: {**row, "alpha": "4"}),
-    st.builds(lambda row, value: {**row, "seconds": value}, TIMING_ROW,
-              st.one_of(NON_FINITE, st.just(-1.0))),
-    TIMING_ROW.map(lambda row: {k: v for k, v in row.items()
-                                if k != "model"}))
-
-
-@sweep("rows")
-def test_timing_report(bad, data):
-    # a misused list holds one misused row among valid ones, or is no list
-    misused = st.builds(lambda rows, row, at: rows[:at] + [row] + rows[at:],
-                        st.lists(TIMING_ROW, max_size=3), MISUSED_ROW,
-                        st.integers(0, 3))
-    kwargs = call_args(data.draw, bad,
-                       rows=(st.lists(TIMING_ROW, max_size=6),
-                             st.one_of(OTHER, misused)))
-    report = run(timing_report, kwargs)
-    if report is not None:
-        means = report["mean_seconds_by_model"]
-        assert all(math.isfinite(v) for v in means.values())
-        overhead = report.get("cell_overhead_estimated_vs_no_propensity", {})
-        assert all(math.isfinite(v) for v in overhead.values())
-        assert math.isfinite(report.get(
-            "pooled_overhead_estimated_vs_no_propensity", 0.0))
-
-
 # ------------------------------------------- values numpy cannot convert
 
 CONVERSIONS = {
@@ -1034,21 +998,11 @@ def test_an_object_of_another_type_is_refused_by_name(case, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-_TIMING = [{"dgp_id": "extreme", "alpha": 4.0, "model": model,
-            "replicate_index": 0, "seconds": seconds}
-           for model, seconds in (("no_propensity", 0.0),
-                                  ("estimated_propensity", 1.0))]
 _HUGE = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
 
 # a refusal by name of what used to end in another exception or a
 # RuntimeWarning
 VALUE_CALLS = {
-    "timing_report_keys": (lambda: timing_report([{}]),
-                           "^rows must be mappings with dgp_id, alpha, "
-                           "model and seconds keys: KeyError"),
-    "timing_report_zero_mean": (lambda: timing_report(_TIMING),
-                                "^rows' seconds give a mean or overhead "
-                                "that is not finite"),
     "cate_intervals_overflow": (
         lambda: cate_intervals(dataclasses.replace(_FIT, tau_draws=_HUGE)),
         "^fit's tau_draws overflow float64"),
@@ -1064,6 +1018,10 @@ VALUE_CALLS = {
     "signal_ratio_huge_n_mc": (
         lambda: signal_ratio(DgpSpec("extreme", 1.0), 10 ** 400, 0),
         "^n_mc is too large to draw at once"),
+    # numpy refuses (10**15, 5) floats without allocating them
+    "generate_huge_n": (
+        lambda: generate(DgpSpec("slight", 1.0, 10 ** 15), 1),
+        "^n is too large to draw at once"),
 }
 
 
