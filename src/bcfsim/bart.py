@@ -53,12 +53,6 @@ from .trees import (
     apply_move,
 )
 
-__all__ = [
-    "HalfCauchy", "HalfNormal", "FixedScale", "SigmaPrior", "FixedSigma",
-    "ForestPrior", "ChainConfig", "BartPosterior", "ForestSampler",
-    "fit_continuous", "fit_binary_probit",
-]
-
 _LOG_2PI = math.log(2.0 * math.pi)
 # the reduction ndarray.sum runs, called without its Python wrapper: the
 # same pairwise summation, so the same float

@@ -52,11 +52,6 @@ from .bart import (
     fit_binary_probit,
 )
 
-__all__ = [
-    "PropensityMode", "BcfConfig", "BcfFit", "propensity_column", "fit_bcf",
-    "cate_intervals", "ate_posterior",
-]
-
 
 class PropensityMode(str, enum.Enum):
     """How the extra design column for the prognostic forest is filled."""

@@ -53,12 +53,14 @@ class DgpSpec:
 
 def _check_alpha(alpha) -> None:
     """Raise a ValueError naming ``alpha`` unless it is finite and positive,
-    and within [1e-300, 1e300], where tau(x) and ``signal_ratio`` stay
-    finite and nonzero."""
+    and within [1e-100, 1e100], where a run can score every fit: the
+    outcome's squares, at most about (1 / (2 alpha))^2 per unit, stay far
+    inside float64, and so do the MAPE's, since every nonzero x1 + x2 is at
+    least 2^-53, so MAPE <= |error| * 2 alpha * 2^53."""
     if not (_is_real(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
-    if not 1e-300 <= float(alpha) <= 1e300:
-        raise ValueError(f"alpha must be in [1e-300, 1e300], got {alpha!r}")
+    if not 1e-100 <= float(alpha) <= 1e100:
+        raise ValueError(f"alpha must be in [1e-100, 1e100], got {alpha!r}")
 
 
 @dataclass

@@ -85,17 +85,10 @@ from .bcf import (
 )
 from .dgp import Dataset, DgpSpec, Selection, baseline, generate, propensity
 from .metrics import (
-    METRIC_FIELDS, RECORD_FIELDS, ReplicateRecord, interval_metrics,
-    out_of_range, pointwise_errors,
+    METRIC_FIELDS, RECORD_FIELDS, ReplicateRecord, _out_of_range,
+    interval_metrics, pointwise_errors,
 )
 from .ranktests import select_and_run
-
-__all__ = [
-    "ExperimentConfig", "CellValues", "RecordTable", "derive_seed",
-    "dataset_digest", "evaluate_fit", "run_experiment", "cell_values",
-    "summarize", "compare_models", "report_from", "apply_profile",
-    "load_config_file", "read_replicates_csv", "write_dataset",
-]
 
 MODEL_IDS = tuple(m.value for m in PropensityMode)
 
@@ -412,7 +405,7 @@ def read_replicates_csv(path, extra=()) -> RecordTable:
     blank lines are skipped. Any other header raises a ValueError naming
     the file, and so does the first row of another length, with a field
     past csv's size limit, with a cell that does not parse as its field's
-    type or with a metric out of range (``metrics.out_of_range``), naming
+    type or with a metric out of range (``ReplicateRecord``'s rule), naming
     its line too (line 1 for a header field past the limit).
     """
     _instance("path", path, *_PATH)
@@ -453,7 +446,7 @@ def read_replicates_csv(path, extra=()) -> RecordTable:
     table = RecordTable(keys, np.asarray(values).reshape(-1, width).T, texts,
                         extras, lines)
     # every row that parsed comes before the one that did not
-    broken = out_of_range(table.metrics)
+    broken = _out_of_range(table.metrics)
     if broken is not None:
         raise ValueError(f"{path}:{lines[broken[0]]}: {broken[1]}")
     if failure is not None:
@@ -477,9 +470,22 @@ def _fit_keys(config: ExperimentConfig, selection: Selection,
             for model in config.models]
 
 
+def _sorted_fit_keys(config: ExperimentConfig):
+    """The grid's fits as ``_KEY_FIELDS`` tuples in sorted order, made one
+    at a time: cells by name, then replicate, then model."""
+    for dgp_id, alpha in sorted((selection.value, alpha) for selection, alpha
+                                in itertools.product(config.selections,
+                                                     config.alphas)):
+        for rep in range(config.replicates):
+            seed = _data_seed(config, dgp_id, alpha, rep)
+            for model in sorted(config.models):
+                yield dgp_id, alpha, rep, model, seed
+
+
 def _key_mismatch(found, wanted) -> str | None:
     """'i: found ..., expected ...' at the first (1-based) position where
-    two lists of fit keys differ, or None if they are equal."""
+    two sequences of fit keys differ, or None if they are equal; each is
+    read only up to that position."""
     for i, pair in enumerate(itertools.zip_longest(found, wanted), 1):
         if pair[0] != pair[1]:
             got, want = ("nothing" if key is None else
@@ -538,7 +544,11 @@ def _read_cell(path: Path):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{path}:{line}: fit seconds must be finite "
                              f"and nonnegative, got {value!r}")
-    return list(zip(table.records(), digests, seconds))
+    try:
+        records = table.records()
+    except ValueError as exc:  # a replicate_index or seed below 0
+        raise ValueError(f"{path}: {exc}") from exc
+    return list(zip(records, digests, seconds))
 
 
 def _check_arms(config: ExperimentConfig) -> None:
@@ -747,34 +757,38 @@ def cell_values(config: ExperimentConfig,
     ``master_seed`` for replicates ``0..replicates-1``) has one place on the
     grid, and each row is put in its fit's place by one lookup. The rows
     must fill every place once, in any order, so no matrix has a hole;
-    otherwise a ValueError names the first fit, in key order, that
-    differs."""
+    otherwise a ValueError names the first fit, in key order, that differs.
+    Rows of another count than the grid's fits are refused before the grid
+    is built, so the work stays bounded by the rows, whatever
+    ``replicates`` claims."""
     _instance("config", config, ExperimentConfig)
     _instance("table", table, RecordTable)
     cells = list(itertools.product(config.selections, config.alphas))
     models = {model: i for i, model in enumerate(config.models)}
     reps = config.replicates
-    # a fit's place: its (cell, model) block, then its replicate; one
-    # (metric x replicate) block per (cell, model) keeps each model's
-    # matrix C-contiguous
-    place = {key: (c * len(models) + models[key[3]]) * reps + key[2]
-             for c, cell in enumerate(cells)
-             for key in _fit_keys(config, *cell)}
-    at = np.fromiter((place.get(key, -1) for key in table.keys), np.intp,
-                     len(table))
-    # how many rows fell off the grid, then how many fill each place
-    filled = np.bincount(at + 1, minlength=len(place) + 1)
-    if filled[0] or not (filled[1:] == 1).all():
-        mismatch = _key_mismatch(sorted(table.keys), sorted(place))
+    fits = len(cells) * len(models) * reps
+    at = None
+    if len(table) == fits:
+        # a fit's place: its (cell, model) block, then its replicate; one
+        # (metric x replicate) block per (cell, model) keeps each model's
+        # matrix C-contiguous
+        place = {key: (c * len(models) + models[key[3]]) * reps + key[2]
+                 for c, cell in enumerate(cells)
+                 for key in _fit_keys(config, *cell)}
+        at = np.fromiter((place.get(key, -1) for key in table.keys),
+                         np.intp, fits)
+    # as many rows as places, so a place not filled once leaves a hole
+    if at is None or (np.bincount(at + 1, minlength=fits + 1)[1:] != 1).any():
+        mismatch = _key_mismatch(sorted(table.keys), _sorted_fit_keys(config))
         raise ValueError(
             f"{len(table)} records do not hold each of the grid's "
-            f"{len(place)} fits once (master_seed {config.master_seed}, "
+            f"{fits} fits once (master_seed {config.master_seed}, "
             f"replicates {config.replicates}); in key order, fit {mismatch}")
     shape = (len(cells), len(models), len(METRIC_FIELDS), reps)
     grid = np.empty(shape)
     grid.reshape(-1, len(METRIC_FIELDS), reps)[at // reps, :, at % reps] = (
         table.metrics.T)
-    text = np.empty(len(place), object)
+    text = np.empty(fits, object)
     text[at] = table.metric_text
     return [CellValues(selection.value, alpha,
                        dict(zip(config.models, by_model)),

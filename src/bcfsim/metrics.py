@@ -11,11 +11,12 @@ metric that scores it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bart import _floats, _is_real
+from .bart import _count, _floats, _instance, _is_real
 
 
 def pointwise_errors(estimate, truth) -> dict:
@@ -85,7 +86,11 @@ def interval_metrics(lower, upper, truth, nominal: float) -> dict:
 
 @dataclass
 class ReplicateRecord:
-    """All metrics from fitting one model variant on one synthetic draw."""
+    """All metrics from fitting one model variant on one synthetic draw.
+
+    A field of another type is refused by name: ``dgp_id`` and ``model``
+    are strs, ``replicate_index`` and ``seed`` counts from 0, ``alpha`` and
+    each metric a real number. The metrics then keep the range rule."""
 
     dgp_id: str
     alpha: float
@@ -110,10 +115,26 @@ class ReplicateRecord:
     ae_cover_ate: float
 
     def __post_init__(self):
-        broken = out_of_range(
-            np.array([[getattr(self, name)] for name in METRIC_FIELDS]))
+        for name in ("dgp_id", "model"):
+            _instance(name, getattr(self, name), str)
+        for name in ("replicate_index", "seed"):
+            _count(name, getattr(self, name), 0)
+        _instance("alpha", self.alpha, numbers.Real)
+        broken = _out_of_range(
+            np.array([[_real(name, getattr(self, name))]
+                      for name in METRIC_FIELDS]))
         if broken is not None:
             raise ValueError(broken[1])
+
+
+def _real(name: str, value) -> float:
+    """A real number ``value`` as a float, inf for an int past float64; any
+    other value raises a ValueError naming ``name``."""
+    _instance(name, value, numbers.Real)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 # Field order is the contract for replicates.csv, one column per field
@@ -135,7 +156,7 @@ _CHECKED_ROWS = [METRIC_FIELDS.index(name) for name, _, _ in _RANGE_CHECKS]
 _UPPER = np.array([[upper] for _, upper, _ in _RANGE_CHECKS])
 
 
-def out_of_range(values: np.ndarray) -> tuple[int, str] | None:
+def _out_of_range(values: np.ndarray) -> tuple[int, str] | None:
     """(column, message) of the first column of a (metric x record) matrix,
     rows in ``METRIC_FIELDS`` order, that breaks the range rule, naming its
     first failed check; None if every column keeps the rule."""

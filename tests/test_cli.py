@@ -249,6 +249,10 @@ def test_run_names_the_failing_fit(tmp_path, capsys, monkeypatch):
     ("nan", "alpha must be finite and positive, got nan"),
     # "1.0000001" formats as "1" too, so both cells would be extreme_1
     ("1, 1.0000001", "alphas 1.0 and 1.0000001 both name the cell extreme_1"),
+    # the run could not score these: 1e-300 failed at its first fit, 1e300
+    # in the report, each after files were written
+    ("4, 1e-300", "alphas: alpha must be in [1e-100, 1e100], got 1e-300"),
+    ("1e300", "alphas: alpha must be in [1e-100, 1e100], got 1e+300"),
 ])
 def test_run_refuses_bad_alphas_before_any_fit(tmp_path, capsys, monkeypatch,
                                                alphas, named):
@@ -265,6 +269,16 @@ def test_run_refuses_bad_alphas_before_any_fit(tmp_path, capsys, monkeypatch,
     assert code == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_completes_at_the_ends_of_the_alpha_window(tmp_path):
+    cfg = tmp_path / "ends.cfg"
+    cfg.write_text(TINY_CFG.replace("alphas = 4", "alphas = 1e-100, 1e100"),
+                   encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "cells").iterdir()) == [
+        "cell_extreme_1e+100.csv", "cell_extreme_1e-100.csv"]
 
 
 def test_run_refuses_one_replicate_of_several_models(tmp_path, capsys,
@@ -352,6 +366,9 @@ def test_quick_profile_does_not_rescue_an_invalid_config_file(tmp_path, capsys,
     # cell is the fit's seconds
     pytest.param("cell_extreme_4.csv", r"[0-9.e-]+$", "soon",
                  id="cell_extreme_4.csv-seconds-soon"),
+    # a record refuses a replicate index below 0, and the reader names it
+    pytest.param("cell_extreme_4.csv", "no_propensity,0,",
+                 "no_propensity,-1,", id="cell_extreme_4.csv-replicate--1"),
 ])
 def test_resume_refuses_a_malformed_cell(tiny_run, tmp_path, capsys, name,
                                          old, new):

@@ -311,14 +311,16 @@ def test_cate_applies_the_alpha_rule(alpha):
         cate(np.full((1, 5), 0.5), alpha)
 
 
-@pytest.mark.parametrize("alpha", [1e-320, 1e-301, 1e301, 1e308])
+@pytest.mark.parametrize("alpha", [1e-320, 1e-301, 1e-101, 1e101, 1e301,
+                                   1e308])
 def test_an_alpha_whose_effects_leave_float64_is_refused(alpha):
-    # tau(x) = (x1 + x2) / (2 alpha) overflows below about 5e-309, and the
-    # signal ratio divides by a mean tau of 0 above about 9e307
-    message = f"alpha must be in [1e-300, 1e300], got {alpha!r}"
+    # a run failed at its first fit with alpha 1e-160, the outcome's
+    # squares past float64, and in its report with alpha 1e200, the
+    # replicates' MAPE squares past it
+    message = f"alpha must be in [1e-100, 1e100], got {alpha!r}"
     for build in (lambda: DgpSpec("extreme", alpha),
                   lambda: cate(np.full((1, 5), 1.0), alpha)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
-    assert DgpSpec("extreme", 1e-300).alpha == 1e-300
-    assert DgpSpec("extreme", 1e300).alpha == 1e300
+    assert DgpSpec("extreme", 1e-100).alpha == 1e-100
+    assert DgpSpec("extreme", 1e100).alpha == 1e100

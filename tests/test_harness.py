@@ -538,6 +538,35 @@ def test_cell_values_refuse_records_without_each_fit_once(fits, message):
         str(refused.value))
 
 
+@pytest.mark.parametrize("fits, message", [
+    pytest.param([(_NO, 0), (_TRUE, 0), (_NO, 1), (_TRUE, 1)],
+                 f"5: found nothing, expected {_named(2, _NO)}",
+                 id="prefix_of_the_grid"),
+    pytest.param([(_NO, 0), (_TRUE, 0), (_NO, 1, ("seed", 7))],
+                 f"3: found {_named(1, _NO, seed=7)}, "
+                 f"expected {_named(1, _NO)}", id="wrong_seed"),
+])
+def test_cell_values_refuse_a_replicate_claim_at_the_cost_of_the_rows(
+        monkeypatch, fits, message):
+    # the configuration claims 10**5 replicates, 2 * 10**5 fits, for a few
+    # rows: the refusal reads the grid's fits only up to the first that
+    # differs, a seed derivation per replicate, instead of all of them
+    table = _table([_record(model=model, replicate_index=rep,
+                            **dict(overrides))
+                    for model, rep, *overrides in fits])
+    calls = []
+    derive = harness.derive_seed
+    monkeypatch.setattr(harness, "derive_seed",
+                        lambda *parts: calls.append(parts) or derive(*parts))
+    with pytest.raises(ValueError) as refused:
+        cell_values(_config(models=(_NO, _TRUE), replicates=10 ** 5), table)
+    assert re.fullmatch(
+        f"{len(fits)} records do not hold each of the grid's 200000 fits "
+        r"once \(master_seed 1729, replicates 100000\); in key order, fit "
+        + message, str(refused.value))
+    assert 0 < len(calls) <= len(fits)
+
+
 # metric values whose repr takes each of its forms: subnormals down to the
 # smallest float, exponent notation from 1e16 up and below 1e-4, and
 # values that need all 17 significant digits

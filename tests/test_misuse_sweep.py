@@ -62,7 +62,9 @@ from bcfsim.harness import (
     dataset_digest, evaluate_fit, load_config_file, read_replicates_csv,
     report_from, run_experiment, summarize, write_dataset,
 )
-from bcfsim.metrics import interval_metrics, pointwise_errors
+from bcfsim.metrics import (
+    METRIC_FIELDS, ReplicateRecord, interval_metrics, pointwise_errors,
+)
 from bcfsim.ranktests import (
     fligner_policello,
     kruskal_wallis,
@@ -362,9 +364,9 @@ def dgp_data(draw, bad, **scalars):
 
 SELECTION = (st.sampled_from(("extreme", "moderate", "slight")),
              misused_scalar("strong"))
-ALPHA = (st.floats(1e-300, 1e300),
-         misused_scalar(5e-324, 1e-310, 1e308, 0, -2, 10 ** 400, "2", None,
-                        True, (1.0,)))
+ALPHA = (st.floats(1e-100, 1e100),
+         misused_scalar(5e-324, 1e-300, 1e-101, 1e101, 1e300, 1e308, 0, -2,
+                        10 ** 400, "2", None, True, (1.0,)))
 
 
 @sweep("x")
@@ -624,8 +626,8 @@ def experiment_data(draw, bad):
                     st.one_of(OTHER, sequences(st.sampled_from(NAMES), 0),
                               st.just(["extreme", "extreme"]),
                               st.just(["strong"]))),
-        alphas=(sequences(st.sampled_from((0.5, 1, 2.0, 4.0, 1e-300,
-                                           1e300))),
+        alphas=(sequences(st.sampled_from((0.5, 1, 2.0, 4.0, 1e-100,
+                                           1e100))),
                 st.one_of(OTHER, st.lists(ALPHA[1], max_size=2),
                           st.just([1.0, 1.0000001]), st.just([]))),
         models=(sequences(st.sampled_from(MODEL_NAMES)),
@@ -1030,3 +1032,33 @@ def test_a_misused_value_is_refused_by_name(case):
     call, message = VALUE_CALLS[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+_RECORD = dict(dgp_id="extreme", alpha=4.0, model="no_propensity",
+               replicate_index=0, seed=1, **dict.fromkeys(METRIC_FIELDS, 0.5))
+
+# a ReplicateRecord field given another type, or a count below 0: "0.1" and
+# None used to end in a TypeError, an int past float64 in an
+# OverflowError, and the others were accepted
+RECORD_CALLS = {
+    "dgp_id": (5, "dgp_id must be a str, got 5"),
+    "model": (None, "model must be a str, got None"),
+    "alpha": ("x", "alpha must be a Real, got 'x'"),
+    "replicate_index": (-1, "replicate_index must be at least 0, got -1"),
+    "replicate_index_float": (1.0, "replicate_index must be an integer, "
+                                   "got 1.0"),
+    "seed": ("3", "seed must be an integer, got '3'"),
+    "rmse_cate": ("0.1", "rmse_cate must be a Real, got '0.1'"),
+    "cover_ate": (None, "cover_ate must be a Real, got None"),
+    "mape_ate": (1j, "mape_ate must be a Real, got 1j"),
+    "len_cate": (10 ** 400, "len_cate must be finite and nonnegative, "
+                            "got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CALLS))
+def test_a_misused_replicate_record_field_is_refused_by_name(case):
+    value, message = RECORD_CALLS[case]
+    field = case.removesuffix("_float")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ReplicateRecord(**{**_RECORD, field: value})

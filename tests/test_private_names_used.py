@@ -12,7 +12,11 @@ and are left out.
 A public module-level function or class, or a public method, is API; one
 that neither ``src/``, the demos nor the benchmark's scripts load is API
 only tests call, and must be named in ``TEST_ONLY`` with the reason it
-stays. An import or an ``__all__`` entry is no load.
+stays. An import is no load.
+
+The leading underscore is the one place that says what is public: no
+module keeps an ``__all__``, and the package binds only ``__version__``,
+so names are imported from the modules that define them.
 """
 
 import ast
@@ -156,3 +160,39 @@ def test_check_finds_an_unloaded_public_name():
     assert sorted(n for n in public if n not in _referenced(modules)) == [
         "unused"]
 
+
+def _bound(module):
+    """Every name a module binds at its top level: imports, definitions
+    and assignment targets."""
+    names = set()
+    for node in module.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+        else:
+            names.update(sub.id for sub in ast.walk(node)
+                         if isinstance(sub, ast.Name)
+                         and isinstance(sub.ctx, ast.Store))
+    return names
+
+
+def test_the_public_api_is_declared_once():
+    modules = _modules()
+    assert sorted(path.name for path, module in modules.items()
+                  if "__all__" in _bound(module)) == []
+    assert _bound(modules[SRC / "bcfsim" / "__init__.py"]) == {"__version__"}
+
+
+def test_check_finds_an_all_and_a_reexport():
+    module = ast.parse('"""Doc."""\n\nimport os.path\n'
+                       "from .m import a, b as c\nfrom .n import *\n\n"
+                       "__all__ = ['a']\n__all__ += ['c']\n"
+                       "__version__: str = '1'\n\n"
+                       "def f():\n    d = 1\n\nclass K:\n    pass\n")
+    assert _bound(module) == {"os", "a", "c", "*", "__all__", "__version__",
+                              "f", "K"}
+    assert _bound(ast.parse('"""Doc."""\n\n__version__ = "1"\n')) == {
+        "__version__"}
